@@ -1331,8 +1331,7 @@ pub fn serve(argv: Vec<String>) -> Result<(), String> {
     options.cache_dir = args.value("cache-dir").map(std::path::PathBuf::from);
     options.store_dir = args.value("store-dir").map(std::path::PathBuf::from);
 
-    let server = perfvar_server::Server::bind(&addr, options)
-        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    let server = perfvar_server::Server::bind(&addr, options).map_err(|e| e.to_string())?;
     let local = server.local_addr().map_err(|e| e.to_string())?;
     println!("perfvar serve: listening on http://{local}");
     use std::io::Write as _;

@@ -195,6 +195,39 @@ fn serve_rejects_bad_invocations() {
 }
 
 #[test]
+fn serve_refuses_to_start_over_a_torn_run_store() {
+    let dir = tmp_dir("torn-store");
+    let file = dir.join("runs.json");
+    let torn = b"[\n  {\n    \"digest\": \"0011";
+    std::fs::write(&file, torn).unwrap();
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_perfvar"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--store-dir"])
+        .arg(&dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("daemon spawns");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("perfvar serve started over a torn run store");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(!status.success());
+    assert!(stderr.contains(file.to_str().unwrap()), "{stderr}");
+    assert_eq!(std::fs::read(&file).unwrap(), torn, "store left untouched");
+}
+
+#[test]
 fn served_diagnosis_is_byte_identical_to_cli_json() {
     let archive = fixture_archive("diagnose-parity");
     let path = archive.to_str().unwrap();

@@ -93,6 +93,8 @@ fn write_number(out: &mut String, n: &Number) {
     }
 }
 
+// Escaping every newline keeps raw `\n` in pretty output between tokens
+// only; perfvar-server's `/v1` envelope splice relies on that.
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

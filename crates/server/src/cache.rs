@@ -12,16 +12,25 @@
 //! any result-affecting knob moves to a different key.
 //!
 //! The value is the *rendered* response body (plus one body per metric
-//! channel), not the [`Analysis`](perfvar_analysis::Analysis) value: warm hits are a string clone,
-//! and byte-identity with the CLI's `--json` output is pinned at fill
-//! time instead of depending on re-serialisation.
+//! channel), pinned at fill time so byte-identity with the CLI's
+//! `--json` output never depends on re-serialisation. Warm `/v1/analyze`
+//! hits splice those bytes into the envelope without re-encoding them.
+//! Next to the body sits a lazily decoded [`Analysis`]: the first
+//! `/v1/diagnose` or `/v1/compare` on an entry parses the body once
+//! ([`CachedResult::analysis`]), every later hit shares that decode, and
+//! entries that only ever serve `/v1/analyze` never pay for it.
+//!
+//! Spill files are written crash-safely (temp file, fsync, rename), so a
+//! reader sees either the previous file or the complete new one; a spill
+//! that fails to parse anyway is a miss, and the refill replaces it whole.
 
-use perfvar_analysis::{AnalysisConfig, OutOfCoreAnalysis, RecoveryMode};
+use crate::store::write_atomic;
+use perfvar_analysis::{Analysis, AnalysisConfig, OutOfCoreAnalysis, RecoveryMode};
 use perfvar_trace::format::digest::Fnv128;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Derives the content-addressed cache key of one analysis request.
 pub fn cache_key(
@@ -40,10 +49,11 @@ pub fn cache_key(
     h.finish()
 }
 
-/// One cached analysis: the rendered response bodies.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// One cached analysis: the rendered response bodies, plus the analysis
+/// they encode once something has asked for it.
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CachedResult {
-    /// The `/analyze` body — pretty-printed [`Analysis`](perfvar_analysis::Analysis) JSON plus a
+    /// The `/analyze` body — pretty-printed [`Analysis`] JSON plus a
     /// trailing newline, byte-identical to `perfvar analyze --json`.
     pub body: String,
     /// One `(metric name, rendered CounterAnalysis JSON)` pair per
@@ -55,6 +65,20 @@ pub struct CachedResult {
     /// older daemons (deltas then fall back to `fn#<id>` names).
     #[serde(default)]
     pub functions: Vec<String>,
+    /// `body` decoded back into an [`Analysis`], filled on first use by
+    /// [`CachedResult::analysis`]. Never spilled, never compared.
+    #[serde(skip)]
+    decoded: OnceLock<Arc<Analysis>>,
+}
+
+/// Equality of the rendered bodies; whether the analysis has been
+/// decoded yet is not part of an entry's value.
+impl PartialEq for CachedResult {
+    fn eq(&self, other: &CachedResult) -> bool {
+        self.body == other.body
+            && self.metrics == other.metrics
+            && self.functions == other.functions
+    }
 }
 
 impl CachedResult {
@@ -86,7 +110,28 @@ impl CachedResult {
             body,
             metrics,
             functions,
+            decoded: OnceLock::new(),
         })
+    }
+
+    /// The analysis `body` encodes, parsed on the first call and shared
+    /// by every later one: repeated `/v1/diagnose` and `/v1/compare` hits
+    /// on an entry decode its ~MB body once, not once per request.
+    pub fn analysis(&self) -> Result<Arc<Analysis>, String> {
+        if let Some(decoded) = self.decoded.get() {
+            return Ok(decoded.clone());
+        }
+        let analysis: Analysis = serde_json::from_str(&self.body)
+            .map_err(|e| format!("cached analysis failed to parse: {e}"))?;
+        // Two first callers racing both parse; the first to finish wins
+        // and the other's copy is dropped, so every caller shares one.
+        Ok(self.decoded.get_or_init(|| Arc::new(analysis)).clone())
+    }
+
+    /// Whether [`CachedResult::analysis`] has decoded the body yet.
+    #[cfg(test)]
+    pub(crate) fn is_decoded(&self) -> bool {
+        self.decoded.get().is_some()
     }
 }
 
@@ -147,16 +192,17 @@ impl ResultCache {
         Some(entry)
     }
 
-    /// Stores an entry in memory and, if configured, on disk. Disk-write
-    /// failures are swallowed: the spill is an optimisation, not a
-    /// durability promise.
+    /// Stores an entry in memory and, if configured, on disk. The spill
+    /// file is replaced atomically, so a crash mid-write never leaves a
+    /// torn file behind; disk-write failures are swallowed: the spill is
+    /// an optimisation, not a durability promise.
     pub fn put(&self, key: u128, entry: Arc<CachedResult>) {
         if let Some(file) = self.spill_file(key) {
             if let Some(dir) = &self.disk_dir {
                 let _ = std::fs::create_dir_all(dir);
             }
             if let Ok(json) = serde_json::to_string(&*entry) {
-                let _ = std::fs::write(file, json);
+                let _ = write_atomic(&file, json.as_bytes());
             }
         }
         self.insert_memory(key, entry);
@@ -193,6 +239,7 @@ mod tests {
             body: format!("{{\"tag\": \"{tag}\"}}\n"),
             metrics: vec![("CYC".to_string(), format!("{{\"m\": \"{tag}\"}}\n"))],
             functions: vec!["main".to_string()],
+            decoded: OnceLock::new(),
         })
     }
 
@@ -226,6 +273,30 @@ mod tests {
         // A fresh cache over the same directory sees the spilled entries.
         let fresh = ResultCache::new(4, Some(dir));
         assert_eq!(*fresh.get(8).expect("from disk"), *entry("resident"));
+    }
+
+    #[test]
+    fn torn_spill_is_a_miss_and_is_replaced_whole() {
+        let dir = std::env::temp_dir()
+            .join("perfvar-server-tests")
+            .join("torn-spill");
+        let _ = std::fs::remove_dir_all(&dir);
+        ResultCache::new(4, Some(dir.clone())).put(9, entry("whole"));
+        let file = dir.join(format!("{:032x}.json", 9u128));
+        let whole = std::fs::read(&file).unwrap();
+        std::fs::write(&file, &whole[..whole.len() / 2]).unwrap();
+
+        let cache = ResultCache::new(4, Some(dir.clone()));
+        assert!(cache.get(9).is_none(), "a torn spill is a miss");
+        cache.put(9, entry("whole"));
+        assert_eq!(std::fs::read(&file).unwrap(), whole, "refill is whole");
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, [file.file_name().unwrap()], "no temp files remain");
+        let fresh = ResultCache::new(4, Some(dir));
+        assert_eq!(*fresh.get(9).expect("from disk"), *entry("whole"));
     }
 
     #[test]

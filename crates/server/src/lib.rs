@@ -14,11 +14,14 @@
 //!   result-affecting config), not paths: an in-memory LRU with an
 //!   optional on-disk JSON spill. Thread count is excluded from the
 //!   key because the pipeline is bit-identical at every parallelism.
+//!   Warm hits splice the cached bytes into the envelope without
+//!   re-encoding them.
 //! * [`singleflight`] — N concurrent requests for the same uncached
 //!   trace trigger exactly one analysis; the rest wait and share it.
 //! * [`store`] — the persistent run store behind `GET /runs`,
 //!   `/runs/register` and the label/digest references `GET /compare`
-//!   resolves; one JSON file alongside the disk cache.
+//!   resolves; one atomically rewritten JSON file alongside the disk
+//!   cache.
 //! * [`server`] — the nonblocking readiness loop (one reactor thread
 //!   owns every idle connection), the worker pool, routing, optional
 //!   rank sharding per analysis ([`ServeOptions::shards`]), and the

@@ -9,13 +9,21 @@
 //! (`runs.json`) rewritten on every registration, so registrations
 //! survive daemon restarts alongside the disk cache spill.
 //!
+//! Every write replaces `runs.json` atomically (temp file, fsync,
+//! rename), so a crash mid-write leaves the previous store intact. A
+//! store file that does not parse is never silently reset: opening it
+//! fails, and the daemon refuses to start rather than overwrite the
+//! registrations on its next write.
+//!
 //! Lookups resolve a *reference*: an exact label first, then an exact
 //! 32-hex-digit digest. Anything else is not the store's business —
 //! the server falls back to treating the reference as a filesystem
 //! path, so `/compare?base=v1&cand=/tmp/new.pvta` mixes both worlds.
 
 use serde::{Deserialize, Serialize};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -49,6 +57,41 @@ pub fn looks_like_digest(reference: &str) -> bool {
     reference.len() == 32 && reference.bytes().all(|b| b.is_ascii_hexdigit())
 }
 
+/// Replaces `path` with `bytes` crash-safely: the bytes go to a fresh
+/// temp file in the same directory, which is fsynced and then renamed
+/// over `path`. A crash at any point leaves either the old file or the
+/// complete new one, never a torn mix.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
+    })?;
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(bytes)?;
+        file.sync_all()
+    });
+    if let Err(e) = written.and_then(|()| std::fs::rename(&tmp, path)) {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    // Make the rename itself durable (best effort: not every platform
+    // can open a directory for syncing).
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        if let Ok(dir) = std::fs::File::open(dir) {
+            let _ = dir.sync_all();
+        }
+    }
+    Ok(())
+}
+
 /// The run store: an in-memory record list with an optional JSON file
 /// behind it. Without a directory it still works for the daemon's
 /// lifetime; with one, every mutation is persisted before returning.
@@ -59,20 +102,35 @@ pub struct RunStore {
 
 impl RunStore {
     /// Opens the store in `dir` (creating `dir/runs.json` on the first
-    /// registration), loading any existing records. An unreadable or
-    /// corrupt store file starts empty rather than bricking the daemon.
-    /// `None` keeps the store purely in memory.
-    pub fn open(dir: Option<&Path>) -> RunStore {
+    /// registration), loading any existing records. `None` keeps the
+    /// store purely in memory. A store file that exists but cannot be
+    /// read or parsed is an error naming the file, and is left untouched:
+    /// starting empty would overwrite every registration on the next
+    /// write.
+    pub fn open(dir: Option<&Path>) -> std::io::Result<RunStore> {
         let file = dir.map(|d| d.join("runs.json"));
-        let records = file
-            .as_ref()
-            .and_then(|f| std::fs::read(f).ok())
-            .and_then(|bytes| serde_json::from_slice(&bytes).ok())
-            .unwrap_or_default();
-        RunStore {
+        let records = match &file {
+            None => Vec::new(),
+            Some(f) => match std::fs::read(f) {
+                Ok(bytes) => serde_json::from_slice(&bytes).map_err(|e| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("corrupt run store {}: {e}", f.display()),
+                    )
+                })?,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+                Err(e) => {
+                    return Err(std::io::Error::new(
+                        e.kind(),
+                        format!("unreadable run store {}: {e}", f.display()),
+                    ))
+                }
+            },
+        };
+        Ok(RunStore {
             file,
             records: Mutex::new(records),
-        }
+        })
     }
 
     /// Registers (or re-registers) a run: upserts by digest, keeping
@@ -130,7 +188,7 @@ impl RunStore {
         }
         let json = serde_json::to_string_pretty(&records.to_vec())
             .map_err(|e| format!("run store serialisation failed: {e}"))?;
-        std::fs::write(file, json).map_err(|e| format!("{}: {e}", file.display()))
+        write_atomic(file, json.as_bytes()).map_err(|e| format!("{}: {e}", file.display()))
     }
 
     /// All records, in registration order.
@@ -173,7 +231,7 @@ mod tests {
 
     #[test]
     fn register_list_find() {
-        let store = RunStore::open(None);
+        let store = RunStore::open(None).unwrap();
         assert!(store.is_empty());
         store
             .register(0xabc, Some("v1"), Path::new("/tmp/a.pvta"))
@@ -190,7 +248,7 @@ mod tests {
 
     #[test]
     fn register_upserts_by_digest_and_labels_stay_unique() {
-        let store = RunStore::open(None);
+        let store = RunStore::open(None).unwrap();
         store
             .register(1, Some("best"), Path::new("/tmp/a.pvta"))
             .unwrap();
@@ -215,17 +273,40 @@ mod tests {
     fn store_survives_reopen() {
         let dir = tmp_dir("store-reopen");
         {
-            let store = RunStore::open(Some(&dir));
+            let store = RunStore::open(Some(&dir)).unwrap();
             store
                 .register(0x77, Some("keep"), Path::new("/tmp/keep.pvta"))
                 .unwrap();
         }
-        let reopened = RunStore::open(Some(&dir));
+        let reopened = RunStore::open(Some(&dir)).unwrap();
         assert_eq!(reopened.len(), 1);
         assert_eq!(reopened.find("keep").unwrap().path, "/tmp/keep.pvta");
-        // A corrupt store file degrades to empty instead of failing.
-        std::fs::write(dir.join("runs.json"), b"{not json").unwrap();
-        assert!(RunStore::open(Some(&dir)).is_empty());
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["runs.json"], "no temp files remain");
+    }
+
+    #[test]
+    fn torn_store_file_is_refused_and_left_intact() {
+        let dir = tmp_dir("store-torn");
+        {
+            let store = RunStore::open(Some(&dir)).unwrap();
+            store
+                .register(0x77, Some("keep"), Path::new("/tmp/keep.pvta"))
+                .unwrap();
+        }
+        let file = dir.join("runs.json");
+        let whole = std::fs::read(&file).unwrap();
+        let torn = &whole[..whole.len() / 2];
+        std::fs::write(&file, torn).unwrap();
+        let err = RunStore::open(Some(&dir))
+            .err()
+            .expect("a torn store must not open");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("runs.json"), "{err}");
+        assert_eq!(std::fs::read(&file).unwrap(), torn, "left byte-for-byte");
     }
 
     #[test]

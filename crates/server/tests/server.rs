@@ -8,7 +8,7 @@
 //! analysis" and "warm hits never touch the trace" are assertions on
 //! those totals, not on timing.
 
-use perfvar_analysis::PipelineStats;
+use perfvar_analysis::{diagnose_analysis, Analysis, DiagnoseOptions, PipelineStats};
 use perfvar_server::http::percent_encode;
 use perfvar_server::{client, ServeOptions, Server};
 use perfvar_trace::format::{archive, write_trace_file};
@@ -864,6 +864,156 @@ fn legacy_routes_are_byte_compatible_shims() {
     assert_eq!(nf.status, 404);
     assert_eq!(nf.header("deprecation"), None, "{:?}", nf.headers);
     handle.shutdown();
+}
+
+/// The `/v1` envelope built the way pre-splice daemons built it: parse
+/// the raw route body and pretty-print `{"ok": true, "data": …}`. Every
+/// spliced success body must equal this byte for byte.
+fn envelope_of(raw: &str) -> String {
+    let doc: serde_json::Value = serde_json::from_str(raw).unwrap();
+    let mut body =
+        serde_json::to_string_pretty(&serde_json::json!({ "ok": true, "data": doc })).unwrap();
+    body.push('\n');
+    body
+}
+
+#[test]
+fn every_v1_success_body_is_the_enveloped_legacy_body() {
+    let dir = tmp("v1-splice");
+    let trace = write_fixture(&dir, 4);
+    let (handle, addr) = spawn(ServeOptions {
+        store_dir: Some(dir.join("store")),
+        ..ServeOptions::default()
+    });
+    let enc = percent_encode(trace.to_str().unwrap());
+
+    // Each route twice over /v1: the first may be a cold miss, the
+    // second is a warm hit served from the cache.
+    let targets = [
+        format!("/runs/register?path={enc}&label=fixture"),
+        format!("/analyze?path={enc}"),
+        format!("/analyze?path={enc}&metric=CYC"),
+        format!("/analyze?path={enc}&metric=EXC"),
+        format!("/refine?path={enc}&steps=1"),
+        format!("/compare?base=fixture&cand={enc}"),
+        "/runs".to_string(),
+        "/health".to_string(),
+    ];
+    for target in &targets {
+        let legacy = client::get(&addr, target).unwrap();
+        assert_eq!(legacy.status, 200, "{target}: {}", legacy.body);
+        for _ in 0..2 {
+            let v1 = client::get(&addr, &format!("/v1{target}")).unwrap();
+            assert_eq!(v1.status, 200, "{target}: {}", v1.body);
+            assert_eq!(v1.body, envelope_of(&legacy.body), "{target}");
+        }
+    }
+
+    // `/stats` carries the daemon's uptime, so two requests never agree;
+    // its envelope must still be exactly the oracle's rendering of its
+    // own data.
+    let stats = client::get(&addr, "/v1/stats").unwrap();
+    assert_eq!(stats.status, 200, "{}", stats.body);
+    let data = client::parse_envelope(&stats.body).unwrap().data;
+    let mut raw = serde_json::to_string_pretty(&data).unwrap();
+    raw.push('\n');
+    assert_eq!(stats.body, envelope_of(&raw));
+
+    // `/diagnose` has no legacy twin: its data is the diagnosis of the
+    // legacy analysis body, rendered the way `perfvar diagnose --json`
+    // renders it.
+    let legacy = client::get(&addr, &format!("/analyze?path={enc}")).unwrap();
+    let analysis: Analysis = serde_json::from_str(&legacy.body).unwrap();
+    let fixture = fixture_trace(4);
+    let registry = fixture.registry();
+    let counters: Vec<String> = analysis
+        .counters
+        .iter()
+        .map(|c| registry.metric(c.metric).name.clone())
+        .collect();
+    let diagnosis = diagnose_analysis(
+        &analysis,
+        &registry.function(analysis.function).name,
+        &counters,
+        &DiagnoseOptions::default().config(),
+    );
+    let mut raw = serde_json::to_string_pretty(&diagnosis).unwrap();
+    raw.push('\n');
+    for _ in 0..2 {
+        let v1 = client::get(&addr, &format!("/v1/diagnose?path={enc}")).unwrap();
+        assert_eq!(v1.status, 200, "{}", v1.body);
+        assert_eq!(v1.body, envelope_of(&raw));
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn diagnose_and_compare_from_a_reloaded_spill_are_byte_identical() {
+    let dir = tmp("spill-decode");
+    let trace = write_fixture(&dir, 4);
+    let options = || ServeOptions {
+        cache_dir: Some(dir.join("cache")),
+        ..ServeOptions::default()
+    };
+    let enc = percent_encode(trace.to_str().unwrap());
+    let targets = [
+        format!("/v1/diagnose?path={enc}"),
+        format!("/v1/compare?base={enc}&cand={enc}"),
+    ];
+
+    let (first, addr) = spawn(options());
+    let cold: Vec<String> = targets
+        .iter()
+        .map(|target| {
+            let resp = client::get(&addr, target).unwrap();
+            assert_eq!(resp.status, 200, "{target}: {}", resp.body);
+            resp.body
+        })
+        .collect();
+    first.shutdown();
+
+    // A fresh daemon reloads the entry from disk and decodes it anew:
+    // same bytes, zero analyses.
+    let (second, addr2) = spawn(options());
+    for _ in 0..2 {
+        for (target, body) in targets.iter().zip(&cold) {
+            let resp = client::get(&addr2, target).unwrap();
+            assert_eq!(resp.status, 200, "{target}: {}", resp.body);
+            assert_eq!(&resp.body, body, "{target}");
+        }
+    }
+    assert_eq!(stats_of(&addr2).totals.events_replayed, 0);
+    second.shutdown();
+}
+
+#[test]
+fn torn_run_store_is_left_intact_and_the_daemon_refuses_to_start() {
+    let dir = tmp("store-torn");
+    let trace = write_fixture(&dir, 3);
+    let options = || ServeOptions {
+        store_dir: Some(dir.join("store")),
+        ..ServeOptions::default()
+    };
+    let (first, addr) = spawn(options());
+    let target = format!(
+        "/v1/runs/register?path={}&label=keep",
+        percent_encode(trace.to_str().unwrap())
+    );
+    let resp = client::get(&addr, &target).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    first.shutdown();
+
+    // Simulate a crash that tore the store mid-write.
+    let file = dir.join("store").join("runs.json");
+    let whole = std::fs::read(&file).unwrap();
+    let torn = whole[..whole.len() - 7].to_vec();
+    std::fs::write(&file, &torn).unwrap();
+
+    let err = Server::bind("127.0.0.1:0", options())
+        .err()
+        .expect("a daemon must not start over a torn run store");
+    assert!(err.to_string().contains("runs.json"), "{err}");
+    assert_eq!(std::fs::read(&file).unwrap(), torn, "store left untouched");
 }
 
 #[test]
