@@ -39,11 +39,15 @@ pub struct FusedSegments {
     pub counters: Vec<CounterMatrix>,
 }
 
+/// One process's fused-pass partial: its segments (in enter order) plus
+/// one counter row per metric channel, `[metric][segment]`.
+pub(crate) type FusedPartial = (Vec<Segment>, Vec<Vec<u64>>);
+
 /// Per-process sink folding segments and counter rows in one pass.
-/// Shared by [`fuse_segments`], the out-of-core path
-/// ([`crate::outofcore`]), which drives it from a disk cursor, and the
-/// live path ([`crate::live`]), which drives it from a growing archive
-/// across many polls. The sink owns all of its state (`Clone` lets the
+/// Shared by [`fuse_segments`], the analysis driver behind
+/// [`crate::report::analyze`] and [`crate::outofcore`], which drives it
+/// from memory or a disk cursor, and the live path ([`crate::live`]),
+/// which drives it from a growing archive across many polls. The sink owns all of its state (`Clone` lets the
 /// live analysis snapshot it mid-run without disturbing the pass).
 #[derive(Clone)]
 pub(crate) struct FusedSink {
@@ -113,9 +117,8 @@ impl FusedSink {
         }
     }
 
-    /// Dismantles the sink into its per-process partial: the segments (in
-    /// enter order) and the counter rows, `[metric][segment]`.
-    pub(crate) fn into_parts(self) -> (Vec<Segment>, Vec<Vec<u64>>) {
+    /// Dismantles the sink into its per-process partial.
+    pub(crate) fn into_parts(self) -> FusedPartial {
         (self.segments, self.rows)
     }
 
@@ -167,7 +170,7 @@ pub(crate) fn merge_fused(
     registry: &perfvar_trace::Registry,
     function: FunctionId,
     modes: &[MetricMode],
-    partials: Vec<(Vec<Segment>, Vec<Vec<u64>>)>,
+    partials: Vec<FusedPartial>,
 ) -> FusedSegments {
     let mut per_process = Vec::with_capacity(partials.len());
     let mut values: Vec<Vec<Vec<u64>>> = vec![Vec::with_capacity(partials.len()); modes.len()];
@@ -289,44 +292,12 @@ pub fn fuse_segments(
     num_threads: usize,
     with_counters: bool,
 ) -> FusedSegments {
-    fuse_segments_observed(
-        trace,
-        function,
-        num_threads,
-        with_counters,
-        &crate::telemetry::Telemetry::noop(),
-    )
-}
-
-/// Like [`fuse_segments`] but recording per-worker events, segment
-/// counts, SOS-underflow clamps and peak-state gauges into `telemetry`
-/// (see [`crate::telemetry`]). With [`Telemetry::noop`] this *is*
-/// [`fuse_segments`].
-///
-/// [`Telemetry::noop`]: crate::telemetry::Telemetry::noop
-pub fn fuse_segments_observed(
-    trace: &Trace,
-    function: FunctionId,
-    num_threads: usize,
-    with_counters: bool,
-    telemetry: &crate::telemetry::Telemetry,
-) -> FusedSegments {
-    use crate::telemetry::Stage;
     let registry = trace.registry();
     let modes = metric_modes(registry, with_counters);
     let partials = par_map_processes(trace, num_threads, |pid| {
         let mut sink = FusedSink::new(pid, function, modes.clone());
-        let stats = replay_visit(trace, pid, &mut sink);
-        let mut w = telemetry.worker(Stage::Fuse);
-        w.events(stats.events);
-        w.stack_depth(stats.max_depth);
-        w.live_segments(sink.peak_open());
-        w.sos_clamped(sink.sos_underflows());
-        let parts = sink.into_parts();
-        w.segments(parts.0.len() as u64);
-        drop(w);
-        telemetry.rank_done();
-        parts
+        replay_visit(trace, pid, &mut sink);
+        sink.into_parts()
     });
     merge_fused(registry, function, &modes, partials)
 }

@@ -49,6 +49,7 @@ pub mod compare;
 pub mod counters;
 pub mod diagnose;
 pub mod dominant;
+mod driver;
 pub mod findings;
 pub mod fused;
 pub mod imbalance;

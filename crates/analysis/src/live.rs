@@ -11,10 +11,11 @@
 //! daemon keys SSE resume tokens on it).
 //!
 //! Once the writer seals the run, [`finalize`](LiveAnalysis::finalize)
-//! assembles the accumulated per-rank state through the identical
-//! [`AnalysisPart`] machinery the batch and sharded drivers use —
+//! folds the accumulated per-rank state into an [`AnalysisPart`] and
+//! completes it with the one driver every batch entry point uses —
 //! including the misprediction re-pass, which re-reads the (now
-//! batch-readable) archive. The outcome is therefore **bit-identical**
+//! batch-readable) archive on [`AnalysisConfig::threads`] workers. The
+//! outcome is therefore **bit-identical**
 //! to a one-shot [`analyze_path`](crate::outofcore::analyze_path) of
 //! the finished archive, no matter how the appends were chunked; the
 //! property test at the bottom of this module proves it for arbitrary
@@ -41,13 +42,10 @@
 //! good [`LiveSnapshot`] stays available. [`finalize`](LiveAnalysis::finalize)
 //! refuses to run while the run is unsealed or any rank is poisoned.
 
+use crate::driver::{complete, speculation_target, CombinedSink, Predictor, PREDICT_PREFIX_EVENTS};
 use crate::fused::metric_modes;
-use crate::outofcore::{
-    cursor_options, fuse_rank, predict_from_rows, speculation_target, CombinedSink, Extent,
-    OutOfCoreAnalysis, PathAnalysisError, RankCombined, PREDICT_PREFIX_EVENTS,
-};
-use crate::part::{AnalysisPart, PartOutcome};
-use crate::profile::ProfileSink;
+use crate::outofcore::{cursor_options, OutOfCoreAnalysis, PathAnalysisError, RecoveryMode};
+use crate::part::AnalysisPart;
 use crate::report::AnalysisConfig;
 use crate::segment::Segment;
 use crate::stream::ReplayMachine;
@@ -60,47 +58,16 @@ use perfvar_trace::{
 use std::path::Path;
 
 /// Streaming per-rank state: the replay machine and the combined
-/// profile+fused sink, exactly as in the batch combined pass, plus the
-/// extent bookkeeping and how far the closed-segment prefix has been
-/// reported to [`LiveDelta`] consumers.
+/// profile+fused sink, exactly as in the batch combined pass, plus how
+/// far the closed-segment prefix has been reported to [`LiveDelta`]
+/// consumers.
 struct RankLive {
     machine: ReplayMachine,
     sink: CombinedSink,
-    extent: Extent,
     /// Number of leading segments already emitted as closed. Segments
     /// are indexed in enter order and the open stack is increasing, so
     /// everything before the first open index is closed for good.
     confirmed: usize,
-}
-
-impl RankLive {
-    fn new(
-        registry: &Registry,
-        num_functions: usize,
-        pid: ProcessId,
-        target: FunctionId,
-        modes: &[MetricMode],
-    ) -> RankLive {
-        RankLive {
-            machine: ReplayMachine::new(registry),
-            sink: CombinedSink::new(pid, num_functions, target, modes),
-            extent: Extent::default(),
-            confirmed: 0,
-        }
-    }
-
-    fn step(&mut self, record: &EventRecord) {
-        self.extent.record(record.time);
-        self.machine.step(record, &mut self.sink);
-    }
-
-    /// Index one past the last segment known to be closed for good.
-    fn closed_limit(&self) -> usize {
-        self.sink
-            .fused
-            .first_open()
-            .unwrap_or_else(|| self.sink.fused.segments().len())
-    }
 }
 
 /// What one [`LiveAnalysis::poll`] changed.
@@ -291,42 +258,22 @@ impl LiveAnalysis {
     /// Switches from buffering to streaming: builds the per-rank
     /// machines/sinks for `target` and replays the buffered records.
     fn resolve(&mut self, target: FunctionId) {
-        let registry = self.tail.registry().clone();
-        let np = registry.num_processes();
-        let mut ranks = Vec::with_capacity(np);
-        for i in 0..np {
-            let mut rank = RankLive::new(
-                &registry,
-                self.num_functions,
-                ProcessId::from_index(i),
-                target,
-                &self.modes,
-            );
-            for record in &self.pending[i] {
-                rank.step(record);
+        let registry = self.tail.registry();
+        let mut ranks = Vec::with_capacity(self.pending.len());
+        for (i, pending) in self.pending.iter_mut().enumerate() {
+            let pid = ProcessId::from_index(i);
+            let mut rank = RankLive {
+                machine: ReplayMachine::new(registry),
+                sink: CombinedSink::new(pid, self.num_functions, target, &self.modes),
+                confirmed: 0,
+            };
+            for record in std::mem::take(pending) {
+                rank.machine.step(&record, &mut rank.sink);
             }
-            self.pending[i] = Vec::new();
             ranks.push(rank);
         }
         self.ranks = ranks;
         self.target = Some(target);
-    }
-
-    /// Predicts the dominant function from the buffered rank-0 prefix —
-    /// the same bounded prefix profile the batch driver reads, so both
-    /// paths speculate identically on the same bytes.
-    fn predict(&self) -> Option<FunctionId> {
-        let nf = self.num_functions;
-        if self.pending.is_empty() || nf == 0 {
-            return None;
-        }
-        let registry = self.tail.registry();
-        let mut machine = ReplayMachine::new(registry);
-        let mut sink = ProfileSink::new(nf);
-        for record in self.pending[0].iter().take(PREDICT_PREFIX_EVENTS as usize) {
-            machine.step(record, &mut sink);
-        }
-        predict_from_rows(nf, sink.rows, &self.config)
     }
 
     /// Decodes everything appended since the last poll and folds it
@@ -355,7 +302,7 @@ impl LiveAnalysis {
                 Some(_) => {
                     let rank = &mut self.ranks[i];
                     for record in records {
-                        rank.step(record);
+                        rank.machine.step(record, &mut rank.sink);
                     }
                 }
                 None => self.pending[i].extend(records.iter().cloned()),
@@ -366,17 +313,24 @@ impl LiveAnalysis {
         // prediction prefix — or at end of run, with whatever arrived.
         if self.target.is_none()
             && !self.pending.is_empty()
-            && (self.finished || self.events[0] >= PREDICT_PREFIX_EVENTS)
+            && (self.finished || self.events[0] >= PREDICT_PREFIX_EVENTS as u64)
         {
+            // The same bounded rank-0 prefix the batch driver predicts
+            // from, so both paths speculate identically on the same bytes.
             let registry = self.tail.registry();
-            let target = speculation_target(registry, &self.config, || self.predict())
-                .expect("no explicit override at this point, so resolution cannot fail");
+            let mut predictor = Predictor::new(registry);
+            predictor.feed(&self.pending[0]);
+            let target =
+                speculation_target(registry, &self.config, || predictor.predict(&self.config))
+                    .expect("no explicit override at this point, so resolution cannot fail");
             self.resolve(target);
         }
 
         // Report segments that closed for good this poll, in rank order.
+        // Everything before the first still-open segment is closed for good.
         for rank in &mut self.ranks {
-            let limit = rank.closed_limit();
+            let fused = &rank.sink.fused;
+            let limit = fused.first_open().unwrap_or(fused.segments().len());
             if limit > rank.confirmed {
                 delta
                     .new_segments
@@ -474,92 +428,41 @@ impl LiveAnalysis {
     /// the finished archive, regardless of how the appends were
     /// chunked: the per-rank state goes through the same
     /// [`AnalysisPart`] verification, and a misprediction re-passes the
-    /// (now batch-readable) archive with the true function, exactly as
-    /// the batch driver does.
+    /// (now batch-readable) archive with the true function — the batch
+    /// driver's own completion step runs it.
     ///
     /// Errors if the run has not sealed yet (poll until
     /// [`LiveDelta::finished`]) or if any rank was poisoned by a stream
     /// error.
     pub fn finalize(self) -> Result<OutOfCoreAnalysis, PathAnalysisError> {
-        let LiveAnalysis {
-            tail,
-            config,
-            modes,
-            num_functions,
-            target,
-            ranks,
-            errored,
-            finished,
-            ..
-        } = self;
-        if !finished {
+        if !self.finished {
             return Err(TraceError::Corrupt(
                 "live analysis finalized before the end-of-run marker was observed".into(),
             )
             .into());
         }
-        if errored {
+        if self.errored {
             return Err(TraceError::Corrupt(
                 "live analysis cannot finalize: a stream error poisoned the run".into(),
             )
             .into());
         }
-        let registry = tail.registry().clone();
-        let name = tail.name().to_string();
-        let clock = tail.clock();
-        let np = registry.num_processes();
-        let target = target.expect("a sealed run has resolved its target");
-        let telemetry = Telemetry::noop();
-
-        let mut part = AnalysisPart::for_shape(num_functions, modes.len(), target);
-        for (i, mut rank) in ranks.into_iter().enumerate() {
+        let target = self.target.expect("a sealed run has resolved its target");
+        let mut part = AnalysisPart::for_shape(self.num_functions, self.modes.len(), target);
+        for (i, mut rank) in self.ranks.into_iter().enumerate() {
             rank.machine.finish(&mut rank.sink);
-            let sos_clamped = rank.sink.fused.sos_underflows();
-            let bytes = tail.consumed(ProcessId::from_index(i));
-            part.add_rank(
-                i,
-                RankCombined {
-                    rows: rank.sink.profile.rows,
-                    fused: rank.sink.fused.into_parts(),
-                    num_events: rank.extent.num_events,
-                    first: rank.extent.first,
-                    last: rank.extent.last,
-                    bytes,
-                    sos_clamped,
-                },
-            );
+            let bytes = self.tail.consumed(ProcessId::from_index(i));
+            let (rank, counters) = rank.sink.into_rank(rank.machine.stats(), bytes);
+            part.add_rank(i, rank, &counters);
         }
-
-        let mut passes = 1;
-        let mut done = match part.finalize(&name, clock, &registry, &config)? {
-            PartOutcome::Done(done) => done,
-            PartOutcome::Mispredicted {
-                expected,
-                part: mut retry,
-            } => {
-                passes = 2;
-                let cursor = ArchiveCursor::open_with(tail.dir(), cursor_options(&config))?;
-                for i in 0..np {
-                    let fused = fuse_rank(
-                        &cursor,
-                        ProcessId::from_index(i),
-                        expected,
-                        &modes,
-                        &telemetry,
-                    )?;
-                    retry.set_fused(i, fused);
-                }
-                retry.retarget(expected);
-                match retry.finalize(&name, clock, &registry, &config)? {
-                    PartOutcome::Done(done) => done,
-                    PartOutcome::Mispredicted { .. } => {
-                        unreachable!("a retargeted part cannot mispredict")
-                    }
-                }
-            }
-        };
-        done.passes = passes;
-        Ok(*done)
+        let cursor = ArchiveCursor::open_with(self.tail.dir(), cursor_options(&self.config))?;
+        complete(
+            part,
+            &cursor,
+            &self.config,
+            RecoveryMode::Strict,
+            &Telemetry::noop(),
+        )
     }
 }
 

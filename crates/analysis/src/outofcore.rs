@@ -5,11 +5,11 @@
 //! fused pipeline itself only ever looks at one record at a time.
 //! [`analyze_path`] removes that requirement: it drives the *same* sinks
 //! ([`ProfileSink`](crate::profile), [`FusedSink`](crate::fused)) through
-//! the *same* stack machine ([`ReplayMachine`]) from the incremental
-//! format cursors of `perfvar-trace`
-//! ([`ArchiveCursor`], [`PvtStreamReader`]), so the result is
-//! bit-identical to the in-memory pipeline (property-tested in
-//! `tests/properties.rs`) while each worker holds only
+//! the *same* stack machine ([`ReplayMachine`](crate::stream::ReplayMachine))
+//! from the incremental format cursors of `perfvar-trace`
+//! ([`ArchiveCursor`], [`PvtStreamReader`](perfvar_trace::format::pvt::PvtStreamReader)),
+//! so the result is bit-identical to the in-memory pipeline
+//! (property-tested in `tests/properties.rs`) while each worker holds only
 //!
 //! `O(read buffer + stack depth + segments + functions + metrics)`
 //!
@@ -18,10 +18,18 @@
 //! is usually the page cache itself; the buffered fallback window is
 //! [`AnalysisConfig::read_buffer_bytes`].
 //!
-//! ## Single-pass data flow (speculative fusion)
+//! ## One driver, single-pass data flow (speculative fusion)
+//!
+//! Every entry point — [`analyze`](crate::report::analyze),
+//! [`analyze_path`], [`archive_part`](crate::part::archive_part), the
+//! sharded coordinator and [`LiveAnalysis`](crate::live::LiveAnalysis) —
+//! runs one crate-internal driver over a *rank source*: an in-memory
+//! trace, an archive cursor or a sequential PVT file. This module picks
+//! the source from the file format; text traces (`.pvtx`) are loaded and
+//! then take the in-memory source.
 //!
 //! The segmentation function is only known *after* profiling, which
-//! historically forced two full passes over every byte. The driver now
+//! would force two full passes over every byte. The driver instead
 //! **predicts** it first — from the explicit
 //! [`AnalysisConfig::segment_function`] override when present, else from
 //! a cheap profile of a bounded prefix of rank 0 — and runs ONE combined
@@ -29,9 +37,9 @@
 //! the predicted function simultaneously:
 //!
 //! ```text
-//! archive dir ──► ArchiveCursor ──► rank-0 prefix ──► predicted F
+//! rank source ──► rank-0 prefix ──► predicted F
 //!                                      │
-//!                                      ▼ stream(p)  (work-stolen ranks)
+//!                                      ▼ pass(ranks)
 //!                                 ReplayMachine ──► ProfileSink ┐ one
 //!                                                ──► FusedSink(F)┘ pass
 //!                                                       │
@@ -50,12 +58,14 @@
 //! and the event stream, so a confirmed speculation is bit-identical to
 //! the two-pass result by construction; a misprediction (rare — SPMD
 //! ranks profile alike, and an explicit override can never mispredict)
-//! costs one fused-only re-pass, i.e. exactly the old behaviour.
-//! [`OutOfCoreAnalysis::passes`] reports which case occurred.
+//! costs one fused-only re-pass over the ranks that have not failed.
+//! [`OutOfCoreAnalysis::passes`] reports which case occurred, on every
+//! route.
 //!
-//! Archives fan the ranks out over work-stealing [`par_map_ranks`]
-//! workers; single-file PVT traces are decoded sequentially (the streams
-//! are concatenated in one file) but still in `O(1)` memory per pass.
+//! In-memory traces and archives fan the ranks out over work-stealing
+//! [`par_map_ranks`](crate::parallel::par_map_ranks) workers; single-file
+//! PVT traces are decoded sequentially (the streams are concatenated in
+//! one file) but still in `O(1)` memory per pass.
 //!
 //! ## Damaged inputs
 //!
@@ -65,28 +75,18 @@
 //! aborts the analysis. [`RecoveryMode::Partial`] instead records a
 //! [`StreamFailure`] per unreadable rank and analyses the recovered ones
 //! — a failed rank contributes exactly what an empty stream would, and
-//! [`OutOfCoreAnalysis::failures`] reports what was lost. Note that in a
-//! single-file PVT trace every rank *after* a corrupt stream is also
-//! unreachable (the file is sequential), while archive ranks fail
-//! independently.
+//! [`OutOfCoreAnalysis::failures`] reports what was lost — including a
+//! rank whose misprediction re-pass fails because the input changed
+//! between the passes. Note that in a single-file PVT trace every rank
+//! *after* a corrupt stream is also unreachable (the file is sequential),
+//! while archive ranks fail independently.
 
-use crate::dominant::DominantRanking;
-use crate::fused::{metric_modes, FusedSink};
-use crate::parallel::par_map_ranks;
-use crate::part::{AnalysisPart, PartOutcome};
-use crate::profile::{ProfileRow, ProfileSink, ProfileTable};
+use crate::driver::{run, PvtFile};
 use crate::report::{Analysis, AnalysisConfig, AnalysisError};
-use crate::segment::Segment;
-use crate::stream::{ClosedFrame, ReplayMachine, ReplayVisitor};
 use crate::telemetry::{Stage, Telemetry};
 use perfvar_trace::format::cursor::{ArchiveCursor, CursorOptions};
-use perfvar_trace::format::mmap::FileReader;
-use perfvar_trace::format::pvt::PvtStreamReader;
 use perfvar_trace::format::{read_trace_file, Format};
-use perfvar_trace::{
-    EventRecord, FunctionId, MetricId, MetricMode, ProcessId, Registry, Timestamp, TraceError,
-    TraceMeta,
-};
+use perfvar_trace::{ProcessId, TraceError, TraceMeta};
 use std::fmt;
 use std::path::Path;
 
@@ -281,48 +281,27 @@ pub fn analyze_path_observed(
     telemetry: &Telemetry,
 ) -> Result<OutOfCoreAnalysis, PathAnalysisError> {
     let path = path.as_ref();
-    match Format::from_path(path) {
-        Format::Archive => analyze_archive(path, config, mode, telemetry),
-        Format::Pvt => analyze_pvt(path, config, mode, telemetry),
-        Format::Text => {
-            // Text traces are for inspection and tests — human-scale by
-            // construction — so loading them is fine.
-            let trace = {
-                let _span = telemetry.span(Stage::Load);
-                let trace = read_trace_file(path)?;
-                let mut w = telemetry.worker(Stage::Load);
-                w.bytes(std::fs::metadata(path).map(|m| m.len()).unwrap_or(0));
-                trace
-            };
-            let analysis = crate::report::analyze_observed(&trace, config, telemetry)?;
-            Ok(OutOfCoreAnalysis {
-                meta: TraceMeta::of(&trace),
-                analysis,
-                failures: Vec::new(),
-                passes: 1,
-            })
-        }
+    let format = Format::from_path(path);
+    if format == Format::Text {
+        // Text traces are for inspection and tests — human-scale by
+        // construction — so loading them is fine.
+        let trace = {
+            let _span = telemetry.span(Stage::Load);
+            let trace = read_trace_file(path)?;
+            let mut w = telemetry.worker(Stage::Load);
+            w.bytes(std::fs::metadata(path).map(|m| m.len()).unwrap_or(0));
+            trace
+        };
+        return run(&trace, config, mode, telemetry);
+    }
+    telemetry.set_read_buffer(config.read_buffer_bytes as u64);
+    if format == Format::Archive {
+        let cursor = ArchiveCursor::open_with(path, cursor_options(config))?;
+        run(&cursor, config, mode, telemetry)
+    } else {
+        run(&PvtFile::open(path, config)?, config, mode, telemetry)
     }
 }
-
-/// Events of the rank-0 prefix that seed the dominant-function
-/// prediction. Enough iterations of any real SPMD trace to expose the
-/// dominant function; bounded so prediction cost is `O(1)` regardless of
-/// trace size (a single-rank trace is *not* read twice).
-pub(crate) const PREDICT_PREFIX_EVENTS: u64 = 65_536;
-
-/// Sentinel "function" used when no prediction is available: it matches
-/// no event (ids are registry indices, far below `u32::MAX`), so the
-/// combined pass degenerates to a pure profile pass and verification
-/// always schedules the fused re-pass.
-const NO_PREDICTION: FunctionId = FunctionId(u32::MAX);
-
-/// Records decoded per [`StreamCursor::next_chunk`] call in the archive
-/// passes. Large enough to amortise the per-chunk `fill_buf`/`consume`
-/// round-trip and keep the decode loop in pure index arithmetic, small
-/// enough (~tens of KiB) to stay irrelevant next to the read buffer in
-/// the worker memory model.
-const DECODE_CHUNK_EVENTS: usize = 1024;
 
 /// The [`CursorOptions`] equivalent of a config's I/O knobs.
 pub(crate) fn cursor_options(config: &AnalysisConfig) -> CursorOptions {
@@ -332,673 +311,12 @@ pub(crate) fn cursor_options(config: &AnalysisConfig) -> CursorOptions {
     }
 }
 
-/// Opens a single trace file per the config's I/O knobs (mmap with
-/// buffered fallback), annotating open errors with the path.
-fn open_file_reader(path: &Path, config: &AnalysisConfig) -> Result<FileReader, TraceError> {
-    FileReader::open(path, config.mmap, config.read_buffer_bytes).map_err(|e| {
-        TraceError::Io(std::io::Error::new(
-            e.kind(),
-            format!("{}: {e}", path.display()),
-        ))
-    })
-}
-
-/// Resolves the speculation target: the explicit override when present
-/// (which can never mispredict — verification compares against the same
-/// lookup), else a prefix-profile prediction, else the sentinel.
-pub(crate) fn speculation_target(
-    registry: &Registry,
-    config: &AnalysisConfig,
-    predict: impl FnOnce() -> Option<FunctionId>,
-) -> Result<FunctionId, AnalysisError> {
-    match &config.segment_function {
-        Some(name) => registry
-            .function_by_name(name)
-            .ok_or_else(|| AnalysisError::UnknownFunction(name.clone())),
-        None => Ok(predict().unwrap_or(NO_PREDICTION)),
-    }
-}
-
-/// Ranks a prefix profile as if it were a single-process trace and
-/// returns its dominant function — the speculation seed.
-pub(crate) fn predict_from_rows(
-    num_functions: usize,
-    rows: Vec<ProfileRow>,
-    config: &AnalysisConfig,
-) -> Option<FunctionId> {
-    let profiles = ProfileTable::from_rows(num_functions, [rows]);
-    DominantRanking::with_multiplier_for(1, &profiles, config.dominant_multiplier).dominant()
-}
-
-/// Profiles a bounded prefix of archive rank 0. Decode errors are
-/// swallowed — the main pass rediscovers them with proper reporting —
-/// and prediction simply uses whatever the prefix showed.
-pub(crate) fn predict_archive_function(
-    cursor: &ArchiveCursor,
-    config: &AnalysisConfig,
-    telemetry: &Telemetry,
-) -> Option<FunctionId> {
-    let registry = cursor.registry();
-    let nf = registry.num_functions();
-    if cursor.num_processes() == 0 || nf == 0 {
-        return None;
-    }
-    let mut stream = cursor.stream(ProcessId::from_index(0)).ok()?;
-    let mut machine = ReplayMachine::new(registry);
-    let mut sink = ProfileSink::new(nf);
-    let mut seen = 0u64;
-    while seen < PREDICT_PREFIX_EVENTS {
-        match stream.next_record() {
-            Ok(Some(record)) => {
-                machine.step(&record, &mut sink);
-                seen += 1;
-            }
-            Ok(None) | Err(_) => break,
-        }
-    }
-    let mut w = telemetry.worker(Stage::Profile);
-    w.events(machine.events_stepped());
-    w.bytes(stream.byte_offset());
-    drop(w);
-    predict_from_rows(nf, sink.rows, config)
-}
-
-/// Profiles a bounded prefix of the first process in a single-file PVT
-/// trace (the file is a concatenation of rank streams, so the prefix is
-/// exactly the head of the first non-empty rank).
-fn predict_pvt_function(
-    path: &Path,
-    registry: &Registry,
-    config: &AnalysisConfig,
-    telemetry: &Telemetry,
-) -> Option<FunctionId> {
-    let nf = registry.num_functions();
-    if registry.num_processes() == 0 || nf == 0 {
-        return None;
-    }
-    let reader = open_file_reader(path, config).ok()?;
-    let mut reader = PvtStreamReader::new(reader).ok()?;
-    let mut machine = ReplayMachine::new(registry);
-    let mut sink = ProfileSink::new(nf);
-    let mut seen = 0u64;
-    let mut first: Option<ProcessId> = None;
-    while seen < PREDICT_PREFIX_EVENTS {
-        match reader.next() {
-            Some(Ok((pid, record))) => {
-                match first {
-                    None => first = Some(pid),
-                    Some(p) if p != pid => break,
-                    _ => {}
-                }
-                machine.step(&record, &mut sink);
-                seen += 1;
-            }
-            _ => break,
-        }
-    }
-    let mut w = telemetry.worker(Stage::Profile);
-    w.events(machine.events_stepped());
-    w.bytes(reader.byte_offset());
-    drop(w);
-    predict_from_rows(nf, sink.rows, config)
-}
-
-/// The combined visitor of the speculative pass: one stack-machine sweep
-/// feeds the profile rows *and* the fused segmentation for the predicted
-/// function. Each half sees exactly the callback sequence it would see
-/// alone, so confirmed speculation is bit-identical to two passes.
-pub(crate) struct CombinedSink {
-    pub(crate) profile: ProfileSink,
-    pub(crate) fused: FusedSink,
-}
-
-impl CombinedSink {
-    pub(crate) fn new(
-        pid: ProcessId,
-        num_functions: usize,
-        function: FunctionId,
-        modes: &[MetricMode],
-    ) -> CombinedSink {
-        CombinedSink {
-            profile: ProfileSink::new(num_functions),
-            fused: FusedSink::new(pid, function, modes.to_vec()),
-        }
-    }
-}
-
-impl ReplayVisitor for CombinedSink {
-    fn on_enter(&mut self, function: FunctionId, depth: u32, time: Timestamp) {
-        self.fused.on_enter(function, depth, time);
-    }
-
-    fn on_frame(&mut self, frame: &ClosedFrame) {
-        self.profile.on_frame(frame);
-        self.fused.on_frame(frame);
-    }
-
-    fn on_metric(&mut self, metric: MetricId, time: Timestamp, value: u64) {
-        self.fused.on_metric(metric, time, value);
-    }
-
-    fn on_tick(&mut self, time: Timestamp) {
-        self.fused.on_tick(time);
-    }
-
-    fn on_finish(&mut self) {
-        self.profile.on_finish();
-        self.fused.on_finish();
-    }
-}
-
-/// An empty fused partial — what a failed rank contributes (identical to
-/// an empty stream).
-pub(crate) fn empty_fused(num_metrics: usize) -> (Vec<Segment>, Vec<Vec<u64>>) {
-    (Vec::new(), vec![Vec::new(); num_metrics])
-}
-
-/// Accumulates trace extent while streaming.
-#[derive(Default)]
-pub(crate) struct Extent {
-    pub(crate) num_events: u64,
-    pub(crate) first: Option<Timestamp>,
-    pub(crate) last: Option<Timestamp>,
-}
-
-impl Extent {
-    pub(crate) fn record(&mut self, time: Timestamp) {
-        self.num_events += 1;
-        if self.first.is_none_or(|f| time < f) {
-            self.first = Some(time);
-        }
-        if self.last.is_none_or(|l| time > l) {
-            self.last = Some(time);
-        }
-    }
-
-    pub(crate) fn absorb(
-        &mut self,
-        num_events: u64,
-        first: Option<Timestamp>,
-        last: Option<Timestamp>,
-    ) {
-        self.num_events += num_events;
-        if let Some(f) = first {
-            if self.first.is_none_or(|cur| f < cur) {
-                self.first = Some(f);
-            }
-        }
-        if let Some(l) = last {
-            if self.last.is_none_or(|cur| l > cur) {
-                self.last = Some(l);
-            }
-        }
-    }
-
-    pub(crate) fn meta(
-        self,
-        name: String,
-        clock: perfvar_trace::Clock,
-        registry: Registry,
-    ) -> TraceMeta {
-        TraceMeta {
-            name,
-            clock,
-            registry,
-            num_events: self.num_events,
-            begin: self.first.unwrap_or(Timestamp::ZERO),
-            end: self.last.unwrap_or(Timestamp::ZERO),
-        }
-    }
-}
-
-/// Per-rank result of the combined speculative pass: everything one rank
-/// contributes to an [`AnalysisPart`](crate::part::AnalysisPart).
-pub(crate) struct RankCombined {
-    pub(crate) rows: Vec<ProfileRow>,
-    pub(crate) fused: FusedPartial,
-    pub(crate) num_events: u64,
-    pub(crate) first: Option<Timestamp>,
-    pub(crate) last: Option<Timestamp>,
-    /// Bytes decoded for this rank (`0` when only a whole-pass figure
-    /// exists, as in the sequential PVT driver).
-    pub(crate) bytes: u64,
-    pub(crate) sos_clamped: u64,
-}
-
-/// Archive driver: the combined pass fans the ranks out over
-/// work-stealing worker threads, each streaming its rank's file through
-/// a (usually memory-mapped) cursor exactly once.
-fn analyze_archive(
-    dir: &Path,
-    config: &AnalysisConfig,
-    mode: RecoveryMode,
-    telemetry: &Telemetry,
-) -> Result<OutOfCoreAnalysis, PathAnalysisError> {
-    let cursor = ArchiveCursor::open_with(dir, cursor_options(config))?;
-    telemetry.set_read_buffer(config.read_buffer_bytes as u64);
-    let registry = cursor.registry();
-    let np = cursor.num_processes();
-    let nf = registry.num_functions();
-    let modes = metric_modes(registry, config.analyze_counters);
-
-    let guess = {
-        let _span = telemetry.span(Stage::Profile);
-        speculation_target(registry, config, || {
-            predict_archive_function(&cursor, config, telemetry)
-        })?
-    };
-
-    // The combined pass: profile rows + speculative fused partials, one
-    // read per rank.
-    telemetry.begin_ranks(Stage::Fuse, np);
-    let combined: Vec<Result<RankCombined, TraceError>> = {
-        let _span = telemetry.span(Stage::Fuse);
-        par_map_ranks(np, config.threads, |pid| {
-            combined_rank(&cursor, pid, nf, guess, &modes, telemetry)
-        })
-    };
-
-    let mut part = AnalysisPart::for_shape(nf, modes.len(), guess);
-    for (i, result) in combined.into_iter().enumerate() {
-        match result {
-            Ok(rank) => part.add_rank(i, rank),
-            Err(error) => {
-                if mode == RecoveryMode::Strict {
-                    return Err(error.into());
-                }
-                telemetry.count_recovery(1);
-                part.add_failed_rank(i, error);
-            }
-        }
-    }
-
-    // Finalizing verifies the speculation. On a mispredict, re-run the
-    // fused pass with the true function (skipping ranks that already
-    // failed), retarget the part, and finalize again — the second
-    // attempt cannot mispredict.
-    let mut passes = 1;
-    let outcome = {
-        let _span = telemetry.span(Stage::Assemble);
-        part.finalize(cursor.name(), cursor.clock(), registry, config)?
-    };
-    let mut ooc = match outcome {
-        PartOutcome::Done(done) => *done,
-        PartOutcome::Mispredicted {
-            expected: function,
-            part: mut retry,
-        } => {
-            passes = 2;
-            telemetry.begin_ranks(Stage::Fuse, np);
-            let repass: Vec<Result<FusedPartial, TraceError>> = {
-                let _span = telemetry.span(Stage::Fuse);
-                par_map_ranks(np, config.threads, |pid| {
-                    if retry.rank_failed(pid.index()) {
-                        return Ok(empty_fused(modes.len()));
-                    }
-                    fuse_rank(&cursor, pid, function, &modes, telemetry)
-                })
-            };
-            for (i, result) in repass.into_iter().enumerate() {
-                match result {
-                    Ok(partial) => retry.set_fused(i, partial),
-                    Err(error) => {
-                        if mode == RecoveryMode::Strict {
-                            return Err(error.into());
-                        }
-                        // The file changed between the passes; degrade the rank.
-                        telemetry.count_recovery(1);
-                        retry.fail_rank_fused_only(i, error, modes.len());
-                    }
-                }
-            }
-            retry.retarget(function);
-            let _span = telemetry.span(Stage::Assemble);
-            match retry.finalize(cursor.name(), cursor.clock(), registry, config)? {
-                PartOutcome::Done(done) => *done,
-                PartOutcome::Mispredicted { .. } => {
-                    unreachable!("a retargeted part cannot mispredict")
-                }
-            }
-        }
-    };
-    ooc.passes = passes;
-    Ok(ooc)
-}
-
-/// Streams one archive rank through the combined sink: its profile rows,
-/// speculative fused partial, and extent contribution in one read.
-pub(crate) fn combined_rank(
-    cursor: &ArchiveCursor,
-    pid: ProcessId,
-    num_functions: usize,
-    function: FunctionId,
-    modes: &[MetricMode],
-    telemetry: &Telemetry,
-) -> Result<RankCombined, TraceError> {
-    let mut stream = cursor.stream(pid)?;
-    let mut machine = ReplayMachine::new(cursor.registry());
-    let mut sink = CombinedSink::new(pid, num_functions, function, modes);
-    let mut extent = Extent::default();
-    let mut chunk = Vec::with_capacity(DECODE_CHUNK_EVENTS);
-    while stream.next_chunk(&mut chunk, DECODE_CHUNK_EVENTS)? > 0 {
-        for record in &chunk {
-            extent.record(record.time);
-            machine.step(record, &mut sink);
-        }
-    }
-    machine.finish(&mut sink);
-    let bytes = stream.byte_offset();
-    let sos_clamped = sink.fused.sos_underflows();
-    let mut w = telemetry.worker(Stage::Fuse);
-    w.events(machine.events_stepped());
-    w.bytes(bytes);
-    w.stack_depth(machine.max_depth());
-    w.live_segments(sink.fused.peak_open());
-    w.sos_clamped(sos_clamped);
-    let fused = sink.fused.into_parts();
-    w.segments(fused.0.len() as u64);
-    drop(w);
-    telemetry.rank_done();
-    Ok(RankCombined {
-        rows: sink.profile.rows,
-        fused,
-        num_events: extent.num_events,
-        first: extent.first,
-        last: extent.last,
-        bytes,
-        sos_clamped,
-    })
-}
-
-/// One rank's fused-pass partial: its segments plus one counter row per
-/// metric channel.
-pub(crate) type FusedPartial = (Vec<Segment>, Vec<Vec<u64>>);
-
-/// Streams one archive rank through the fused sink (the misprediction
-/// re-pass).
-pub(crate) fn fuse_rank(
-    cursor: &ArchiveCursor,
-    pid: ProcessId,
-    function: perfvar_trace::FunctionId,
-    modes: &[MetricMode],
-    telemetry: &Telemetry,
-) -> Result<FusedPartial, TraceError> {
-    let mut stream = cursor.stream(pid)?;
-    let mut machine = ReplayMachine::new(cursor.registry());
-    let mut sink = FusedSink::new(pid, function, modes.to_vec());
-    let mut chunk = Vec::with_capacity(DECODE_CHUNK_EVENTS);
-    while stream.next_chunk(&mut chunk, DECODE_CHUNK_EVENTS)? > 0 {
-        for record in &chunk {
-            machine.step(record, &mut sink);
-        }
-    }
-    machine.finish(&mut sink);
-    let mut w = telemetry.worker(Stage::Fuse);
-    w.events(machine.events_stepped());
-    w.bytes(stream.byte_offset());
-    w.stack_depth(machine.max_depth());
-    w.live_segments(sink.peak_open());
-    w.sos_clamped(sink.sos_underflows());
-    let parts = sink.into_parts();
-    w.segments(parts.0.len() as u64);
-    drop(w);
-    telemetry.rank_done();
-    Ok(parts)
-}
-
-/// The outcome of one sequential pass over a PVT file: per-rank results
-/// for ranks `0..first_failed`, the error that stopped the pass, and the
-/// pass's telemetry figures (events stepped, bytes decoded, peak depth).
-struct SequentialPass<T> {
-    per_rank: Vec<T>,
-    error: Option<(ProcessId, TraceError)>,
-    events: u64,
-    bytes: u64,
-    max_depth: usize,
-}
-
-/// Drives one pass over a single-file PVT trace: `make_sink` opens a
-/// fresh sink per rank, `close` extracts its per-rank result. Ranks with
-/// no events still produce a (default) result, in rank order.
-fn pvt_pass<S, T>(
-    path: &Path,
-    registry: &Registry,
-    num_processes: usize,
-    config: &AnalysisConfig,
-    mut make_sink: impl FnMut(ProcessId) -> S,
-    mut feed: impl FnMut(&mut S, &EventRecord, &mut ReplayMachine),
-    mut close: impl FnMut(S, &mut ReplayMachine) -> T,
-) -> Result<SequentialPass<T>, TraceError> {
-    let mut reader = PvtStreamReader::new(open_file_reader(path, config)?)?;
-    let mut machine = ReplayMachine::new(registry);
-    let mut per_rank: Vec<T> = Vec::with_capacity(num_processes);
-    let mut current: Option<(ProcessId, S)> = None;
-    let mut error = None;
-
-    for item in reader.by_ref() {
-        match item {
-            Ok((pid, record)) => {
-                let switching = !matches!(&current, Some((active, _)) if *active == pid);
-                if switching {
-                    // Close the active rank, pad ranks with no events,
-                    // and open the new one.
-                    if let Some((_, sink)) = current.take() {
-                        per_rank.push(close(sink, &mut machine));
-                    }
-                    while per_rank.len() < pid.index() {
-                        let empty = make_sink(ProcessId::from_index(per_rank.len()));
-                        per_rank.push(close(empty, &mut machine));
-                    }
-                    current = Some((pid, make_sink(pid)));
-                }
-                let (_, sink) = current.as_mut().expect("sink opened above");
-                feed(sink, &record, &mut machine);
-            }
-            Err(e) => {
-                // The reader names the failing process; everything from
-                // there on is unreachable in a sequential file.
-                let failing = match &e {
-                    TraceError::CorruptStream { process, .. } => *process,
-                    _ => current
-                        .as_ref()
-                        .map(|(pid, _)| *pid)
-                        .unwrap_or(ProcessId::from_index(per_rank.len())),
-                };
-                error = Some((failing, e));
-                break;
-            }
-        }
-    }
-    if error.is_none() {
-        if let Some((_, sink)) = current.take() {
-            per_rank.push(close(sink, &mut machine));
-        }
-        while per_rank.len() < num_processes {
-            let empty = make_sink(ProcessId::from_index(per_rank.len()));
-            per_rank.push(close(empty, &mut machine));
-        }
-    }
-    Ok(SequentialPass {
-        per_rank,
-        error,
-        events: machine.events_stepped(),
-        bytes: reader.byte_offset(),
-        max_depth: machine.max_depth(),
-    })
-}
-
-/// Single-file PVT driver: one sequential combined pass (plus the rare
-/// fused-only re-pass on a misprediction), `O(1)` memory each.
-fn analyze_pvt(
-    path: &Path,
-    config: &AnalysisConfig,
-    mode: RecoveryMode,
-    telemetry: &Telemetry,
-) -> Result<OutOfCoreAnalysis, PathAnalysisError> {
-    telemetry.set_read_buffer(config.read_buffer_bytes as u64);
-    // Header only: name, clock, registry (the streams start after).
-    let header = PvtStreamReader::new(open_file_reader(path, config)?)?;
-    let name = header.name().to_string();
-    let clock = header.clock();
-    let registry = header.registry().clone();
-    drop(header);
-    let np = registry.num_processes();
-    let nf = registry.num_functions();
-    let modes = metric_modes(&registry, config.analyze_counters);
-
-    let guess = {
-        let _span = telemetry.span(Stage::Profile);
-        speculation_target(&registry, config, || {
-            predict_pvt_function(path, &registry, config, telemetry)
-        })?
-    };
-
-    // The combined pass: profile + extent + speculative fused partials.
-    telemetry.begin_ranks(Stage::Fuse, np);
-    let pass1 = {
-        let _span = telemetry.span(Stage::Fuse);
-        pvt_pass(
-            path,
-            &registry,
-            np,
-            config,
-            |pid| (CombinedSink::new(pid, nf, guess, &modes), Extent::default()),
-            |pair, record, machine| {
-                pair.1.record(record.time);
-                machine.step(record, &mut pair.0);
-            },
-            |(mut sink, extent), machine| {
-                machine.finish(&mut sink);
-                telemetry.rank_done();
-                let mut w = telemetry.worker(Stage::Fuse);
-                w.live_segments(sink.fused.peak_open());
-                let sos_clamped = sink.fused.sos_underflows();
-                w.sos_clamped(sos_clamped);
-                let fused = sink.fused.into_parts();
-                w.segments(fused.0.len() as u64);
-                RankCombined {
-                    rows: sink.profile.rows,
-                    fused,
-                    num_events: extent.num_events,
-                    first: extent.first,
-                    last: extent.last,
-                    bytes: 0, // only a whole-pass figure exists, added below
-                    sos_clamped,
-                }
-            },
-        )?
-    };
-    {
-        let mut w = telemetry.worker(Stage::Fuse);
-        w.events(pass1.events);
-        w.bytes(pass1.bytes);
-        w.stack_depth(pass1.max_depth);
-    }
-    let mut first_failed = np;
-    let mut per_rank = pass1.per_rank;
-    let mut part = AnalysisPart::for_shape(nf, modes.len(), guess);
-    part.count_bytes(pass1.bytes);
-    if let Some((failing, error)) = pass1.error {
-        if mode == RecoveryMode::Strict {
-            return Err(error.into());
-        }
-        first_failed = per_rank.len().min(failing.index());
-        per_rank.truncate(first_failed);
-        telemetry.count_recovery((np - first_failed) as u64);
-        let mut original = Some(error);
-        for i in first_failed..np {
-            let pid = ProcessId::from_index(i);
-            let error = if pid == failing {
-                original.take().expect("the failing rank appears once")
-            } else {
-                TraceError::Corrupt(format!(
-                    "stream of {pid} is unreachable behind the corrupt stream of {failing}"
-                ))
-            };
-            part.add_failed_rank(i, error);
-        }
-    }
-    for (i, rank) in per_rank.into_iter().enumerate() {
-        part.add_rank(i, rank);
-    }
-
-    // Finalizing verifies the speculation; re-pass fused-only on a
-    // mispredict. In partial mode the re-pass stops where the combined
-    // pass did; unreachable ranks contribute empties.
-    let mut passes = 1;
-    let outcome = {
-        let _span = telemetry.span(Stage::Assemble);
-        part.finalize(&name, clock, &registry, config)?
-    };
-    let mut ooc = match outcome {
-        PartOutcome::Done(done) => *done,
-        PartOutcome::Mispredicted {
-            expected: function,
-            part: mut retry,
-        } => {
-            passes = 2;
-            telemetry.begin_ranks(Stage::Fuse, np);
-            let pass2 = {
-                let _span = telemetry.span(Stage::Fuse);
-                pvt_pass(
-                    path,
-                    &registry,
-                    np,
-                    config,
-                    |pid| FusedSink::new(pid, function, modes.clone()),
-                    |sink, record, machine| machine.step(record, sink),
-                    |mut sink, machine| {
-                        machine.finish(&mut sink);
-                        telemetry.rank_done();
-                        let mut w = telemetry.worker(Stage::Fuse);
-                        w.live_segments(sink.peak_open());
-                        w.sos_clamped(sink.sos_underflows());
-                        let parts = sink.into_parts();
-                        w.segments(parts.0.len() as u64);
-                        parts
-                    },
-                )?
-            };
-            {
-                let mut w = telemetry.worker(Stage::Fuse);
-                w.events(pass2.events);
-                w.bytes(pass2.bytes);
-                w.stack_depth(pass2.max_depth);
-            }
-            retry.count_bytes(pass2.bytes);
-            if let Some((_, error)) = pass2.error {
-                if mode == RecoveryMode::Strict {
-                    return Err(error.into());
-                }
-            }
-            let mut fused_partials = pass2.per_rank;
-            fused_partials.truncate(first_failed.min(fused_partials.len()));
-            while fused_partials.len() < np {
-                fused_partials.push(empty_fused(modes.len()));
-            }
-            for (i, fused) in fused_partials.into_iter().enumerate() {
-                retry.set_fused(i, fused);
-            }
-            retry.retarget(function);
-            let _span = telemetry.span(Stage::Assemble);
-            match retry.finalize(&name, clock, &registry, config)? {
-                PartOutcome::Done(done) => *done,
-                PartOutcome::Mispredicted { .. } => {
-                    unreachable!("a retargeted part cannot mispredict")
-                }
-            }
-        }
-    };
-    ooc.passes = passes;
-    Ok(ooc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report::analyze;
     use perfvar_trace::format::{archive, write_trace_file};
-    use perfvar_trace::{Clock, FunctionRole, MetricMode as Mode, Trace, TraceBuilder};
+    use perfvar_trace::{Clock, FunctionRole, MetricMode as Mode, Timestamp, Trace, TraceBuilder};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("perfvar-outofcore-tests");
@@ -1101,11 +419,13 @@ mod tests {
     #[test]
     fn spmd_pvt_takes_a_single_pass() {
         let trace = rich_trace(4);
-        let path = tmp("onepass.pvt");
-        write_trace_file(&trace, &path).unwrap();
-        let ooc =
-            analyze_path_with(&path, &AnalysisConfig::default(), RecoveryMode::Strict).unwrap();
-        assert_eq!(ooc.passes, 1);
+        for name in ["onepass.pvt", "onepass.pvtx"] {
+            let path = tmp(name);
+            write_trace_file(&trace, &path).unwrap();
+            let ooc =
+                analyze_path_with(&path, &AnalysisConfig::default(), RecoveryMode::Strict).unwrap();
+            assert_eq!(ooc.passes, 1, "{name}");
+        }
     }
 
     #[test]
@@ -1133,7 +453,7 @@ mod tests {
             "beta",
             "fixture must actually mispredict"
         );
-        for name in ["adv.pvta", "adv.pvt"] {
+        for name in ["adv.pvta", "adv.pvt", "adv.pvtx"] {
             let path = tmp(name);
             write_trace_file(&trace, &path).unwrap();
             let ooc = analyze_path_with(&path, &config, RecoveryMode::Strict).unwrap();

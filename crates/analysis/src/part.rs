@@ -36,17 +36,21 @@
 //!
 //! # From parts to an `Analysis`
 //!
-//! A coordinator (a sharded `perfvar serve`, a test, a future
-//! live-analysis tailer) produces one part per shard via
-//! [`archive_part`], folds them with `merge`, and calls
-//! [`finalize`](AnalysisPart::finalize). Because each shard resolves the
-//! speculative segmentation target deterministically from the same
-//! archive and config, all parts agree on the guess; `finalize` verifies
-//! it against the *global* dominant ranking and either completes
-//! ([`PartOutcome::Done`]) or hands the part back with the true function
-//! ([`PartOutcome::Mispredicted`]) so the driver can re-run the shards
-//! with an explicit override — which can never mispredict.
-//! [`analyze_path_sharded`] packages exactly that loop.
+//! Parts are what the one analysis driver behind every entry point
+//! collects: in-memory [`analyze`](crate::report::analyze),
+//! [`analyze_path`](crate::outofcore::analyze_path), the live tailer and
+//! the shard workers all build an `AnalysisPart` in one combined pass and
+//! finalize it the same way. A coordinator (a sharded `perfvar serve`, a
+//! test) produces one part per shard via [`archive_part`], folds them
+//! with `merge`, and calls [`finalize`](AnalysisPart::finalize). Because
+//! each shard resolves the speculative segmentation target
+//! deterministically from the same archive and config, all parts agree on
+//! the guess; `finalize` verifies it against the *global* dominant
+//! ranking and either completes ([`PartOutcome::Done`]) or hands the part
+//! back with the true function ([`PartOutcome::Mispredicted`]).
+//! [`analyze_path_sharded`] packages that loop: it merges the shards'
+//! parts and, on a misprediction, re-passes only the fused half with the
+//! true function — the profiles and extents already in the part stay.
 //!
 //! # Example: a manual two-part merge
 //!
@@ -85,19 +89,18 @@
 //! ```
 
 use crate::dominant::DominantRanking;
-use crate::fused::{merge_fused, metric_modes};
+use crate::driver::{collect, complete};
+use crate::fused::{merge_fused, metric_modes, FusedPartial};
 use crate::outofcore::{
-    combined_rank, cursor_options, empty_fused, predict_archive_function, speculation_target,
-    Extent, FusedPartial, OutOfCoreAnalysis, PathAnalysisError, RankCombined, RecoveryMode,
+    analyze_path_observed, cursor_options, OutOfCoreAnalysis, PathAnalysisError, RecoveryMode,
     StreamFailure,
 };
-use crate::parallel::par_map_ranks;
 use crate::profile::{ProfileRow, ProfileTable};
 use crate::report::{assemble, segmentation_function, AnalysisConfig};
-use crate::telemetry::{Counters, Stage, Telemetry};
+use crate::telemetry::{Counters, Telemetry};
 use perfvar_trace::format::cursor::ArchiveCursor;
 use perfvar_trace::format::Format;
-use perfvar_trace::{Clock, FunctionId, ProcessId, Registry, Timestamp, TraceError};
+use perfvar_trace::{Clock, FunctionId, ProcessId, Registry, Timestamp, TraceError, TraceMeta};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -116,13 +119,19 @@ struct Shape {
 /// speculation target, its extent, and — in partial mode — the stream
 /// failure that replaced the data.
 #[derive(Debug)]
-struct RankPart {
-    rows: Vec<ProfileRow>,
-    fused: FusedPartial,
-    num_events: u64,
-    first: Option<Timestamp>,
-    last: Option<Timestamp>,
-    failure: Option<TraceError>,
+pub(crate) struct RankPart {
+    pub(crate) rows: Vec<ProfileRow>,
+    pub(crate) fused: FusedPartial,
+    pub(crate) num_events: u64,
+    pub(crate) first: Option<Timestamp>,
+    pub(crate) last: Option<Timestamp>,
+    pub(crate) failure: Option<TraceError>,
+}
+
+/// An empty fused partial — what a failed rank contributes (identical to
+/// an empty stream).
+fn empty_fused(num_metrics: usize) -> FusedPartial {
+    (Vec::new(), vec![Vec::new(); num_metrics])
 }
 
 /// A mergeable partial analysis covering a subset of a trace's ranks.
@@ -321,7 +330,7 @@ impl AnalysisPart {
 
         // Global profiles and ranking from the still-per-rank rows (the
         // BTreeMap iterates in rank order, whatever the merge order was).
-        let profiles = ProfileTable::from_rows(nf, self.ranks.values().map(|r| r.rows.clone()));
+        let profiles = ProfileTable::from_rows(nf, self.ranks.values().map(|r| &r.rows));
         let ranking =
             DominantRanking::with_multiplier_for(np, &profiles, config.dominant_multiplier);
         let dominant = ranking.selection();
@@ -333,11 +342,22 @@ impl AnalysisPart {
             });
         }
 
-        let mut extent = Extent::default();
+        let ranks = self.ranks.values();
+        let meta = TraceMeta {
+            name: trace_name.to_string(),
+            clock,
+            registry: registry.clone(),
+            num_events: ranks.clone().map(|r| r.num_events).sum(),
+            begin: ranks
+                .clone()
+                .filter_map(|r| r.first)
+                .min()
+                .unwrap_or_default(),
+            end: ranks.filter_map(|r| r.last).max().unwrap_or_default(),
+        };
         let mut failures = Vec::new();
         let mut fused_partials = Vec::with_capacity(np);
         for (index, rank) in self.ranks {
-            extent.absorb(rank.num_events, rank.first, rank.last);
             fused_partials.push(rank.fused);
             if let Some(error) = rank.failure {
                 failures.push(StreamFailure {
@@ -347,7 +367,6 @@ impl AnalysisPart {
             }
         }
         let fused = merge_fused(registry, function, &modes, fused_partials);
-        let meta = extent.meta(trace_name.to_string(), clock, registry.clone());
         let analysis = assemble(
             meta.name.clone(),
             config,
@@ -383,23 +402,10 @@ impl AnalysisPart {
         }
     }
 
-    /// Adds one successfully streamed rank.
-    pub(crate) fn add_rank(&mut self, index: usize, rank: RankCombined) {
-        self.counters.events_replayed += rank.num_events;
-        self.counters.bytes_decoded += rank.bytes;
-        self.counters.segments_emitted += rank.fused.0.len() as u64;
-        self.counters.sos_clamped += rank.sos_clamped;
-        let clash = self.ranks.insert(
-            index,
-            RankPart {
-                rows: rank.rows,
-                fused: rank.fused,
-                num_events: rank.num_events,
-                first: rank.first,
-                last: rank.last,
-                failure: None,
-            },
-        );
+    /// Adds one successfully streamed rank and the counters spent on it.
+    pub(crate) fn add_rank(&mut self, index: usize, rank: RankPart, counters: &Counters) {
+        self.counters.merge(counters);
+        let clash = self.ranks.insert(index, rank);
         assert!(clash.is_none(), "rank {index} added twice");
     }
 
@@ -407,19 +413,19 @@ impl AnalysisPart {
     /// stream would, plus the failure record.
     pub(crate) fn add_failed_rank(&mut self, index: usize, error: TraceError) {
         let shape = self.shape.expect("failed ranks need a shaped part");
-        self.counters.recovery_events += 1;
-        let clash = self.ranks.insert(
-            index,
-            RankPart {
-                rows: vec![ProfileRow::default(); shape.num_functions],
-                fused: empty_fused(shape.num_metrics),
-                num_events: 0,
-                first: None,
-                last: None,
-                failure: Some(error),
-            },
-        );
-        assert!(clash.is_none(), "rank {index} added twice");
+        let rank = RankPart {
+            rows: vec![ProfileRow::default(); shape.num_functions],
+            fused: empty_fused(shape.num_metrics),
+            num_events: 0,
+            first: None,
+            last: None,
+            failure: Some(error),
+        };
+        let counters = Counters {
+            recovery_events: 1,
+            ..Counters::default()
+        };
+        self.add_rank(index, rank, &counters);
     }
 
     /// Whether `index` is covered by a failure record.
@@ -456,12 +462,6 @@ impl AnalysisPart {
         if let Some(shape) = &mut self.shape {
             shape.target = target;
         }
-    }
-
-    /// Adds whole-pass byte counts that are not attributable to a single
-    /// rank (the sequential PVT reader measures the file once).
-    pub(crate) fn count_bytes(&mut self, bytes: u64) {
-        self.counters.bytes_decoded += bytes;
     }
 }
 
@@ -502,64 +502,30 @@ pub fn archive_part_observed(
     ranks: impl IntoIterator<Item = usize>,
     telemetry: &Telemetry,
 ) -> Result<AnalysisPart, PathAnalysisError> {
-    let path = path.as_ref();
-    let cursor = ArchiveCursor::open_with(path, cursor_options(config))?;
+    let cursor = ArchiveCursor::open_with(path.as_ref(), cursor_options(config))?;
     telemetry.set_read_buffer(config.read_buffer_bytes as u64);
-    let registry = cursor.registry();
     let np = cursor.num_processes();
-    let nf = registry.num_functions();
-    let modes = metric_modes(registry, config.analyze_counters);
-    let rank_list: Vec<usize> = ranks.into_iter().collect();
-    for &rank in &rank_list {
+    let ranks: Vec<usize> = ranks.into_iter().collect();
+    for &rank in &ranks {
         assert!(
             rank < np,
             "rank {rank} out of range for an archive with {np} ranks"
         );
     }
-
-    let guess = {
-        let _span = telemetry.span(Stage::Profile);
-        speculation_target(registry, config, || {
-            predict_archive_function(&cursor, config, telemetry)
-        })?
-    };
-
-    telemetry.begin_ranks(Stage::Fuse, rank_list.len());
-    let combined = {
-        let _span = telemetry.span(Stage::Fuse);
-        par_map_ranks(rank_list.len(), config.threads, |slot| {
-            let pid = ProcessId::from_index(rank_list[slot.index()]);
-            combined_rank(&cursor, pid, nf, guess, &modes, telemetry)
-        })
-    };
-
-    let mut part = AnalysisPart::for_shape(nf, modes.len(), guess);
-    for (slot, result) in combined.into_iter().enumerate() {
-        let index = rank_list[slot];
-        match result {
-            Ok(rank) => part.add_rank(index, rank),
-            Err(error) => {
-                if mode == RecoveryMode::Strict {
-                    return Err(error.into());
-                }
-                telemetry.count_recovery(1);
-                part.add_failed_rank(index, error);
-            }
-        }
-    }
-    Ok(part)
+    collect(&cursor, &ranks, config, mode, telemetry)
 }
 
 /// [`analyze_path`](crate::outofcore::analyze_path) through the shard
 /// pipeline: splits an archive's ranks into `shards` contiguous shard
 /// workers, each producing an [`AnalysisPart`] on its own thread, merges
-/// the parts, and finalizes — bit-identical to the single-process result
-/// by the merge laws (property-tested in `tests/properties.rs`).
+/// the parts, and completes the union — bit-identical to the
+/// single-process result by the merge laws (property-tested in
+/// `tests/properties.rs`).
 ///
 /// Non-archive inputs (a single sequential file cannot be sharded) and
 /// `shards <= 1` fall through to the plain out-of-core driver. A
-/// mispredicted speculation costs one full sharded re-pass with the true
-/// function pinned, exactly mirroring the single-process fallback
+/// mispredicted speculation costs one fused-only re-pass over the
+/// archive, exactly like the single-process driver
 /// ([`OutOfCoreAnalysis::passes`] reports `2`).
 pub fn analyze_path_sharded(
     path: impl AsRef<Path>,
@@ -581,70 +547,22 @@ pub fn analyze_path_sharded_observed(
 ) -> Result<OutOfCoreAnalysis, PathAnalysisError> {
     let path = path.as_ref();
     if shards <= 1 || Format::from_path(path) != Format::Archive {
-        return crate::outofcore::analyze_path_observed(path, config, mode, telemetry);
+        return analyze_path_observed(path, config, mode, telemetry);
     }
-    let (name, clock, registry, np) = {
-        let cursor = ArchiveCursor::open_with(path, cursor_options(config))?;
-        (
-            cursor.name().to_string(),
-            cursor.clock(),
-            cursor.registry().clone(),
-            cursor.num_processes(),
-        )
-    };
+    let cursor = ArchiveCursor::open_with(path, cursor_options(config))?;
+    let np = cursor.num_processes();
     if np <= 1 {
-        return crate::outofcore::analyze_path_observed(path, config, mode, telemetry);
+        return analyze_path_observed(path, config, mode, telemetry);
     }
 
-    let shards = shards.min(np);
-    let part = run_shards(path, config, mode, np, shards, telemetry)?;
-    let mut passes = 1;
-    let outcome = {
-        let _span = telemetry.span(Stage::Assemble);
-        part.finalize(&name, clock, &registry, config)?
-    };
-    let mut ooc = match outcome {
-        PartOutcome::Done(done) => *done,
-        PartOutcome::Mispredicted { expected, .. } => {
-            // Re-shard with the true function pinned; the override path
-            // of `speculation_target` cannot mispredict.
-            passes = 2;
-            let pinned = AnalysisConfig {
-                segment_function: Some(registry.function_name(expected).to_string()),
-                ..config.clone()
-            };
-            let part = run_shards(path, &pinned, mode, np, shards, telemetry)?;
-            let _span = telemetry.span(Stage::Assemble);
-            match part.finalize(&name, clock, &registry, &pinned)? {
-                PartOutcome::Done(done) => *done,
-                PartOutcome::Mispredicted { .. } => {
-                    unreachable!("an explicit override cannot mispredict")
-                }
-            }
-        }
-    };
-    ooc.passes = passes;
-    Ok(ooc)
-}
-
-/// Fans `np` ranks out over `shards` contiguous shard workers (one
-/// thread each, mirroring what worker *processes* would do) and merges
-/// their parts.
-fn run_shards(
-    path: &Path,
-    config: &AnalysisConfig,
-    mode: RecoveryMode,
-    np: usize,
-    shards: usize,
-    telemetry: &Telemetry,
-) -> Result<AnalysisPart, PathAnalysisError> {
-    let per = np.div_ceil(shards);
-    let results: Vec<Result<AnalysisPart, PathAnalysisError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|s| {
-                let lo = s * per;
-                let hi = ((s + 1) * per).min(np);
-                scope.spawn(move || archive_part_observed(path, config, mode, lo..hi, telemetry))
+    // One thread per shard, mirroring what worker processes would do.
+    let per = np.div_ceil(shards.min(np));
+    let parts: Vec<Result<AnalysisPart, PathAnalysisError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..np)
+            .step_by(per)
+            .map(|lo| {
+                let ranks = lo..(lo + per).min(np);
+                scope.spawn(move || archive_part_observed(path, config, mode, ranks, telemetry))
             })
             .collect();
         handles
@@ -653,10 +571,10 @@ fn run_shards(
             .collect()
     });
     let mut part = AnalysisPart::empty();
-    for result in results {
-        part = part.merge(result?);
+    for shard in parts {
+        part = part.merge(shard?);
     }
-    Ok(part)
+    complete(part, &cursor, config, mode, telemetry)
 }
 
 #[cfg(test)]

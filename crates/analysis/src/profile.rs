@@ -43,8 +43,9 @@ pub(crate) struct ProfileRow {
 }
 
 /// Streaming visitor accumulating one process's profile rows. Shared by
-/// [`ProfileTable::stream`] and the out-of-core path
-/// ([`crate::outofcore`]), which drives it from a disk cursor.
+/// [`ProfileTable::stream`] and the analysis driver behind
+/// [`crate::report::analyze`] and [`crate::outofcore`], which drives it
+/// from memory or a disk cursor.
 pub(crate) struct ProfileSink {
     pub(crate) rows: Vec<ProfileRow>,
 }
@@ -112,29 +113,10 @@ impl ProfileTable {
     /// are merged per process, in process order — but each worker only
     /// holds `O(functions + stack depth)` state.
     pub fn stream(trace: &Trace, num_threads: usize) -> ProfileTable {
-        ProfileTable::stream_observed(trace, num_threads, &crate::telemetry::Telemetry::noop())
-    }
-
-    /// Like [`stream`](ProfileTable::stream) but recording per-worker
-    /// event counts and peak stack depth into `telemetry` (see
-    /// [`crate::telemetry`]). With
-    /// [`Telemetry::noop`](crate::telemetry::Telemetry::noop) this *is*
-    /// [`stream`](ProfileTable::stream).
-    pub fn stream_observed(
-        trace: &Trace,
-        num_threads: usize,
-        telemetry: &crate::telemetry::Telemetry,
-    ) -> ProfileTable {
-        use crate::telemetry::Stage;
         let nf = trace.registry().num_functions();
         let partials = par_map_processes(trace, num_threads, |pid| {
             let mut sink = ProfileSink::new(nf);
-            let stats = replay_visit(trace, pid, &mut sink);
-            let mut w = telemetry.worker(Stage::Profile);
-            w.events(stats.events);
-            w.stack_depth(stats.max_depth);
-            drop(w);
-            telemetry.rank_done();
+            replay_visit(trace, pid, &mut sink);
             sink.rows
         });
         ProfileTable::from_rows(nf, partials)
@@ -145,11 +127,11 @@ impl ProfileTable {
     /// out-of-core producers, which is what keeps the two bit-equal.
     pub(crate) fn from_rows(
         num_functions: usize,
-        partials: impl IntoIterator<Item = Vec<ProfileRow>>,
+        partials: impl IntoIterator<Item = impl AsRef<[ProfileRow]>>,
     ) -> ProfileTable {
         let mut profiles = vec![FunctionProfile::default(); num_functions];
         for rows in partials {
-            for (f, row) in rows.into_iter().enumerate() {
+            for (f, row) in rows.as_ref().iter().enumerate() {
                 let p = &mut profiles[f];
                 p.count += row.count;
                 p.inclusive += DurationTicks(row.inclusive);

@@ -2,10 +2,13 @@
 //!
 //! [`analyze`] chains the paper's steps: profile → dominant-function
 //! selection → segmentation → SOS matrix → imbalance detection →
-//! counter attribution/correlation. The default path is *fused*: every
-//! per-process stage streams over the event stream once (see
-//! [`crate::stream`] and [`crate::fused`]) on
-//! [`AnalysisConfig::threads`] workers. [`analyze_reference`] runs the
+//! counter attribution/correlation. The default path is *fused* and
+//! *speculative*: it predicts the segmentation function from a prefix of
+//! rank 0, then replays every process once, profiling and segmenting in
+//! the same pass (see [`crate::stream`] and [`crate::fused`]) on
+//! [`AnalysisConfig::threads`] workers — the same driver
+//! [`analyze_path`](crate::outofcore::analyze_path) runs over files, fed
+//! from memory. [`analyze_reference`] runs the
 //! original materialising pipeline — replay into invocation lists, then
 //! rescan — and is kept as the executable specification the fused path
 //! is property-tested against. The resulting [`Analysis`] is a
@@ -15,13 +18,13 @@
 
 use crate::counters::{correlate_with_sos, CounterMatrix};
 use crate::dominant::{DominantRanking, DominantSelection};
-use crate::fused::fuse_segments_observed;
 use crate::imbalance::{ImbalanceAnalysis, ImbalanceConfig, WasteAnalysis};
+use crate::outofcore::{PathAnalysisError, RecoveryMode};
 use crate::parallel::replay_all_parallel;
 use crate::profile::ProfileTable;
 use crate::segment::Segmentation;
 use crate::sos::SosMatrix;
-use crate::telemetry::{Stage, Telemetry};
+use crate::telemetry::Telemetry;
 use perfvar_trace::{FunctionId, MetricId, Registry, Trace, TraceMeta};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -231,12 +234,14 @@ pub(crate) fn assemble(
 
 /// Runs the full pipeline on `trace` — the fused streaming path.
 ///
-/// Each per-process stage is a single pass over the process's event
-/// stream on [`AnalysisConfig::threads`] workers: one pass builds the
-/// profile table for dominant-function selection, a second fused pass
-/// produces segments, SOS inputs and every counter channel at once.
-/// Memory per worker is `O(stack depth + segments + functions)` instead
-/// of `O(invocations)`. The result is identical to
+/// The segmentation function is predicted from a bounded prefix of rank
+/// 0; then one combined pass per process, on [`AnalysisConfig::threads`]
+/// workers, builds the profile rows for dominant-function selection and,
+/// for the predicted function, the segments, SOS inputs and every counter
+/// channel at once. The global profile verifies the prediction; a wrong
+/// guess costs one fused-only re-pass. Memory per worker is
+/// `O(stack depth + segments + functions)` instead of
+/// `O(invocations)`. The result is identical to
 /// [`analyze_reference`] (property-tested in `tests/properties.rs`).
 /// For traces too large to load at all, see
 /// [`analyze_path`](crate::outofcore::analyze_path), which produces the
@@ -282,36 +287,11 @@ pub fn analyze_observed(
     config: &AnalysisConfig,
     telemetry: &Telemetry,
 ) -> Result<Analysis, AnalysisError> {
-    telemetry.begin_ranks(Stage::Profile, trace.num_processes());
-    let profiles = {
-        let _span = telemetry.span(Stage::Profile);
-        ProfileTable::stream_observed(trace, config.threads, telemetry)
-    };
-    let ranking = DominantRanking::with_multiplier(trace, &profiles, config.dominant_multiplier);
-    let dominant = ranking.selection();
-    let function = segmentation_function(trace.registry(), &dominant, config)?;
-
-    telemetry.begin_ranks(Stage::Fuse, trace.num_processes());
-    let fused = {
-        let _span = telemetry.span(Stage::Fuse);
-        fuse_segments_observed(
-            trace,
-            function,
-            config.threads,
-            config.analyze_counters,
-            telemetry,
-        )
-    };
-    let _span = telemetry.span(Stage::Assemble);
-    Ok(assemble(
-        trace.name.clone(),
-        config,
-        dominant,
-        function,
-        profiles,
-        fused.segmentation,
-        fused.counters,
-    ))
+    match crate::driver::run(trace, config, RecoveryMode::Strict, telemetry) {
+        Ok(done) => Ok(done.analysis),
+        Err(PathAnalysisError::Analysis(e)) => Err(e),
+        Err(PathAnalysisError::Trace(e)) => unreachable!("in-memory streams always decode: {e}"),
+    }
 }
 
 /// Runs the full pipeline via the materialising reference implementation:
