@@ -23,8 +23,8 @@
 //! SOS profiles into a bounded set of sketches in ascending rank order,
 //! never materialising the O(ranks²) distance matrix — the same
 //! out-of-core spirit as the rest of the pipeline, and bit-stable across
-//! thread and shard counts because it consumes only the (bit-stable)
-//! [`Analysis`].
+//! thread counts and part partitions because it consumes only the
+//! (bit-stable) [`Analysis`].
 //!
 //! Everything here is **clock-free**: descriptions quote raw ticks and
 //! percentages only, so the daemon (which holds no [`perfvar_trace::Clock`])

@@ -2,10 +2,10 @@
 //!
 //! In-memory [`analyze`](crate::report::analyze), the out-of-core
 //! [`analyze_path`](crate::outofcore::analyze_path) over archives and
-//! single-file PVT traces, the shard worker
-//! [`archive_part`](crate::part::archive_part), the sharded coordinator
-//! and [`LiveAnalysis::finalize`](crate::live::LiveAnalysis::finalize) all
-//! run the same loop, written once here:
+//! single-file PVT traces, the rank-subset
+//! [`archive_part`](crate::part::archive_part) and
+//! [`LiveAnalysis::finalize`](crate::live::LiveAnalysis::finalize) all run
+//! the same loop, written once here:
 //!
 //! ```text
 //! RankSource ──► rank-0 prefix ──► predict F ──┐

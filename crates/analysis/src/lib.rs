@@ -94,10 +94,7 @@ pub mod prelude {
         analyze_path, analyze_path_observed, analyze_path_with, OutOfCoreAnalysis,
         PathAnalysisError, RecoveryMode, StreamFailure,
     };
-    pub use crate::part::{
-        analyze_path_sharded, analyze_path_sharded_observed, archive_part, archive_part_observed,
-        AnalysisPart, PartOutcome,
-    };
+    pub use crate::part::{archive_part, archive_part_observed, AnalysisPart, PartOutcome};
     pub use crate::phases::{Phase, PhaseConfig, PhaseDetection};
     pub use crate::profile::FunctionProfile;
     pub use crate::report::{
@@ -130,10 +127,7 @@ pub use outofcore::{
     analyze_path, analyze_path_observed, analyze_path_with, OutOfCoreAnalysis, PathAnalysisError,
     RecoveryMode, StreamFailure,
 };
-pub use part::{
-    analyze_path_sharded, analyze_path_sharded_observed, archive_part, archive_part_observed,
-    AnalysisPart, PartOutcome,
-};
+pub use part::{archive_part, archive_part_observed, AnalysisPart, PartOutcome};
 pub use profile::FunctionProfile;
 pub use report::{
     analyze, analyze_observed, analyze_reference, Analysis, AnalysisConfig, AnalysisError,

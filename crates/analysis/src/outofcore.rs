@@ -21,9 +21,8 @@
 //! ## One driver, single-pass data flow (speculative fusion)
 //!
 //! Every entry point — [`analyze`](crate::report::analyze),
-//! [`analyze_path`], [`archive_part`](crate::part::archive_part), the
-//! sharded coordinator and [`LiveAnalysis`](crate::live::LiveAnalysis) —
-//! runs one crate-internal driver over a *rank source*: an in-memory
+//! [`analyze_path`], [`archive_part`](crate::part::archive_part) and
+//! [`LiveAnalysis`](crate::live::LiveAnalysis) — runs one crate-internal driver over a *rank source*: an in-memory
 //! trace, an archive cursor or a sequential PVT file. This module picks
 //! the source from the file format; text traces (`.pvtx`) are loaded and
 //! then take the in-memory source.

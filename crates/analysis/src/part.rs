@@ -38,19 +38,18 @@
 //!
 //! Parts are what the one analysis driver behind every entry point
 //! collects: in-memory [`analyze`](crate::report::analyze),
-//! [`analyze_path`](crate::outofcore::analyze_path), the live tailer and
-//! the shard workers all build an `AnalysisPart` in one combined pass and
-//! finalize it the same way. A coordinator (a sharded `perfvar serve`, a
-//! test) produces one part per shard via [`archive_part`], folds them
-//! with `merge`, and calls [`finalize`](AnalysisPart::finalize). Because
-//! each shard resolves the speculative segmentation target
-//! deterministically from the same archive and config, all parts agree on
-//! the guess; `finalize` verifies it against the *global* dominant
-//! ranking and either completes ([`PartOutcome::Done`]) or hands the part
-//! back with the true function ([`PartOutcome::Mispredicted`]).
-//! [`analyze_path_sharded`] packages that loop: it merges the shards'
-//! parts and, on a misprediction, re-passes only the fused half with the
-//! true function — the profiles and extents already in the part stay.
+//! [`analyze_path`](crate::outofcore::analyze_path) and the live tailer
+//! all build an `AnalysisPart` in one combined pass and finalize it the
+//! same way. [`archive_part`] exposes that pass over any subset of an
+//! archive's ranks: the seam for a multi-host deployment, where a
+//! coordinator gathers one part per worker, folds them with `merge`, and
+//! calls [`finalize`](AnalysisPart::finalize). Because each worker
+//! resolves the speculative segmentation target deterministically from
+//! the same archive and config, all parts agree on the guess; `finalize`
+//! verifies it against the *global* dominant ranking and either
+//! completes ([`PartOutcome::Done`]) or hands the part back with the true
+//! function ([`PartOutcome::Mispredicted`]), after which the workers
+//! re-run with that function pinned.
 //!
 //! # Example: a manual two-part merge
 //!
@@ -89,17 +88,15 @@
 //! ```
 
 use crate::dominant::DominantRanking;
-use crate::driver::{collect, complete};
+use crate::driver::collect;
 use crate::fused::{merge_fused, metric_modes, FusedPartial};
 use crate::outofcore::{
-    analyze_path_observed, cursor_options, OutOfCoreAnalysis, PathAnalysisError, RecoveryMode,
-    StreamFailure,
+    cursor_options, OutOfCoreAnalysis, PathAnalysisError, RecoveryMode, StreamFailure,
 };
 use crate::profile::{ProfileRow, ProfileTable};
 use crate::report::{assemble, segmentation_function, AnalysisConfig};
 use crate::telemetry::{Counters, Telemetry};
 use perfvar_trace::format::cursor::ArchiveCursor;
-use perfvar_trace::format::Format;
 use perfvar_trace::{Clock, FunctionId, ProcessId, Registry, Timestamp, TraceError, TraceMeta};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -515,68 +512,6 @@ pub fn archive_part_observed(
     collect(&cursor, &ranks, config, mode, telemetry)
 }
 
-/// [`analyze_path`](crate::outofcore::analyze_path) through the shard
-/// pipeline: splits an archive's ranks into `shards` contiguous shard
-/// workers, each producing an [`AnalysisPart`] on its own thread, merges
-/// the parts, and completes the union — bit-identical to the
-/// single-process result by the merge laws (property-tested in
-/// `tests/properties.rs`).
-///
-/// Non-archive inputs (a single sequential file cannot be sharded) and
-/// `shards <= 1` fall through to the plain out-of-core driver. A
-/// mispredicted speculation costs one fused-only re-pass over the
-/// archive, exactly like the single-process driver
-/// ([`OutOfCoreAnalysis::passes`] reports `2`).
-pub fn analyze_path_sharded(
-    path: impl AsRef<Path>,
-    config: &AnalysisConfig,
-    mode: RecoveryMode,
-    shards: usize,
-) -> Result<OutOfCoreAnalysis, PathAnalysisError> {
-    analyze_path_sharded_observed(path, config, mode, shards, &Telemetry::noop())
-}
-
-/// Like [`analyze_path_sharded`] but recording telemetry; shard workers
-/// feed the same counters a single-process run would.
-pub fn analyze_path_sharded_observed(
-    path: impl AsRef<Path>,
-    config: &AnalysisConfig,
-    mode: RecoveryMode,
-    shards: usize,
-    telemetry: &Telemetry,
-) -> Result<OutOfCoreAnalysis, PathAnalysisError> {
-    let path = path.as_ref();
-    if shards <= 1 || Format::from_path(path) != Format::Archive {
-        return analyze_path_observed(path, config, mode, telemetry);
-    }
-    let cursor = ArchiveCursor::open_with(path, cursor_options(config))?;
-    let np = cursor.num_processes();
-    if np <= 1 {
-        return analyze_path_observed(path, config, mode, telemetry);
-    }
-
-    // One thread per shard, mirroring what worker processes would do.
-    let per = np.div_ceil(shards.min(np));
-    let parts: Vec<Result<AnalysisPart, PathAnalysisError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..np)
-            .step_by(per)
-            .map(|lo| {
-                let ranks = lo..(lo + per).min(np);
-                scope.spawn(move || archive_part_observed(path, config, mode, ranks, telemetry))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    });
-    let mut part = AnalysisPart::empty();
-    for shard in parts {
-        part = part.merge(shard?);
-    }
-    complete(part, &cursor, config, mode, telemetry)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -740,21 +675,26 @@ mod tests {
         assert_eq!(merged.counters(), whole.counters());
     }
 
+    /// The coordinator protocol in miniature: two workers build parts
+    /// into one shared telemetry sink and the merged union finalizes to
+    /// the single-process analysis.
     #[test]
     fn sharded_driver_matches_and_reports_shard_telemetry() {
         let dir = archive_of("driver.pvta", 4);
         let config = AnalysisConfig::default();
         let telemetry = Telemetry::enabled();
-        let sharded =
-            analyze_path_sharded_observed(&dir, &config, RecoveryMode::Strict, 2, &telemetry)
-                .unwrap();
+        let shard = |ranks: std::ops::Range<usize>| {
+            archive_part_observed(&dir, &config, RecoveryMode::Strict, ranks, &telemetry).unwrap()
+        };
+        let merged = shard(2..4).merge(shard(0..2));
+        let sharded = finalize_at(&dir, merged, &config);
         let reference = analyze_path_with(&dir, &config, RecoveryMode::Strict).unwrap();
         assert_eq!(sharded.analysis, reference.analysis);
         assert_eq!(sharded.meta, reference.meta);
         assert_eq!(sharded.passes, 1);
-        // The shard workers feed the shared sink exactly like the
-        // single-process driver does — except that every shard reads the
-        // rank-0 prediction prefix, so replayed events can only grow.
+        // The workers feed the shared sink exactly like the single-process
+        // driver does — except that every worker reads the rank-0
+        // prediction prefix, so replayed events can only grow.
         let observed = Telemetry::enabled();
         crate::outofcore::analyze_path_observed(&dir, &config, RecoveryMode::Strict, &observed)
             .unwrap();

@@ -900,12 +900,19 @@ fn pipeline_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value 
 
 /// Measures the analysis daemon's content-addressed cache: cold
 /// (pipeline runs) vs warm (cache hit) latency for the same request,
-/// and verifies the telemetry at `/stats` shows exactly one analysis.
+/// and verifies the telemetry at `/v1/stats` shows exactly one analysis.
 fn serve_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
     use perfvar_analysis::prelude::PipelineStats;
     use perfvar_server::http::percent_encode;
     use perfvar_server::{client, ServeOptions, Server};
+    use serde::Deserialize;
     use std::time::Instant;
+
+    let stats_of = |addr: &str| -> PipelineStats {
+        let resp = client::get(addr, "/v1/stats").unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        PipelineStats::from_value(&client::parse_envelope(&resp.body).unwrap().data).unwrap()
+    };
 
     // Large enough that the cold request is dominated by the pipeline
     // rather than the loopback HTTP round-trip — the single-pass disk
@@ -921,7 +928,7 @@ fn serve_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
         .unwrap();
     let addr = handle.addr().to_string();
     let target = format!(
-        "/analyze?path={}",
+        "/v1/analyze?path={}",
         percent_encode(archive.to_str().unwrap())
     );
 
@@ -933,8 +940,7 @@ fn serve_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
     // prediction prefix), so one analysis replays roughly the event
     // count; capture the post-cold telemetry and require it to stay
     // frozen through the warm rounds.
-    let after_cold: PipelineStats =
-        serde_json::from_str(&client::get(&addr, "/stats").unwrap().body).unwrap();
+    let after_cold = stats_of(&addr);
 
     let mut warm_s = f64::INFINITY;
     let warm_rounds = 10usize;
@@ -945,9 +951,7 @@ fn serve_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
         assert_eq!(warm.body, cold.body, "warm hit must be byte-identical");
     }
 
-    let stats_resp = client::get(&addr, "/stats").unwrap();
-    assert_eq!(stats_resp.status, 200, "{}", stats_resp.body);
-    let stats: PipelineStats = serde_json::from_str(&stats_resp.body).unwrap();
+    let stats = stats_of(&addr);
     handle.shutdown();
 
     let events = trace.num_events() as u64;
@@ -958,8 +962,8 @@ fn serve_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
 
     report.check(
         "SERVE content-addressed result cache",
-        "a warm /analyze hit answers from the cache ≥10× faster than the \
-         cold request that ran the pipeline; /stats telemetry shows the \
+        "a warm /v1/analyze hit answers from the cache ≥10× faster than the \
+         cold request that ran the pipeline; /v1/stats telemetry shows the \
          trace was analyzed exactly once across 1 cold + 10 warm requests \
          (cold/warm latency recorded in BENCH_pipeline.json)",
         format!(
@@ -986,7 +990,7 @@ fn serve_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
     })
 }
 
-/// Drives a sharded daemon with the `loadgen` engine — a closed-loop
+/// Drives a default daemon with the `loadgen` engine — a closed-loop
 /// mixed cold/warm request stream — and gates the p99 latency under
 /// concurrency. The SERVE-LOAD row in BENCH_pipeline.json.
 fn serve_load_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
@@ -1000,11 +1004,7 @@ fn serve_load_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Valu
     let archive = out_dir.join("serve-load-fixture.pvta");
     perfvar_trace::format::write_trace_file(&trace, &archive).unwrap();
 
-    let options = ServeOptions {
-        shards: 2,
-        ..ServeOptions::default()
-    };
-    let handle = Server::bind("127.0.0.1:0", options)
+    let handle = Server::bind("127.0.0.1:0", ServeOptions::default())
         .unwrap()
         .spawn()
         .unwrap();
@@ -1012,7 +1012,7 @@ fn serve_load_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Valu
     let encoded = percent_encode(archive.to_str().unwrap());
 
     // Prime the warm entry so "warm" is warm from the first sample.
-    let prime = client::get(&addr, &format!("/analyze?path={encoded}")).unwrap();
+    let prime = client::get(&addr, &format!("/v1/analyze?path={encoded}")).unwrap();
     assert_eq!(prime.status, 200, "{}", prime.body);
 
     let requests = 120usize;
@@ -1031,7 +1031,7 @@ fn serve_load_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Valu
         "SERVE-LOAD p99 latency under concurrency",
         &format!(
             "{requests} closed-loop requests ({cold} cold / {} warm) from \
-             {concurrency} workers against a 2-shard daemon all succeed \
+             {concurrency} workers against a default daemon all succeed \
              with p99 < {p99_limit:.0} s (p50/p99 recorded in \
              BENCH_pipeline.json)",
             requests - cold,
@@ -1051,7 +1051,6 @@ fn serve_load_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Valu
         "requests": requests,
         "cold": cold,
         "concurrency": concurrency,
-        "shards": 2,
         "errors": summary.errors,
         "wall_s": summary.wall_s,
         "throughput_rps": summary.throughput(),

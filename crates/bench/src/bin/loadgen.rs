@@ -99,7 +99,7 @@ fn main() {
 
     // Prime the warm entry so the mix measures a steady-state daemon,
     // not one whose very first "warm" request is secretly cold.
-    let prime = format!("/analyze?path={encoded}");
+    let prime = format!("/v1/analyze?path={encoded}");
     match perfvar_server::client::get(&args.addr, &prime) {
         Ok(resp) if resp.status == 200 => {}
         Ok(resp) => {

@@ -294,9 +294,9 @@ pub mod load {
                     // Skips the default threshold of 2 so every cold key
                     // differs from the warm one.
                     let multiplier = 3 + (run_seed + i as u64) % cold_window.max(1);
-                    format!("/analyze?path={encoded_path}&multiplier={multiplier}")
+                    format!("/v1/analyze?path={encoded_path}&multiplier={multiplier}")
                 } else {
-                    format!("/analyze?path={encoded_path}")
+                    format!("/v1/analyze?path={encoded_path}")
                 }
             })
             .collect()
@@ -349,7 +349,7 @@ mod tests {
         // undeliverable from the first few microseconds on: an uncapped
         // dispatcher would burst all ticks back-to-back, the capped one
         // must shed the overdue ones and say so.
-        let targets: Vec<String> = (0..5_000).map(|_| "/health".to_string()).collect();
+        let targets: Vec<String> = (0..5_000).map(|_| "/v1/health".to_string()).collect();
         let summary = load::open_loop("127.0.0.1:1", &targets, 1e9);
         assert!(summary.dropped > 0, "absurd rate must shed overdue ticks");
         // Every tick is accounted for: sent (success or error) or shed.
@@ -359,7 +359,7 @@ mod tests {
         );
 
         // A deliverable schedule sheds nothing.
-        let targets: Vec<String> = (0..20).map(|_| "/health".to_string()).collect();
+        let targets: Vec<String> = (0..20).map(|_| "/v1/health".to_string()).collect();
         let summary = load::open_loop("127.0.0.1:1", &targets, 200.0);
         assert_eq!(summary.dropped, 0, "a deliverable rate must not shed");
         assert_eq!(summary.latencies_s.len() + summary.errors, targets.len());

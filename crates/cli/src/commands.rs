@@ -49,8 +49,7 @@ USAGE:
   perfvar slice    <in> <out> (--from-tick T --to-tick T | --segment N [--function NAME])
   perfvar convert  <in.pvt|in.pvtx> <out.pvt|out.pvtx>
   perfvar serve    [--addr HOST:PORT] [--workers N] [--threads N]
-                   [--shards N] [--cache-entries N] [--cache-dir DIR]
-                   [--store-dir DIR]
+                   [--cache-entries N] [--cache-dir DIR] [--store-dir DIR]
 
 Workloads: cosmo-specs, cosmo-specs-fd4, wrf (the paper's case studies),
            balanced, random, gradual, outlier, desync-wave (synthetic).
@@ -87,15 +86,14 @@ bytes/s, peak state) to stderr; --stats-json emits the same data as JSON
 on stdout (combined with --json it becomes {\"analysis\": …, \"stats\": …}).
 Out-of-core runs on a terminal show a live N/M-ranks progress line.
 
-serve starts an analysis daemon answering GET /analyze?path=…,
-GET /refine?path=…&steps=N, and GET /stats with the --json output
-shapes; results are cached content-addressed (archive digest + config)
+serve starts an analysis daemon answering GET /v1/analyze?path=…,
+GET /v1/refine?path=…&steps=N, GET /v1/diagnose?path=… and GET /v1/stats;
+a success body is {\"ok\": true, \"data\": D} with D the matching --json
+output. Results are cached content-addressed (archive digest + config)
 so repeated and concurrent requests analyze each trace exactly once.
---shards N analyses each archive with N in-process shard workers whose
-partial results are merged — bit-identical to --shards 1, same cache.
-The daemon also keeps a labelled run store (GET /runs/register?path=…
-&label=…, GET /runs) persisted under --store-dir (default: --cache-dir)
-and serves GET /compare?base=R&cand=R where R is a label, digest, or
+The daemon also keeps a labelled run store (GET /v1/runs/register?path=…
+&label=…, GET /v1/runs) persisted under --store-dir (default: --cache-dir)
+and serves GET /v1/compare?base=R&cand=R where R is a label, digest, or
 path — warm comparisons reuse cached analyses and decode zero bytes.
 
 compare prints per-rank and per-function deltas plus a noise-aware
@@ -1290,7 +1288,7 @@ pub fn convert(argv: Vec<String>) -> Result<(), String> {
 }
 
 /// `perfvar serve [--addr HOST:PORT] [--workers N] [--threads N]
-/// [--shards N] [--cache-entries N] [--cache-dir DIR]`
+/// [--cache-entries N] [--cache-dir DIR] [--store-dir DIR]`
 ///
 /// Runs the analysis daemon until killed. The listening address is
 /// printed (and flushed) before serving starts so scripts can scrape
@@ -1301,7 +1299,6 @@ pub fn serve(argv: Vec<String>) -> Result<(), String> {
             "addr",
             "workers",
             "threads",
-            "shards",
             "cache-entries",
             "cache-dir",
             "store-dir",
@@ -1321,9 +1318,6 @@ pub fn serve(argv: Vec<String>) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     options.threads = args
         .parse_or("threads", options.threads)
-        .map_err(|e| e.to_string())?;
-    options.shards = args
-        .parse_or("shards", options.shards)
         .map_err(|e| e.to_string())?;
     options.cache_entries = args
         .parse_or("cache-entries", options.cache_entries)

@@ -1,7 +1,7 @@
 //! End-to-end tests of `perfvar serve`: spawn the real binary on an
-//! ephemeral port and assert the served JSON is byte-identical to what
-//! the CLI prints — the contract that lets dashboards consume either
-//! interchangeably.
+//! ephemeral port and assert the served `/v1` bodies are exactly what the
+//! CLI prints, nested one level deep in the envelope — the contract that
+//! lets dashboards consume either interchangeably.
 
 use std::io::BufRead;
 use std::path::PathBuf;
@@ -86,6 +86,14 @@ impl Daemon {
     }
 }
 
+/// `cli_json` nested one level deep in the `/v1` success envelope: the
+/// shell equivalent is `sed '1!s/^/  /'` between the envelope's head and
+/// its closing brace.
+fn enveloped(cli_json: &str) -> String {
+    let data = cli_json.trim_end().replace('\n', "\n  ");
+    format!("{{\n  \"ok\": true,\n  \"data\": {data}\n}}\n")
+}
+
 impl Drop for Daemon {
     fn drop(&mut self) {
         let _ = self.child.kill();
@@ -108,18 +116,19 @@ fn served_analysis_is_byte_identical_to_cli_json() {
     let cli_json = String::from_utf8(cli.stdout).unwrap();
 
     let target = format!(
-        "/analyze?path={}",
+        "/v1/analyze?path={}",
         perfvar_server::http::percent_encode(path)
     );
     let served = daemon.get(&target);
     assert_eq!(served.status, 200, "{}", served.body);
     assert_eq!(
-        served.body, cli_json,
-        "served body must match `perfvar analyze --json` byte for byte"
+        served.body,
+        enveloped(&cli_json),
+        "served data must match `perfvar analyze --json` byte for byte"
     );
 
     // Warm hit: still identical.
-    assert_eq!(daemon.get(&target).body, cli_json);
+    assert_eq!(daemon.get(&target).body, enveloped(&cli_json));
 }
 
 #[test]
@@ -137,12 +146,12 @@ fn served_refinement_matches_the_cli_refine_flag() {
     let cli_json = String::from_utf8(cli.stdout).unwrap();
 
     let target = format!(
-        "/refine?path={}&steps=1",
+        "/v1/refine?path={}&steps=1",
         perfvar_server::http::percent_encode(path)
     );
     let served = daemon.get(&target);
     assert_eq!(served.status, 200, "{}", served.body);
-    assert_eq!(served.body, cli_json);
+    assert_eq!(served.body, enveloped(&cli_json));
 }
 
 #[test]
@@ -152,15 +161,18 @@ fn stats_endpoint_returns_the_pipeline_stats_shape() {
     let daemon = Daemon::spawn(&[]);
 
     let target = format!(
-        "/analyze?path={}",
+        "/v1/analyze?path={}",
         perfvar_server::http::percent_encode(path)
     );
     assert_eq!(daemon.get(&target).status, 200);
 
-    let stats = daemon.get("/stats");
+    let stats = daemon.get("/v1/stats");
     assert_eq!(stats.status, 200, "{}", stats.body);
-    let parsed: perfvar_analysis::PipelineStats =
-        serde_json::from_str(&stats.body).expect("stats parse as PipelineStats");
+    let data = perfvar_server::client::parse_envelope(&stats.body)
+        .unwrap()
+        .data;
+    let parsed = <perfvar_analysis::PipelineStats as serde::Deserialize>::from_value(&data)
+        .expect("stats parse as PipelineStats");
     assert_eq!(parsed.ranks, 4);
     assert!(parsed.totals.events_replayed > 0);
 }
@@ -169,18 +181,18 @@ fn stats_endpoint_returns_the_pipeline_stats_shape() {
 fn daemon_errors_are_json_with_typed_statuses() {
     let daemon = Daemon::spawn(&[]);
 
-    let resp = daemon.get("/analyze?path=%2Fmissing%2Ft.pvta");
+    let resp = daemon.get("/v1/analyze?path=%2Fmissing%2Ft.pvta");
     assert_eq!(resp.status, 404, "{}", resp.body);
     assert!(resp.body.contains("\"error\""), "{}", resp.body);
 
-    let resp = daemon.get("/analyze");
+    let resp = daemon.get("/v1/analyze");
     assert_eq!(resp.status, 400, "{}", resp.body);
 
-    let resp = daemon.get("/nope");
+    let resp = daemon.get("/v1/nope");
     assert_eq!(resp.status, 404, "{}", resp.body);
 
     // Still alive after the errors.
-    assert_eq!(daemon.get("/health").status, 200);
+    assert_eq!(daemon.get("/v1/health").status, 200);
 }
 
 #[test]
@@ -192,6 +204,11 @@ fn serve_rejects_bad_invocations() {
     let out = perfvar(&["serve", "--addr", "definitely-not-an-address"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot bind"));
+
+    // `--threads` is the one way to split an analysis.
+    let out = perfvar(&["serve", "--shards", "2"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --shards"));
 }
 
 #[test]
@@ -231,9 +248,7 @@ fn serve_refuses_to_start_over_a_torn_run_store() {
 fn served_diagnosis_is_byte_identical_to_cli_json() {
     let archive = fixture_archive("diagnose-parity");
     let path = archive.to_str().unwrap();
-    // Shards are an implementation detail: the sharded daemon must hand
-    // the diagnosis layer the exact same analysis bytes.
-    let daemon = Daemon::spawn(&["--shards", "2"]);
+    let daemon = Daemon::spawn(&[]);
 
     for flags in [&[][..], &["--clusters", "2", "--max-clusters", "3"][..]] {
         let mut argv = vec!["diagnose", path, "--json"];
@@ -255,12 +270,9 @@ fn served_diagnosis_is_byte_identical_to_cli_json() {
         }
         let served = daemon.get(&target);
         assert_eq!(served.status, 200, "{}", served.body);
-        let env = perfvar_server::client::parse_envelope(&served.body).unwrap();
-        assert!(env.ok, "{}", served.body);
-        let mut data_body = serde_json::to_string_pretty(&env.data).unwrap();
-        data_body.push('\n');
         assert_eq!(
-            data_body, cli_json,
+            served.body,
+            enveloped(&cli_json),
             "served diagnosis must match `perfvar diagnose --json` byte for byte"
         );
     }

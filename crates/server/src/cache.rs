@@ -53,7 +53,7 @@ pub fn cache_key(
 /// they encode once something has asked for it.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CachedResult {
-    /// The `/analyze` body — pretty-printed [`Analysis`] JSON plus a
+    /// The `/v1/analyze` `data` — pretty-printed [`Analysis`] JSON plus a
     /// trailing newline, byte-identical to `perfvar analyze --json`.
     pub body: String,
     /// One `(metric name, rendered CounterAnalysis JSON)` pair per

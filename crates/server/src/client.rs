@@ -13,8 +13,7 @@ use std::net::TcpStream;
 pub struct HttpResponse {
     /// The HTTP status code.
     pub status: u16,
-    /// Response header `(name, value)` pairs, names lowercased — the
-    /// legacy-shim tests read `deprecation` and `link` from here.
+    /// Response header `(name, value)` pairs, names lowercased.
     pub headers: Vec<(String, String)>,
     /// The response body (JSON for every daemon endpoint; SSE framing
     /// for the stream endpoint — see [`sse_events`]).
@@ -104,7 +103,7 @@ pub fn get_with_headers(
     stream.flush()?;
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
-    parse_response(&raw)
+    parse_response(raw)
 }
 
 /// One server-sent event, as parsed from an SSE body by [`sse_events`].
@@ -145,12 +144,19 @@ pub fn sse_events(body: &str) -> Vec<SseEvent> {
     events
 }
 
-fn parse_response(raw: &[u8]) -> std::io::Result<HttpResponse> {
+/// Splits a raw response into status, headers and body. The body stays
+/// in `raw`'s buffer: a multi-megabyte analysis is validated as UTF-8 but
+/// never copied into a second allocation.
+fn parse_response(mut raw: Vec<u8>) -> std::io::Result<HttpResponse> {
     let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-    let text = String::from_utf8_lossy(raw);
-    let (head, body) = text
-        .split_once("\r\n\r\n")
+    let head_len = raw
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
         .ok_or_else(|| bad("response has no header/body separator"))?;
+    let head = String::from_utf8_lossy(&raw[..head_len]).into_owned();
+    raw.drain(..head_len + 4);
+    let body = String::from_utf8(raw)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
     let status_line = head.lines().next().ok_or_else(|| bad("empty response"))?;
     let status = status_line
         .split_whitespace()
@@ -169,9 +175,9 @@ fn parse_response(raw: &[u8]) -> std::io::Result<HttpResponse> {
         .iter()
         .any(|(name, value)| name == "transfer-encoding" && value.eq_ignore_ascii_case("chunked"));
     let body = if chunked {
-        dechunk(body).ok_or_else(|| bad("malformed chunked body"))?
+        dechunk(&body).ok_or_else(|| bad("malformed chunked body"))?
     } else {
-        body.to_string()
+        body
     };
     Ok(HttpResponse {
         status,
@@ -211,24 +217,24 @@ mod tests {
     #[test]
     fn parses_a_minimal_response() {
         let raw = b"HTTP/1.1 404 Not Found\r\nContent-Length: 3\r\n\r\n{}\n";
-        let resp = parse_response(raw).unwrap();
+        let resp = parse_response(raw.to_vec()).unwrap();
         assert_eq!(resp.status, 404);
         assert_eq!(resp.body, "{}\n");
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(parse_response(b"not http at all").is_err());
+        assert!(parse_response(b"not http at all".to_vec()).is_err());
     }
 
     #[test]
     fn dechunks_a_chunked_response() {
         let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n7\r\n, world\r\n0\r\n\r\n";
-        let resp = parse_response(raw).unwrap();
+        let resp = parse_response(raw.to_vec()).unwrap();
         assert_eq!(resp.body, "hello, world");
         // A stream cut off mid-chunk still yields the received prefix.
         let cut = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nff\r\ntrunc";
-        assert_eq!(parse_response(cut).unwrap().body, "trunc");
+        assert_eq!(parse_response(cut.to_vec()).unwrap().body, "trunc");
     }
 
     #[test]

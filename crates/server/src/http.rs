@@ -225,28 +225,13 @@ pub fn reason_phrase(status: u16) -> &'static str {
 /// Writes one complete JSON response and flushes it. The connection is
 /// closed by the caller afterwards (`Connection: close` is advertised).
 pub fn write_response(stream: &TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    write_response_with(stream, status, body, &[])
-}
-
-/// [`write_response`] plus extra response headers (e.g. the
-/// `Deprecation`/`Link` pair on legacy route shims).
-pub fn write_response_with(
-    stream: &TcpStream,
-    status: u16,
-    body: &str,
-    extra: &[(&str, String)],
-) -> std::io::Result<()> {
     let mut stream = stream;
     write!(
         stream,
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         reason_phrase(status),
         body.len(),
     )?;
-    for (name, value) in extra {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
 }

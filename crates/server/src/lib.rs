@@ -5,8 +5,7 @@
 //! of `perfvar analyze --json` in the `{"ok",…}` envelope, computed
 //! once and then answered from a content-addressed cache; `GET
 //! /v1/analyze/stream` follows a *growing* archive with server-sent
-//! events. The pre-`/v1` routes remain as byte-compatible deprecation
-//! shims.
+//! events. No route answers outside `/v1`.
 //!
 //! The interesting parts:
 //!
@@ -18,15 +17,14 @@
 //!   re-encoding them.
 //! * [`singleflight`] — N concurrent requests for the same uncached
 //!   trace trigger exactly one analysis; the rest wait and share it.
-//! * [`store`] — the persistent run store behind `GET /runs`,
-//!   `/runs/register` and the label/digest references `GET /compare`
-//!   resolves; one atomically rewritten JSON file alongside the disk
-//!   cache.
+//! * [`store`] — the persistent run store behind `GET /v1/runs`,
+//!   `/v1/runs/register` and the label/digest references `GET
+//!   /v1/compare` resolves; one atomically rewritten JSON file
+//!   alongside the disk cache.
 //! * [`server`] — the nonblocking readiness loop (one reactor thread
-//!   owns every idle connection), the worker pool, routing, optional
-//!   rank sharding per analysis ([`ServeOptions::shards`]), and the
+//!   owns every idle connection), the worker pool, routing, and the
 //!   shared [`Telemetry`](perfvar_analysis::Telemetry) recorder behind
-//!   `GET /stats`.
+//!   `GET /v1/stats`.
 //! * [`poll`] — the std-only `poll(2)` shim the reactor waits on; the
 //!   crate's only unsafe code, scoped to one FFI call.
 //! * [`client`] — a matching minimal blocking client for tests,

@@ -1,7 +1,6 @@
 //! The analysis daemon: a nonblocking readiness loop feeding a worker
 //! pool that routes GET requests through the content-addressed cache
-//! and singleflight group into the (optionally sharded) out-of-core
-//! analysis pipeline.
+//! and singleflight group into the out-of-core analysis pipeline.
 //!
 //! # Architecture
 //!
@@ -13,21 +12,21 @@
 //! not ten thousand blocked threads. Once a head is complete the
 //! connection is switched back to blocking mode and handed to the
 //! worker pool, which parses, computes (cache → singleflight →
-//! pipeline), and responds. With [`ServeOptions::shards`] > 1 the
-//! pipeline itself fans each archive's ranks out over in-process shard
-//! workers whose [`AnalysisPart`](perfvar_analysis::AnalysisPart)s are
-//! merged by the coordinator — bit-identical to the single-process
-//! result, cached under the same content digest.
+//! pipeline), and responds. Each analysis parallelises over ranks with
+//! [`ServeOptions::threads`].
 //!
 //! # Endpoints
 //!
-//! The API lives under `/v1`. Every `/v1` response is an **envelope**:
-//! `{"ok":true,"data":…}` on success, `{"ok":false,"error":{"kind":…,
-//! "message":…,"detail":…}}` on failure, where `kind` is a stable typed
-//! slug (`bad-request`, `not-found`, `method-not-allowed`,
-//! `corrupt-stream`, `corrupt-trace`, `unprocessable`, `internal`) and
-//! `detail` carries structured context when the error has any (rank +
-//! byte offset for `corrupt-stream`).
+//! The API lives under `/v1`; no other path answers. Every response is
+//! an **envelope**: `{"ok":true,"data":…}` on success,
+//! `{"ok":false,"error":{"kind":…,"message":…,"detail":…}}` on failure,
+//! where `kind` is a stable typed slug (`bad-request`, `not-found`,
+//! `method-not-allowed`, `corrupt-stream`, `corrupt-trace`,
+//! `unprocessable`, `internal`) and `detail` carries structured context
+//! when the error has any (rank + byte offset for `corrupt-stream`).
+//! Statuses: 404 for missing files/routes/metrics, 400 for malformed
+//! requests and parameters, 422 for corrupt traces, 405 for non-GET
+//! methods, 500 for internal failures.
 //!
 //! Success envelopes are **spliced, not re-encoded**: each route renders
 //! its `data` document once (a warm `/v1/analyze` hit renders nothing —
@@ -82,21 +81,11 @@
 //! * `GET /v1/stats` — cumulative pipeline telemetry across all
 //!   analyses this daemon has run, in the `perfvar stats --json` shape.
 //! * `GET /v1/health` — liveness probe, `data = {"status": "ok"}`.
-//!
-//! The pre-`/v1` unversioned routes (`/analyze`, `/refine`, `/compare`,
-//! `/runs`, `/runs/register`, `/stats`, `/health`) remain as
-//! **deprecation shims**: byte-identical bodies to pre-`/v1` daemons —
-//! bare JSON on success, `{"error": "…"}` on failure — plus a
-//! `Deprecation: true` header and a `Link: </v1/...>;
-//! rel="successor-version"` pointer. Statuses are shared by both
-//! surfaces: 404 for missing files/routes/metrics, 400 for malformed
-//! parameters, 422 for corrupt traces, 405 for non-GET methods, 500
-//! for internal failures.
 
 use crate::cache::{cache_key, CachedResult, ResultCache};
 use crate::http::{
-    finish_chunked, head_complete, parse_request, write_response, write_response_with,
-    write_sse_event, write_sse_head, Request, MAX_HEAD_BYTES,
+    finish_chunked, head_complete, parse_request, write_response, write_sse_event, write_sse_head,
+    Request, MAX_HEAD_BYTES,
 };
 use crate::poll;
 use crate::singleflight::Singleflight;
@@ -104,7 +93,7 @@ use crate::store::{digest_hex, looks_like_digest, RunRecord, RunStore};
 use perfvar_analysis::live::LiveAnalysis;
 use perfvar_analysis::parallel::resolve_threads;
 use perfvar_analysis::{
-    analyze_path_sharded_observed, diagnose_analysis, Analysis, AnalysisConfig, AnalysisOptions,
+    analyze_path_observed, diagnose_analysis, Analysis, AnalysisConfig, AnalysisOptions,
     DiagnoseOptions, RecoveryMode, RunComparison, Telemetry, DEFAULT_NOISE_THRESHOLD,
 };
 use perfvar_trace::format::cursor::ArchiveCursor;
@@ -139,15 +128,6 @@ pub struct ServeOptions {
     pub cache_entries: usize,
     /// Directory for the on-disk JSON spill; `None` disables spilling.
     pub cache_dir: Option<PathBuf>,
-    /// In-process shard workers per analysis: an archive's ranks are
-    /// split into this many contiguous shards, each analysed into an
-    /// [`AnalysisPart`](perfvar_analysis::AnalysisPart) on its own
-    /// thread and merged by the coordinator — bit-identical to the
-    /// single-process pipeline (and cached identically, since the shard
-    /// count does not enter the cache key). `1` (the default) and
-    /// non-archive inputs use the plain out-of-core driver. Each shard
-    /// additionally parallelises over [`ServeOptions::threads`].
-    pub shards: usize,
     /// Directory for the persistent run store (`runs.json`). `None`
     /// falls back to [`ServeOptions::cache_dir`], so a daemon with a
     /// disk cache keeps its registrations alongside it; without either,
@@ -162,7 +142,6 @@ impl Default for ServeOptions {
             threads: 0,
             cache_entries: 64,
             cache_dir: None,
-            shards: 1,
             store_dir: None,
         }
     }
@@ -223,15 +202,6 @@ impl ServeError {
             "message": self.message.clone(),
             "detail": detail,
         })
-    }
-
-    /// The legacy (unversioned-route) JSON body, `{"error": message}` —
-    /// byte-compatible with pre-`/v1` daemons.
-    pub fn body(&self) -> String {
-        let doc = serde_json::json!({ "error": self.message.clone() });
-        let mut body = serde_json::to_string_pretty(&doc).unwrap_or_default();
-        body.push('\n');
-        body
     }
 
     /// The `/v1` envelope body:
@@ -317,29 +287,6 @@ impl RawBody {
             RawBody::Analysis(entry) => &entry.body,
             RawBody::Metric(entry, i) => &entry.metrics[*i].1,
         }
-    }
-}
-
-/// The unversioned routes kept as byte-compatible deprecation shims.
-const LEGACY_ROUTES: &[&str] = &[
-    "/analyze",
-    "/refine",
-    "/compare",
-    "/runs",
-    "/runs/register",
-    "/stats",
-    "/health",
-];
-
-/// The `Deprecation` + successor-`Link` headers a legacy shim carries.
-fn deprecation_headers(path: &str) -> Vec<(&'static str, String)> {
-    if LEGACY_ROUTES.contains(&path) {
-        vec![
-            ("Deprecation", "true".to_string()),
-            ("Link", format!("</v1{path}>; rel=\"successor-version\"")),
-        ]
-    } else {
-        Vec::new()
     }
 }
 
@@ -463,7 +410,6 @@ struct ServerState {
     digests: DigestMemo,
     store: RunStore,
     threads: usize,
-    shards: usize,
     stop: AtomicBool,
 }
 
@@ -548,7 +494,7 @@ fn params_of(req: &Request, refine: bool) -> Result<AnalyzeParams, ServeError> {
     })
 }
 
-/// One side of a `/compare`, resolved to an archive on disk.
+/// One side of a `/v1/compare`, resolved to an archive on disk.
 struct ResolvedRun {
     /// The reference as the client sent it.
     reference: String,
@@ -575,12 +521,11 @@ impl ServerState {
             flights: Singleflight::new(),
             digests: DigestMemo::default(),
             threads: options.threads,
-            shards: options.shards.max(1),
             stop: AtomicBool::new(false),
         })
     }
 
-    /// Resolves a `/compare` run reference: store label → store digest →
+    /// Resolves a `/v1/compare` run reference: store label → store digest →
     /// filesystem path. A reference *shaped* like a digest that the
     /// store does not know is a 404 (a mistyped digest must not be
     /// misread as a relative path).
@@ -606,7 +551,7 @@ impl ServerState {
         })
     }
 
-    /// The `/compare` handler: resolve both references, fetch both
+    /// The `/v1/compare` handler: resolve both references, fetch both
     /// analyses through the cache (zero new analyses when warm), and
     /// render deltas plus the noise-aware verdict. The body contains no
     /// timestamps or other run-varying state, so repeated comparisons
@@ -683,7 +628,7 @@ impl ServerState {
         Ok(body)
     }
 
-    /// The `/runs/register` handler: digest the archive and record it.
+    /// The `/v1/runs/register` handler: digest the archive and record it.
     fn register_run(&self, req: &Request) -> Result<String, ServeError> {
         let path = req.param("path").filter(|p| !p.is_empty()).ok_or_else(|| {
             ServeError::new(400, "bad-request", "missing required parameter: path")
@@ -702,7 +647,7 @@ impl ServerState {
         Ok(body)
     }
 
-    /// The `/runs` handler: every registration, in order.
+    /// The `/v1/runs` handler: every registration, in order.
     fn list_runs(&self) -> Result<String, ServeError> {
         let doc = serde_json::json!({ "runs": serde_json::to_value(&self.store.list()) });
         let mut body = serde_json::to_string_pretty(&doc)
@@ -726,18 +671,8 @@ impl ServerState {
         let mut config = params.config.clone();
         config.threads =
             self.normalized_threads(params.threads.unwrap_or(self.threads), &params.path)?;
-        // Shard-count 1 (and any non-archive input) falls through to the
-        // plain out-of-core driver inside `analyze_path_sharded_observed`;
-        // either way the result bytes — and thus the cache entry — are
-        // identical, so `shards` stays out of the cache key.
-        let mut result = analyze_path_sharded_observed(
-            &params.path,
-            &config,
-            params.mode,
-            self.shards,
-            &self.telemetry,
-        )
-        .map_err(path_error)?;
+        let mut result = analyze_path_observed(&params.path, &config, params.mode, &self.telemetry)
+            .map_err(path_error)?;
         for _ in 0..params.refine_steps {
             result = result
                 .refine(&params.path, &config, params.mode)
@@ -803,14 +738,12 @@ impl ServerState {
         result
     }
 
-    /// Routes one request to its handler and returns the *raw* route
-    /// body (the pre-`/v1` shape). Versioned requests reach this with
-    /// the `/v1` prefix already stripped; [`handle_connection`] decides
-    /// whether to wrap the result in the envelope or serve it verbatim
-    /// through a legacy shim.
+    /// Routes one request to its handler and returns the raw route body
+    /// (the `data` document), which [`handle_connection`] wraps in the
+    /// envelope. Only full `/v1/…` paths route; anything else is a 404.
     ///
     /// [`handle_connection`]: ServerState::handle_connection
-    fn respond(&self, req: &Request, path: &str) -> Result<RawBody, ServeError> {
+    fn respond(&self, req: &Request) -> Result<RawBody, ServeError> {
         if req.method != "GET" {
             return Err(ServeError::new(
                 405,
@@ -818,14 +751,14 @@ impl ServerState {
                 format!("method {} not allowed; the API is GET-only", req.method),
             ));
         }
-        let rendered = match path {
-            "/health" => {
+        let rendered = match req.path.as_str() {
+            "/v1/health" => {
                 let mut body = serde_json::to_string_pretty(&serde_json::json!({ "status": "ok" }))
                     .unwrap_or_default();
                 body.push('\n');
                 Ok(body)
             }
-            "/stats" => {
+            "/v1/stats" => {
                 let stats = self
                     .telemetry
                     .snapshot()
@@ -837,11 +770,12 @@ impl ServerState {
                 body.push('\n');
                 Ok(body)
             }
-            "/compare" => self.compare(req),
-            "/diagnose" => self.diagnose(req),
-            "/runs" => self.list_runs(),
-            "/runs/register" => self.register_run(req),
-            "/analyze" | "/refine" => return self.cached_body(req, path == "/refine"),
+            "/v1/compare" => self.compare(req),
+            "/v1/diagnose" => self.diagnose(req),
+            "/v1/runs" => self.list_runs(),
+            "/v1/runs/register" => self.register_run(req),
+            "/v1/analyze" => return self.cached_body(req, false),
+            "/v1/refine" => return self.cached_body(req, true),
             other => Err(ServeError::new(
                 404,
                 "not-found",
@@ -851,7 +785,7 @@ impl ServerState {
         rendered.map(RawBody::Rendered)
     }
 
-    /// The `/analyze` and `/refine` handler: the cached analysis body, or
+    /// The `/v1/analyze` and `/v1/refine` handler: the cached analysis body, or
     /// one metric's body with `metric=NAME`, shared out of the cache
     /// entry without a copy.
     fn cached_body(&self, req: &Request, refine: bool) -> Result<RawBody, ServeError> {
@@ -879,52 +813,25 @@ impl ServerState {
     }
 
     /// Worker half of request handling: the reactor already buffered the
-    /// complete head; parse it, compute, respond, close. `/v1/…` paths
-    /// answer in the `{"ok",…}` envelope; the bare legacy paths answer
-    /// byte-identically to pre-`/v1` daemons plus a `Deprecation`
-    /// header. `GET /v1/analyze/stream` takes over the socket entirely
-    /// and streams SSE until the watched run seals.
+    /// complete head; parse it, compute, answer in the envelope, close.
+    /// `GET /v1/analyze/stream` takes over the socket entirely and
+    /// streams SSE until the watched run seals.
     fn handle_connection(self: &Arc<Self>, stream: TcpStream, head: Vec<u8>) {
         let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-        let req = match parse_request(&head) {
-            Ok(req) => req,
-            Err(e) => {
-                let err = ServeError::new(400, "bad-request", format!("malformed request: {e}"));
-                let _ = write_response(&stream, err.status, &err.body());
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                return;
+        let outcome = match parse_request(&head) {
+            Err(e) => Err(ServeError::new(
+                400,
+                "bad-request",
+                format!("malformed request: {e}"),
+            )),
+            Ok(req) if req.path == "/v1/analyze/stream" && req.method == "GET" => {
+                return self.stream_analysis(stream, &req);
             }
+            Ok(req) => self.respond(&req),
         };
-        if req.path == "/v1/analyze/stream" && req.method == "GET" {
-            self.stream_analysis(stream, &req);
-            return;
-        }
-        let (versioned, path) = match req.path.strip_prefix("/v1") {
-            Some(rest) if rest.starts_with('/') => (true, rest.to_string()),
-            _ => (false, req.path.clone()),
-        };
-        // `/diagnose` is the first post-`/v1` endpoint: it has no
-        // pre-`/v1` shape to shim, so the bare path stays a 404.
-        let outcome = if !versioned && path == "/diagnose" {
-            Err(ServeError::new(
-                404,
-                "not-found",
-                "no such endpoint: /diagnose — use /v1/diagnose",
-            ))
-        } else {
-            self.respond(&req, &path)
-        };
-        let _ = if versioned {
-            match outcome {
-                Ok(raw) => write_response(&stream, 200, &envelope_ok(raw.as_str())),
-                Err(e) => write_response(&stream, e.status, &e.envelope_body()),
-            }
-        } else {
-            let extra = deprecation_headers(&req.path);
-            match outcome {
-                Ok(raw) => write_response_with(&stream, 200, raw.as_str(), &extra),
-                Err(e) => write_response_with(&stream, e.status, &e.body(), &extra),
-            }
+        let _ = match outcome {
+            Ok(raw) => write_response(&stream, 200, &envelope_ok(raw.as_str())),
+            Err(e) => write_response(&stream, e.status, &e.envelope_body()),
         };
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
@@ -1145,7 +1052,7 @@ fn reactor(listener: TcpListener, state: Arc<ServerState>, tx: Sender<ReadyConn>
                 Drive::Reject(e) => {
                     let _ = conn.stream.set_nonblocking(false);
                     let _ = conn.stream.set_write_timeout(Some(Duration::from_secs(1)));
-                    let _ = write_response(&conn.stream, e.status, &e.body());
+                    let _ = write_response(&conn.stream, e.status, &e.envelope_body());
                     let _ = conn.stream.shutdown(std::net::Shutdown::Both);
                 }
                 Drive::Gone => {
@@ -1518,25 +1425,31 @@ mod tests {
         };
         let get = |target: &str| -> String {
             let req = request(target);
-            let raw = state.respond(&req, &req.path).unwrap();
+            let raw = state.respond(&req).unwrap();
             envelope_ok(raw.as_str())
         };
 
         // Two cache entries: the default analysis, first read by
         // diagnose, and a `multiplier=3` one, first read by compare.
         let entry_of = |query: &str| {
-            let analyze = format!("/analyze?path={enc}{query}");
+            let analyze = format!("/v1/analyze?path={enc}{query}");
             get(&analyze);
             let params = params_of(&request(&analyze), false).unwrap();
             (state.entry_for(&params).unwrap(), params)
         };
         let (diagnosed, diagnosed_params) = entry_of("");
         let (compared, compared_params) = entry_of("&multiplier=3");
-        assert!(!diagnosed.is_decoded(), "serving /analyze decodes nothing");
-        assert!(!compared.is_decoded(), "serving /analyze decodes nothing");
+        assert!(
+            !diagnosed.is_decoded(),
+            "serving /v1/analyze decodes nothing"
+        );
+        assert!(
+            !compared.is_decoded(),
+            "serving /v1/analyze decodes nothing"
+        );
 
-        let diagnose = format!("/diagnose?path={enc}");
-        let compare = format!("/compare?base={enc}&cand={enc}&multiplier=3");
+        let diagnose = format!("/v1/diagnose?path={enc}");
+        let compare = format!("/v1/compare?base={enc}&cand={enc}&multiplier=3");
         let diagnosis = get(&diagnose);
         assert!(diagnosed.is_decoded(), "diagnose decodes through the entry");
         assert!(!compared.is_decoded());

@@ -2,17 +2,21 @@
 //! instances exercised over real TCP sockets with the crate's own
 //! minimal client.
 //!
-//! The telemetry counters exposed at `/stats` double as the test
+//! The telemetry counters exposed at `/v1/stats` double as the test
 //! oracle for the cache and singleflight guarantees: `events_replayed`
 //! only moves when the pipeline actually runs, so "exactly one
 //! analysis" and "warm hits never touch the trace" are assertions on
 //! those totals, not on timing.
 
-use perfvar_analysis::{diagnose_analysis, Analysis, DiagnoseOptions, PipelineStats};
+use perfvar_analysis::{
+    analyze_path_with, diagnose_analysis, AnalysisConfig, DiagnoseOptions, PipelineStats,
+    RecoveryMode,
+};
 use perfvar_server::http::percent_encode;
-use perfvar_server::{client, ServeOptions, Server};
+use perfvar_server::{client, CachedResult, ServeOptions, Server};
 use perfvar_trace::format::{archive, write_trace_file};
 use perfvar_trace::{Clock, FunctionRole, MetricMode, Timestamp, Trace, TraceBuilder};
+use serde::Deserialize;
 use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
@@ -70,13 +74,23 @@ fn spawn(options: ServeOptions) -> (perfvar_server::ServerHandle, String) {
 }
 
 fn analyze_target(path: &Path) -> String {
-    format!("/analyze?path={}", percent_encode(path.to_str().unwrap()))
+    format!(
+        "/v1/analyze?path={}",
+        percent_encode(path.to_str().unwrap())
+    )
+}
+
+/// The `data` payload of a successful `/v1` response.
+fn data_of(resp: &client::HttpResponse) -> serde_json::Value {
+    let env = client::parse_envelope(&resp.body).unwrap();
+    assert!(env.ok, "{}", resp.body);
+    env.data
 }
 
 fn stats_of(addr: &str) -> PipelineStats {
-    let resp = client::get(addr, "/stats").unwrap();
+    let resp = client::get(addr, "/v1/stats").unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
-    serde_json::from_str(&resp.body).unwrap()
+    PipelineStats::from_value(&data_of(&resp)).unwrap()
 }
 
 #[test]
@@ -251,9 +265,8 @@ fn refine_and_config_parameters_shape_the_result() {
     let (handle, addr) = spawn(ServeOptions::default());
     let enc = percent_encode(trace.to_str().unwrap());
 
-    let segmented_on = |body: &str| -> u64 {
-        let doc: serde_json::Value = serde_json::from_str(body).unwrap();
-        let serde_json::Value::Object(fields) = doc else {
+    let segmented_on = |resp: &client::HttpResponse| -> u64 {
+        let serde_json::Value::Object(fields) = data_of(resp) else {
             panic!("analysis body is not an object")
         };
         let function = fields
@@ -267,7 +280,7 @@ fn refine_and_config_parameters_shape_the_result() {
         }
     };
 
-    let base = client::get(&addr, &format!("/analyze?path={enc}")).unwrap();
+    let base = client::get(&addr, &format!("/v1/analyze?path={enc}")).unwrap();
     assert_eq!(base.status, 200, "{}", base.body);
     assert!(
         base.body.contains("\"trace_name\": \"served\""),
@@ -277,25 +290,25 @@ fn refine_and_config_parameters_shape_the_result() {
 
     // Forcing the segmentation function and refining one step both move
     // the segmentation off the dominant function.
-    let forced = client::get(&addr, &format!("/analyze?path={enc}&function=inner")).unwrap();
+    let forced = client::get(&addr, &format!("/v1/analyze?path={enc}&function=inner")).unwrap();
     assert_eq!(forced.status, 200, "{}", forced.body);
     assert_ne!(forced.body, base.body);
-    assert_ne!(segmented_on(&forced.body), segmented_on(&base.body));
-    let refined = client::get(&addr, &format!("/refine?path={enc}&steps=1")).unwrap();
+    assert_ne!(segmented_on(&forced), segmented_on(&base));
+    let refined = client::get(&addr, &format!("/v1/refine?path={enc}&steps=1")).unwrap();
     assert_eq!(refined.status, 200, "{}", refined.body);
-    assert_ne!(segmented_on(&refined.body), segmented_on(&base.body));
+    assert_ne!(segmented_on(&refined), segmented_on(&base));
 
     // Refining past the leaf is a client error, not a crash.
-    let too_deep = client::get(&addr, &format!("/refine?path={enc}&steps=9")).unwrap();
+    let too_deep = client::get(&addr, &format!("/v1/refine?path={enc}&steps=9")).unwrap();
     assert_eq!(too_deep.status, 422, "{}", too_deep.body);
     assert!(too_deep.body.contains("no finer segmentation function"));
 
     // Metric channels are served individually...
-    let metric = client::get(&addr, &format!("/analyze?path={enc}&metric=CYC")).unwrap();
+    let metric = client::get(&addr, &format!("/v1/analyze?path={enc}&metric=CYC")).unwrap();
     assert_eq!(metric.status, 200, "{}", metric.body);
     assert!(metric.body.contains("correlation"), "{}", metric.body);
     // ...and an unknown name 404s, listing what exists.
-    let missing = client::get(&addr, &format!("/analyze?path={enc}&metric=FLOPS")).unwrap();
+    let missing = client::get(&addr, &format!("/v1/analyze?path={enc}&metric=FLOPS")).unwrap();
     assert_eq!(missing.status, 404, "{}", missing.body);
     assert!(missing.body.contains("CYC") && missing.body.contains("EXC"));
     handle.shutdown();
@@ -308,19 +321,19 @@ fn error_paths_are_typed_json_and_the_daemon_survives_them() {
     let (handle, addr) = spawn(ServeOptions::default());
 
     // Missing required parameter → 400.
-    let resp = client::get(&addr, "/analyze").unwrap();
+    let resp = client::get(&addr, "/v1/analyze").unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body);
     assert!(resp.body.contains("\"error\""));
     assert!(resp.body.contains("path"));
 
     // Nonexistent trace → 404.
-    let resp = client::get(&addr, "/analyze?path=%2Fno%2Fsuch%2Ftrace.pvta").unwrap();
+    let resp = client::get(&addr, "/v1/analyze?path=%2Fno%2Fsuch%2Ftrace.pvta").unwrap();
     assert_eq!(resp.status, 404, "{}", resp.body);
     assert!(resp.body.contains("\"error\""));
 
     // Bad numeric parameter → 400.
     let enc = percent_encode(trace.to_str().unwrap());
-    let resp = client::get(&addr, &format!("/analyze?path={enc}&multiplier=lots")).unwrap();
+    let resp = client::get(&addr, &format!("/v1/analyze?path={enc}&multiplier=lots")).unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body);
 
     // Unknown endpoint → 404; non-GET → 405.
@@ -331,19 +344,24 @@ fn error_paths_are_typed_json_and_the_daemon_survives_them() {
     let stream1 = trace.join(archive::stream_file(1));
     let bytes = std::fs::read(&stream1).unwrap();
     std::fs::write(&stream1, &bytes[..bytes.len() - 9]).unwrap();
-    let resp = client::get(&addr, &format!("/analyze?path={enc}")).unwrap();
+    let resp = client::get(&addr, &format!("/v1/analyze?path={enc}")).unwrap();
     assert_eq!(resp.status, 422, "{}", resp.body);
     assert!(resp.body.contains("corrupt at byte"), "{}", resp.body);
 
     // …but partial recovery over the same damaged archive still works.
-    let resp = client::get(&addr, &format!("/analyze?path={enc}&partial")).unwrap();
+    let resp = client::get(&addr, &format!("/v1/analyze?path={enc}&partial")).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
 
     // The daemon survives all of the above.
-    let health = client::get(&addr, "/health").unwrap();
+    let health = client::get(&addr, "/v1/health").unwrap();
     assert_eq!(health.status, 200);
     assert!(health.body.contains("ok"));
     handle.shutdown();
+}
+
+/// The body of a raw HTTP response: everything after the blank line.
+fn body_of(raw: &str) -> &str {
+    raw.split_once("\r\n\r\n").map_or("", |(_, body)| body)
 }
 
 #[test]
@@ -351,56 +369,22 @@ fn non_get_methods_are_rejected() {
     let (handle, addr) = spawn(ServeOptions::default());
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(&addr).unwrap();
-    write!(stream, "POST /analyze HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+    write!(stream, "POST /v1/analyze HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
     let mut raw = String::new();
     stream.read_to_string(&mut raw).unwrap();
     assert!(raw.starts_with("HTTP/1.1 405"), "{raw}");
     assert!(raw.contains("GET-only"));
 
-    // Non-HTTP garbage gets a 400, not a hang or a crash.
+    // Non-HTTP garbage gets a 400 envelope, not a hang or a crash.
     let mut stream = std::net::TcpStream::connect(&addr).unwrap();
     write!(stream, "definitely not http\r\n\r\n").unwrap();
     let mut raw = String::new();
     stream.read_to_string(&mut raw).unwrap();
     assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+    let env = client::parse_envelope(body_of(&raw)).unwrap();
+    assert!(!env.ok, "{raw}");
+    assert_eq!(env.kind, "bad-request", "{raw}");
     handle.shutdown();
-}
-
-#[test]
-fn sharded_daemon_serves_byte_identical_analyses() {
-    let dir = tmp("sharded");
-    let trace = write_fixture(&dir, 6);
-    let (single, addr_single) = spawn(ServeOptions::default());
-    let (sharded, addr_sharded) = spawn(ServeOptions {
-        shards: 3,
-        ..ServeOptions::default()
-    });
-
-    let enc = percent_encode(trace.to_str().unwrap());
-    for target in [
-        format!("/analyze?path={enc}"),
-        format!("/analyze?path={enc}&function=inner"),
-        format!("/analyze?path={enc}&metric=CYC"),
-        format!("/refine?path={enc}&steps=1"),
-    ] {
-        let a = client::get(&addr_single, &target).unwrap();
-        let b = client::get(&addr_sharded, &target).unwrap();
-        assert_eq!(a.status, 200, "{target}: {}", a.body);
-        assert_eq!(b.status, 200, "{target}: {}", b.body);
-        assert_eq!(
-            a.body, b.body,
-            "{target}: sharded result must be byte-identical"
-        );
-    }
-
-    // The shard workers replay the same events and emit the same
-    // segments the single-process pipeline does (plus per-shard
-    // prediction prefixes, so replayed events may only grow).
-    let (s1, s3) = (stats_of(&addr_single), stats_of(&addr_sharded));
-    assert_eq!(s1.totals.segments_emitted, s3.totals.segments_emitted);
-    assert!(s3.totals.events_replayed >= s1.totals.events_replayed);
-    single.shutdown();
-    sharded.shutdown();
 }
 
 #[test]
@@ -428,7 +412,7 @@ fn idle_connections_do_not_pin_workers() {
 
     let resp = client::get(&addr, &analyze_target(&trace)).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
-    let health = client::get(&addr, "/health").unwrap();
+    let health = client::get(&addr, "/v1/health").unwrap();
     assert_eq!(health.status, 200);
     drop(idle);
     handle.shutdown();
@@ -440,7 +424,7 @@ fn oversized_request_heads_are_rejected_not_buffered() {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(&addr).unwrap();
     // Never send the blank line; just pour headers past the cap.
-    write!(stream, "GET /health HTTP/1.1\r\n").unwrap();
+    write!(stream, "GET /v1/health HTTP/1.1\r\n").unwrap();
     let filler = format!("X-Filler: {}\r\n", "y".repeat(1024));
     let mut result = Ok(());
     for _ in 0..80 {
@@ -453,7 +437,9 @@ fn oversized_request_heads_are_rejected_not_buffered() {
     let _ = stream.read_to_string(&mut raw);
     if result.is_ok() {
         assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
-        assert!(raw.contains("too large"), "{raw}");
+        let env = client::parse_envelope(body_of(&raw)).unwrap();
+        assert_eq!(env.kind, "bad-request", "{raw}");
+        assert!(env.message.contains("too large"), "{raw}");
     }
     handle.shutdown();
 }
@@ -499,7 +485,7 @@ fn compare_registered_runs_with_verdict_and_zero_new_analyses() {
     // Register both runs under labels.
     for (path, label) in [(&base, "good"), (&cand, "slow")] {
         let target = format!(
-            "/runs/register?path={}&label={label}",
+            "/v1/runs/register?path={}&label={label}",
             percent_encode(path.to_str().unwrap())
         );
         let resp = client::get(&addr, &target).unwrap();
@@ -507,12 +493,12 @@ fn compare_registered_runs_with_verdict_and_zero_new_analyses() {
         assert!(resp.body.contains("\"digest\""), "{}", resp.body);
         assert!(resp.body.contains(label), "{}", resp.body);
     }
-    let runs = client::get(&addr, "/runs").unwrap();
+    let runs = client::get(&addr, "/v1/runs").unwrap();
     assert_eq!(runs.status, 200, "{}", runs.body);
     assert!(runs.body.contains("good") && runs.body.contains("slow"));
 
     // Cold comparison: analyses run once, verdict flags the 2× slowdown.
-    let cold = client::get(&addr, "/compare?base=good&cand=slow").unwrap();
+    let cold = client::get(&addr, "/v1/compare?base=good&cand=slow").unwrap();
     assert_eq!(cold.status, 200, "{}", cold.body);
     assert!(cold.body.contains("\"verdict\""), "{}", cold.body);
     assert!(cold.body.contains("Regression"), "{}", cold.body);
@@ -523,7 +509,7 @@ fn compare_registered_runs_with_verdict_and_zero_new_analyses() {
 
     // Warm comparisons: byte-stable body, zero new analyses.
     for _ in 0..3 {
-        let warm = client::get(&addr, "/compare?base=good&cand=slow").unwrap();
+        let warm = client::get(&addr, "/v1/compare?base=good&cand=slow").unwrap();
         assert_eq!(warm.status, 200);
         assert_eq!(warm.body, cold.body, "compare body must be byte-stable");
     }
@@ -536,11 +522,10 @@ fn compare_registered_runs_with_verdict_and_zero_new_analyses() {
 
     // The reverse direction is an improvement; digest references and
     // raw paths resolve too.
-    let reverse = client::get(&addr, "/compare?base=slow&cand=good").unwrap();
+    let reverse = client::get(&addr, "/v1/compare?base=slow&cand=good").unwrap();
     assert!(reverse.body.contains("Improvement"), "{}", reverse.body);
-    let digest_of = |body: &str, label: &str| -> String {
-        let doc: serde_json::Value = serde_json::from_str(body).unwrap();
-        let serde_json::Value::Object(fields) = doc else {
+    let digest_of = |resp: &client::HttpResponse, label: &str| -> String {
+        let serde_json::Value::Object(fields) = data_of(resp) else {
             panic!("not an object")
         };
         let serde_json::Value::Array(runs) = fields
@@ -569,11 +554,11 @@ fn compare_registered_runs_with_verdict_and_zero_new_analyses() {
             })
             .expect("label registered")
     };
-    let base_digest = digest_of(&runs.body, "good");
+    let base_digest = digest_of(&runs, "good");
     let by_digest = client::get(
         &addr,
         &format!(
-            "/compare?base={base_digest}&cand={}",
+            "/v1/compare?base={base_digest}&cand={}",
             percent_encode(cand.to_str().unwrap())
         ),
     )
@@ -582,7 +567,7 @@ fn compare_registered_runs_with_verdict_and_zero_new_analyses() {
     assert!(by_digest.body.contains("Regression"), "{}", by_digest.body);
 
     // A tighter threshold is accepted; self-comparison is noise.
-    let same = client::get(&addr, "/compare?base=good&cand=good&threshold=0.01").unwrap();
+    let same = client::get(&addr, "/v1/compare?base=good&cand=good&threshold=0.01").unwrap();
     assert_eq!(same.status, 200, "{}", same.body);
     assert!(same.body.contains("Noise"), "{}", same.body);
     handle.shutdown();
@@ -597,10 +582,10 @@ fn compare_error_paths_are_typed_json() {
     let enc_good = percent_encode(good.to_str().unwrap());
 
     // Missing parameters → 400 naming the missing one.
-    let resp = client::get(&addr, "/compare").unwrap();
+    let resp = client::get(&addr, "/v1/compare").unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body);
     assert!(resp.body.contains("\"error\"") && resp.body.contains("base"));
-    let resp = client::get(&addr, &format!("/compare?base={enc_good}")).unwrap();
+    let resp = client::get(&addr, &format!("/v1/compare?base={enc_good}")).unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body);
     assert!(resp.body.contains("cand"), "{}", resp.body);
 
@@ -608,7 +593,7 @@ fn compare_error_paths_are_typed_json() {
     // misread as a relative path.
     let resp = client::get(
         &addr,
-        &format!("/compare?base={enc_good}&cand=00112233445566778899aabbccddeeff"),
+        &format!("/v1/compare?base={enc_good}&cand=00112233445566778899aabbccddeeff"),
     )
     .unwrap();
     assert_eq!(resp.status, 404, "{}", resp.body);
@@ -617,7 +602,7 @@ fn compare_error_paths_are_typed_json() {
     // Invalid threshold → 400.
     let resp = client::get(
         &addr,
-        &format!("/compare?base={enc_good}&cand={enc_good}&threshold=very"),
+        &format!("/v1/compare?base={enc_good}&cand={enc_good}&threshold=very"),
     )
     .unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body);
@@ -630,7 +615,7 @@ fn compare_error_paths_are_typed_json() {
     let resp = client::get(
         &addr,
         &format!(
-            "/compare?base={enc_good}&cand={}",
+            "/v1/compare?base={enc_good}&cand={}",
             percent_encode(bad.to_str().unwrap())
         ),
     )
@@ -640,7 +625,7 @@ fn compare_error_paths_are_typed_json() {
     assert!(resp.body.contains("P1"), "names the rank: {}", resp.body);
 
     // The daemon survives all of the above.
-    let health = client::get(&addr, "/health").unwrap();
+    let health = client::get(&addr, "/v1/health").unwrap();
     assert_eq!(health.status, 200);
     handle.shutdown();
 }
@@ -658,7 +643,7 @@ fn run_store_survives_daemon_restarts() {
     let resp = client::get(
         &addr,
         &format!(
-            "/runs/register?path={}&label=keeper",
+            "/v1/runs/register?path={}&label=keeper",
             percent_encode(trace.to_str().unwrap())
         ),
     )
@@ -672,11 +657,11 @@ fn run_store_survives_daemon_restarts() {
     // A fresh daemon over the same directories still resolves the label,
     // and the comparison is answered from the disk spill: zero analyses.
     let (second, addr2) = spawn(options());
-    let runs = client::get(&addr2, "/runs").unwrap();
+    let runs = client::get(&addr2, "/v1/runs").unwrap();
     assert!(runs.body.contains("keeper"), "{}", runs.body);
     let warm = client::get(&addr2, &analyze_target(&trace)).unwrap();
     assert_eq!(warm.status, 200, "{}", warm.body);
-    let cmp = client::get(&addr2, "/compare?base=keeper&cand=keeper").unwrap();
+    let cmp = client::get(&addr2, "/v1/compare?base=keeper&cand=keeper").unwrap();
     assert_eq!(cmp.status, 200, "{}", cmp.body);
     assert!(cmp.body.contains("Noise"), "{}", cmp.body);
     assert_eq!(
@@ -746,10 +731,13 @@ fn v1_diagnose_serves_cause_labelled_clusters_from_the_cache() {
     let capped_clusters = env.data.get("clusters").and_then(|c| c.as_array()).unwrap();
     assert!(capped_clusters.len() <= 2);
 
-    // /diagnose is /v1-only: no pre-/v1 daemon ever served it, so the
-    // bare path is a 404, not a deprecation shim.
+    // Only the full /v1 path routes: the bare path is a 404.
     let bare = client::get(&addr, &target["/v1".len()..]).unwrap();
     assert_eq!(bare.status, 404, "{}", bare.body);
+    assert_eq!(
+        client::parse_envelope(&bare.body).unwrap().kind,
+        "not-found"
+    );
 
     handle.shutdown();
 }
@@ -787,7 +775,7 @@ fn v1_routes_answer_in_the_envelope() {
         resp.body
     );
 
-    let resp = client::get(&addr, &format!("/v1{}", analyze_target(&trace))).unwrap();
+    let resp = client::get(&addr, &analyze_target(&trace)).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
     let env = client::parse_envelope(&resp.body).unwrap();
     assert!(env.ok);
@@ -795,7 +783,7 @@ fn v1_routes_answer_in_the_envelope() {
 
     // A per-request threads override is accepted and does not change
     // the result (bit-identical at every parallelism).
-    let one = client::get(&addr, &format!("/v1{}&threads=1", analyze_target(&trace))).unwrap();
+    let one = client::get(&addr, &format!("{}&threads=1", analyze_target(&trace))).unwrap();
     assert_eq!(one.status, 200, "{}", one.body);
     assert_eq!(one.body, resp.body, "threads must not change the result");
 
@@ -827,42 +815,35 @@ fn v1_routes_answer_in_the_envelope() {
 }
 
 #[test]
-fn legacy_routes_are_byte_compatible_shims() {
-    let dir = tmp("legacy-shim");
+fn former_unversioned_routes_are_not_found() {
+    let dir = tmp("unversioned");
     let trace = write_fixture(&dir, 4);
     let (handle, addr) = spawn(ServeOptions::default());
+    let enc = percent_encode(trace.to_str().unwrap());
 
-    // The legacy body is bare JSON — exactly the `/v1` envelope's
-    // `data` payload, re-rendered the same way.
-    let legacy = client::get(&addr, &analyze_target(&trace)).unwrap();
-    assert_eq!(legacy.status, 200, "{}", legacy.body);
-    assert_eq!(legacy.header("deprecation"), Some("true"));
-    assert!(
-        legacy.header("link").unwrap_or("").contains("/v1/analyze"),
-        "{:?}",
-        legacy.headers
-    );
-    let doc: serde_json::Value = serde_json::from_str(&legacy.body).unwrap();
-    assert!(doc.get("ok").is_none(), "legacy body must not be enveloped");
-    let v1 = client::get(&addr, &format!("/v1{}", analyze_target(&trace))).unwrap();
-    let env = client::parse_envelope(&v1.body).unwrap();
-    let mut data_body = serde_json::to_string_pretty(&env.data).unwrap();
-    data_body.push('\n');
-    assert_eq!(legacy.body, data_body, "shim and /v1 data must agree");
-
-    // Legacy errors keep the pre-`/v1` `{"error": …}` shape, still
-    // flagged as deprecated.
-    let err = client::get(&addr, "/analyze").unwrap();
-    assert_eq!(err.status, 400, "{}", err.body);
-    let doc: serde_json::Value = serde_json::from_str(&err.body).unwrap();
-    assert!(doc.get("error").is_some(), "{}", err.body);
-    assert!(doc.get("ok").is_none(), "{}", err.body);
-    assert_eq!(err.header("deprecation"), Some("true"));
-
-    // Unknown paths are not legacy routes: no deprecation header.
-    let nf = client::get(&addr, "/frobnicate").unwrap();
-    assert_eq!(nf.status, 404);
-    assert_eq!(nf.header("deprecation"), None, "{:?}", nf.headers);
+    // Only full `/v1/…` paths route. The pre-`/v1` paths, with or without
+    // a valid query, and `/v1` itself are plain 404 envelopes.
+    let bare = [
+        "/analyze",
+        "/refine",
+        "/compare",
+        "/runs",
+        "/runs/register",
+        "/stats",
+        "/health",
+        "/diagnose",
+        "/v1",
+    ];
+    for path in bare {
+        for target in [path.to_string(), format!("{path}?path={enc}")] {
+            let resp = client::get(&addr, &target).unwrap();
+            assert_eq!(resp.status, 404, "{target}: {}", resp.body);
+            let env = client::parse_envelope(&resp.body).unwrap();
+            assert!(!env.ok, "{target}");
+            assert_eq!(env.kind, "not-found", "{target}: {}", resp.body);
+            assert_eq!(resp.header("deprecation"), None, "{:?}", resp.headers);
+        }
+    }
     handle.shutdown();
 }
 
@@ -878,7 +859,7 @@ fn envelope_of(raw: &str) -> String {
 }
 
 #[test]
-fn every_v1_success_body_is_the_enveloped_legacy_body() {
+fn every_v1_success_body_is_the_enveloped_cli_body() {
     let dir = tmp("v1-splice");
     let trace = write_fixture(&dir, 4);
     let (handle, addr) = spawn(ServeOptions {
@@ -887,43 +868,65 @@ fn every_v1_success_body_is_the_enveloped_legacy_body() {
     });
     let enc = percent_encode(trace.to_str().unwrap());
 
-    // Each route twice over /v1: the first may be a cold miss, the
-    // second is a warm hit served from the cache.
-    let targets = [
-        format!("/runs/register?path={enc}&label=fixture"),
-        format!("/analyze?path={enc}"),
-        format!("/analyze?path={enc}&metric=CYC"),
-        format!("/analyze?path={enc}&metric=EXC"),
-        format!("/refine?path={enc}&steps=1"),
-        format!("/compare?base=fixture&cand={enc}"),
-        "/runs".to_string(),
-        "/health".to_string(),
+    // The raw analysis bodies, rendered in-process exactly as the cache
+    // and `perfvar analyze --json` render them.
+    let config = AnalysisConfig::default();
+    let analyzed = analyze_path_with(&trace, &config, RecoveryMode::Strict).unwrap();
+    let refined = analyzed
+        .refine(&trace, &config, RecoveryMode::Strict)
+        .unwrap()
+        .expect("the fixture has a finer segmentation function");
+    let analysis_bodies = CachedResult::render(&analyzed).unwrap();
+    let refined_body = CachedResult::render(&refined).unwrap().body;
+    let metric = |name: &str| {
+        let (_, body) = analysis_bodies
+            .metrics
+            .iter()
+            .find(|(n, _)| n == name)
+            .expect("fixture metric");
+        body.clone()
+    };
+    let rendered = [
+        (
+            format!("/v1/analyze?path={enc}"),
+            analysis_bodies.body.clone(),
+        ),
+        (format!("/v1/analyze?path={enc}&metric=CYC"), metric("CYC")),
+        (format!("/v1/analyze?path={enc}&metric=EXC"), metric("EXC")),
+        (format!("/v1/refine?path={enc}&steps=1"), refined_body),
     ];
-    for target in &targets {
-        let legacy = client::get(&addr, target).unwrap();
-        assert_eq!(legacy.status, 200, "{target}: {}", legacy.body);
+    // Each twice: the first is a cold miss, the second a warm hit served
+    // from the cache.
+    for (target, raw) in &rendered {
         for _ in 0..2 {
-            let v1 = client::get(&addr, &format!("/v1{target}")).unwrap();
+            let v1 = client::get(&addr, target).unwrap();
             assert_eq!(v1.status, 200, "{target}: {}", v1.body);
-            assert_eq!(v1.body, envelope_of(&legacy.body), "{target}");
+            assert_eq!(v1.body, envelope_of(raw), "{target}");
         }
     }
 
-    // `/stats` carries the daemon's uptime, so two requests never agree;
-    // its envelope must still be exactly the oracle's rendering of its
-    // own data.
-    let stats = client::get(&addr, "/v1/stats").unwrap();
-    assert_eq!(stats.status, 200, "{}", stats.body);
-    let data = client::parse_envelope(&stats.body).unwrap().data;
-    let mut raw = serde_json::to_string_pretty(&data).unwrap();
-    raw.push('\n');
-    assert_eq!(stats.body, envelope_of(&raw));
+    // Routes with no in-process twin: each envelope must be exactly the
+    // oracle's rendering of its own data.
+    let own_data = [
+        format!("/v1/runs/register?path={enc}&label=fixture"),
+        format!("/v1/compare?base=fixture&cand={enc}"),
+        "/v1/runs".to_string(),
+        "/v1/health".to_string(),
+        "/v1/stats".to_string(),
+    ];
+    for target in &own_data {
+        for _ in 0..2 {
+            let v1 = client::get(&addr, target).unwrap();
+            assert_eq!(v1.status, 200, "{target}: {}", v1.body);
+            let mut raw = serde_json::to_string_pretty(&data_of(&v1)).unwrap();
+            raw.push('\n');
+            assert_eq!(v1.body, envelope_of(&raw), "{target}");
+        }
+    }
 
-    // `/diagnose` has no legacy twin: its data is the diagnosis of the
-    // legacy analysis body, rendered the way `perfvar diagnose --json`
-    // renders it.
-    let legacy = client::get(&addr, &format!("/analyze?path={enc}")).unwrap();
-    let analysis: Analysis = serde_json::from_str(&legacy.body).unwrap();
+    // `/v1/diagnose` data is the diagnosis of the analysis, rendered the
+    // way `perfvar diagnose --json` renders it.
+    let analysis = &analyzed.analysis;
     let fixture = fixture_trace(4);
     let registry = fixture.registry();
     let counters: Vec<String> = analysis
@@ -932,7 +935,7 @@ fn every_v1_success_body_is_the_enveloped_legacy_body() {
         .map(|c| registry.metric(c.metric).name.clone())
         .collect();
     let diagnosis = diagnose_analysis(
-        &analysis,
+        analysis,
         &registry.function(analysis.function).name,
         &counters,
         &DiagnoseOptions::default().config(),
@@ -1025,7 +1028,7 @@ fn v1_corrupt_stream_carries_rank_and_offset_detail() {
     std::fs::write(&stream1, &bytes[..bytes.len() - 9]).unwrap();
 
     let (handle, addr) = spawn(ServeOptions::default());
-    let resp = client::get(&addr, &format!("/v1{}", analyze_target(&trace))).unwrap();
+    let resp = client::get(&addr, &analyze_target(&trace)).unwrap();
     assert_eq!(resp.status, 422, "{}", resp.body);
     let doc: serde_json::Value = serde_json::from_str(&resp.body).unwrap();
     let error = doc.get("error").expect("error object");

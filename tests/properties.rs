@@ -713,8 +713,8 @@ proptest! {
             (Ok(PartOutcome::Mispredicted { expected, .. }), Ok(reference)) => {
                 // The guess is deterministic, so the fused driver must
                 // have mispredicted (and re-passed) too. Re-dispatch the
-                // shards with the true function pinned, exactly like the
-                // `analyze_path_sharded` coordinator.
+                // shards with the true function pinned, as a coordinator
+                // does after a mispredicted finalize.
                 prop_assert_eq!(reference.passes, 2);
                 let pinned = AnalysisConfig {
                     segment_function: Some(
@@ -741,47 +741,6 @@ proptest! {
                 "parts route and analyze_path disagree: {:?} vs {:?}",
                 o.map(|_| ()),
                 r.map(|_| ())
-            ),
-        }
-    }
-
-    // ── sharded coordinator ≡ single-process driver ──
-
-    #[test]
-    fn sharded_driver_equals_single_process(
-        trace in trace_strategy(),
-        shards in 1usize..5,
-        segment_override in 0u8..8,
-    ) {
-        use perfvar::analysis::part::analyze_path_sharded;
-        use perfvar::analysis::{analyze_path_with, RecoveryMode};
-        use perfvar::trace::format::write_trace_file;
-        let segment_function = (segment_override < 4)
-            .then(|| format!("f{}", segment_override % 6));
-        let cfg = AnalysisConfig {
-            threads: 1,
-            segment_function,
-            ..AnalysisConfig::default()
-        };
-        let dir = std::env::temp_dir()
-            .join("perfvar-prop-sharded")
-            .join(format!("t{}.pvta", std::process::id()));
-        write_trace_file(&trace, &dir).unwrap();
-        let single = analyze_path_with(&dir, &cfg, RecoveryMode::Strict);
-        let sharded = analyze_path_sharded(&dir, &cfg, RecoveryMode::Strict, shards);
-        match (single, sharded) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(&a.analysis, &b.analysis);
-                prop_assert_eq!(&a.meta, &b.meta);
-                prop_assert_eq!(a.passes, b.passes);
-                prop_assert!(!b.is_partial());
-            }
-            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-            (a, b) => prop_assert!(
-                false,
-                "sharded and single-process disagree: {:?} vs {:?}",
-                a.map(|_| ()),
-                b.map(|_| ())
             ),
         }
     }
