@@ -76,8 +76,8 @@ pub(crate) trait RankSource: Sync {
     /// reporting.
     fn prefix(&self, predictor: &mut Predictor) -> u64;
     /// Replays every rank of `ranks` through a sink from `open`, then
-    /// hands the finished sink, its replay stats and the bytes decoded
-    /// for the rank (`0` in memory) to `close`. Results come back in the
+    /// hands the finished sink, its replay stats and how the rank was
+    /// read ([`RankRead`]) to `close`. Results come back in the
     /// order of `ranks`; a rank whose stream cannot be decoded yields its
     /// error.
     fn pass<S: ReplayVisitor, T: Send>(
@@ -85,19 +85,27 @@ pub(crate) trait RankSource: Sync {
         ranks: &[usize],
         threads: usize,
         open: impl Fn(ProcessId) -> S + Sync,
-        close: impl Fn(S, ReplayStats, u64) -> T + Sync,
+        close: impl Fn(S, ReplayStats, RankRead) -> T + Sync,
     ) -> Vec<Result<T, TraceError>>;
+}
+
+/// How a pass read one rank: the bytes decoded for it (`0` in memory)
+/// and whether they came from a memory mapping (`None` in memory).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RankRead {
+    pub(crate) bytes: u64,
+    pub(crate) mapped: Option<bool>,
 }
 
 /// Ends one rank's replay and hands the sink to `close`.
 fn finish_rank<S: ReplayVisitor, T>(
     mut machine: ReplayMachine,
     mut sink: S,
-    bytes: u64,
-    close: &impl Fn(S, ReplayStats, u64) -> T,
+    read: RankRead,
+    close: &impl Fn(S, ReplayStats, RankRead) -> T,
 ) -> T {
     machine.finish(&mut sink);
-    close(sink, machine.stats(), bytes)
+    close(sink, machine.stats(), read)
 }
 
 /// In memory: ranks are work-stolen across `threads` workers.
@@ -118,7 +126,7 @@ impl RankSource for Trace {
         ranks: &[usize],
         threads: usize,
         open: impl Fn(ProcessId) -> S + Sync,
-        close: impl Fn(S, ReplayStats, u64) -> T + Sync,
+        close: impl Fn(S, ReplayStats, RankRead) -> T + Sync,
     ) -> Vec<Result<T, TraceError>> {
         par_map_ranks(ranks.len(), threads, |slot| {
             let pid = ProcessId::from_index(ranks[slot.index()]);
@@ -127,7 +135,11 @@ impl RankSource for Trace {
             for record in self.stream(pid).records() {
                 machine.step(record, &mut sink);
             }
-            Ok(finish_rank(machine, sink, 0, &close))
+            let read = RankRead {
+                bytes: 0,
+                mapped: None,
+            };
+            Ok(finish_rank(machine, sink, read, &close))
         })
     }
 }
@@ -161,7 +173,7 @@ impl RankSource for ArchiveCursor {
         ranks: &[usize],
         threads: usize,
         open: impl Fn(ProcessId) -> S + Sync,
-        close: impl Fn(S, ReplayStats, u64) -> T + Sync,
+        close: impl Fn(S, ReplayStats, RankRead) -> T + Sync,
     ) -> Vec<Result<T, TraceError>> {
         par_map_ranks(ranks.len(), threads, |slot| {
             let pid = ProcessId::from_index(ranks[slot.index()]);
@@ -174,7 +186,11 @@ impl RankSource for ArchiveCursor {
                     machine.step(record, &mut sink);
                 }
             }
-            Ok(finish_rank(machine, sink, stream.byte_offset(), &close))
+            let read = RankRead {
+                bytes: stream.byte_offset(),
+                mapped: Some(stream.get_ref().is_mapped()),
+            };
+            Ok(finish_rank(machine, sink, read, &close))
         })
     }
 }
@@ -185,6 +201,8 @@ impl RankSource for ArchiveCursor {
 pub(crate) struct PvtFile {
     path: PathBuf,
     options: CursorOptions,
+    /// Whether the file opens as a memory mapping.
+    mapped: bool,
     name: String,
     clock: Clock,
     registry: Registry,
@@ -199,6 +217,7 @@ impl PvtFile {
         Ok(PvtFile {
             path: path.to_path_buf(),
             options,
+            mapped: header.get_ref().is_mapped(),
             name: header.name().to_string(),
             clock: header.clock(),
             registry: header.registry().clone(),
@@ -215,15 +234,18 @@ impl PvtFile {
         ranks: &[usize],
         done: &mut [Option<T>],
         open: &impl Fn(ProcessId) -> S,
-        close: &impl Fn(S, ReplayStats, u64) -> T,
+        close: &impl Fn(S, ReplayStats, RankRead) -> T,
     ) -> Result<(), TraceError> {
         let mut reader = pvt_reader(&self.path, self.options)?;
         let mut mark = 0;
         let mut retire = |active: Option<Active<S>>, offset: u64| {
             if let Some((_, state)) = active {
-                let bytes = offset - std::mem::replace(&mut mark, offset);
+                let read = RankRead {
+                    bytes: offset - std::mem::replace(&mut mark, offset),
+                    mapped: Some(self.mapped),
+                };
                 if let Some((slot, machine, sink)) = state {
-                    done[slot] = Some(finish_rank(machine, sink, bytes, close));
+                    done[slot] = Some(finish_rank(machine, sink, read, close));
                 }
             }
         };
@@ -302,7 +324,7 @@ impl RankSource for PvtFile {
         ranks: &[usize],
         _threads: usize,
         open: impl Fn(ProcessId) -> S + Sync,
-        close: impl Fn(S, ReplayStats, u64) -> T + Sync,
+        close: impl Fn(S, ReplayStats, RankRead) -> T + Sync,
     ) -> Vec<Result<T, TraceError>> {
         assert!(ranks.is_sorted(), "a sequential file is read in rank order");
         let mut done: Vec<Option<T>> = ranks.iter().map(|_| None).collect();
@@ -328,7 +350,10 @@ impl RankSource for PvtFile {
                     (None, _) => Ok(finish_rank(
                         ReplayMachine::new(&self.registry),
                         open(pid),
-                        0,
+                        RankRead {
+                            bytes: 0,
+                            mapped: Some(self.mapped),
+                        },
                         &close,
                     )),
                 }
@@ -514,9 +539,12 @@ pub(crate) fn collect(
             ranks,
             config.threads,
             |pid| CombinedSink::new(pid, nf, guess, &modes),
-            |sink, stats, bytes| {
-                observe(telemetry, stats, bytes, &sink.fused);
-                sink.into_rank(stats, bytes)
+            |sink, stats, read| {
+                observe(telemetry, stats, read.bytes, &sink.fused);
+                if let Some(mapped) = read.mapped {
+                    telemetry.count_stream(mapped);
+                }
+                sink.into_rank(stats, read.bytes)
             },
         )
     };
@@ -569,8 +597,8 @@ pub(crate) fn complete(
             &ranks,
             config.threads,
             |pid| FusedSink::new(pid, function, modes.clone()),
-            |sink, stats, bytes| {
-                observe(telemetry, stats, bytes, &sink);
+            |sink, stats, read| {
+                observe(telemetry, stats, read.bytes, &sink);
                 sink.into_parts()
             },
         )
@@ -691,7 +719,7 @@ mod tests {
             ranks: &[usize],
             threads: usize,
             open: impl Fn(ProcessId) -> V + Sync,
-            close: impl Fn(V, ReplayStats, u64) -> T + Sync,
+            close: impl Fn(V, ReplayStats, RankRead) -> T + Sync,
         ) -> Vec<Result<T, TraceError>> {
             let second = self.passes.fetch_add(1, Ordering::SeqCst) == 1;
             if let (true, Sabotage::Truncate(path)) = (second, &self.sabotage) {

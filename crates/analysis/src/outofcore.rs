@@ -462,6 +462,48 @@ mod tests {
     }
 
     #[test]
+    fn stats_count_mapped_and_buffered_streams() {
+        // Rank 0's stream file is far above a 4 KiB read window (mapped),
+        // rank 1's far below it (buffered).
+        let mut b = TraceBuilder::new(Clock::microseconds()).with_name("mixed sizes");
+        let f = b.define_function("work", FunctionRole::Compute);
+        for (pi, iterations) in [2_000u64, 4].into_iter().enumerate() {
+            let p = b.define_process(format!("rank {pi}"));
+            for k in 0..iterations {
+                b.process_mut(p).enter(Timestamp(10 * k), f).unwrap();
+                b.process_mut(p).leave(Timestamp(10 * k + 7), f).unwrap();
+            }
+        }
+        let trace = b.finish().unwrap();
+        let dir = tmp("mixedsizes.pvta");
+        write_trace_file(&trace, &dir).unwrap();
+        let window = 4096;
+        let size = |i| {
+            std::fs::metadata(dir.join(archive::stream_file(i)))
+                .unwrap()
+                .len()
+        };
+        assert!(size(0) > window && size(1) < window);
+
+        for (mmap, mapped, buffered) in [(true, 1, 1), (false, 0, 2)] {
+            let config = AnalysisConfig {
+                mmap,
+                read_buffer_bytes: window as usize,
+                ..AnalysisConfig::default()
+            };
+            let telemetry = Telemetry::enabled();
+            analyze_path_observed(&dir, &config, RecoveryMode::Strict, &telemetry).unwrap();
+            let stats = telemetry.snapshot().unwrap();
+            assert_eq!(stats.peaks.mapped_streams, mapped, "mmap={mmap}");
+            assert_eq!(stats.peaks.buffered_streams, buffered, "mmap={mmap}");
+            let table = stats.render_table();
+            let line =
+                format!("streams: {mapped} mapped, {buffered} buffered (read buffer 4096 bytes)");
+            assert!(table.contains(&line), "{table}");
+        }
+    }
+
+    #[test]
     fn buffered_path_equals_mmap_path() {
         let trace = rich_trace(4);
         let dir = tmp("bufeq.pvta");

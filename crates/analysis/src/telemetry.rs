@@ -117,6 +117,14 @@ pub struct Peaks {
     /// buffered fallback would use.
     #[serde(default)]
     pub read_buffer_bytes: u64,
+    /// Rank streams the out-of-core pass decoded straight from a memory
+    /// mapping (stream files larger than the read buffer).
+    #[serde(default)]
+    pub mapped_streams: u64,
+    /// Rank streams the out-of-core pass decoded through the read
+    /// buffer.
+    #[serde(default)]
+    pub buffered_streams: u64,
 }
 
 /// Wall time and throughput of one pipeline stage.
@@ -226,10 +234,12 @@ impl PipelineStats {
             "  peaks: stack depth {}, live segments {}, worker buffers {}",
             self.peaks.max_stack_depth, self.peaks.max_live_segments, self.peaks.worker_buffers,
         );
-        if self.peaks.read_buffer_bytes > 0 {
+        if self.peaks.mapped_streams + self.peaks.buffered_streams > 0 {
             let _ = writeln!(
                 out,
-                "  read buffer: {} bytes (buffered out-of-core path)",
+                "  streams: {} mapped, {} buffered (read buffer {} bytes)",
+                self.peaks.mapped_streams,
+                self.peaks.buffered_streams,
                 self.peaks.read_buffer_bytes
             );
         }
@@ -402,6 +412,20 @@ impl Telemetry {
         if let Some(inner) = &self.inner {
             let mut agg = inner.agg.lock().unwrap();
             agg.peaks.read_buffer_bytes = agg.peaks.read_buffer_bytes.max(bytes);
+        }
+    }
+
+    /// Counts one rank stream of an out-of-core pass as decoded from a
+    /// memory mapping or through the read buffer (see
+    /// [`Peaks::mapped_streams`]).
+    pub fn count_stream(&self, mapped: bool) {
+        if let Some(inner) = &self.inner {
+            let mut agg = inner.agg.lock().unwrap();
+            if mapped {
+                agg.peaks.mapped_streams += 1;
+            } else {
+                agg.peaks.buffered_streams += 1;
+            }
         }
     }
 

@@ -118,6 +118,13 @@ fn read_stream(dir: &Path, i: usize) -> TraceResult<EventStream> {
         )));
     }
     let records = read_stream_events(&mut r)?;
+    // Bytes past the declared records are damage, as the cursors
+    // report them.
+    if !r.fill_buf()?.is_empty() {
+        return Err(TraceError::Corrupt(format!(
+            "trailing bytes after final record of stream {i}"
+        )));
+    }
     Ok(EventStream::from_records(ProcessId::from_index(i), records))
 }
 

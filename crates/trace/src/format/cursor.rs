@@ -30,13 +30,14 @@
 
 use super::archive::{read_anchor, stream_file, STREAM_MAGIC};
 use super::mmap::FileReader;
-use super::varint::{decode_u64_slice, read_u64};
+use super::varint::{fold_leb128_groups, read_u64};
 use crate::error::{TraceError, TraceResult};
 use crate::event::{Event, EventRecord};
 use crate::ids::{FunctionId, MetricId, ProcessId};
 use crate::registry::Registry;
 use crate::time::{Clock, Timestamp};
 use std::io::{BufRead, Read};
+use std::ops::{BitAnd, Not, Shr};
 use std::path::{Path, PathBuf};
 
 /// How an [`ArchiveCursor`] reads stream files: mapped or buffered, and
@@ -95,76 +96,165 @@ pub(crate) fn read_id_u32<R: BufRead>(r: &mut R, kind: &'static str) -> TraceRes
     u32::try_from(v).map_err(|_| TraceError::UndefinedReference { kind, index: v })
 }
 
-/// Upper bound on the wire size of one event record: at most five
-/// varints of at most ten bytes each. When the read buffer holds at
-/// least this much, a whole record can be decoded from the slice with a
-/// single `consume`, skipping per-varint buffer accounting.
-const MAX_EVENT_BYTES: usize = 50;
+/// Bytes the record decoder ([`decode_event_slice`]) loads per record:
+/// one 16-byte window, which holds every record of a typical trace (a
+/// one-byte tag, a short delta and up to three small ids or values).
+const RECORD_WINDOW: usize = 16;
 
 /// Decodes one delta-coded event record (the shared wire format of PVT
 /// stream bodies and PVTA stream files): `{tag, time-delta, payload…}`.
 /// Returns the absolute timestamp and the event.
+///
+/// A record that fits a 16-byte window of the read buffer is decoded
+/// from one load by [`decode_event_slice`]; any other record, and every
+/// malformed one, goes to [`decode_event_stream`], the one producer of
+/// errors.
 pub(crate) fn decode_event<R: BufRead>(r: &mut R, prev_time: u64) -> TraceResult<(u64, Event)> {
-    let buf = r.fill_buf()?;
-    if buf.len() >= MAX_EVENT_BYTES {
-        if let Some((used, time, event)) = decode_event_slice(buf, prev_time) {
-            r.consume(used);
-            return Ok((time, event));
-        }
-        // Malformed record: fall through without consuming so the
-        // stream decoder reproduces the exact error and offset.
+    if let Some((used, time, event)) = decode_event_slice(r.fill_buf()?, prev_time) {
+        r.consume(used);
+        return Ok((time, event));
     }
     decode_event_stream(r, prev_time)
 }
 
-/// Slice fast path of [`decode_event`]: the buffer is known to hold a
-/// full record, so every field is decoded with plain index arithmetic.
-/// `None` on any malformed field — the caller re-decodes from the stream
-/// to produce the error.
-#[inline]
+/// The record decoder: decodes the whole record at the front of `buf`
+/// from one 16-byte load.
+///
+/// A canonical tag is its own single byte, so it alone says how many
+/// varints follow. Their bounds come from the stop-bit mask of the
+/// window (`!w & 0x80…`, a clear top bit ends a varint): the lowest set
+/// bit ends the first field, and clearing it (`blsr`) exposes the next,
+/// so the record's length is a few dependent single-cycle steps while
+/// each field is cut out (`blsmsk`, one shift) and folded
+/// ([`fold_leb128_groups`]) off that chain, instead of every varint's
+/// load waiting on the length of the one before. Records that end in
+/// the first 8 bytes — nearly all of them — never touch the upper half.
+///
+/// `None` defers the record to [`decode_event_stream`]: fewer than 16
+/// bytes left, a record ending past the window, an unknown or
+/// multi-byte tag, a field longer than 8 bytes, an id above `u32::MAX`,
+/// or a timestamp overflow. A record it does take decodes exactly as
+/// the stream decoder would decode it (the test
+/// `record_decoder_equals_stream_decoder_on_every_prefix`).
+#[inline(always)]
 fn decode_event_slice(buf: &[u8], prev_time: u64) -> Option<(usize, u64, Event)> {
-    #[inline]
-    fn take_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-        let (v, n) = decode_u64_slice(&buf[*pos..])?;
-        *pos += n;
-        Some(v)
-    }
-    #[inline]
-    fn take_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
-        u32::try_from(take_u64(buf, pos)?).ok()
-    }
-    let mut pos = 0usize;
-    let tag = take_u64(buf, &mut pos)?;
-    let delta = take_u64(buf, &mut pos)?;
-    let time = prev_time.checked_add(delta)?;
-    let event = match tag {
-        0 => Event::Enter {
-            function: FunctionId(take_u32(buf, &mut pos)?),
-        },
-        1 => Event::Leave {
-            function: FunctionId(take_u32(buf, &mut pos)?),
-        },
-        2 => Event::MsgSend {
-            to: ProcessId(take_u32(buf, &mut pos)?),
-            tag: take_u32(buf, &mut pos)?,
-            bytes: take_u64(buf, &mut pos)?,
-        },
-        3 => Event::MsgRecv {
-            from: ProcessId(take_u32(buf, &mut pos)?),
-            tag: take_u32(buf, &mut pos)?,
-            bytes: take_u64(buf, &mut pos)?,
-        },
-        4 => Event::Metric {
-            metric: MetricId(take_u32(buf, &mut pos)?),
-            value: take_u64(buf, &mut pos)?,
-        },
+    let window = buf.get(..RECORD_WINDOW)?;
+    let lo = u64::from_le_bytes(window[..8].try_into().ok()?);
+    let hi = u64::from_le_bytes(window[8..].try_into().ok()?);
+    let id = |v: u64| u32::try_from(v).ok();
+    let (used, delta, event) = match lo as u8 {
+        0 => {
+            let (used, [delta, f]) = split_fields(lo, hi)?;
+            let function = FunctionId(id(f)?);
+            (used, delta, Event::Enter { function })
+        }
+        1 => {
+            let (used, [delta, f]) = split_fields(lo, hi)?;
+            let function = FunctionId(id(f)?);
+            (used, delta, Event::Leave { function })
+        }
+        2 => {
+            let (used, [delta, to, tag, bytes]) = split_fields(lo, hi)?;
+            let (to, tag) = (ProcessId(id(to)?), id(tag)?);
+            (used, delta, Event::MsgSend { to, tag, bytes })
+        }
+        3 => {
+            let (used, [delta, from, tag, bytes]) = split_fields(lo, hi)?;
+            let (from, tag) = (ProcessId(id(from)?), id(tag)?);
+            (used, delta, Event::MsgRecv { from, tag, bytes })
+        }
+        4 => {
+            let (used, [delta, metric, value]) = split_fields(lo, hi)?;
+            let metric = MetricId(id(metric)?);
+            (used, delta, Event::Metric { metric, value })
+        }
         _ => return None,
     };
-    Some((pos, time, event))
+    Some((used, prev_time.checked_add(delta)?, event))
 }
 
-/// Stream path of [`decode_event`]: used near the end of the buffer and
-/// to turn malformed records into their precise errors.
+/// The `N` varints after the tag byte of a 16-byte window given as two
+/// little-endian halves, with the bytes they end at: from the low half
+/// alone when they end there, else from the whole window.
+#[inline(always)]
+fn split_fields<const N: usize>(lo: u64, hi: u64) -> Option<(usize, [u64; N])> {
+    match split_word::<u64, N>(lo) {
+        Some(fields) => Some(fields),
+        None => split_word::<u128, N>((u128::from(hi) << 64) | u128::from(lo)),
+    }
+}
+
+/// [`split_fields`] within one little-endian word: `None` when the
+/// `N`-th varint does not end inside `w` or one is longer than 8 bytes.
+#[inline(always)]
+fn split_word<W: Word, const N: usize>(w: W) -> Option<(usize, [u64; N])> {
+    let mut stops = !w & W::STOPS;
+    let mut start = 8u32;
+    let mut fields = [0u64; N];
+    for field in &mut fields {
+        if stops == W::ZERO {
+            return None;
+        }
+        let end = stops.trailing_zeros() + 1;
+        if W::WIDE && end - start > 64 {
+            return None;
+        }
+        let bytes = ((w & stops.blsmsk()) >> start).low_u64();
+        *field = fold_leb128_groups(bytes & 0x7f7f_7f7f_7f7f_7f7f);
+        stops = stops.blsr();
+        start = end;
+    }
+    Some((start as usize / 8, fields))
+}
+
+/// The two word widths [`split_word`] runs on: the low half of the
+/// record window (`u64`) and the whole window (`u128`).
+trait Word: Copy + Eq + BitAnd<Output = Self> + Not<Output = Self> + Shr<u32, Output = Self> {
+    /// The top bit of every byte but the tag's.
+    const STOPS: Self;
+    const ZERO: Self;
+    /// Whether a field can outgrow the 8 bytes of one fold.
+    const WIDE: bool;
+    /// `x & (x - 1)`: clears the lowest set bit.
+    fn blsr(self) -> Self;
+    /// `x ^ (x - 1)`: the lowest set bit and every bit below it.
+    fn blsmsk(self) -> Self;
+    fn trailing_zeros(self) -> u32;
+    fn low_u64(self) -> u64;
+}
+
+macro_rules! impl_word {
+    ($t:ty, $stops:expr) => {
+        impl Word for $t {
+            const STOPS: Self = $stops;
+            const ZERO: Self = 0;
+            const WIDE: bool = <$t>::BITS > 64;
+            #[inline(always)]
+            fn blsr(self) -> Self {
+                self & self.wrapping_sub(1)
+            }
+            #[inline(always)]
+            fn blsmsk(self) -> Self {
+                self ^ self.wrapping_sub(1)
+            }
+            #[inline(always)]
+            fn trailing_zeros(self) -> u32 {
+                <$t>::trailing_zeros(self)
+            }
+            #[inline(always)]
+            fn low_u64(self) -> u64 {
+                self as u64
+            }
+        }
+    };
+}
+
+impl_word!(u64, 0x8080_8080_8080_8000);
+impl_word!(u128, 0x8080_8080_8080_8080_8080_8080_8080_8000);
+
+/// Stream path of [`decode_event`]: decodes the records the record
+/// decoder defers, and turns malformed records into their precise
+/// errors.
 fn decode_event_stream<R: BufRead>(r: &mut R, prev_time: u64) -> TraceResult<(u64, Event)> {
     let tag = read_u64(r)?;
     let delta = read_u64(r)?;
@@ -271,6 +361,11 @@ impl<R: Read> CountingReader<R> {
     pub(crate) fn offset(&self) -> u64 {
         self.offset
     }
+
+    /// The wrapped reader.
+    pub(crate) fn get_ref(&self) -> &R {
+        &self.inner
+    }
 }
 
 impl<R: Read> Read for CountingReader<R> {
@@ -368,6 +463,12 @@ impl<R: BufRead> StreamCursor<R> {
         self.reader.offset()
     }
 
+    /// The underlying reader (e.g. to ask a [`FileReader`] whether it
+    /// is mapped).
+    pub fn get_ref(&self) -> &R {
+        self.reader.get_ref()
+    }
+
     fn fail(&mut self, source: TraceError) -> TraceError {
         self.poisoned = true;
         TraceError::CorruptStream {
@@ -420,58 +521,39 @@ impl<R: BufRead> StreamCursor<R> {
     /// how many were produced; `Ok(0)` means clean end of stream.
     ///
     /// Semantically identical to calling [`Self::next_record`] `max`
-    /// times, but whole records within the buffered slice are decoded
-    /// with one `fill_buf`/`consume` pair per refill instead of one per
-    /// record — with a mapped file the slice is the entire remaining
-    /// stream, so the hot loop is pure index arithmetic. Any anomaly
-    /// (malformed field, validation failure, buffer boundary, end of
-    /// stream) leaves the reader positioned at the offending record and
-    /// falls back to `next_record`, which reproduces the exact error,
-    /// offset and end-of-stream certification of the one-at-a-time path.
-    /// On `Err`, `out` holds the records decoded before the failure.
+    /// times, but the records of the buffered slice are decoded with one
+    /// `fill_buf`/`consume` pair per buffer instead of one per record —
+    /// with a mapped file the slice is the entire remaining stream, so
+    /// the hot loop is pure index arithmetic, with the timestamp and the
+    /// record count held in locals. A record
+    /// the slice loop cannot take (it straddles the read window, the
+    /// stream ends, a field is malformed or validation fails) is left
+    /// unconsumed and goes to `next_record`, which decodes it through
+    /// the stream path or reproduces the exact error, offset and
+    /// end-of-stream certification of the one-at-a-time path; then the
+    /// slice loop resumes. On `Err`, `out` holds the records decoded
+    /// before the failure.
     pub fn next_chunk(&mut self, out: &mut Vec<EventRecord>, max: usize) -> TraceResult<usize> {
         out.clear();
-        while out.len() < max && self.remaining > 0 && !self.done && !self.poisoned {
-            let mut pos = 0usize;
-            let mut clean = true;
-            match self.reader.fill_buf() {
-                // The tail path re-encounters and reports the error.
-                Err(_) => break,
-                Ok(buf) => {
-                    if buf.len() < MAX_EVENT_BYTES {
-                        break;
-                    }
-                    while out.len() < max
-                        && self.remaining > 0
-                        && buf.len() - pos >= MAX_EVENT_BYTES
-                    {
-                        let Some((used, time, event)) =
-                            decode_event_slice(&buf[pos..], self.prev_time)
-                        else {
-                            clean = false;
-                            break;
-                        };
-                        if check_event(self.shape, self.process, time, &event, &mut self.stack)
-                            .is_err()
-                        {
-                            // `check_event` mutates nothing on failure;
-                            // the record stays unconsumed for the tail.
-                            clean = false;
-                            break;
-                        }
-                        self.prev_time = time;
-                        self.remaining -= 1;
-                        out.push(EventRecord::new(Timestamp(time), event));
-                        pos += used;
-                    }
+        while out.len() < max && !self.done && !self.poisoned {
+            if self.remaining > 0 {
+                if let Ok(buf) = self.reader.fill_buf() {
+                    let (used, prev_time, remaining) = decode_slice(
+                        buf,
+                        (self.shape, self.process),
+                        (self.prev_time, self.remaining),
+                        &mut self.stack,
+                        out,
+                        max,
+                    );
+                    self.prev_time = prev_time;
+                    self.remaining = remaining;
+                    self.reader.consume(used);
                 }
             }
-            self.reader.consume(pos);
-            if !clean {
+            if out.len() >= max {
                 break;
             }
-        }
-        while out.len() < max {
             match self.next_record()? {
                 Some(record) => out.push(record),
                 None => break,
@@ -479,6 +561,49 @@ impl<R: BufRead> StreamCursor<R> {
         }
         Ok(out.len())
     }
+}
+
+/// The slice loop of [`StreamCursor::next_chunk`]: decodes and validates
+/// records from the front of `buf` into `out` until `out` holds `max`,
+/// the declared count runs out, or a record cannot be taken from the
+/// slice. Records the record decoder defers are decoded from the slice
+/// by the stream decoder; an error there (a record cut by the end of the
+/// slice, or a malformed one) stops the loop without consuming it.
+/// Returns the bytes used and the new timestamp and record count; on a
+/// validation failure `stack` is left as it was before that record.
+#[inline]
+fn decode_slice(
+    buf: &[u8],
+    (shape, process): (RegistryShape, ProcessId),
+    (mut prev_time, mut remaining): (u64, u64),
+    stack: &mut Vec<FunctionId>,
+    out: &mut Vec<EventRecord>,
+    max: usize,
+) -> (usize, u64, u64) {
+    let mut pos = 0usize;
+    while remaining > 0 && out.len() < max {
+        let rest = &buf[pos..];
+        let (used, time, event) = match decode_event_slice(rest, prev_time) {
+            Some(record) => record,
+            None => {
+                let mut tail = rest;
+                match decode_event_stream(&mut tail, prev_time) {
+                    Ok((time, event)) => (rest.len() - tail.len(), time, event),
+                    Err(_) => break,
+                }
+            }
+        };
+        // `check_event` mutates nothing on failure; the record stays
+        // unconsumed for `next_record`.
+        if check_event(shape, process, time, &event, stack).is_err() {
+            break;
+        }
+        prev_time = time;
+        remaining -= 1;
+        out.push(EventRecord::new(Timestamp(time), event));
+        pos += used;
+    }
+    (pos, prev_time, remaining)
 }
 
 impl<R: BufRead> Iterator for StreamCursor<R> {
@@ -595,8 +720,10 @@ impl ArchiveCursor {
 mod tests {
     use super::*;
     use crate::format::archive::write_archive;
-    use crate::registry::FunctionRole;
+    use crate::registry::{FunctionRole, MetricMode};
     use crate::trace::{Trace, TraceBuilder};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample(num_processes: usize) -> Trace {
         let mut b = TraceBuilder::new(Clock::microseconds()).with_name("cursor sample");
@@ -912,6 +1039,297 @@ mod tests {
             ) => assert_eq!(a, b, "error offsets must not depend on chunking"),
             other => panic!("expected CorruptStream pair, got {other:?}"),
         }
+    }
+
+    /// Writes `value` as a LEB128 varint of exactly `width` bytes (from
+    /// its canonical width up to 10): the missing high groups are zero
+    /// bytes under continuation bits, as [`write_u64_padded`] writes at
+    /// width 10.
+    ///
+    /// [`write_u64_padded`]: crate::format::varint::write_u64_padded
+    fn write_u64_width(out: &mut Vec<u8>, value: u64, width: usize) {
+        for i in 0..width {
+            let group = value.checked_shr(7 * i as u32).unwrap_or(0) & 0x7f;
+            let more = if i + 1 < width { 0x80 } else { 0 };
+            out.push(group as u8 | more);
+        }
+    }
+
+    fn canonical_width(value: u64) -> usize {
+        (64 - value.leading_zeros()).max(1).div_ceil(7) as usize
+    }
+
+    /// A value of any magnitude, skewed towards the small ones real
+    /// traces carry, with ids around `u32::MAX` and deltas that overflow.
+    fn random_value(rng: &mut SmallRng) -> u64 {
+        match rng.gen_range(0..8u32) {
+            0..=3 => rng.gen_range(0..128u64),
+            4 => rng.gen_range(0..1u64 << 21),
+            5 => rng.gen::<u64>() >> rng.gen_range(0..64u32),
+            6 => u32::MAX as u64 + rng.gen_range(0..3u64),
+            _ => u64::MAX - rng.gen_range(0..3u64),
+        }
+    }
+
+    /// Appends `value` canonically most of the time, else padded to a
+    /// random width up to 10 bytes.
+    fn push_value(rng: &mut SmallRng, out: &mut Vec<u8>, value: u64) {
+        let canonical = canonical_width(value);
+        let width = match rng.gen_range(0..10u32) {
+            0 => 10,
+            1 => rng.gen_range(canonical..11),
+            _ => canonical,
+        };
+        write_u64_width(out, value, width);
+    }
+
+    /// A wire-level record stream: all five tags plus unknown ones, each
+    /// with its field count (unknown tags with any), fields of every
+    /// width.
+    fn random_records(rng: &mut SmallRng, n: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        for _ in 0..n {
+            let tag = match rng.gen_range(0..20u32) {
+                0 => rng.gen_range(5..300u64),
+                k => (k % 5) as u64,
+            };
+            let fields = match tag {
+                0 | 1 => 2,
+                4 => 3,
+                2 | 3 => 4,
+                _ => rng.gen_range(0..4usize),
+            };
+            push_value(rng, &mut out, tag);
+            for _ in 0..fields {
+                let value = random_value(rng);
+                push_value(rng, &mut out, value);
+            }
+        }
+        out
+    }
+
+    /// The longest varint in `bytes` (a run of continuation bytes plus
+    /// its stop byte).
+    fn longest_varint(bytes: &[u8]) -> usize {
+        bytes
+            .split_inclusive(|b| b & 0x80 == 0)
+            .map(<[u8]>::len)
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn record_decoder_equals_stream_decoder_on_every_prefix() {
+        // At every offset of generated streams and for every cut up to
+        // past the longest record, the record decoder either gives
+        // exactly what the stream decoder gives — time, event and bytes
+        // consumed — or defers; and it defers only what it must.
+        let mut rng = SmallRng::seed_from_u64(0x5eed_0015);
+        let (mut taken, mut deferred) = (0u64, 0u64);
+        for _ in 0..16 {
+            let bytes = random_records(&mut rng, 48);
+            for start in 0..bytes.len() {
+                for end in start..=(start + 56).min(bytes.len()) {
+                    let slice = &bytes[start..end];
+                    let prev = match rng.gen_range(0..4u32) {
+                        0 => u64::MAX - rng.gen_range(0..1u64 << 14),
+                        1 => rng.gen(),
+                        _ => rng.gen_range(0..1u64 << 40),
+                    };
+                    let mut rest = slice;
+                    let expected = decode_event_stream(&mut rest, prev);
+                    let consumed = slice.len() - rest.len();
+                    match decode_event_slice(slice, prev) {
+                        Some(got) => {
+                            let (time, event) = expected.as_ref().unwrap_or_else(|e| {
+                                panic!("took a record the stream decoder rejects: {e} {slice:02x?}")
+                            });
+                            assert_eq!(got, (consumed, *time, *event), "{slice:02x?}");
+                            taken += 1;
+                        }
+                        None => {
+                            // Deferring is only allowed outside the
+                            // decoder's reach.
+                            let in_reach = expected.is_ok()
+                                && slice.len() >= RECORD_WINDOW
+                                && consumed <= RECORD_WINDOW
+                                && slice[0] < 5
+                                && longest_varint(&slice[1..consumed]) <= 8;
+                            assert!(!in_reach, "deferred a record in reach: {slice:02x?}");
+                            deferred += 1;
+                        }
+                    }
+                    // The reader entry point gives the stream decoder's
+                    // answer, errors included.
+                    let mut reader = slice;
+                    let got = decode_event(&mut reader, prev);
+                    assert_eq!(format!("{got:?}"), format!("{expected:?}"));
+                    assert_eq!(reader.len(), rest.len(), "{slice:02x?}");
+                }
+            }
+        }
+        assert!(taken > 10_000 && deferred > 10_000, "{taken} {deferred}");
+    }
+
+    /// Two ranks exchanging messages and sampling a metric, `iterations`
+    /// times: every record kind, with ids, deltas and values of a few
+    /// widths.
+    fn every_kind(iterations: u64) -> Trace {
+        let mut b = TraceBuilder::new(Clock::microseconds()).with_name("every kind");
+        let f = b.define_function("work", FunctionRole::Compute);
+        let g = b.define_function("MPI_Send", FunctionRole::MpiPointToPoint);
+        let m = b.define_metric("CYC", MetricMode::Accumulating, "cycles");
+        let (p0, p1) = (b.define_process("rank 0"), b.define_process("rank 1"));
+        for (p, peer) in [(p0, p1), (p1, p0)] {
+            let w = b.process_mut(p);
+            let mut t = 0u64;
+            for k in 0..iterations {
+                w.enter(Timestamp(t), f).unwrap();
+                w.metric(Timestamp(t + 1), m, k * k * 977).unwrap();
+                w.enter(Timestamp(t + 2), g).unwrap();
+                if p == p0 {
+                    w.send(Timestamp(t + 3), peer, (k % 300) as u32, 1 << (k % 40))
+                        .unwrap();
+                } else {
+                    w.recv(Timestamp(t + 3), peer, (k % 300) as u32, 1 << (k % 40))
+                        .unwrap();
+                }
+                w.leave(Timestamp(t + 4), g).unwrap();
+                t += 5 + (k * 7919) % 20_000;
+                w.leave(Timestamp(t), f).unwrap();
+            }
+        }
+        b.finish().unwrap()
+    }
+
+    /// Everything a chunked read of one stream yields: the records before
+    /// the first error, and the error (message and offset).
+    fn read_chunked(archive: &ArchiveCursor, pid: ProcessId) -> (Vec<EventRecord>, Option<String>) {
+        let mut cursor = archive.stream(pid).unwrap();
+        let (mut records, mut chunk) = (Vec::new(), Vec::new());
+        loop {
+            let result = cursor.next_chunk(&mut chunk, 1024);
+            records.extend(chunk.iter().copied());
+            match result {
+                Ok(0) => return (records, None),
+                Ok(_) => {}
+                Err(e) => return (records, Some(format!("{e:?}"))),
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_streams_fail_identically_at_every_read_window() {
+        let t = every_kind(12_000);
+        let dir = tmp("damaged-windows.pvta");
+        write_archive(&t, &dir).unwrap();
+        let path = dir.join(stream_file(0));
+        let clean = std::fs::read(&path).unwrap();
+        let window = CursorOptions::DEFAULT_READ_BUFFER;
+        assert!(clean.len() > window + 64 * 1024, "{}", clean.len());
+        let mut damages: Vec<Vec<u8>> = Vec::new();
+        for cut in [40, 4096 + 3, window + 7, clean.len() - 3] {
+            damages.push(clean[..cut].to_vec());
+        }
+        for (at, bits) in [
+            (70, 0x80),
+            (5_000, 0x80),
+            (window + 9, 0x80),
+            (clean.len() / 2, 0x7f),
+        ] {
+            let mut bytes = clean.clone();
+            bytes[at] ^= bits;
+            damages.push(bytes);
+        }
+        let mut failed = 0;
+        for (i, bytes) in damages.iter().enumerate() {
+            std::fs::write(&path, bytes).unwrap();
+            let mut outcomes = Vec::new();
+            for mmap in [true, false] {
+                for read_buffer_bytes in [64, 4096, window] {
+                    let options = CursorOptions {
+                        mmap,
+                        read_buffer_bytes,
+                    };
+                    let archive = ArchiveCursor::open_with(&dir, options).unwrap();
+                    outcomes.push(read_chunked(&archive, ProcessId(0)));
+                }
+            }
+            // One record at a time through the stream path alone.
+            let archive = ArchiveCursor::open(&dir).unwrap();
+            let mut cursor = archive.stream(ProcessId(0)).unwrap();
+            let mut records = Vec::new();
+            let error = loop {
+                match cursor.next_record() {
+                    Ok(Some(r)) => records.push(r),
+                    Ok(None) => break None,
+                    Err(e) => break Some(format!("{e:?}")),
+                }
+            };
+            outcomes.push((records, error));
+            for (k, outcome) in outcomes.iter().enumerate() {
+                assert_eq!(outcome.1, outcomes[0].1, "damage {i}, read path {k}");
+                assert!(outcome.0 == outcomes[0].0, "damage {i}, read path {k}");
+            }
+            failed += usize::from(outcomes[0].1.is_some());
+        }
+        assert!(failed >= damages.len() - 1, "{failed} of {}", damages.len());
+    }
+
+    /// A `BufRead` that counts `consume` calls.
+    struct Consumes<R> {
+        inner: R,
+        calls: usize,
+    }
+
+    impl<R: Read> Read for Consumes<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.inner.read(buf)
+        }
+    }
+
+    impl<R: BufRead> BufRead for Consumes<R> {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            self.inner.fill_buf()
+        }
+
+        fn consume(&mut self, amt: usize) {
+            self.calls += 1;
+            self.inner.consume(amt);
+        }
+    }
+
+    #[test]
+    fn next_chunk_resumes_the_slice_loop_after_a_window_boundary() {
+        // A record straddling the buffered read window is decoded through
+        // the stream path on its own; the rest of the chunk goes back to
+        // the slice loop instead of one `next_record` per record.
+        let t = every_kind(4_000);
+        let dir = tmp("straddle.pvta");
+        write_archive(&t, &dir).unwrap();
+        let file = std::fs::File::open(dir.join(stream_file(0))).unwrap();
+        let len = file.metadata().unwrap().len() as usize;
+        let window = 4096;
+        let reader = Consumes {
+            inner: std::io::BufReader::with_capacity(window, file),
+            calls: 0,
+        };
+        let shape = RegistryShape::of(t.registry());
+        let mut cursor = StreamCursor::open_stream(reader, ProcessId(0), shape).unwrap();
+        let (mut chunk, mut records, mut chunks) = (Vec::new(), Vec::new(), 0);
+        while cursor.next_chunk(&mut chunk, 1024).unwrap() > 0 {
+            records.extend(chunk.iter().copied());
+            chunks += 1;
+        }
+        assert_eq!(records, t.stream(ProcessId(0)).records());
+        // Per chunk one slice consume; per window one more, plus one per
+        // varint of the straddling record.
+        let windows = len.div_ceil(window);
+        let calls = cursor.reader.get_ref().calls;
+        assert!(
+            calls <= chunks + 7 * windows,
+            "{calls} consumes for {chunks} chunks, {windows} windows"
+        );
     }
 
     #[test]

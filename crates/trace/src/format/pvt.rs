@@ -312,6 +312,12 @@ impl<R: BufRead> PvtStreamReader<R> {
         self.reader.offset()
     }
 
+    /// The underlying reader (e.g. to ask a
+    /// [`FileReader`](super::mmap::FileReader) whether it is mapped).
+    pub fn get_ref(&self) -> &R {
+        self.reader.get_ref()
+    }
+
     /// Moves to the next process stream (or the trailer).
     fn advance_stream(&mut self) -> TraceResult<()> {
         loop {

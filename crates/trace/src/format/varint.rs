@@ -94,7 +94,7 @@ pub(crate) fn decode_u64_slice(buf: &[u8]) -> Option<(u64, usize)> {
 /// little-endian word into one value: `Σ byte[i] << 7·i`. Three pairwise
 /// steps (7→14→28→56-bit lanes), no data-dependent branches.
 #[inline]
-fn fold_leb128_groups(x: u64) -> u64 {
+pub(crate) fn fold_leb128_groups(x: u64) -> u64 {
     let x = ((x & 0x7f00_7f00_7f00_7f00) >> 1) | (x & 0x007f_007f_007f_007f);
     let x = ((x & 0x3fff_0000_3fff_0000) >> 2) | (x & 0x0000_3fff_0000_3fff);
     ((x & 0x0fff_ffff_0000_0000) >> 4) | (x & 0x0000_0000_0fff_ffff)
