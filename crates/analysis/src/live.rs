@@ -379,7 +379,7 @@ impl LiveAnalysis {
             };
             ranks.push(RankSnapshot {
                 events: self.events[i],
-                bytes: self.tail.consumed(ProcessId::from_index(i)),
+                bytes: self.tail.prefix_digest().consumed(i),
                 segments,
                 duration_total,
                 sos_total,
@@ -451,7 +451,7 @@ impl LiveAnalysis {
         let mut part = AnalysisPart::for_shape(self.num_functions, self.modes.len(), target);
         for (i, mut rank) in self.ranks.into_iter().enumerate() {
             rank.machine.finish(&mut rank.sink);
-            let bytes = self.tail.consumed(ProcessId::from_index(i));
+            let bytes = self.tail.prefix_digest().consumed(i);
             let (rank, counters) = rank.sink.into_rank(rank.machine.stats(), bytes);
             part.add_rank(i, rank, &counters);
         }
@@ -537,22 +537,38 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// The deltas of a sealed live run, folded.
+    #[derive(Default)]
+    struct Folded {
+        events: u64,
+        bytes: u64,
+        segments: Vec<Segment>,
+    }
+
+    impl Folded {
+        fn fold(&mut self, delta: LiveDelta) {
+            assert!(delta.error.is_none(), "{:?}", delta.error);
+            self.events += delta.new_events;
+            self.bytes += delta.new_bytes;
+            self.segments.extend(delta.new_segments);
+        }
+    }
+
     /// Drives `trace` through a live writer in `chunk`-record slices
-    /// per rank per flush, polling `live` after every flush, and
-    /// returns the folded deltas (events, segments) plus the finalized
-    /// result.
-    fn run_live(
+    /// per rank per flush, polling `live` after every flush, then seals
+    /// the run and returns the sealed live analysis with its folded
+    /// deltas.
+    fn feed_live(
         trace: &Trace,
         dir: &Path,
         chunk: usize,
         config: &AnalysisConfig,
-    ) -> (u64, Vec<Segment>, OutOfCoreAnalysis) {
+    ) -> (LiveAnalysis, Folded) {
         let mut w =
             LiveArchiveWriter::create(dir, &trace.name, trace.clock(), trace.registry()).unwrap();
         let mut live = LiveAnalysis::open(dir, config.clone()).unwrap();
         let mut offsets = vec![0usize; trace.num_processes()];
-        let mut folded_events = 0u64;
-        let mut folded_segments = Vec::new();
+        let mut folded = Folded::default();
         loop {
             let mut wrote = false;
             for (i, stream) in trace.streams().iter().enumerate() {
@@ -568,19 +584,49 @@ mod tests {
                 break;
             }
             w.flush().unwrap();
-            let delta = live.poll();
-            assert!(delta.error.is_none(), "{:?}", delta.error);
-            folded_events += delta.new_events;
-            folded_segments.extend(delta.new_segments);
+            folded.fold(live.poll());
         }
         w.finish().unwrap();
         let delta = live.poll();
         assert!(delta.finished);
-        assert!(delta.error.is_none(), "{:?}", delta.error);
-        folded_events += delta.new_events;
-        folded_segments.extend(delta.new_segments);
-        let result = live.finalize().unwrap();
-        (folded_events, folded_segments, result)
+        folded.fold(delta);
+        (live, folded)
+    }
+
+    /// [`feed_live`], finalized: the folded deltas (events, segments)
+    /// plus the final result.
+    fn run_live(
+        trace: &Trace,
+        dir: &Path,
+        chunk: usize,
+        config: &AnalysisConfig,
+    ) -> (u64, Vec<Segment>, OutOfCoreAnalysis) {
+        let (live, folded) = feed_live(trace, dir, chunk, config);
+        (folded.events, folded.segments, live.finalize().unwrap())
+    }
+
+    #[test]
+    fn snapshot_counts_payload_bytes_of_finished_ranks() {
+        let t = sample(3, 12);
+        let dir = tmp("bytes.pvta");
+        let (live, folded) = feed_live(&t, &dir, 5, &AnalysisConfig::default());
+        let snapshot = live.snapshot();
+        assert!(snapshot.finished);
+        assert_eq!(snapshot.bytes, folded.bytes);
+        for (i, rank) in snapshot.ranks.iter().enumerate() {
+            // A stream file is its header (magic, one-byte rank index,
+            // padded record count) followed by the record payload.
+            let file = dir.join(perfvar_trace::format::archive::stream_file(i));
+            let header = 4 + 1 + perfvar_trace::format::varint::PADDED_U64_BYTES as u64;
+            let payload = std::fs::metadata(file).unwrap().len() - header;
+            assert_eq!(rank.bytes, payload, "rank {i}");
+            // The tail's record count survives the rank completing.
+            let pid = ProcessId::from_index(i);
+            assert_eq!(
+                live.tail.consumed(pid),
+                t.stream(pid).records().len() as u64
+            );
+        }
     }
 
     #[test]

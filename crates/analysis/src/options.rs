@@ -5,27 +5,23 @@
 //! (`?function=&multiplier=&threads=&read-buffer=&no-mmap&partial`) and
 //! the HTTP client all describe the same six knobs of an
 //! [`AnalysisConfig`] + [`RecoveryMode`] pair. Historically each surface
-//! parsed and printed them independently, and the dialects drifted (the
-//! daemon accepted `multiplier` but not `threads`; the client had to
-//! know which spelling each end understood). [`AnalysisOptions`] is the
-//! single source of truth: one struct, one set of keys, one validator,
-//! with [`to_query`](AnalysisOptions::to_query) /
-//! [`from_query`](AnalysisOptions::from_query) for the wire and
-//! [`to_flags`](AnalysisOptions::to_flags) /
-//! [`absorb`](AnalysisOptions::absorb) for argv. A property test proves
-//! both codecs round-trip for arbitrary option values, so the dialects
-//! cannot drift again.
+//! parsed them independently, and the dialects drifted (the daemon
+//! accepted `multiplier` but not `threads`; the client had to know which
+//! spelling each end understood). [`AnalysisOptions`] is the single
+//! source of truth: one struct, one set of keys, one validator —
+//! [`absorb`](AnalysisOptions::absorb) — that the CLI feeds its flags
+//! and the daemon its query parameters, so the dialects cannot drift
+//! again.
 //!
 //! Keys the codec does *not* own (`path`, `steps`, …) pass through
-//! untouched: [`from_query`](AnalysisOptions::from_query) ignores them
-//! and [`absorb`](AnalysisOptions::absorb) returns `Ok(false)`, so
-//! callers layer their surface-specific parameters on top.
+//! untouched: [`absorb`](AnalysisOptions::absorb) returns `Ok(false)`,
+//! so callers layer their surface-specific parameters on top.
 
 use crate::outofcore::RecoveryMode;
 use crate::report::AnalysisConfig;
 use std::fmt;
 
-/// The analysis knobs shared by the CLI, the daemon and the client:
+/// The analysis knobs shared by the CLI and the daemon:
 /// the segmentation override, the dominant-rule multiplier, the two
 /// I/O performance knobs, and the damaged-archive recovery switch.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -94,8 +90,8 @@ fn invalid(key: &'static str, value: &str, reason: impl Into<String>) -> Options
 }
 
 impl AnalysisOptions {
-    /// The keys the codec owns, in canonical (encode) order. Valued
-    /// keys first, then the boolean flags.
+    /// The keys the codec owns: valued keys first, then the boolean
+    /// flags.
     pub const KEYS: &'static [&'static str] = &[
         "function",
         "multiplier",
@@ -104,18 +100,6 @@ impl AnalysisOptions {
         "no-mmap",
         "partial",
     ];
-
-    /// The options a config + recovery mode pair describes.
-    pub fn from_config(config: &AnalysisConfig, mode: RecoveryMode) -> AnalysisOptions {
-        AnalysisOptions {
-            function: config.segment_function.clone(),
-            multiplier: config.dominant_multiplier,
-            threads: config.threads,
-            read_buffer: config.read_buffer_bytes,
-            mmap: config.mmap,
-            partial: mode == RecoveryMode::Partial,
-        }
-    }
 
     /// Writes the knobs into `config` (the non-knob fields are left
     /// alone).
@@ -184,90 +168,13 @@ impl AnalysisOptions {
         }
         Ok(true)
     }
-
-    /// Encodes the non-default knobs as URL query parameters, in
-    /// [`KEYS`](AnalysisOptions::KEYS) order (the function name is
-    /// percent-encoded). The empty string means "all defaults".
-    pub fn to_query(&self) -> String {
-        let defaults = AnalysisOptions::default();
-        let mut parts = Vec::new();
-        if let Some(function) = &self.function {
-            parts.push(format!("function={}", percent_encode(function)));
-        }
-        if self.multiplier != defaults.multiplier {
-            parts.push(format!("multiplier={}", self.multiplier));
-        }
-        if self.threads != defaults.threads {
-            parts.push(format!("threads={}", self.threads));
-        }
-        if self.read_buffer != defaults.read_buffer {
-            parts.push(format!("read-buffer={}", self.read_buffer));
-        }
-        if !self.mmap {
-            parts.push("no-mmap".to_string());
-        }
-        if self.partial {
-            parts.push("partial".to_string());
-        }
-        parts.join("&")
-    }
-
-    /// Decodes the owned keys out of a raw URL query string, ignoring
-    /// everything else (`path=…`, `steps=…`, …). Both keys and values
-    /// are percent-decoded before validation; `+` stays literal, like
-    /// the rest of this codebase's query handling.
-    pub fn from_query(query: &str) -> Result<AnalysisOptions, OptionsError> {
-        let mut options = AnalysisOptions::default();
-        for pair in query.split('&') {
-            if pair.is_empty() {
-                continue;
-            }
-            let (key, value) = match pair.split_once('=') {
-                Some((k, v)) => (percent_decode(k), Some(percent_decode(v))),
-                None => (percent_decode(pair), None),
-            };
-            options.absorb(&key, value.as_deref())?;
-        }
-        Ok(options)
-    }
-
-    /// Encodes the non-default knobs as CLI flags, in
-    /// [`KEYS`](AnalysisOptions::KEYS) order: `["--function", NAME,
-    /// "--threads", N, …, "--no-mmap", "--partial"]`.
-    pub fn to_flags(&self) -> Vec<String> {
-        let defaults = AnalysisOptions::default();
-        let mut flags = Vec::new();
-        if let Some(function) = &self.function {
-            flags.push("--function".to_string());
-            flags.push(function.clone());
-        }
-        if self.multiplier != defaults.multiplier {
-            flags.push("--multiplier".to_string());
-            flags.push(self.multiplier.to_string());
-        }
-        if self.threads != defaults.threads {
-            flags.push("--threads".to_string());
-            flags.push(self.threads.to_string());
-        }
-        if self.read_buffer != defaults.read_buffer {
-            flags.push("--read-buffer".to_string());
-            flags.push(self.read_buffer.to_string());
-        }
-        if !self.mmap {
-            flags.push("--no-mmap".to_string());
-        }
-        if self.partial {
-            flags.push("--partial".to_string());
-        }
-        flags
-    }
 }
 
 /// The diagnosis knobs shared by `perfvar diagnose` and the daemon's
 /// `/v1/diagnose`: the cluster-count override, the merge threshold, and
 /// the summarised-heatmap row cap. Same contract as
-/// [`AnalysisOptions`]: one codec for argv and the wire, unknown keys
-/// pass through.
+/// [`AnalysisOptions`]: one validator for argv and the wire, unknown
+/// keys pass through.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DiagnoseOptions {
     /// Merge down to exactly this many clusters (`--clusters K` /
@@ -293,7 +200,7 @@ impl Default for DiagnoseOptions {
 }
 
 impl DiagnoseOptions {
-    /// The keys this codec owns, in canonical (encode) order.
+    /// The keys this codec owns.
     pub const KEYS: &'static [&'static str] = &["clusters", "cluster-threshold", "max-clusters"];
 
     /// The [`DiagnoseConfig`](crate::diagnose::DiagnoseConfig) these
@@ -344,116 +251,57 @@ impl DiagnoseOptions {
         }
         Ok(true)
     }
-
-    /// Encodes the non-default knobs as URL query parameters, in
-    /// [`KEYS`](DiagnoseOptions::KEYS) order.
-    pub fn to_query(&self) -> String {
-        let defaults = DiagnoseOptions::default();
-        let mut parts = Vec::new();
-        if let Some(k) = self.clusters {
-            parts.push(format!("clusters={k}"));
-        }
-        if self.threshold != defaults.threshold {
-            parts.push(format!("cluster-threshold={}", self.threshold));
-        }
-        if self.max_clusters != defaults.max_clusters {
-            parts.push(format!("max-clusters={}", self.max_clusters));
-        }
-        parts.join("&")
-    }
-
-    /// Decodes the owned keys out of a raw URL query string, ignoring
-    /// everything else.
-    pub fn from_query(query: &str) -> Result<DiagnoseOptions, OptionsError> {
-        let mut options = DiagnoseOptions::default();
-        for pair in query.split('&') {
-            if pair.is_empty() {
-                continue;
-            }
-            let (key, value) = match pair.split_once('=') {
-                Some((k, v)) => (percent_decode(k), Some(percent_decode(v))),
-                None => (percent_decode(pair), None),
-            };
-            options.absorb(&key, value.as_deref())?;
-        }
-        Ok(options)
-    }
-
-    /// Encodes the non-default knobs as CLI flags, in
-    /// [`KEYS`](DiagnoseOptions::KEYS) order.
-    pub fn to_flags(&self) -> Vec<String> {
-        let defaults = DiagnoseOptions::default();
-        let mut flags = Vec::new();
-        if let Some(k) = self.clusters {
-            flags.push("--clusters".to_string());
-            flags.push(k.to_string());
-        }
-        if self.threshold != defaults.threshold {
-            flags.push("--cluster-threshold".to_string());
-            flags.push(self.threshold.to_string());
-        }
-        if self.max_clusters != defaults.max_clusters {
-            flags.push("--max-clusters".to_string());
-            flags.push(self.max_clusters.to_string());
-        }
-        flags
-    }
-}
-
-/// Percent-encodes everything outside the RFC 3986 unreserved set.
-fn percent_encode(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for &b in s.as_bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
-}
-
-/// Decodes `%XX` escapes; `+` stays literal, malformed escapes pass
-/// through verbatim.
-fn percent_decode(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            if let (Some(h), Some(l)) = (
-                bytes.get(i + 1).and_then(|b| (*b as char).to_digit(16)),
-                bytes.get(i + 2).and_then(|b| (*b as char).to_digit(16)),
-            ) {
-                out.push((h * 16 + l) as u8);
-                i += 3;
-                continue;
-            }
-        }
-        out.push(bytes[i]);
-        i += 1;
-    }
-    String::from_utf8_lossy(&out).into_owned()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
+    /// Decodes a raw query string the way the daemon does: every pair
+    /// goes through `absorb`, unowned keys pass through.
+    fn analysis_options(query: &str) -> Result<AnalysisOptions, OptionsError> {
+        let mut options = AnalysisOptions::default();
+        for pair in query.split('&').filter(|p| !p.is_empty()) {
+            match pair.split_once('=') {
+                Some((key, value)) => options.absorb(key, Some(value))?,
+                None => options.absorb(pair, None)?,
+            };
+        }
+        Ok(options)
+    }
+
+    /// Same for the diagnosis knobs.
+    fn diagnose_options(query: &str) -> Result<DiagnoseOptions, OptionsError> {
+        let mut options = DiagnoseOptions::default();
+        for pair in query.split('&').filter(|p| !p.is_empty()) {
+            let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
+            options.absorb(key, Some(value))?;
+        }
+        Ok(options)
+    }
+
+    /// No knobs given: the default config, in strict mode.
     #[test]
     fn defaults_encode_to_nothing() {
-        let o = AnalysisOptions::default();
-        assert_eq!(o.to_query(), "");
-        assert!(o.to_flags().is_empty());
-        assert_eq!(AnalysisOptions::from_query("").unwrap(), o);
+        let o = analysis_options("").unwrap();
+        assert_eq!(o, AnalysisOptions::default());
+        let config = o.config();
+        let defaults = AnalysisConfig::default();
+        assert_eq!(config.segment_function, defaults.segment_function);
+        assert_eq!(config.dominant_multiplier, defaults.dominant_multiplier);
+        assert_eq!(config.threads, defaults.threads);
+        assert_eq!(config.read_buffer_bytes, defaults.read_buffer_bytes);
+        assert_eq!(config.mmap, defaults.mmap);
+        assert_eq!(o.recovery_mode(), RecoveryMode::Strict);
     }
 
     #[test]
     fn unknown_query_keys_pass_through() {
-        let o =
-            AnalysisOptions::from_query("path=%2Ftmp%2Fa.pvta&threads=4&steps=2&partial").unwrap();
+        let mut o = AnalysisOptions::default();
+        assert!(!o.absorb("path", Some("/tmp/a.pvta")).unwrap());
+        assert!(!o.absorb("steps", Some("2")).unwrap());
+        assert_eq!(o, AnalysisOptions::default());
+        let o = analysis_options("path=/tmp/a.pvta&threads=4&steps=2&partial").unwrap();
         assert_eq!(o.threads, 4);
         assert!(o.partial);
         assert_eq!(o.function, None);
@@ -461,145 +309,70 @@ mod tests {
 
     #[test]
     fn bad_values_name_the_key() {
-        let err = AnalysisOptions::from_query("multiplier=abc").unwrap_err();
+        let mut o = AnalysisOptions::default();
+        let err = o.absorb("multiplier", Some("abc")).unwrap_err();
         assert_eq!(err.key, "multiplier");
-        let err = AnalysisOptions::from_query("read-buffer=0").unwrap_err();
+        let err = o.absorb("read-buffer", Some("0")).unwrap_err();
         assert_eq!(err.key, "read-buffer");
         assert!(err.to_string().contains("at least 1 byte"), "{err}");
-        let err = AnalysisOptions::from_query("function=").unwrap_err();
+        let err = o.absorb("function", Some("")).unwrap_err();
         assert_eq!(err.key, "function");
+        let err = o.absorb("threads", None).unwrap_err();
+        assert_eq!(err.key, "threads");
+        // A rejected value leaves the options untouched.
+        assert_eq!(o, AnalysisOptions::default());
     }
 
     #[test]
     fn config_round_trip() {
-        let o = AnalysisOptions {
-            function: Some("MPI_Allreduce".into()),
-            threads: 7,
-            mmap: false,
-            partial: true,
-            ..AnalysisOptions::default()
-        };
+        let o = analysis_options("function=MPI_Allreduce&threads=7&no-mmap&partial").unwrap();
+        assert_eq!(
+            o,
+            AnalysisOptions {
+                function: Some("MPI_Allreduce".into()),
+                threads: 7,
+                mmap: false,
+                partial: true,
+                ..AnalysisOptions::default()
+            }
+        );
         let config = o.config();
         assert_eq!(config.segment_function.as_deref(), Some("MPI_Allreduce"));
         assert_eq!(config.threads, 7);
         assert!(!config.mmap);
         assert_eq!(o.recovery_mode(), RecoveryMode::Partial);
-        assert_eq!(
-            AnalysisOptions::from_config(&config, RecoveryMode::Partial),
-            o
-        );
-    }
-
-    /// Parses flags the way a CLI argv scanner would: `--key value`
-    /// for valued keys, bare `--key` for boolean flags.
-    fn parse_flags(flags: &[String]) -> AnalysisOptions {
-        let mut o = AnalysisOptions::default();
-        let mut i = 0;
-        while i < flags.len() {
-            let key = flags[i].trim_start_matches("--");
-            let valued = !matches!(key, "no-mmap" | "partial");
-            let value = if valued {
-                i += 1;
-                Some(flags[i].as_str())
-            } else {
-                None
-            };
-            assert!(o.absorb(key, value).unwrap(), "unowned flag {key}");
-            i += 1;
-        }
-        o
-    }
-
-    fn arb_options() -> impl Strategy<Value = AnalysisOptions> {
-        (
-            (0u8..2, "\\PC{1,24}"),
-            (0u64..100, 0usize..64, 1usize..(64 << 20)),
-            0u8..4,
-        )
-            .prop_map(
-                |((has_function, name), (multiplier, threads, read_buffer), bits)| {
-                    AnalysisOptions {
-                        function: (has_function == 1).then_some(name),
-                        multiplier,
-                        threads,
-                        read_buffer,
-                        mmap: bits & 1 == 0,
-                        partial: bits & 2 != 0,
-                    }
-                },
-            )
+        // `apply` writes exactly the knobs into an existing config.
+        let mut other = AnalysisConfig {
+            analyze_counters: false,
+            ..AnalysisConfig::default()
+        };
+        o.apply(&mut other);
+        assert_eq!(other.segment_function, config.segment_function);
+        assert_eq!(other.threads, 7);
+        assert!(!other.mmap);
+        assert!(!other.analyze_counters);
     }
 
     #[test]
     fn diagnose_defaults_encode_to_nothing() {
-        let o = DiagnoseOptions::default();
-        assert_eq!(o.to_query(), "");
-        assert!(o.to_flags().is_empty());
-        assert_eq!(DiagnoseOptions::from_query("").unwrap(), o);
+        let o = diagnose_options("").unwrap();
+        assert_eq!(o, DiagnoseOptions::default());
         let config = o.config();
         assert_eq!(config.max_clusters, 20);
     }
 
     #[test]
     fn diagnose_bad_values_name_the_key() {
-        let err = DiagnoseOptions::from_query("clusters=0").unwrap_err();
+        let err = diagnose_options("clusters=0").unwrap_err();
         assert_eq!(err.key, "clusters");
-        let err = DiagnoseOptions::from_query("cluster-threshold=-1").unwrap_err();
+        let err = diagnose_options("cluster-threshold=-1").unwrap_err();
         assert_eq!(err.key, "cluster-threshold");
-        let err = DiagnoseOptions::from_query("cluster-threshold=nope").unwrap_err();
+        let err = diagnose_options("cluster-threshold=nope").unwrap_err();
         assert_eq!(err.key, "cluster-threshold");
-        let err = DiagnoseOptions::from_query("max-clusters=0").unwrap_err();
+        let err = diagnose_options("max-clusters=0").unwrap_err();
         assert_eq!(err.key, "max-clusters");
         // Unknown keys pass through untouched.
-        let o = DiagnoseOptions::from_query("path=%2Ftmp%2Fx&clusters=3").unwrap();
+        let o = diagnose_options("path=/tmp/x&clusters=3").unwrap();
         assert_eq!(o.clusters, Some(3));
-    }
-
-    /// Parses diagnose flags like a CLI argv scanner (all keys valued).
-    fn parse_diagnose_flags(flags: &[String]) -> DiagnoseOptions {
-        let mut o = DiagnoseOptions::default();
-        let mut i = 0;
-        while i < flags.len() {
-            let key = flags[i].trim_start_matches("--");
-            i += 1;
-            assert!(
-                o.absorb(key, Some(flags[i].as_str())).unwrap(),
-                "unowned flag {key}"
-            );
-            i += 1;
-        }
-        o
-    }
-
-    fn arb_diagnose_options() -> impl Strategy<Value = DiagnoseOptions> {
-        (0usize..9, 1u32..400, 1usize..64).prop_map(|(k, threshold_cents, max_clusters)| {
-            DiagnoseOptions {
-                // k == 0 doubles as the None arm.
-                clusters: (k > 0).then_some(k),
-                // Hundredths keep the value finite and positive; float
-                // Display/parse round-trips exactly.
-                threshold: threshold_cents as f64 / 100.0,
-                max_clusters,
-            }
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// The drift-proofing invariant: both codecs round-trip any
-        /// option set, so every surface speaks the same dialect.
-        #[test]
-        fn query_and_flag_codecs_round_trip(o in arb_options()) {
-            prop_assert_eq!(&AnalysisOptions::from_query(&o.to_query()).unwrap(), &o);
-            prop_assert_eq!(&parse_flags(&o.to_flags()), &o);
-        }
-
-        /// Same invariant for the diagnosis knobs.
-        #[test]
-        fn diagnose_codecs_round_trip(o in arb_diagnose_options()) {
-            prop_assert_eq!(&DiagnoseOptions::from_query(&o.to_query()).unwrap(), &o);
-            prop_assert_eq!(&parse_diagnose_flags(&o.to_flags()), &o);
-        }
     }
 }

@@ -4,10 +4,9 @@ use crate::args::{ArgSpec, ParsedArgs};
 use crate::workload_args::{generate_trace, WORKLOAD_NAMES};
 use perfvar_analysis::live::LiveAnalysis;
 use perfvar_analysis::{
-    analyze_observed, analyze_path_observed, analyze_reference, diagnose_meta, Analysis,
-    AnalysisConfig, AnalysisOptions, DiagnoseOptions, OutOfCoreAnalysis, Telemetry,
+    analyze_observed, analyze_path_observed, diagnose_meta, Analysis, AnalysisConfig,
+    AnalysisOptions, DiagnoseOptions, OutOfCoreAnalysis, PathAnalysisError, Telemetry,
 };
-use perfvar_trace::format::cursor::ArchiveCursor;
 use perfvar_trace::format::live::LiveArchiveWriter;
 use perfvar_trace::format::{read_trace_file, write_trace_file, Format};
 use perfvar_trace::stats::{event_counts, role_time_profile};
@@ -33,9 +32,9 @@ USAGE:
                    [--function NAME] [--multiplier K] [--threads N]
                    [--read-buffer BYTES] [--no-mmap] [--no-color]
   perfvar analyze  <trace> [--function NAME] [--refine N] [--multiplier K]
-                   [--threads N] [--reference] [--auto-refine] [--calltree]
-                   [--waitstates] [--phases] [--json] [--in-memory] [--partial]
-                   [--read-buffer BYTES] [--no-mmap] [--stats] [--stats-json]
+                   [--threads N] [--auto-refine] [--calltree] [--waitstates]
+                   [--phases] [--json] [--partial] [--read-buffer BYTES]
+                   [--no-mmap] [--stats] [--stats-json]
   perfvar render   <trace> --chart timeline|sos|comm|comm-bytes|counter:<METRIC>
                    [--out x.svg] [--ansi]
   perfvar report   <trace> --out-dir DIR
@@ -45,7 +44,7 @@ USAGE:
   perfvar diagnose <trace> [--clusters K] [--cluster-threshold T]
                    [--max-clusters N] [--function NAME] [--multiplier K]
                    [--threads N] [--read-buffer BYTES] [--json]
-                   [--in-memory] [--partial] [--no-mmap] [--no-heatmap]
+                   [--partial] [--no-mmap] [--no-heatmap]
   perfvar slice    <in> <out> (--from-tick T --to-tick T | --segment N [--function NAME])
   perfvar convert  <in.pvt|in.pvtx> <out.pvt|out.pvtx>
   perfvar serve    [--addr HOST:PORT] [--workers N] [--threads N]
@@ -74,9 +73,9 @@ writer seals the run. On stream corruption the affected rank freezes at
 its last good state (reported with rank and byte offset) while the
 remaining ranks keep streaming.
 
-Archives (.pvta) are analyzed out-of-core by default: rank streams are
-decoded straight from disk without materialising the trace. --in-memory
-opts out; --partial recovers the intact ranks of a damaged archive.
+Every command analyzes a trace file exactly as the daemon does: archive
+(.pvta) rank streams are decoded straight from disk without materialising
+the trace, and --partial recovers the intact ranks of a damaged archive.
 Stream files are memory-mapped where possible; --no-mmap forces buffered
 reads and --read-buffer BYTES sizes the buffered read window (a pure
 performance knob — results are bit-identical either way).
@@ -84,7 +83,7 @@ performance knob — results are bit-identical either way).
 --stats prints a per-stage pipeline timing table (wall time, events/s,
 bytes/s, peak state) to stderr; --stats-json emits the same data as JSON
 on stdout (combined with --json it becomes {\"analysis\": …, \"stats\": …}).
-Out-of-core runs on a terminal show a live N/M-ranks progress line.
+analyze runs on a terminal show a live N/M-ranks progress line.
 
 serve starts an analysis daemon answering GET /v1/analyze?path=…,
 GET /v1/refine?path=…&steps=N, GET /v1/diagnose?path=… and GET /v1/stats;
@@ -318,38 +317,33 @@ fn options_of(args: &ParsedArgs) -> Result<AnalysisOptions, String> {
     Ok(options)
 }
 
-fn config_of(args: &ParsedArgs) -> Result<AnalysisConfig, String> {
-    Ok(options_of(args)?.config())
-}
-
-/// Normalises a `--threads` request for a run over `num_processes`
-/// ranks: `0` (the default) means "use the available hardware
-/// parallelism", and any larger request is capped at the rank count —
-/// the pipeline parallelises over ranks, so extra workers would idle.
-/// Explains the adjustment when the user explicitly asked for a count.
-fn normalize_threads(args: &ParsedArgs, num_processes: usize) -> Result<usize, String> {
-    let requested: usize = args.parse_or("threads", 0).map_err(|e| e.to_string())?;
+/// Explains how an explicit `--threads` request resolves for a run over
+/// `num_processes` ranks: `0` (the default) means "use the available
+/// hardware parallelism", and any larger request is capped at the rank
+/// count — the pipeline parallelises over ranks, so extra workers would
+/// idle. The pipeline resolves the count itself; this only says so.
+fn note_threads(args: &ParsedArgs, requested: usize, num_processes: usize) {
     let resolved = perfvar_analysis::parallel::resolve_threads(requested, num_processes);
-    if args.value("threads").is_some() && resolved != requested {
-        if requested == 0 {
-            eprintln!(
-                "--threads 0: using {resolved} worker thread(s) \
-                 (hardware parallelism, capped at the rank count)"
-            );
-        } else {
-            eprintln!(
-                "capping --threads {requested} to {resolved}: the pipeline \
-                 runs one worker per rank at most"
-            );
-        }
+    if args.value("threads").is_none() || resolved == requested {
+        return;
     }
-    Ok(resolved)
+    if requested == 0 {
+        eprintln!(
+            "--threads 0: using {resolved} worker thread(s) \
+             (hardware parallelism, capped at the rank count)"
+        );
+    } else {
+        eprintln!(
+            "capping --threads {requested} to {resolved}: the pipeline \
+             runs one worker per rank at most"
+        );
+    }
 }
 
 /// Builds the telemetry recorder the `analyze` flags ask for: `--stats`
-/// and `--stats-json` enable recording; out-of-core runs on a terminal
-/// additionally get a live progress line on stderr. Everything else
-/// runs with the zero-cost noop recorder.
+/// and `--stats-json` enable recording; runs on a terminal that stream
+/// the file additionally get a live progress line on stderr. Everything
+/// else runs with the zero-cost noop recorder.
 fn telemetry_of(args: &ParsedArgs, live_progress: bool) -> Telemetry {
     let wants_stats = args.has("stats") || args.has("stats-json");
     let progress = live_progress && std::io::stderr().is_terminal();
@@ -372,27 +366,45 @@ fn telemetry_of(args: &ParsedArgs, live_progress: bool) -> Telemetry {
     }
 }
 
-fn analysis_of(trace: &Trace, args: &ParsedArgs) -> Result<Analysis, String> {
-    analysis_of_observed(trace, args, &Telemetry::noop())
+/// The analysis of the trace file at `path`, computed as the daemon
+/// computes it (`analyze_path_observed`, then `--refine` steps) for every
+/// format, honouring --function/--multiplier/--threads/--read-buffer/
+/// --no-mmap and --partial for damaged archives.
+fn analysis_of_path(
+    path: &str,
+    args: &ParsedArgs,
+    telemetry: &Telemetry,
+) -> Result<OutOfCoreAnalysis, String> {
+    let options = options_of(args)?;
+    let config = options.config();
+    let mode = options.recovery_mode();
+    let path_error = |e: PathAnalysisError| match e {
+        PathAnalysisError::Trace(e) => format!("cannot read trace {path}: {e}"),
+        PathAnalysisError::Analysis(e) => e.to_string(),
+    };
+    let mut result = analyze_path_observed(path, &config, mode, telemetry).map_err(path_error)?;
+    note_threads(args, config.threads, result.meta.num_processes());
+    let refine_steps: usize = args.parse_or("refine", 0).map_err(|e| e.to_string())?;
+    for _ in 0..refine_steps {
+        match result.refine(path, &config, mode).map_err(path_error)? {
+            Some(finer) => result = finer,
+            None => return Err("no finer segmentation function available".to_string()),
+        }
+    }
+    Ok(result)
 }
 
-/// Like [`analysis_of`] but recording pipeline telemetry. The fused
-/// streaming default is instrumented; `--reference` runs the
-/// materialising pipeline instead (mainly for cross-checks and
-/// benchmarking), which records nothing.
-fn analysis_of_observed(
+/// The analysis of a trace the command already loaded (for chart
+/// geometry, slicing or replays), so the file is not decoded twice.
+/// Same knobs as [`analysis_of_path`]; bit-identical to it.
+fn analysis_of_trace(
     trace: &Trace,
     args: &ParsedArgs,
     telemetry: &Telemetry,
 ) -> Result<Analysis, String> {
-    let mut config = config_of(args)?;
-    config.threads = normalize_threads(args, trace.num_processes())?;
-    let mut analysis = if args.has("reference") {
-        analyze_reference(trace, &config)
-    } else {
-        analyze_observed(trace, &config, telemetry)
-    }
-    .map_err(|e| e.to_string())?;
+    let config = options_of(args)?.config();
+    note_threads(args, config.threads, trace.num_processes());
+    let mut analysis = analyze_observed(trace, &config, telemetry).map_err(|e| e.to_string())?;
     let refine_steps: usize = args.parse_or("refine", 0).map_err(|e| e.to_string())?;
     for _ in 0..refine_steps {
         match analysis.refine(trace, &config) {
@@ -401,49 +413,6 @@ fn analysis_of_observed(
         }
     }
     Ok(analysis)
-}
-
-/// Whether `path` should be analyzed out-of-core: archives stream their
-/// rank files from disk in parallel, so the default for `.pvta` inputs
-/// is to never materialise the trace. `--in-memory` opts out.
-fn wants_out_of_core(path: &str, args: &ParsedArgs) -> bool {
-    !args.has("in-memory") && Format::from_path(Path::new(path)) == Format::Archive
-}
-
-/// Runs the fused pipeline straight from disk (`analyze_path_with`),
-/// honouring the same --function/--multiplier/--threads/--refine knobs
-/// as the in-memory route plus --partial for damaged archives.
-fn analysis_of_path(path: &str, args: &ParsedArgs) -> Result<OutOfCoreAnalysis, String> {
-    analysis_of_path_observed(path, args, &Telemetry::noop())
-}
-
-/// Like [`analysis_of_path`] but recording pipeline telemetry.
-fn analysis_of_path_observed(
-    path: &str,
-    args: &ParsedArgs,
-    telemetry: &Telemetry,
-) -> Result<OutOfCoreAnalysis, String> {
-    let options = options_of(args)?;
-    let mut config = options.config();
-    // The archive anchor declares the rank count, so --threads is
-    // normalised without decoding a single event record.
-    if let Ok(cursor) = ArchiveCursor::open(Path::new(path)) {
-        config.threads = normalize_threads(args, cursor.num_processes())?;
-    }
-    let mode = options.recovery_mode();
-    let mut result =
-        analyze_path_observed(path, &config, mode, telemetry).map_err(|e| e.to_string())?;
-    let refine_steps: usize = args.parse_or("refine", 0).map_err(|e| e.to_string())?;
-    for _ in 0..refine_steps {
-        match result
-            .refine(path, &config, mode)
-            .map_err(|e| e.to_string())?
-        {
-            Some(finer) => result = finer,
-            None => return Err("no finer segmentation function available".to_string()),
-        }
-    }
-    Ok(result)
 }
 
 fn print_phases(sos: &perfvar_analysis::SosMatrix) {
@@ -460,66 +429,6 @@ fn print_phases(sos: &perfvar_analysis::SosMatrix) {
     }
 }
 
-/// The out-of-core `analyze` route: the archive is streamed from disk
-/// and the trace is never materialised, so only analyses that work from
-/// the [`Analysis`] itself (phases, findings) are offered here.
-fn analyze_out_of_core(path: &str, args: &ParsedArgs) -> Result<(), String> {
-    let telemetry = telemetry_of(args, true);
-    let live_progress = telemetry.is_enabled() && std::io::stderr().is_terminal();
-    let result = analysis_of_path_observed(path, args, &telemetry);
-    if live_progress {
-        eprint!("\r\x1b[2K"); // clear the progress line
-    }
-    let result = result?;
-    let stats = telemetry.snapshot();
-    if args.has("stats-json") && !args.has("json") {
-        let stats = stats.expect("--stats-json enables telemetry");
-        let json = serde_json::to_string_pretty(&stats)
-            .map_err(|e| format!("serialisation failed: {e}"))?;
-        println!("{json}");
-        return Ok(());
-    }
-    if args.has("json") {
-        let doc = match &stats {
-            Some(s) if args.has("stats-json") => {
-                serde_json::json!({"analysis": result.analysis, "stats": s})
-            }
-            _ => serde_json::to_value(&result.analysis),
-        };
-        let json =
-            serde_json::to_string_pretty(&doc).map_err(|e| format!("serialisation failed: {e}"))?;
-        println!("{json}");
-        return Ok(());
-    }
-    print!("{}", result.analysis.render_text_meta(&result.meta));
-    if result.is_partial() {
-        println!(
-            "  PARTIAL RESULT: {}/{} ranks recovered; lost streams:",
-            result.recovered_ranks(),
-            result.meta.num_processes()
-        );
-        for failure in &result.failures {
-            println!("    {}: {}", failure.process, failure.error);
-        }
-    }
-    if args.has("phases") {
-        print_phases(&result.analysis.sos);
-    }
-    let findings = perfvar_analysis::findings::findings_meta(&result.meta, &result.analysis);
-    if !findings.is_empty() {
-        println!("  findings (ranked by severity):");
-        for f in &findings {
-            println!("    [{:>4.0}%] {}", f.severity * 100.0, f.description);
-        }
-    }
-    if args.has("stats") {
-        if let Some(s) = &stats {
-            eprint!("{}", s.render_table());
-        }
-    }
-    Ok(())
-}
-
 /// `perfvar analyze <trace>`
 pub fn analyze(argv: Vec<String>) -> Result<(), String> {
     const SPEC: ArgSpec = ArgSpec {
@@ -530,8 +439,6 @@ pub fn analyze(argv: Vec<String>) -> Result<(), String> {
             "calltree",
             "waitstates",
             "phases",
-            "reference",
-            "in-memory",
             "partial",
             "no-mmap",
             "stats",
@@ -540,30 +447,40 @@ pub fn analyze(argv: Vec<String>) -> Result<(), String> {
     };
     let args = SPEC.parse(argv).map_err(|e| e.to_string())?;
     let path = args.positional(0).ok_or("missing trace path")?;
-    // Replay-based extras and the reference pipeline need the whole
-    // trace in memory; everything else streams archives from disk.
-    let needs_trace = args.has("reference")
-        || args.has("auto-refine")
-        || args.has("waitstates")
-        || args.has("calltree");
-    if wants_out_of_core(path, &args) && !needs_trace {
-        return analyze_out_of_core(path, &args);
-    }
-    let trace = load_trace(path)?;
-    let telemetry = telemetry_of(&args, false);
-    let analysis = if args.has("auto-refine") {
-        let config = AnalysisConfig::default();
-        let (sharp, steps) = perfvar_analysis::findings::auto_refine(&trace, &config, 8)
-            .map_err(|e| e.to_string())?;
-        if steps > 0 && !args.has("json") {
-            println!(
-                "auto-refined {steps} step(s) to {:?}",
-                trace.registry().function_name(sharp.function)
-            );
-        }
-        sharp
+    // Replay-based extras need the whole trace in memory; everything
+    // else analyzes the file exactly as the daemon does.
+    let trace = if args.has("auto-refine") || args.has("waitstates") || args.has("calltree") {
+        Some(load_trace(path)?)
     } else {
-        analysis_of_observed(&trace, &args, &telemetry)?
+        None
+    };
+    let telemetry = telemetry_of(&args, trace.is_none());
+    let (analysis, meta, failures) = match &trace {
+        None => {
+            let result = analysis_of_path(path, &args, &telemetry);
+            if telemetry.is_enabled() && std::io::stderr().is_terminal() {
+                eprint!("\r\x1b[2K"); // clear the progress line
+            }
+            let result = result?;
+            (result.analysis, result.meta, result.failures)
+        }
+        Some(trace) if args.has("auto-refine") => {
+            let config = AnalysisConfig::default();
+            let (sharp, steps) = perfvar_analysis::findings::auto_refine(trace, &config, 8)
+                .map_err(|e| e.to_string())?;
+            if steps > 0 && !args.has("json") {
+                println!(
+                    "auto-refined {steps} step(s) to {:?}",
+                    trace.registry().function_name(sharp.function)
+                );
+            }
+            (sharp, TraceMeta::of(trace), Vec::new())
+        }
+        Some(trace) => (
+            analysis_of_trace(trace, &args, &telemetry)?,
+            TraceMeta::of(trace),
+            Vec::new(),
+        ),
     };
     let stats = telemetry.snapshot();
     if args.has("stats-json") && !args.has("json") {
@@ -583,64 +500,71 @@ pub fn analyze(argv: Vec<String>) -> Result<(), String> {
         let json =
             serde_json::to_string_pretty(&doc).map_err(|e| format!("serialisation failed: {e}"))?;
         println!("{json}");
-    } else {
-        print!("{}", analysis.render_text(&trace));
-        if args.has("phases") {
-            print_phases(&analysis.sos);
+        return Ok(());
+    }
+    print!("{}", analysis.render_text_meta(&meta));
+    if !failures.is_empty() {
+        println!(
+            "  PARTIAL RESULT: {}/{} ranks recovered; lost streams:",
+            meta.num_processes() - failures.len(),
+            meta.num_processes()
+        );
+        for failure in &failures {
+            println!("    {}: {}", failure.process, failure.error);
         }
-        let threads: usize = args.parse_or("threads", 0).map_err(|e| e.to_string())?;
-        if args.has("waitstates") {
-            let replayed = perfvar_analysis::parallel::replay_all_parallel(&trace, threads);
-            let ws = perfvar_analysis::waitstates::WaitStateAnalysis::compute(&trace, &replayed);
-            println!(
-                "  wait states: {} total classified",
-                trace.clock().format_duration(ws.total())
-            );
-            if let Some(victim) = ws.most_waiting_process() {
-                let w = ws.process(victim);
-                println!(
-                    "    most waiting: {} ({} at collectives in {} ops, {} late-sender in {} msgs)",
-                    victim,
-                    trace.clock().format_duration(w.wait_at_collective),
-                    w.collective_waits,
-                    trace.clock().format_duration(w.late_sender),
-                    w.late_sender_count
-                );
-            }
+    }
+    if args.has("phases") {
+        print_phases(&analysis.sos);
+    }
+    if let Some(trace) = &trace {
+        print_replays(trace, &args)?;
+    }
+    let findings = perfvar_analysis::findings::findings_meta(&meta, &analysis);
+    if !findings.is_empty() {
+        println!("  findings (ranked by severity):");
+        for f in &findings {
+            println!("    [{:>4.0}%] {}", f.severity * 100.0, f.description);
         }
-        if args.has("calltree") {
-            let replayed = perfvar_analysis::parallel::replay_all_parallel(&trace, threads);
-            let tree = perfvar_analysis::callpath::CallTree::build(&replayed);
-            println!("  call tree (by aggregated inclusive time):");
-            for line in tree.render_text(trace.registry(), 5).lines() {
-                println!("    {line}");
-            }
-        }
-        let findings = perfvar_analysis::findings::findings(&trace, &analysis);
-        if !findings.is_empty() {
-            println!("  findings (ranked by severity):");
-            for f in &findings {
-                println!("    [{:>4.0}%] {}", f.severity * 100.0, f.description);
-            }
-        }
-        if args.has("stats") {
-            if let Some(s) = &stats {
-                eprint!("{}", s.render_table());
-            }
+    }
+    if args.has("stats") {
+        if let Some(s) = &stats {
+            eprint!("{}", s.render_table());
         }
     }
     Ok(())
 }
 
-/// Analysis for chart-producing commands: archives compute it
-/// out-of-core (bit-identical to the in-memory result) while the trace
-/// is still loaded for the chart geometry itself.
-fn chart_analysis(path: &str, trace: &Trace, args: &ParsedArgs) -> Result<Analysis, String> {
-    if wants_out_of_core(path, args) {
-        Ok(analysis_of_path(path, args)?.analysis)
-    } else {
-        analysis_of(trace, args)
+/// The replay-based `analyze` extras: `--waitstates` and `--calltree`.
+fn print_replays(trace: &Trace, args: &ParsedArgs) -> Result<(), String> {
+    let threads: usize = args.parse_or("threads", 0).map_err(|e| e.to_string())?;
+    if args.has("waitstates") {
+        let replayed = perfvar_analysis::parallel::replay_all_parallel(trace, threads);
+        let ws = perfvar_analysis::waitstates::WaitStateAnalysis::compute(trace, &replayed);
+        println!(
+            "  wait states: {} total classified",
+            trace.clock().format_duration(ws.total())
+        );
+        if let Some(victim) = ws.most_waiting_process() {
+            let w = ws.process(victim);
+            println!(
+                "    most waiting: {} ({} at collectives in {} ops, {} late-sender in {} msgs)",
+                victim,
+                trace.clock().format_duration(w.wait_at_collective),
+                w.collective_waits,
+                trace.clock().format_duration(w.late_sender),
+                w.late_sender_count
+            );
+        }
     }
+    if args.has("calltree") {
+        let replayed = perfvar_analysis::parallel::replay_all_parallel(trace, threads);
+        let tree = perfvar_analysis::callpath::CallTree::build(&replayed);
+        println!("  call tree (by aggregated inclusive time):");
+        for line in tree.render_text(trace.registry(), 5).lines() {
+            println!("    {line}");
+        }
+    }
+    Ok(())
 }
 
 /// `perfvar render <trace> --chart <kind>`
@@ -653,10 +577,9 @@ pub fn render(argv: Vec<String>) -> Result<(), String> {
             "refine",
             "multiplier",
             "threads",
-            "read-buffer",
             "width",
         ],
-        flags: &["ansi", "in-memory", "no-mmap"],
+        flags: &["ansi"],
     };
     let args = SPEC.parse(argv).map_err(|e| e.to_string())?;
     let path = args.positional(0).ok_or("missing trace path")?;
@@ -687,12 +610,12 @@ pub fn render(argv: Vec<String>) -> Result<(), String> {
     let chart = match chart_kind {
         "timeline" => function_timeline(&trace, &TimelineOptions::default()),
         "sos" => {
-            let analysis = chart_analysis(path, &trace, &args)?;
+            let analysis = analysis_of_trace(&trace, &args, &Telemetry::noop())?;
             sos_heatmap(&trace, &analysis)
         }
         other => match other.strip_prefix("counter:") {
             Some(metric_name) => {
-                let analysis = chart_analysis(path, &trace, &args)?;
+                let analysis = analysis_of_trace(&trace, &args, &Telemetry::noop())?;
                 let metric = trace
                     .registry()
                     .metric_by_name(metric_name)
@@ -741,21 +664,14 @@ pub fn render(argv: Vec<String>) -> Result<(), String> {
 /// `perfvar report <trace> --out-dir DIR` — text report plus every chart.
 pub fn report(argv: Vec<String>) -> Result<(), String> {
     const SPEC: ArgSpec = ArgSpec {
-        valued: &[
-            "out-dir",
-            "function",
-            "refine",
-            "multiplier",
-            "threads",
-            "read-buffer",
-        ],
-        flags: &["in-memory", "no-mmap"],
+        valued: &["out-dir", "function", "refine", "multiplier", "threads"],
+        flags: &[],
     };
     let args = SPEC.parse(argv).map_err(|e| e.to_string())?;
     let path = args.positional(0).ok_or("missing trace path")?;
     let out_dir = args.value("out-dir").ok_or("missing --out-dir DIR")?;
     let trace = load_trace(path)?;
-    let analysis = chart_analysis(path, &trace, &args)?;
+    let analysis = analysis_of_trace(&trace, &args, &Telemetry::noop())?;
     std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
     let dir = Path::new(out_dir);
 
@@ -860,10 +776,9 @@ pub fn report(argv: Vec<String>) -> Result<(), String> {
     // Single-file HTML report bundling text, findings and every chart.
     let mut html = perfvar_viz::html::HtmlReport::new(format!("perfvar report — {}", trace.name));
     html.heading("Hotspot report").text(&report_text);
-    let ranked = perfvar_analysis::findings::findings(&trace, &analysis);
-    if !ranked.is_empty() {
+    if !findings.is_empty() {
         html.heading("Findings (ranked by severity)").list(
-            ranked
+            findings
                 .iter()
                 .map(|f| format!("[{:.0}%] {}", f.severity * 100.0, f.description))
                 .collect(),
@@ -912,29 +827,17 @@ pub fn report(argv: Vec<String>) -> Result<(), String> {
 
 /// Analyses one run for comparison purposes, returning the analysis
 /// plus the function-name table (index = function id) the per-function
-/// deltas are matched on. Archives stream out-of-core like `analyze`;
-/// `--in-memory` opts out.
+/// deltas are matched on.
 fn comparable_analysis(path: &str, args: &ParsedArgs) -> Result<(Analysis, Vec<String>), String> {
-    if wants_out_of_core(path, args) {
-        let result = analysis_of_path(path, args)?;
-        let names = result
-            .meta
-            .registry
-            .functions()
-            .iter()
-            .map(|f| f.name.clone())
-            .collect();
-        Ok((result.analysis, names))
-    } else {
-        let trace = load_trace(path)?;
-        let names = trace
-            .registry()
-            .functions()
-            .iter()
-            .map(|f| f.name.clone())
-            .collect();
-        Ok((analysis_of(&trace, args)?, names))
-    }
+    let result = analysis_of_path(path, args, &Telemetry::noop())?;
+    let names = result
+        .meta
+        .registry
+        .functions()
+        .iter()
+        .map(|f| f.name.clone())
+        .collect();
+    Ok((result.analysis, names))
 }
 
 fn threshold_of(args: &ParsedArgs) -> Result<f64, String> {
@@ -952,7 +855,7 @@ fn threshold_of(args: &ParsedArgs) -> Result<f64, String> {
 pub fn compare(argv: Vec<String>) -> Result<(), String> {
     const SPEC: ArgSpec = ArgSpec {
         valued: &["function", "multiplier", "threads", "threshold"],
-        flags: &["json", "in-memory", "partial"],
+        flags: &["json", "partial"],
     };
     let args = SPEC.parse(argv).map_err(|e| e.to_string())?;
     let before_path = args.positional(0).ok_or("missing baseline trace path")?;
@@ -997,7 +900,7 @@ pub fn compare(argv: Vec<String>) -> Result<(), String> {
 pub fn bisect(argv: Vec<String>) -> Result<(), String> {
     const SPEC: ArgSpec = ArgSpec {
         valued: &["function", "multiplier", "threads", "threshold", "reps"],
-        flags: &["json", "in-memory", "partial"],
+        flags: &["json", "partial"],
     };
     let args = SPEC.parse(argv).map_err(|e| e.to_string())?;
     let runs = args.positionals();
@@ -1109,15 +1012,14 @@ pub fn cluster(argv: Vec<String>) -> Result<(), String> {
     };
     let args = SPEC.parse(argv).map_err(|e| e.to_string())?;
     let path = args.positional(0).ok_or("missing trace path")?;
-    let trace = load_trace(path)?;
-    let analysis = analysis_of(&trace, &args)?;
+    let result = analysis_of_path(path, &args, &Telemetry::noop())?;
     let config = perfvar_analysis::clustering::ClusterConfig {
         num_clusters: args.parse_value("clusters").map_err(|e| e.to_string())?,
         distance_threshold: args
             .parse_or("threshold", 0.25f64)
             .map_err(|e| e.to_string())?,
     };
-    let clustering = perfvar_analysis::ProcessClustering::compute(&analysis.sos, config);
+    let clustering = perfvar_analysis::ProcessClustering::compute(&result.analysis.sos, config);
     if args.has("json") {
         println!(
             "{}",
@@ -1129,7 +1031,7 @@ pub fn cluster(argv: Vec<String>) -> Result<(), String> {
     println!(
         "{} behaviour cluster(s) over {} processes:",
         clustering.len(),
-        trace.num_processes()
+        result.meta.num_processes()
     );
     for (i, c) in clustering.clusters.iter().enumerate() {
         let members: Vec<String> = c.members.iter().take(12).map(|p| p.to_string()).collect();
@@ -1180,19 +1082,13 @@ pub fn diagnose(argv: Vec<String>) -> Result<(), String> {
             "threads",
             "read-buffer",
         ],
-        flags: &["json", "in-memory", "partial", "no-mmap", "no-heatmap"],
+        flags: &["json", "partial", "no-mmap", "no-heatmap"],
     };
     let args = SPEC.parse(argv).map_err(|e| e.to_string())?;
     let path = args.positional(0).ok_or("missing trace path")?;
     let config = diagnose_options_of(&args)?.config();
-    let (meta, analysis) = if wants_out_of_core(path, &args) {
-        let result = analysis_of_path(path, &args)?;
-        (result.meta, result.analysis)
-    } else {
-        let trace = load_trace(path)?;
-        let analysis = analysis_of(&trace, &args)?;
-        (TraceMeta::of(&trace), analysis)
-    };
+    let OutOfCoreAnalysis { analysis, meta, .. } =
+        analysis_of_path(path, &args, &Telemetry::noop())?;
     let diagnosis = diagnose_meta(&meta, &analysis, &config);
     if args.has("json") {
         println!(
@@ -1236,7 +1132,7 @@ pub fn slice(argv: Vec<String>) -> Result<(), String> {
     {
         // Segment by the dominant function (or the override) and cut the
         // N-th invocation window.
-        let analysis = analysis_of(&trace, &args)?;
+        let analysis = analysis_of_trace(&trace, &args, &Telemetry::noop())?;
         perfvar_trace::slice::slice_invocation(&trace, analysis.function, segment)
             .ok_or_else(|| format!("no segment #{segment} exists"))?
             .map_err(|e| format!("slice failed: {e}"))?
@@ -1383,7 +1279,6 @@ mod tests {
         ]))
         .unwrap();
         analyze(argv(&[ts, "--threads", "2"])).unwrap();
-        analyze(argv(&[ts, "--reference", "--threads", "2"])).unwrap();
         analyze(argv(&[ts, "--threads", "2", "--waitstates", "--calltree"])).unwrap();
         let err = analyze(argv(&[ts, "--threads", "zap"])).unwrap_err();
         assert!(err.contains("invalid"));
@@ -1639,12 +1534,11 @@ mod tests {
         .unwrap();
         convert(argv(&[pvt.to_str().unwrap(), arch.to_str().unwrap()])).unwrap();
         let a = arch.to_str().unwrap();
-        // Default archive route is out-of-core; all these knobs ride it.
+        // Archives stream from disk; all these knobs ride that route.
         analyze(argv(&[a])).unwrap();
         analyze(argv(&[a, "--json", "--threads", "2"])).unwrap();
         analyze(argv(&[a, "--phases", "--multiplier", "2"])).unwrap();
-        // Opting out and replay-based extras use the in-memory pipeline.
-        analyze(argv(&[a, "--in-memory"])).unwrap();
+        // Replay-based extras load the trace into memory.
         analyze(argv(&[a, "--waitstates", "--calltree"])).unwrap();
     }
 

@@ -120,9 +120,13 @@ fn trace_and_archive(name: &str) -> (PathBuf, PathBuf) {
 #[test]
 fn stats_json_round_trips_for_both_pipelines() {
     let (pvt, arch) = trace_and_archive("stats-json");
-    // Out-of-core archive route and the in-memory route both emit a
-    // stats document that parses back into the typed form.
-    for path in [arch.to_str().unwrap(), pvt.to_str().unwrap()] {
+    let pvtx = pvt.with_extension("pvtx");
+    let out = perfvar(&["convert", pvt.to_str().unwrap(), pvtx.to_str().unwrap()]);
+    assert!(out.status.success());
+    // Every format emits a stats document that parses back into the
+    // typed form, with the bytes read from disk recorded.
+    for path in [&arch, &pvt, &pvtx] {
+        let path = path.to_str().unwrap();
         let out = perfvar(&["analyze", path, "--stats-json"]);
         assert!(
             out.status.success(),
@@ -140,12 +144,9 @@ fn stats_json_round_trips_for_both_pipelines() {
         let fuse = stats.stage("fuse").expect("fuse stage present");
         assert!(fuse.events > 0);
         assert!(stats.events_per_sec() > 0.0);
+        assert!(stats.totals.bytes_decoded > 0, "{path}: no bytes recorded");
+        assert!(stats.bytes_per_sec() > 0.0);
     }
-    // The archive route additionally decodes from disk → bytes recorded.
-    let out = perfvar(&["analyze", arch.to_str().unwrap(), "--stats-json"]);
-    let stats: perfvar_analysis::PipelineStats = serde_json::from_slice(&out.stdout).unwrap();
-    assert!(stats.totals.bytes_decoded > 0);
-    assert!(stats.bytes_per_sec() > 0.0);
 }
 
 #[test]
@@ -263,24 +264,62 @@ fn watch_reports_truncated_stream_and_keeps_last_good_view() {
 
 #[test]
 fn threads_zero_and_oversubscription_are_normalized() {
-    let (pvt, arch) = trace_and_archive("threads-normalize");
+    let (pvt, _arch) = trace_and_archive("threads-normalize");
     // --threads 0 resolves to the hardware parallelism with a message.
     let out = perfvar(&["analyze", pvt.to_str().unwrap(), "--threads", "0"]);
     assert!(out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--threads 0: using"), "{err}");
-    // Requests beyond the rank count cap at one worker per rank, on
-    // both the in-memory and the out-of-core route.
-    for path in [pvt.to_str().unwrap(), arch.to_str().unwrap()] {
-        let out = perfvar(&["analyze", path, "--threads", "99"]);
-        assert!(out.status.success());
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("capping --threads 99 to 4"), "{path}: {err}");
-    }
+    // Requests beyond the rank count cap at one worker per rank (every
+    // format: `every_format_analyzes_like_the_daemon`).
     // An exact in-range request stays silent.
     let out = perfvar(&["analyze", pvt.to_str().unwrap(), "--threads", "2"]);
     assert!(out.status.success());
     assert!(out.stderr.is_empty(), "unexpected stderr");
+}
+
+/// One trace written as `.pvt`, `.pvta` and `.pvtx` analyzes to the same
+/// bytes through every format, and those bytes are the in-process
+/// `analyze_path` (+ `diagnose_meta`) documents the daemon serves.
+#[test]
+fn every_format_analyzes_like_the_daemon() {
+    let (pvt, arch) = trace_and_archive("every-format");
+    let pvtx = pvt.with_extension("pvtx");
+    let out = perfvar(&["convert", pvt.to_str().unwrap(), pvtx.to_str().unwrap()]);
+    assert!(out.status.success());
+
+    let config = perfvar_analysis::AnalysisConfig::default();
+    let analysis = perfvar_analysis::analyze_path(&pvt, &config).unwrap();
+    let trace = perfvar_trace::format::read_trace_file(&pvt).unwrap();
+    let diagnosis = perfvar_analysis::diagnose_meta(
+        &perfvar_trace::TraceMeta::of(&trace),
+        &analysis,
+        &perfvar_analysis::DiagnoseConfig::default(),
+    );
+    let document = |value: String| value + "\n";
+    let analyze_json = document(serde_json::to_string_pretty(&analysis).unwrap());
+    let diagnose_json = document(serde_json::to_string_pretty(&diagnosis).unwrap());
+
+    for path in [&pvt, &arch, &pvtx] {
+        let path = path.to_str().unwrap();
+        let out = perfvar(&["analyze", path, "--json"]);
+        assert!(out.status.success(), "{path}");
+        assert!(
+            out.stdout == analyze_json.as_bytes(),
+            "{path}: analyze --json"
+        );
+        let out = perfvar(&["diagnose", path, "--json"]);
+        assert!(out.status.success(), "{path}");
+        assert!(
+            out.stdout == diagnose_json.as_bytes(),
+            "{path}: diagnose --json"
+        );
+        // A request beyond the 4 ranks caps at one worker per rank.
+        let out = perfvar(&["analyze", path, "--threads", "99"]);
+        assert!(out.status.success(), "{path}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("capping --threads 99 to 4"), "{path}: {err}");
+    }
 }
 
 /// Generates a workload through the binary, asserting success.

@@ -223,7 +223,8 @@ enum TailState {
     /// Stream file missing or its header incomplete — nothing consumed.
     Unopened,
     Open(StreamTail),
-    Done,
+    /// Complete; remembers the final record count.
+    Done(u64),
     /// Failed; remembers (offset, description) to re-raise.
     Poisoned(u64, String),
 }
@@ -322,10 +323,13 @@ impl ArchiveTail {
         self.sealed
     }
 
-    /// Records consumed so far for `process`.
+    /// Records consumed so far for `process` (its final count once the
+    /// stream is complete; payload bytes are
+    /// [`PrefixDigest::consumed`]).
     pub fn consumed(&self, process: ProcessId) -> u64 {
         match &self.states[process.index()] {
             TailState::Open(tail) => tail.consumed,
+            TailState::Done(consumed) => *consumed,
             _ => 0,
         }
     }
@@ -371,7 +375,7 @@ impl ArchiveTail {
                 }
             }
             match &mut self.states[index] {
-                TailState::Done => {}
+                TailState::Done(_) => {}
                 TailState::Unopened => all_done = false,
                 TailState::Poisoned(offset, msg) => {
                     if delta.error.is_none() {
@@ -401,7 +405,7 @@ impl ArchiveTail {
                         delta.records.push((process, records));
                     }
                     match result {
-                        Ok(true) => self.states[index] = TailState::Done,
+                        Ok(true) => self.states[index] = TailState::Done(tail.consumed),
                         Ok(false) => all_done = false,
                         Err(e) => {
                             let (offset, msg) = match &e {

@@ -5,7 +5,7 @@
 //! categorical legend and/or a continuous colour-scale legend. The three
 //! builders produce the chart types used by the paper's figures.
 
-use crate::color::{Color, ColorScale, FunctionPalette, HeatScale};
+use crate::color::{Color, ColorScale, FunctionPalette};
 use perfvar_analysis::{Analysis, CounterMatrix, Diagnosis};
 use perfvar_trace::{Clock, Event, FunctionId, ProcessId, Timestamp, Trace, TraceMeta};
 use serde::{Deserialize, Serialize};
@@ -451,12 +451,6 @@ pub fn counter_heatmap(
             quantity: metric_def.name.clone(),
         }),
     }
-}
-
-/// The hottest colour the heat scale can produce — exposed so tests and
-/// the experiment harness can locate "red" cells.
-pub fn hottest_color() -> Color {
-    HeatScale.color(1.0)
 }
 
 #[cfg(test)]
