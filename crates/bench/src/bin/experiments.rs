@@ -81,12 +81,14 @@ fn main() {
     let regression = regression_benchmark(&mut report, &out_dir);
     let live = live_benchmark(&mut report, &out_dir);
     let diagnose = diagnose_benchmark(&mut report, &out_dir);
+    let report_render = report_render_benchmark(&mut report);
     if let serde_json::Value::Object(fields) = &mut bench {
         fields.push(("serve".to_string(), serve));
         fields.push(("serve_load".to_string(), serve_load));
         fields.push(("regression".to_string(), regression));
         fields.push(("live".to_string(), live));
         fields.push(("diagnose".to_string(), diagnose));
+        fields.push(("report_render".to_string(), report_render));
     }
     let bench_path = out_dir.join("BENCH_pipeline.json");
     std::fs::write(&bench_path, serde_json::to_string_pretty(&bench).unwrap()).unwrap();
@@ -1418,5 +1420,56 @@ fn diagnose_benchmark(report: &mut Report, _out_dir: &Path) -> serde_json::Value
         "thread_stable": thread_stable,
         "wall_gate_s": wall_gate,
         "relaxed": relaxed,
+    })
+}
+
+// ───────────────────── report rendering benchmark ─────────────────────
+
+/// The chart set `perfvar report` renders — timeline with message
+/// arrows, SOS and counter heatmaps, summary charts, communication
+/// matrix — plus the `report.html` assembly, on the Fig. 5 FD4 trace
+/// (200 ranks, 7200 messages). Everything between the finished analysis
+/// and the file writes; message matching included. Checks that every
+/// rep renders the same bytes. The REPORT-RENDER row in
+/// BENCH_pipeline.json.
+fn report_render_benchmark(report: &mut Report) -> serde_json::Value {
+    use perfvar_viz::html::HtmlReport;
+    use perfvar_viz::report::ReportCharts;
+
+    let trace = fig5_trace();
+    let analysis = analyze(&trace, &AnalysisConfig::default()).unwrap();
+    let render = || {
+        let charts = ReportCharts::render(&trace, &analysis);
+        let svg_bytes: usize = charts.files().iter().map(|(_, svg)| svg.len()).sum();
+        let mut html = HtmlReport::new(format!("perfvar report — {}", trace.name));
+        charts.into_html(&mut html);
+        (svg_bytes, html.render())
+    };
+    let (svg_bytes, first) = render();
+    let mut identical = true;
+    let t = time_reps(&mut || {
+        let (_, html) = render();
+        identical &= html == first;
+    });
+    report.check(
+        "REPORT-RENDER chart set",
+        "every chart of `perfvar report` rendered once per report, deterministically",
+        format!(
+            "best {:.1} ms, median {:.1} ms; {} KiB of SVG, {} KiB of HTML; identical across reps: {identical}",
+            t.best * 1e3,
+            t.median * 1e3,
+            svg_bytes / 1024,
+            first.len() / 1024
+        ),
+        identical,
+    );
+    serde_json::json!({
+        "workload": "cosmo-specs-fd4 (Fig. 5)",
+        "ranks": trace.num_processes(),
+        "events": trace.num_events(),
+        "render": t.to_json(),
+        "svg_bytes": svg_bytes,
+        "html_bytes": first.len(),
+        "identical": identical,
     })
 }

@@ -703,75 +703,10 @@ pub fn report(argv: Vec<String>) -> Result<(), String> {
     let json = serde_json::to_string_pretty(&analysis)
         .map_err(|e| format!("serialisation failed: {e}"))?;
     write("analysis.json", &json)?;
-    write(
-        "timeline.svg",
-        &render_svg(
-            &function_timeline(&trace, &TimelineOptions::default()),
-            &SvgOptions::default(),
-        ),
-    )?;
-    write(
-        "sos.svg",
-        &render_svg(&sos_heatmap(&trace, &analysis), &SvgOptions::default()),
-    )?;
-    for counter in &analysis.counters {
-        let name = trace.registry().metric(counter.metric).name.clone();
-        let file = format!(
-            "counter-{}.svg",
-            name.to_ascii_lowercase()
-                .replace(|c: char| !c.is_ascii_alphanumeric(), "-")
-        );
-        write(
-            &file,
-            &render_svg(
-                &counter_heatmap(&trace, &analysis, &counter.matrix),
-                &SvgOptions::default(),
-            ),
-        )?;
+    let charts = perfvar_viz::report::ReportCharts::render(&trace, &analysis);
+    for (file, svg) in charts.files() {
+        write(file, svg)?;
     }
-    write(
-        "function-summary.svg",
-        &perfvar_viz::summary::render_bar_svg(
-            &perfvar_viz::summary::function_summary(&trace, &analysis.profiles, 12),
-            900,
-        ),
-    )?;
-    write(
-        "process-load.svg",
-        &perfvar_viz::summary::render_bar_svg(
-            &perfvar_viz::summary::process_load_chart(&trace, &analysis),
-            900,
-        ),
-    )?;
-    write(
-        "sos-histogram.svg",
-        &perfvar_viz::summary::render_histogram_svg(
-            &perfvar_viz::summary::sos_histogram(&analysis, 24),
-            640,
-            320,
-        ),
-    )?;
-    let messages = perfvar_analysis::messages::MessageAnalysis::match_trace(&trace);
-    if !messages.is_empty() {
-        let comm = messages.comm_matrix(trace.num_processes());
-        write(
-            "comm-matrix.svg",
-            &perfvar_viz::matrix::render_comm_matrix_svg(
-                &trace,
-                &comm,
-                perfvar_viz::matrix::CommQuantity::Bytes,
-                720,
-            ),
-        )?;
-    }
-    write(
-        "iteration-series.svg",
-        &perfvar_viz::summary::render_series_svg(
-            &perfvar_viz::summary::ordinal_series_chart(&analysis),
-            900,
-            320,
-        ),
-    )?;
 
     // Single-file HTML report bundling text, findings and every chart.
     let mut html = perfvar_viz::html::HtmlReport::new(format!("perfvar report — {}", trace.name));
@@ -784,43 +719,7 @@ pub fn report(argv: Vec<String>) -> Result<(), String> {
                 .collect(),
         );
     }
-    html.heading("Master timeline").svg(render_svg(
-        &function_timeline(&trace, &TimelineOptions::default()),
-        &SvgOptions::default(),
-    ));
-    html.heading("SOS-time heatmap").svg(render_svg(
-        &sos_heatmap(&trace, &analysis),
-        &SvgOptions::default(),
-    ));
-    for counter in &analysis.counters {
-        let name = trace.registry().metric(counter.metric).name.clone();
-        html.heading(format!("Counter heatmap — {name}"))
-            .svg(render_svg(
-                &counter_heatmap(&trace, &analysis, &counter.matrix),
-                &SvgOptions::default(),
-            ));
-    }
-    html.heading("Per-process load")
-        .svg(perfvar_viz::summary::render_bar_svg(
-            &perfvar_viz::summary::process_load_chart(&trace, &analysis),
-            900,
-        ));
-    html.heading("Iteration series")
-        .svg(perfvar_viz::summary::render_series_svg(
-            &perfvar_viz::summary::ordinal_series_chart(&analysis),
-            900,
-            320,
-        ));
-    if !messages.is_empty() {
-        let comm = messages.comm_matrix(trace.num_processes());
-        html.heading("Communication matrix")
-            .svg(perfvar_viz::matrix::render_comm_matrix_svg(
-                &trace,
-                &comm,
-                perfvar_viz::matrix::CommQuantity::Bytes,
-                720,
-            ));
-    }
+    charts.into_html(&mut html);
     write("report.html", &html.render())?;
     Ok(())
 }
@@ -1494,6 +1393,69 @@ mod tests {
         }
         // The FD4 workload has a PAPI counter → a counter SVG exists.
         assert!(out.join("counter-papi-tot-cyc.svg").exists());
+    }
+
+    /// Regression: counter files are named from the lowercased metric
+    /// name with non-alphanumerics as `-`, so `L2_MISS` and `l2-miss`
+    /// used to share `counter-l2-miss.svg` and the second chart
+    /// overwrote the first.
+    #[test]
+    fn report_keeps_colliding_counter_names_apart() {
+        use perfvar_sim::prelude::*;
+        use perfvar_trace::{Clock, FunctionRole, MetricMode};
+        let dir = tmp_dir("report-counter-collision");
+        let mut b = SpecBuilder::new(
+            "collide",
+            Clock::microseconds(),
+            CommParams::cluster_defaults(),
+        );
+        let iter_f = b.function("iteration", FunctionRole::Compute);
+        let barrier_f = b.function("MPI_Barrier", FunctionRole::MpiCollective);
+        let upper = b.metric("L2_MISS", MetricMode::Delta, "misses");
+        let lower = b.metric("l2-miss", MetricMode::Delta, "misses");
+        for rank in 0..3u64 {
+            let mut p = Program::new();
+            for k in 0..4 {
+                p.enter(iter_f);
+                p.compute(1_000 + rank * 100 + k * 10);
+                p.emit_metric(upper, 10 + rank);
+                p.emit_metric(lower, 1_000 * (rank + 1));
+                p.barrier(barrier_f);
+                p.leave(iter_f);
+            }
+            b.add_rank(p);
+        }
+        let trace = simulate(&b.build()).unwrap();
+        let t = dir.join("t.pvt");
+        perfvar_trace::format::write_trace_file(&trace, &t).unwrap();
+        let out = dir.join("out");
+        let _ = std::fs::remove_dir_all(&out);
+        report(argv(&[
+            t.to_str().unwrap(),
+            "--out-dir",
+            out.to_str().unwrap(),
+            "--function",
+            "iteration",
+        ]))
+        .unwrap();
+        let first = std::fs::read_to_string(out.join("counter-l2-miss.svg")).unwrap();
+        let second = std::fs::read_to_string(out.join("counter-l2-miss-1.svg")).unwrap();
+        assert!(
+            first.contains("L2_MISS"),
+            "first file holds the first metric"
+        );
+        assert!(
+            second.contains("l2-miss"),
+            "second file holds the second metric"
+        );
+        let counter_files = std::fs::read_dir(&out)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().starts_with("counter-")
+            })
+            .count();
+        assert_eq!(counter_files, 2);
     }
 
     #[test]

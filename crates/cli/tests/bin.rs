@@ -451,3 +451,70 @@ fn diagnose_golden_desync_wave() {
     assert!(text.contains("idle wave: origin P4"), "{text}");
     assert!(text.contains("launched the idle wave"), "{text}");
 }
+
+/// `report.html` embeds the very bytes of the chart files `report`
+/// writes, one `<div class="chart">` each, in section order: timeline,
+/// SOS heatmap, counter heatmaps, per-process load, iteration series,
+/// communication matrix. The function summary and the SOS histogram are
+/// written as files only.
+#[test]
+fn report_html_embeds_the_written_charts() {
+    let dir = tmp_dir("report-embeds");
+    for (name, args) in [
+        (
+            "fd4",
+            &["cosmo-specs-fd4", "--ranks", "8", "--iterations", "3"][..],
+        ),
+        ("wrf", &["wrf", "--ranks", "12", "--iterations", "4"][..]),
+    ] {
+        let trace = generate_fixture(&dir, name, args);
+        let out_dir = dir.join(format!("{name}.report"));
+        let _ = std::fs::remove_dir_all(&out_dir);
+        let out = perfvar(&[
+            "report",
+            trace.to_str().unwrap(),
+            "--out-dir",
+            out_dir.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let read = |file: &str| {
+            std::fs::read_to_string(out_dir.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"))
+        };
+        let mut counters: Vec<String> = std::fs::read_dir(&out_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|f| f.starts_with("counter-"))
+            .collect();
+        counters.sort();
+        assert_eq!(counters.len(), 1, "{name}: one metric channel");
+        let mut embedded = vec!["timeline.svg".to_string(), "sos.svg".to_string()];
+        embedded.extend(counters);
+        embedded.extend(
+            [
+                "process-load.svg",
+                "iteration-series.svg",
+                "comm-matrix.svg",
+            ]
+            .map(String::from),
+        );
+
+        let html = read("report.html");
+        let charts: Vec<&str> = html
+            .split("<div class=\"chart\">")
+            .skip(1)
+            .map(|rest| rest.split_once("</div>\n").expect("chart div closes").0)
+            .collect();
+        let expected: Vec<String> = embedded.iter().map(|f| read(f)).collect();
+        assert_eq!(charts.len(), expected.len(), "{name}: chart count");
+        for ((chart, svg), file) in charts.iter().zip(&expected).zip(&embedded) {
+            assert!(chart == svg, "{name}: {file} is not embedded byte for byte");
+        }
+        for file_only in ["function-summary.svg", "sos-histogram.svg"] {
+            assert!(!html.contains(&read(file_only)), "{name}: {file_only}");
+        }
+    }
+}

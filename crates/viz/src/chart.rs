@@ -6,10 +6,10 @@
 //! builders produce the chart types used by the paper's figures.
 
 use crate::color::{Color, ColorScale, FunctionPalette};
+use perfvar_analysis::messages::MessageAnalysis;
 use perfvar_analysis::{Analysis, CounterMatrix, Diagnosis};
 use perfvar_trace::{Clock, Event, FunctionId, ProcessId, Timestamp, Trace, TraceMeta};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One coloured interval on a row.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -118,6 +118,67 @@ impl Default for TimelineOptions {
 /// process row shows the dominant activity per time bucket, coloured by
 /// the [`FunctionPalette`].
 pub fn function_timeline(trace: &Trace, opts: &TimelineOptions) -> TimelineChart {
+    let messages = opts
+        .include_messages
+        .then(|| MessageAnalysis::match_trace(trace));
+    function_timeline_with_messages(trace, opts, messages.as_ref())
+}
+
+/// Ticks per function of the one time bucket a stream replay is in.
+/// A stream's timestamps never decrease (traces are validated on
+/// construction), so the replay visits buckets in order and a bucket is
+/// final once the replay moves past it: memory is one slot per
+/// function, not per bucket × function.
+struct OpenBucket {
+    /// Bucket index the ticks belong to.
+    index: usize,
+    /// Ticks per function index; zero for every function not in `touched`.
+    ticks: Vec<u64>,
+    /// Functions with ticks in this bucket, in first-touch order.
+    touched: Vec<FunctionId>,
+}
+
+impl OpenBucket {
+    fn new(num_functions: usize) -> OpenBucket {
+        OpenBucket {
+            index: 0,
+            ticks: vec![0; num_functions],
+            touched: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, function: FunctionId, ticks: u64) {
+        let slot = &mut self.ticks[function.index()];
+        if *slot == 0 {
+            self.touched.push(function);
+        }
+        *slot += ticks;
+    }
+
+    /// The bucket's dominant function — most ticks, ties to the lowest
+    /// id; functions without ticks never count — and resets the bucket.
+    fn take_dominant(&mut self) -> Option<FunctionId> {
+        let mut best: Option<(u64, FunctionId)> = None;
+        for &f in &self.touched {
+            let t = std::mem::take(&mut self.ticks[f.index()]);
+            if best.is_none_or(|(bt, bf)| t > bt || (t == bt && f.0 < bf.0)) {
+                best = Some((t, f));
+            }
+        }
+        self.touched.clear();
+        best.map(|(_, f)| f)
+    }
+}
+
+/// [`function_timeline`] drawing its arrows from a message match the
+/// caller already holds, so a report that also draws the communication
+/// matrix matches the trace's messages once. No arrows without a match
+/// or with [`TimelineOptions::include_messages`] off.
+pub(crate) fn function_timeline_with_messages(
+    trace: &Trace,
+    opts: &TimelineOptions,
+    messages: Option<&MessageAnalysis>,
+) -> TimelineChart {
     let palette = FunctionPalette;
     let begin = trace.begin();
     let end = trace.end();
@@ -125,13 +186,29 @@ pub fn function_timeline(trace: &Trace, opts: &TimelineOptions) -> TimelineChart
     let buckets = opts.buckets.max(1);
     let bucket_width = span.div_ceil(buckets as u64).max(1);
     let registry = trace.registry();
+    let color_of = |f: FunctionId| palette.function_color(f.index(), registry.function_role(f));
+    // Colours bucket `b` by `f`, merging it into an equal left neighbour.
+    let push_bucket = |spans: &mut Vec<Span>, b: usize, f: FunctionId| {
+        let color = color_of(f);
+        let start = Timestamp(begin.0 + b as u64 * bucket_width);
+        let stop = Timestamp((begin.0 + (b as u64 + 1) * bucket_width).min(end.0));
+        match spans.last_mut() {
+            Some(prev) if prev.color == color && prev.end == start => prev.end = stop,
+            _ => spans.push(Span {
+                start,
+                end: stop,
+                color,
+            }),
+        }
+    };
 
-    let mut function_ticks: HashMap<FunctionId, u64> = HashMap::new();
+    let mut function_ticks = vec![0u64; registry.num_functions()];
+    let mut open = OpenBucket::new(registry.num_functions());
+    let mut stack: Vec<FunctionId> = Vec::new();
     let mut rows = Vec::with_capacity(trace.num_processes());
     for stream in trace.streams() {
-        // ticks[bucket][function] accumulated from the stack replay.
-        let mut ticks: Vec<HashMap<FunctionId, u64>> = vec![HashMap::new(); buckets];
-        let mut stack: Vec<FunctionId> = Vec::new();
+        let mut spans: Vec<Span> = Vec::new();
+        stack.clear();
         let mut last: Option<Timestamp> = None;
         for r in stream.records() {
             if let (Some(prev), Some(&top)) = (last, stack.last()) {
@@ -145,8 +222,14 @@ pub fn function_timeline(trace: &Trace, opts: &TimelineOptions) -> TimelineChart
                         (b as u64 + 1) * bucket_width
                     };
                     let chunk_end = stop.min(boundary);
-                    *ticks[b].entry(top).or_insert(0) += chunk_end - start;
-                    *function_ticks.entry(top).or_insert(0) += chunk_end - start;
+                    if b != open.index {
+                        if let Some(f) = open.take_dominant() {
+                            push_bucket(&mut spans, open.index, f);
+                        }
+                        open.index = b;
+                    }
+                    open.add(top, chunk_end - start);
+                    function_ticks[top.index()] += chunk_end - start;
                     start = chunk_end;
                 }
             }
@@ -159,26 +242,8 @@ pub fn function_timeline(trace: &Trace, opts: &TimelineOptions) -> TimelineChart
                 _ => {}
             }
         }
-        // Dominant function per bucket → colour; merge equal neighbours.
-        let mut spans: Vec<Span> = Vec::new();
-        for (b, bucket) in ticks.iter().enumerate() {
-            let Some((&f, _)) = bucket
-                .iter()
-                .max_by_key(|(f, &t)| (t, std::cmp::Reverse(f.0)))
-            else {
-                continue;
-            };
-            let color = palette.function_color(f.index(), registry.function_role(f));
-            let start = Timestamp(begin.0 + b as u64 * bucket_width);
-            let stop = Timestamp((begin.0 + (b as u64 + 1) * bucket_width).min(end.0));
-            match spans.last_mut() {
-                Some(prev) if prev.color == color && prev.end == start => prev.end = stop,
-                _ => spans.push(Span {
-                    start,
-                    end: stop,
-                    color,
-                }),
-            }
+        if let Some(f) = open.take_dominant() {
+            push_bucket(&mut spans, open.index, f);
         }
         rows.push(Row {
             label: registry.process(stream.process).name.clone(),
@@ -187,21 +252,25 @@ pub fn function_timeline(trace: &Trace, opts: &TimelineOptions) -> TimelineChart
     }
 
     // Legend: top functions by total ticks.
-    let mut by_ticks: Vec<(FunctionId, u64)> = function_ticks.into_iter().collect();
+    let mut by_ticks: Vec<(FunctionId, u64)> = function_ticks
+        .iter()
+        .enumerate()
+        .filter(|&(_, &t)| t > 0)
+        .map(|(f, &t)| (FunctionId::from_index(f), t))
+        .collect();
     by_ticks.sort_by_key(|(f, t)| (std::cmp::Reverse(*t), f.0));
     let legend = by_ticks
         .iter()
         .take(opts.max_legend)
         .map(|(f, _)| LegendEntry {
             label: registry.function_name(*f).to_string(),
-            color: palette.function_color(f.index(), registry.function_role(*f)),
+            color: color_of(*f),
         })
         .collect();
 
-    let messages = if opts.include_messages {
-        collect_messages(trace, opts.max_messages)
-    } else {
-        Vec::new()
+    let messages = match messages {
+        Some(messages) if opts.include_messages => collect_messages(messages, opts.max_messages),
+        _ => Vec::new(),
     };
 
     TimelineChart {
@@ -221,11 +290,9 @@ pub fn function_timeline(trace: &Trace, opts: &TimelineOptions) -> TimelineChart
     }
 }
 
-/// Matches send/receive endpoints into arrows (via
-/// [`MessageAnalysis`](perfvar_analysis::messages::MessageAnalysis)),
-/// uniformly thinned to `max_messages`.
-fn collect_messages(trace: &Trace, max_messages: usize) -> Vec<MessageArrow> {
-    let analysis = perfvar_analysis::messages::MessageAnalysis::match_trace(trace);
+/// Turns matched messages into arrows, uniformly thinned to
+/// `max_messages`.
+fn collect_messages(analysis: &MessageAnalysis, max_messages: usize) -> Vec<MessageArrow> {
     let mut arrows: Vec<MessageArrow> = analysis
         .messages
         .iter()
@@ -453,8 +520,179 @@ pub fn counter_heatmap(
     }
 }
 
+/// Fixtures and oracles shared by the crate's tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use perfvar_sim::prelude::*;
+    use perfvar_trace::{Clock, FunctionRole, TraceBuilder};
+    use std::collections::HashMap;
+
+    /// The three case studies at small scale plus the `balanced`,
+    /// `random` and `desync-wave` synthetic workloads.
+    pub(crate) fn oracle_traces() -> Vec<Trace> {
+        let mut cosmo = workloads::CosmoSpecs::small(3, 4, 6);
+        cosmo.cloud_amplitude = 6.0;
+        [
+            cosmo.spec(),
+            workloads::CosmoSpecsFd4::small(8, 3).spec(),
+            workloads::Wrf::small(3, 4, 4).spec(),
+            workloads::BalancedStencil::new(6, 8).spec(),
+            workloads::RandomImbalance::new(6, 8).spec(),
+            workloads::DesyncWave::new(8, 10, 3).spec(),
+        ]
+        .iter()
+        .map(|spec| simulate(spec).unwrap())
+        .collect()
+    }
+
+    /// A trace from random per-process op lists: `(op, function, gap)`
+    /// enters `function` when `op < 2`, otherwise leaves the innermost
+    /// open function; `gap` ticks pass before each op. Open calls are
+    /// closed at the end.
+    pub(crate) fn random_trace(processes: &[Vec<(u8, usize, u64)>], functions: usize) -> Trace {
+        let mut b = TraceBuilder::new(Clock::microseconds()).with_name("random");
+        let pids: Vec<ProcessId> = (0..processes.len())
+            .map(|p| b.define_process(format!("P{p}")))
+            .collect();
+        let fids: Vec<FunctionId> = (0..functions)
+            .map(|f| {
+                let role = if f % 3 == 2 {
+                    FunctionRole::MpiCollective
+                } else {
+                    FunctionRole::Compute
+                };
+                b.define_function(format!("f{f}"), role)
+            })
+            .collect();
+        for (pid, ops) in pids.iter().zip(processes) {
+            let w = b.process_mut(*pid);
+            let mut t = 0;
+            let mut stack = Vec::new();
+            for &(op, f, gap) in ops {
+                t += gap;
+                if op < 2 {
+                    w.enter(Timestamp(t), fids[f % functions]).unwrap();
+                    stack.push(fids[f % functions]);
+                } else if let Some(f) = stack.pop() {
+                    w.leave(Timestamp(t), f).unwrap();
+                }
+            }
+            while let Some(f) = stack.pop() {
+                t += 1;
+                w.leave(Timestamp(t), f).unwrap();
+            }
+        }
+        b.finish().unwrap()
+    }
+
+    /// The per-bucket `HashMap` timeline builder the dense replay
+    /// replaced, kept as its oracle.
+    pub(crate) fn function_timeline_oracle(trace: &Trace, opts: &TimelineOptions) -> TimelineChart {
+        let palette = FunctionPalette;
+        let begin = trace.begin();
+        let end = trace.end();
+        let span = (end.0 - begin.0).max(1);
+        let buckets = opts.buckets.max(1);
+        let bucket_width = span.div_ceil(buckets as u64).max(1);
+        let registry = trace.registry();
+
+        let mut function_ticks: HashMap<FunctionId, u64> = HashMap::new();
+        let mut rows = Vec::with_capacity(trace.num_processes());
+        for stream in trace.streams() {
+            let mut ticks: Vec<HashMap<FunctionId, u64>> = vec![HashMap::new(); buckets];
+            let mut stack: Vec<FunctionId> = Vec::new();
+            let mut last: Option<Timestamp> = None;
+            for r in stream.records() {
+                if let (Some(prev), Some(&top)) = (last, stack.last()) {
+                    let mut start = prev.0 - begin.0;
+                    let stop = r.time.0 - begin.0;
+                    while start < stop {
+                        let b = ((start / bucket_width) as usize).min(buckets - 1);
+                        let boundary = if b == buckets - 1 {
+                            u64::MAX
+                        } else {
+                            (b as u64 + 1) * bucket_width
+                        };
+                        let chunk_end = stop.min(boundary);
+                        *ticks[b].entry(top).or_insert(0) += chunk_end - start;
+                        *function_ticks.entry(top).or_insert(0) += chunk_end - start;
+                        start = chunk_end;
+                    }
+                }
+                last = Some(r.time);
+                match r.event {
+                    Event::Enter { function } => stack.push(function),
+                    Event::Leave { .. } => {
+                        stack.pop();
+                    }
+                    _ => {}
+                }
+            }
+            let mut spans: Vec<Span> = Vec::new();
+            for (b, bucket) in ticks.iter().enumerate() {
+                let Some((&f, _)) = bucket
+                    .iter()
+                    .max_by_key(|(f, &t)| (t, std::cmp::Reverse(f.0)))
+                else {
+                    continue;
+                };
+                let color = palette.function_color(f.index(), registry.function_role(f));
+                let start = Timestamp(begin.0 + b as u64 * bucket_width);
+                let stop = Timestamp((begin.0 + (b as u64 + 1) * bucket_width).min(end.0));
+                match spans.last_mut() {
+                    Some(prev) if prev.color == color && prev.end == start => prev.end = stop,
+                    _ => spans.push(Span {
+                        start,
+                        end: stop,
+                        color,
+                    }),
+                }
+            }
+            rows.push(Row {
+                label: registry.process(stream.process).name.clone(),
+                spans,
+            });
+        }
+
+        let mut by_ticks: Vec<(FunctionId, u64)> = function_ticks.into_iter().collect();
+        by_ticks.sort_by_key(|(f, t)| (std::cmp::Reverse(*t), f.0));
+        let legend = by_ticks
+            .iter()
+            .take(opts.max_legend)
+            .map(|(f, _)| LegendEntry {
+                label: registry.function_name(*f).to_string(),
+                color: palette.function_color(f.index(), registry.function_role(*f)),
+            })
+            .collect();
+
+        let messages = if opts.include_messages {
+            collect_messages(&MessageAnalysis::match_trace(trace), opts.max_messages)
+        } else {
+            Vec::new()
+        };
+
+        TimelineChart {
+            title: format!("Timeline — {}", trace.name),
+            subtitle: format!(
+                "{} processes, {}",
+                trace.num_processes(),
+                trace.clock().format_duration(trace.span())
+            ),
+            clock: trace.clock(),
+            begin,
+            end,
+            rows,
+            messages,
+            legend,
+            scale: None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::*;
     use super::*;
     use perfvar_analysis::{analyze, AnalysisConfig};
     use perfvar_sim::prelude::*;
@@ -639,6 +877,52 @@ mod tests {
         let chart = function_timeline(&trace, &opts);
         for row in &chart.rows {
             assert!(row.spans.len() <= 32);
+        }
+    }
+
+    #[test]
+    fn timeline_matches_hashmap_oracle_on_workloads() {
+        for trace in oracle_traces() {
+            let matched = MessageAnalysis::match_trace(&trace);
+            for buckets in [1, 7, 64, 960, 5000] {
+                let opts = TimelineOptions {
+                    buckets,
+                    max_legend: 64,
+                    ..TimelineOptions::default()
+                };
+                let expected = function_timeline_oracle(&trace, &opts);
+                assert_eq!(function_timeline(&trace, &opts), expected, "{}", trace.name);
+                assert_eq!(
+                    function_timeline_with_messages(&trace, &opts, Some(&matched)),
+                    expected,
+                    "{}",
+                    trace.name
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn timeline_matches_hashmap_oracle_on_random_traces(
+            p0 in proptest::collection::vec((0..3u8, 0..6usize, 0..40u64), 0..120),
+            p1 in proptest::collection::vec((0..3u8, 0..6usize, 0..400u64), 0..120),
+            p2 in proptest::collection::vec((0..3u8, 0..6usize, 0..4u64), 0..60),
+            functions in 1..=6usize,
+            buckets in 1..=80usize,
+        ) {
+            let trace = random_trace(&[p0, p1, p2], functions);
+            let opts = TimelineOptions {
+                buckets,
+                max_legend: 3,
+                ..TimelineOptions::default()
+            };
+            proptest::prop_assert_eq!(
+                function_timeline(&trace, &opts),
+                function_timeline_oracle(&trace, &opts)
+            );
         }
     }
 }

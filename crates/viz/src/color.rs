@@ -2,7 +2,7 @@
 
 use perfvar_trace::FunctionRole;
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// An sRGB colour.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -23,7 +23,29 @@ impl Color {
 
     /// CSS hex form, e.g. `#1f77b4`.
     pub fn hex(&self) -> String {
-        format!("#{:02x}{:02x}{:02x}", self.r, self.g, self.b)
+        let mut out = String::with_capacity(7);
+        self.push_hex(&mut out);
+        out
+    }
+
+    /// Appends the CSS hex form to `out` without an intermediate
+    /// `String` (the per-element path of the SVG writers).
+    pub(crate) fn push_hex(&self, out: &mut String) {
+        out.extend(self.hex_chars());
+    }
+
+    fn hex_chars(&self) -> [char; 7] {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let nibble = |v: u8| DIGITS[v as usize] as char;
+        [
+            '#',
+            nibble(self.r >> 4),
+            nibble(self.r & 15),
+            nibble(self.g >> 4),
+            nibble(self.g & 15),
+            nibble(self.b >> 4),
+            nibble(self.b & 15),
+        ]
     }
 
     /// Linear interpolation between two colours (`t` clamped to `[0,1]`).
@@ -41,7 +63,7 @@ impl Color {
 
 impl fmt::Display for Color {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.hex())
+        self.hex_chars().iter().try_for_each(|&c| f.write_char(c))
     }
 }
 
@@ -200,6 +222,16 @@ mod tests {
     fn hex_formatting() {
         assert_eq!(Color::rgb(0x1f, 0x77, 0xb4).hex(), "#1f77b4");
         assert_eq!(Color::rgb(0, 0, 0).to_string(), "#000000");
+        // Every channel value against `core::fmt`'s `{:02x}`.
+        for v in 0..=255u8 {
+            let c = Color::rgb(v, 255 - v, v.wrapping_mul(7));
+            let expected = format!("#{:02x}{:02x}{:02x}", c.r, c.g, c.b);
+            let mut pushed = String::from("x");
+            c.push_hex(&mut pushed);
+            assert_eq!(pushed[1..], expected);
+            assert_eq!(c.hex(), expected);
+            assert_eq!(c.to_string(), expected);
+        }
     }
 
     #[test]

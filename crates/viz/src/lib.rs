@@ -18,6 +18,9 @@
 //! * [`chart::counter_heatmap`] — Fig. 6(c): segments coloured by a
 //!   hardware-counter value.
 //!
+//! [`report::ReportCharts`] renders the whole chart set of `perfvar
+//! report` once, for both its `.svg` files and `report.html`.
+//!
 //! ```
 //! use perfvar_sim::prelude::*;
 //! use perfvar_analysis::prelude::*;
@@ -39,8 +42,10 @@ pub mod color;
 pub mod html;
 pub mod live;
 pub mod matrix;
+pub mod report;
 pub mod summary;
 pub mod svg;
+mod text;
 
 /// Convenient glob-import of the rendering pipeline.
 pub mod prelude {

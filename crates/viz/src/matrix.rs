@@ -5,7 +5,8 @@
 //! Cells are coloured on the cold→hot scale by message count or payload
 //! bytes.
 
-use crate::color::ColorScale;
+use crate::color::{Color, ColorScale};
+use crate::text::{push_fixed, xml_escape};
 use perfvar_analysis::messages::CommMatrix;
 use perfvar_trace::Trace;
 use serde::{Deserialize, Serialize};
@@ -27,6 +28,38 @@ pub fn render_comm_matrix_svg(
     comm: &CommMatrix,
     quantity: CommQuantity,
     size: u32,
+) -> String {
+    render_comm_matrix_with(trace, comm, quantity, size, push_cell)
+}
+
+/// Fill of cells without traffic.
+const EMPTY_CELL: Color = Color::rgb(0xf4, 0xf4, 0xf4);
+
+/// Appends one matrix cell: a square `<rect>` at (x, y) with one
+/// decimal and side `w` with two. Byte-identical to the `write!` form
+/// `<rect x="{x:.1}" y="{y:.1}" width="{w:.2}" height="{w:.2}" fill="{c}"/>`.
+fn push_cell(svg: &mut String, [x, y, w]: [f64; 3], color: Color) {
+    svg.push_str("<rect x=\"");
+    push_fixed(svg, x, 1);
+    svg.push_str("\" y=\"");
+    push_fixed(svg, y, 1);
+    svg.push_str("\" width=\"");
+    push_fixed(svg, w, 2);
+    svg.push_str("\" height=\"");
+    push_fixed(svg, w, 2);
+    svg.push_str("\" fill=\"");
+    color.push_hex(svg);
+    svg.push_str("\"/>");
+}
+
+/// [`render_comm_matrix_svg`] with the cell writer as a parameter, so
+/// tests can render the same document through the `write!` oracle.
+fn render_comm_matrix_with(
+    trace: &Trace,
+    comm: &CommMatrix,
+    quantity: CommQuantity,
+    size: u32,
+    cell_rect: impl Fn(&mut String, [f64; 3], Color),
 ) -> String {
     let n = comm.dim().max(1);
     let margin = 60.0;
@@ -63,24 +96,20 @@ pub fn render_comm_matrix_svg(
     let _ = write!(
         svg,
         r##"<text x="{margin}" y="18" font-size="13" font-weight="bold">Communication matrix ({what}) — {t}</text>"##,
-        t = xml(&trace.name)
+        t = xml_escape(&trace.name)
     );
     let _ = write!(svg, r##"<g shape-rendering="crispEdges">"##);
+    let w = (cell - cell.min(1.0) * 0.1).max(0.3);
     for i in 0..n {
+        let y = title_h + margin + i as f64 * cell;
         for j in 0..n {
             let v = values(i, j);
             let color = if v == 0 {
-                "#f4f4f4".to_string()
+                EMPTY_CELL
             } else {
-                scale.heat(v as f64).hex()
+                scale.heat(v as f64)
             };
-            let x = margin + j as f64 * cell;
-            let y = title_h + margin + i as f64 * cell;
-            let _ = write!(
-                svg,
-                r##"<rect x="{x:.1}" y="{y:.1}" width="{w:.2}" height="{w:.2}" fill="{color}"/>"##,
-                w = (cell - cell.min(1.0) * 0.1).max(0.3)
-            );
+            cell_rect(&mut svg, [margin + j as f64 * cell, y, w], color);
         }
     }
     let _ = write!(svg, "</g>");
@@ -108,13 +137,6 @@ pub fn render_comm_matrix_svg(
     );
     svg.push_str("</svg>");
     svg
-}
-
-fn xml(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
 }
 
 #[cfg(test)]
@@ -157,5 +179,32 @@ mod tests {
         let comm = analysis.comm_matrix(2);
         let svg = render_comm_matrix_svg(&trace, &comm, CommQuantity::Count, 240);
         assert!(svg.ends_with("</svg>"));
+    }
+
+    /// The `write!` cell writer [`push_cell`] replaced, kept as its
+    /// oracle.
+    fn cell_oracle(svg: &mut String, [x, y, w]: [f64; 3], color: Color) {
+        let _ = write!(
+            svg,
+            r##"<rect x="{x:.1}" y="{y:.1}" width="{w:.2}" height="{w:.2}" fill="{c}"/>"##,
+            c = color.hex()
+        );
+    }
+
+    #[test]
+    fn comm_matrix_svg_matches_write_oracle() {
+        for trace in crate::chart::testing::oracle_traces() {
+            let comm = MessageAnalysis::match_trace(&trace).comm_matrix(trace.num_processes());
+            for q in [CommQuantity::Count, CommQuantity::Bytes] {
+                for size in [720, 241] {
+                    assert_eq!(
+                        render_comm_matrix_svg(&trace, &comm, q, size),
+                        render_comm_matrix_with(&trace, &comm, q, size, cell_oracle),
+                        "{}",
+                        trace.name
+                    );
+                }
+            }
+        }
     }
 }

@@ -8,6 +8,7 @@
 //! function and of total SOS per process, and a histogram of SOS values.
 
 use crate::color::{Color, ColorScale, FunctionPalette};
+use crate::text::{push_fixed, xml_escape};
 use perfvar_analysis::profile::ProfileTable;
 use perfvar_analysis::Analysis;
 use perfvar_trace::{ProcessId, Trace};
@@ -165,32 +166,41 @@ pub fn render_bar_svg(chart: &BarChart, width: u32) -> String {
     let _ = write!(
         svg,
         r##"<text x="{margin}" y="20" font-size="14" font-weight="bold">{}</text>"##,
-        xml(&chart.title)
+        xml_escape(&chart.title)
     );
+    // One label, bar and value per bar, written without `core::fmt`
+    // floats (a bar per rank at scale).
+    let bar_h_attr = bar_h.to_string();
+    let unit = xml_escape(&chart.unit);
     for (i, bar) in chart.bars.iter().enumerate() {
         let y = title_h + i as f64 * (bar_h + gap) + margin;
         let w = (bar.value / vmax * plot_w).max(0.5);
-        let _ = write!(
-            svg,
-            r##"<text x="{lx:.1}" y="{ty:.1}" font-size="10" text-anchor="end" fill="#333333">{label}</text>"##,
-            lx = margin + label_w - 6.0,
-            ty = y + bar_h * 0.7,
-            label = xml(&bar.label)
-        );
-        let _ = write!(
-            svg,
-            r##"<rect x="{x:.1}" y="{y:.1}" width="{w:.1}" height="{bar_h}" fill="{c}"/>"##,
-            x = margin + label_w,
-            c = bar.color.hex()
-        );
-        let _ = write!(
-            svg,
-            r##"<text x="{vx:.1}" y="{ty:.1}" font-size="10" fill="#555555">{v:.0} {unit}</text>"##,
-            vx = margin + label_w + w + 6.0,
-            ty = y + bar_h * 0.7,
-            v = bar.value,
-            unit = xml(&chart.unit)
-        );
+        let ty = y + bar_h * 0.7;
+        svg.push_str(r##"<text x=""##);
+        push_fixed(&mut svg, margin + label_w - 6.0, 1);
+        svg.push_str(r##"" y=""##);
+        push_fixed(&mut svg, ty, 1);
+        svg.push_str(r##"" font-size="10" text-anchor="end" fill="#333333">"##);
+        svg.push_str(&xml_escape(&bar.label));
+        svg.push_str(r##"</text><rect x=""##);
+        push_fixed(&mut svg, margin + label_w, 1);
+        svg.push_str(r##"" y=""##);
+        push_fixed(&mut svg, y, 1);
+        svg.push_str(r##"" width=""##);
+        push_fixed(&mut svg, w, 1);
+        svg.push_str(r##"" height=""##);
+        svg.push_str(&bar_h_attr);
+        svg.push_str(r##"" fill=""##);
+        bar.color.push_hex(&mut svg);
+        svg.push_str(r##""/><text x=""##);
+        push_fixed(&mut svg, margin + label_w + w + 6.0, 1);
+        svg.push_str(r##"" y=""##);
+        push_fixed(&mut svg, ty, 1);
+        svg.push_str(r##"" font-size="10" fill="#555555">"##);
+        push_fixed(&mut svg, bar.value, 0);
+        svg.push(' ');
+        svg.push_str(&unit);
+        svg.push_str("</text>");
     }
     svg.push_str("</svg>");
     svg
@@ -218,7 +228,7 @@ pub fn render_histogram_svg(hist: &Histogram, width: u32, height: u32) -> String
     let _ = write!(
         svg,
         r##"<text x="{margin}" y="18" font-size="13" font-weight="bold">{}</text>"##,
-        xml(&hist.title)
+        xml_escape(&hist.title)
     );
     for (i, &count) in hist.counts.iter().enumerate() {
         let h = count as f64 / cmax * plot_h;
@@ -316,7 +326,7 @@ pub fn render_series_svg(chart: &SeriesChart, width: u32, height: u32) -> String
     let _ = write!(
         svg,
         r##"<text x="{margin}" y="18" font-size="13" font-weight="bold">{}</text>"##,
-        xml(&chart.title)
+        xml_escape(&chart.title)
     );
     let base = title_h + margin + plot_h;
     let _ = write!(
@@ -354,7 +364,7 @@ pub fn render_series_svg(chart: &SeriesChart, width: u32, height: u32) -> String
             x = margin + 6.0 + si as f64 * 80.0,
             y = title_h + 12.0,
             c = color.hex(),
-            t = xml(label)
+            t = xml_escape(label)
         );
     }
     let _ = write!(
@@ -362,17 +372,10 @@ pub fn render_series_svg(chart: &SeriesChart, width: u32, height: u32) -> String
         r##"<text x="{x:.1}" y="{y:.1}" font-size="10" text-anchor="middle" fill="#555555">{t}</text>"##,
         x = margin + plot_w / 2.0,
         y = base + 18.0,
-        t = xml(&chart.x_label)
+        t = xml_escape(&chart.x_label)
     );
     svg.push_str("</svg>");
     svg
-}
-
-fn xml(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
 }
 
 #[cfg(test)]
@@ -512,5 +515,99 @@ mod tests {
         assert!(svg.contains("a &amp; b"));
         assert!(svg.contains("f&lt;1&gt;"));
         assert!(!svg.contains("f<1>"));
+    }
+
+    /// The `write!`-based bar loop the direct writer replaced, kept as
+    /// its oracle.
+    fn render_bar_svg_oracle(chart: &BarChart, width: u32) -> String {
+        let bar_h = 18.0;
+        let gap = 4.0;
+        let label_w = 150.0;
+        let margin = 16.0;
+        let title_h = 30.0;
+        let n = chart.bars.len();
+        let total_h = title_h + n as f64 * (bar_h + gap) + margin * 2.0;
+        let plot_w = width as f64 - label_w - margin * 2.0 - 90.0;
+        let vmax = chart
+            .bars
+            .iter()
+            .map(|b| b.value)
+            .fold(f64::EPSILON, f64::max);
+
+        let mut svg = String::new();
+        let _ = write!(
+            svg,
+            r##"<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{total_h:.0}" font-family="Helvetica,Arial,sans-serif">"##
+        );
+        let _ = write!(
+            svg,
+            r##"<rect width="100%" height="100%" fill="#ffffff"/>"##
+        );
+        let _ = write!(
+            svg,
+            r##"<text x="{margin}" y="20" font-size="14" font-weight="bold">{}</text>"##,
+            xml_escape(&chart.title)
+        );
+        for (i, bar) in chart.bars.iter().enumerate() {
+            let y = title_h + i as f64 * (bar_h + gap) + margin;
+            let w = (bar.value / vmax * plot_w).max(0.5);
+            let _ = write!(
+                svg,
+                r##"<text x="{lx:.1}" y="{ty:.1}" font-size="10" text-anchor="end" fill="#333333">{label}</text>"##,
+                lx = margin + label_w - 6.0,
+                ty = y + bar_h * 0.7,
+                label = xml_escape(&bar.label)
+            );
+            let _ = write!(
+                svg,
+                r##"<rect x="{x:.1}" y="{y:.1}" width="{w:.1}" height="{bar_h}" fill="{c}"/>"##,
+                x = margin + label_w,
+                c = bar.color.hex()
+            );
+            let _ = write!(
+                svg,
+                r##"<text x="{vx:.1}" y="{ty:.1}" font-size="10" fill="#555555">{v:.0} {unit}</text>"##,
+                vx = margin + label_w + w + 6.0,
+                ty = y + bar_h * 0.7,
+                v = bar.value,
+                unit = xml_escape(&chart.unit)
+            );
+        }
+        svg.push_str("</svg>");
+        svg
+    }
+
+    #[test]
+    fn bar_svg_matches_write_oracle() {
+        for trace in crate::chart::testing::oracle_traces() {
+            let analysis = analyze(&trace, &AnalysisConfig::default()).unwrap();
+            let charts = [
+                process_load_chart(&trace, &analysis),
+                function_summary(&trace, &analysis.profiles, 12),
+            ];
+            for chart in &charts {
+                for width in [900, 333] {
+                    assert_eq!(
+                        render_bar_svg(chart, width),
+                        render_bar_svg_oracle(chart, width),
+                        "{}",
+                        chart.title
+                    );
+                }
+            }
+        }
+        let odd = BarChart {
+            title: "odd & values".into(),
+            unit: "<u>".into(),
+            bars: [0.0, 0.5, 1.5, 2.5, 1e-9, 3e17, f64::NAN, -4.25]
+                .iter()
+                .map(|&value| Bar {
+                    label: format!("v{value}"),
+                    value,
+                    color: Color::rgb(1, 2, 3),
+                })
+                .collect(),
+        };
+        assert_eq!(render_bar_svg(&odd, 640), render_bar_svg_oracle(&odd, 640));
     }
 }

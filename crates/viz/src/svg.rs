@@ -6,7 +6,8 @@
 //! Vampir screenshots.
 
 use crate::chart::TimelineChart;
-use crate::color::HeatScale;
+use crate::color::{Color, HeatScale};
+use crate::text::{push_fixed, xml_escape};
 use perfvar_trace::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -39,16 +40,51 @@ const MARGIN_TOP: f64 = 56.0;
 const AXIS_HEIGHT: f64 = 36.0;
 const LEGEND_HEIGHT: f64 = 28.0;
 
-/// Escapes a string for use in XML text/attributes.
-fn xml_escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
-}
-
 /// Renders `chart` as a standalone SVG document.
 pub fn render_svg(chart: &TimelineChart, opts: &SvgOptions) -> String {
+    render_svg_with(chart, opts, push_span_rect, push_message_line)
+}
+
+/// Appends one span: `<rect>` with x, y, width and height at two
+/// decimals. Byte-identical to the `write!` form
+/// `<rect x="{x:.2}" y="{y:.2}" width="{w:.2}" height="{h:.2}" fill="{c}"/>`.
+fn push_span_rect(svg: &mut String, [x, y, w, h]: [f64; 4], color: Color) {
+    svg.push_str("<rect x=\"");
+    push_fixed(svg, x, 2);
+    svg.push_str("\" y=\"");
+    push_fixed(svg, y, 2);
+    svg.push_str("\" width=\"");
+    push_fixed(svg, w, 2);
+    svg.push_str("\" height=\"");
+    push_fixed(svg, h, 2);
+    svg.push_str("\" fill=\"");
+    color.push_hex(svg);
+    svg.push_str("\"/>");
+}
+
+/// Appends one message arrow: `<line>` with both endpoints at one
+/// decimal. Byte-identical to the `write!` form
+/// `<line x1="{x1:.1}" y1="{y1:.1}" x2="{x2:.1}" y2="{y2:.1}"/>`.
+fn push_message_line(svg: &mut String, [x1, y1, x2, y2]: [f64; 4]) {
+    svg.push_str("<line x1=\"");
+    push_fixed(svg, x1, 1);
+    svg.push_str("\" y1=\"");
+    push_fixed(svg, y1, 1);
+    svg.push_str("\" x2=\"");
+    push_fixed(svg, x2, 1);
+    svg.push_str("\" y2=\"");
+    push_fixed(svg, y2, 1);
+    svg.push_str("\"/>");
+}
+
+/// [`render_svg`] with the per-element writers as parameters, so tests
+/// can render the same document through the `write!` oracles.
+fn render_svg_with(
+    chart: &TimelineChart,
+    opts: &SvgOptions,
+    span_rect: impl Fn(&mut String, [f64; 4], Color),
+    message_line: impl Fn(&mut String, [f64; 4]),
+) -> String {
     let plot_w = (opts.width as f64 - MARGIN_LEFT - MARGIN_RIGHT).max(10.0);
     let plot_h = opts.plot_height as f64;
     let n_rows = chart.rows.len().max(1);
@@ -108,11 +144,7 @@ pub fn render_svg(chart: &TimelineChart, opts: &SvgOptions) -> String {
         for s in &row.spans {
             let x = x_of(s.start);
             let wpx = (x_of(s.end) - x).max(0.25);
-            let _ = write!(
-                svg,
-                r##"<rect x="{x:.2}" y="{y:.2}" width="{wpx:.2}" height="{h:.2}" fill="{c}"/>"##,
-                c = s.color.hex()
-            );
+            span_rect(&mut svg, [x, y, wpx, h], s.color);
         }
     }
     let _ = write!(svg, "</g>");
@@ -128,10 +160,7 @@ pub fn render_svg(chart: &TimelineChart, opts: &SvgOptions) -> String {
             let y1 = MARGIN_TOP + (m.from_row as f64 + 0.5) * row_h;
             let x2 = x_of(m.to_time);
             let y2 = MARGIN_TOP + (m.to_row as f64 + 0.5) * row_h;
-            let _ = write!(
-                svg,
-                r##"<line x1="{x1:.1}" y1="{y1:.1}" x2="{x2:.1}" y2="{y2:.1}"/>"##
-            );
+            message_line(&mut svg, [x1, y1, x2, y2]);
         }
         let _ = write!(svg, "</g>");
     }
@@ -268,7 +297,6 @@ mod tests {
 
     #[test]
     fn xml_escaping() {
-        assert_eq!(xml_escape("a<b>&\"c\""), "a&lt;b&gt;&amp;&quot;c&quot;");
         let mut chart = sample_chart();
         chart.title = "bad <title> & stuff".into();
         let svg = render_svg(&chart, &SvgOptions::default());
@@ -313,5 +341,61 @@ mod tests {
         };
         let svg = render_svg(&chart, &SvgOptions::default());
         assert!(svg.starts_with("<svg") && svg.ends_with("</svg>"));
+    }
+
+    /// The `write!` span writer [`push_span_rect`] replaced, kept as its
+    /// oracle.
+    fn span_rect_oracle(svg: &mut String, [x, y, wpx, h]: [f64; 4], color: Color) {
+        let _ = write!(
+            svg,
+            r##"<rect x="{x:.2}" y="{y:.2}" width="{wpx:.2}" height="{h:.2}" fill="{c}"/>"##,
+            c = color.hex()
+        );
+    }
+
+    /// The `write!` arrow writer [`push_message_line`] replaced, kept as
+    /// its oracle.
+    fn message_line_oracle(svg: &mut String, [x1, y1, x2, y2]: [f64; 4]) {
+        let _ = write!(
+            svg,
+            r##"<line x1="{x1:.1}" y1="{y1:.1}" x2="{x2:.1}" y2="{y2:.1}"/>"##
+        );
+    }
+
+    #[test]
+    fn render_svg_matches_write_oracle() {
+        use crate::chart::counter_heatmap;
+        use crate::chart::testing::oracle_traces;
+        let layouts = [
+            SvgOptions::default(),
+            SvgOptions {
+                width: 517,
+                plot_height: 203,
+                draw_messages: true,
+            },
+        ];
+        for trace in oracle_traces() {
+            let analysis = analyze(&trace, &AnalysisConfig::default()).unwrap();
+            let mut charts = vec![
+                function_timeline(&trace, &TimelineOptions::default()),
+                sos_heatmap(&trace, &analysis),
+            ];
+            charts.extend(
+                analysis
+                    .counters
+                    .iter()
+                    .map(|c| counter_heatmap(&trace, &analysis, &c.matrix)),
+            );
+            for chart in &charts {
+                for opts in &layouts {
+                    assert_eq!(
+                        render_svg(chart, opts),
+                        render_svg_with(chart, opts, span_rect_oracle, message_line_oracle),
+                        "{}",
+                        chart.title
+                    );
+                }
+            }
+        }
     }
 }
