@@ -4,8 +4,8 @@
 //! [`analyze_path`](crate::outofcore::analyze_path) over archives and
 //! single-file PVT traces, the rank-subset
 //! [`archive_part`](crate::part::archive_part) and
-//! [`LiveAnalysis::finalize`](crate::live::LiveAnalysis::finalize) all run
-//! the same loop, written once here:
+//! [`LiveAnalysis`](crate::live::LiveAnalysis) all run the same loop,
+//! written once here:
 //!
 //! ```text
 //! RankSource ──► rank-0 prefix ──► predict F ──┐
@@ -22,8 +22,11 @@
 //! profile+fused pass over a list of ranks and applies the
 //! [`RecoveryMode`]; [`complete`] finalizes a part covering every rank and
 //! owns the single fused-only re-pass a misprediction costs. A
-//! [`RankSource`] is all that differs between the entry points: where
-//! the header, the prediction prefix and the per-rank records come from.
+//! [`RankSource`] is all that differs between the batch entry points:
+//! where the header, the prediction prefix and the per-rank records come
+//! from. Every pass replays a rank through one [`RankFold`]; a live
+//! analysis keeps one fold per rank open across its polls and closes them
+//! with the same [`close_combined`] and [`CombinedPass::assemble`].
 
 use crate::dominant::DominantRanking;
 use crate::fused::{metric_modes, FusedSink};
@@ -91,21 +94,46 @@ pub(crate) trait RankSource: Sync {
 
 /// How a pass read one rank: the bytes decoded for it (`0` in memory)
 /// and whether they came from a memory mapping (`None` in memory).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct RankRead {
     pub(crate) bytes: u64,
     pub(crate) mapped: Option<bool>,
 }
 
-/// Ends one rank's replay and hands the sink to `close`.
-fn finish_rank<S: ReplayVisitor, T>(
-    mut machine: ReplayMachine,
-    mut sink: S,
-    read: RankRead,
-    close: &impl Fn(S, ReplayStats, RankRead) -> T,
-) -> T {
-    machine.finish(&mut sink);
-    close(sink, machine.stats(), read)
+/// One rank's resumable replay: the stack machine and the sink it feeds.
+/// A batch pass steps it over the whole stream and closes it at once; a
+/// live analysis steps it once per poll and closes it when the run seals.
+pub(crate) struct RankFold<S> {
+    machine: ReplayMachine,
+    pub(crate) sink: S,
+}
+
+impl<S: ReplayVisitor> RankFold<S> {
+    pub(crate) fn new(registry: &Registry, sink: S) -> RankFold<S> {
+        RankFold {
+            machine: ReplayMachine::new(registry),
+            sink,
+        }
+    }
+
+    /// Replays the rank's next records.
+    #[inline]
+    pub(crate) fn step(&mut self, records: &[EventRecord]) {
+        for record in records {
+            self.machine.step(record, &mut self.sink);
+        }
+    }
+
+    /// Ends the replay and hands the sink, its replay stats and how the
+    /// rank was read to `close`.
+    pub(crate) fn close<T>(
+        mut self,
+        read: RankRead,
+        close: &impl Fn(S, ReplayStats, RankRead) -> T,
+    ) -> T {
+        self.machine.finish(&mut self.sink);
+        close(self.sink, self.machine.stats(), read)
+    }
 }
 
 /// In memory: ranks are work-stolen across `threads` workers.
@@ -130,16 +158,9 @@ impl RankSource for Trace {
     ) -> Vec<Result<T, TraceError>> {
         par_map_ranks(ranks.len(), threads, |slot| {
             let pid = ProcessId::from_index(ranks[slot.index()]);
-            let mut machine = ReplayMachine::new(self.registry());
-            let mut sink = open(pid);
-            for record in self.stream(pid).records() {
-                machine.step(record, &mut sink);
-            }
-            let read = RankRead {
-                bytes: 0,
-                mapped: None,
-            };
-            Ok(finish_rank(machine, sink, read, &close))
+            let mut fold = RankFold::new(self.registry(), open(pid));
+            fold.step(self.stream(pid).records());
+            Ok(fold.close(RankRead::default(), &close))
         })
     }
 }
@@ -178,19 +199,16 @@ impl RankSource for ArchiveCursor {
         par_map_ranks(ranks.len(), threads, |slot| {
             let pid = ProcessId::from_index(ranks[slot.index()]);
             let mut stream = self.stream(pid)?;
-            let mut machine = ReplayMachine::new(self.registry());
-            let mut sink = open(pid);
+            let mut fold = RankFold::new(self.registry(), open(pid));
             let mut chunk = Vec::with_capacity(DECODE_CHUNK_EVENTS);
             while stream.next_chunk(&mut chunk, DECODE_CHUNK_EVENTS)? > 0 {
-                for record in &chunk {
-                    machine.step(record, &mut sink);
-                }
+                fold.step(&chunk);
             }
             let read = RankRead {
                 bytes: stream.byte_offset(),
                 mapped: Some(stream.get_ref().is_mapped()),
             };
-            Ok(finish_rank(machine, sink, read, &close))
+            Ok(fold.close(read, &close))
         })
     }
 }
@@ -244,8 +262,8 @@ impl PvtFile {
                     bytes: offset - std::mem::replace(&mut mark, offset),
                     mapped: Some(self.mapped),
                 };
-                if let Some((slot, machine, sink)) = state {
-                    done[slot] = Some(finish_rank(machine, sink, read, close));
+                if let Some((slot, fold)) = state {
+                    done[slot] = Some(fold.close(read, close));
                 }
             }
         };
@@ -269,11 +287,11 @@ impl PvtFile {
                 let state = ranks
                     .binary_search(&pid.index())
                     .ok()
-                    .map(|slot| (slot, ReplayMachine::new(&self.registry), open(pid)));
+                    .map(|slot| (slot, RankFold::new(&self.registry, open(pid))));
                 active = Some((pid, state));
             }
-            if let Some((_, Some((_, machine, sink)))) = &mut active {
-                machine.step(&record, sink);
+            if let Some((_, Some((_, fold)))) = &mut active {
+                fold.step(std::slice::from_ref(&record));
             }
         }
         retire(active, reader.byte_offset());
@@ -283,7 +301,7 @@ impl PvtFile {
 
 /// The rank a [`PvtFile`] sweep is in, with its replay state when the
 /// pass asked for it.
-type Active<S> = (ProcessId, Option<(usize, ReplayMachine, S)>);
+type Active<S> = (ProcessId, Option<(usize, RankFold<S>)>);
 
 /// A fresh reader of the PVT file at `path`, positioned at the first
 /// event; open errors name the path.
@@ -347,15 +365,13 @@ impl RankSource for PvtFile {
                     ))),
                     // The reader went past this rank without meeting a
                     // record of it: an empty stream.
-                    (None, _) => Ok(finish_rank(
-                        ReplayMachine::new(&self.registry),
-                        open(pid),
-                        RankRead {
+                    (None, _) => {
+                        let read = RankRead {
                             bytes: 0,
                             mapped: Some(self.mapped),
-                        },
-                        &close,
-                    )),
+                        };
+                        Ok(RankFold::new(&self.registry, open(pid)).close(read, &close))
+                    }
                 }
             })
             .collect()
@@ -372,45 +388,6 @@ pub(crate) struct CombinedSink {
     pub(crate) fused: FusedSink,
     first: Option<Timestamp>,
     last: Option<Timestamp>,
-}
-
-impl CombinedSink {
-    pub(crate) fn new(
-        pid: ProcessId,
-        num_functions: usize,
-        function: FunctionId,
-        modes: &[MetricMode],
-    ) -> CombinedSink {
-        CombinedSink {
-            profile: ProfileSink::new(num_functions),
-            fused: FusedSink::new(pid, function, modes.to_vec()),
-            first: None,
-            last: None,
-        }
-    }
-
-    /// Dismantles the finished sink into the rank's part contribution
-    /// and the counters spent producing it.
-    pub(crate) fn into_rank(self, stats: ReplayStats, bytes: u64) -> (RankPart, Counters) {
-        let sos_clamped = self.fused.sos_underflows();
-        let fused = self.fused.into_parts();
-        let counters = Counters {
-            events_replayed: stats.events,
-            bytes_decoded: bytes,
-            segments_emitted: fused.0.len() as u64,
-            sos_clamped,
-            ..Counters::default()
-        };
-        let rank = RankPart {
-            rows: self.profile.rows,
-            fused,
-            num_events: stats.events,
-            first: self.first,
-            last: self.last,
-            failure: None,
-        };
-        (rank, counters)
-    }
 }
 
 impl ReplayVisitor for CombinedSink {
@@ -505,11 +482,96 @@ fn observe(telemetry: &Telemetry, stats: ReplayStats, bytes: u64, fused: &FusedS
     telemetry.rank_done();
 }
 
+/// The combined pass for one speculation target: what every rank is
+/// replayed into, and how the ranks' results become one part.
+pub(crate) struct CombinedPass {
+    num_functions: usize,
+    modes: Vec<MetricMode>,
+    pub(crate) target: FunctionId,
+}
+
+impl CombinedPass {
+    pub(crate) fn new(
+        registry: &Registry,
+        config: &AnalysisConfig,
+        target: FunctionId,
+    ) -> CombinedPass {
+        CombinedPass {
+            num_functions: registry.num_functions(),
+            modes: metric_modes(registry, config.analyze_counters),
+            target,
+        }
+    }
+
+    /// A fresh sink for the rank `pid`.
+    pub(crate) fn sink(&self, pid: ProcessId) -> CombinedSink {
+        CombinedSink {
+            profile: ProfileSink::new(self.num_functions),
+            fused: FusedSink::new(pid, self.target, self.modes.clone()),
+            first: None,
+            last: None,
+        }
+    }
+
+    /// Assembles the closed ranks (`results`, in the order of `ranks`)
+    /// into one part under `mode`: in [`RecoveryMode::Strict`] the first
+    /// unreadable rank aborts, in [`RecoveryMode::Partial`] it is recorded
+    /// and contributes like an empty stream.
+    pub(crate) fn assemble(
+        &self,
+        ranks: &[usize],
+        results: Vec<Result<(RankPart, Counters), TraceError>>,
+        mode: RecoveryMode,
+        telemetry: &Telemetry,
+    ) -> Result<AnalysisPart, PathAnalysisError> {
+        let mut part = AnalysisPart::for_shape(self.num_functions, self.modes.len(), self.target);
+        for (&index, result) in ranks.iter().zip(results) {
+            match result {
+                Ok((rank, counters)) => part.add_rank(index, rank, &counters),
+                Err(error) if mode == RecoveryMode::Partial => {
+                    telemetry.count_recovery(1);
+                    part.add_failed_rank(index, error);
+                }
+                Err(error) => return Err(error.into()),
+            }
+        }
+        Ok(part)
+    }
+}
+
+/// Closes one rank of the combined pass: records it in the fuse stage and
+/// dismantles its sink into the rank's part contribution and the counters
+/// spent producing it.
+pub(crate) fn close_combined(
+    telemetry: &Telemetry,
+) -> impl Fn(CombinedSink, ReplayStats, RankRead) -> (RankPart, Counters) + Sync + '_ {
+    move |sink, stats, read| {
+        observe(telemetry, stats, read.bytes, &sink.fused);
+        if let Some(mapped) = read.mapped {
+            telemetry.count_stream(mapped);
+        }
+        let counters = Counters {
+            events_replayed: stats.events,
+            bytes_decoded: read.bytes,
+            segments_emitted: sink.fused.segments().len() as u64,
+            sos_clamped: sink.fused.sos_underflows(),
+            ..Counters::default()
+        };
+        let rank = RankPart {
+            rows: sink.profile.rows,
+            fused: sink.fused.into_parts(),
+            num_events: stats.events,
+            first: sink.first,
+            last: sink.last,
+            failure: None,
+        };
+        (rank, counters)
+    }
+}
+
 /// Predicts the segmentation function from the source's rank-0 prefix,
-/// runs the combined profile+fused pass over `ranks` and applies `mode`:
-/// in [`RecoveryMode::Strict`] the first unreadable rank aborts, in
-/// [`RecoveryMode::Partial`] it is recorded and contributes like an empty
-/// stream.
+/// runs the combined profile+fused pass over `ranks` and assembles the
+/// part under `mode` ([`CombinedPass::assemble`]).
 pub(crate) fn collect(
     source: &impl RankSource,
     ranks: &[usize],
@@ -518,8 +580,6 @@ pub(crate) fn collect(
     telemetry: &Telemetry,
 ) -> Result<AnalysisPart, PathAnalysisError> {
     let registry = source.registry();
-    let nf = registry.num_functions();
-    let modes = metric_modes(registry, config.analyze_counters);
     let guess = {
         let _span = telemetry.span(Stage::Profile);
         speculation_target(registry, config, || {
@@ -531,35 +591,18 @@ pub(crate) fn collect(
             predictor.predict(config)
         })?
     };
-
+    let pass = CombinedPass::new(registry, config, guess);
     telemetry.begin_ranks(Stage::Fuse, ranks.len());
     let results = {
         let _span = telemetry.span(Stage::Fuse);
         source.pass(
             ranks,
             config.threads,
-            |pid| CombinedSink::new(pid, nf, guess, &modes),
-            |sink, stats, read| {
-                observe(telemetry, stats, read.bytes, &sink.fused);
-                if let Some(mapped) = read.mapped {
-                    telemetry.count_stream(mapped);
-                }
-                sink.into_rank(stats, read.bytes)
-            },
+            |pid| pass.sink(pid),
+            close_combined(telemetry),
         )
     };
-    let mut part = AnalysisPart::for_shape(nf, modes.len(), guess);
-    for (&index, result) in ranks.iter().zip(results) {
-        match result {
-            Ok((rank, counters)) => part.add_rank(index, rank, &counters),
-            Err(error) if mode == RecoveryMode::Partial => {
-                telemetry.count_recovery(1);
-                part.add_failed_rank(index, error);
-            }
-            Err(error) => return Err(error.into()),
-        }
-    }
-    Ok(part)
+    pass.assemble(ranks, results, mode, telemetry)
 }
 
 /// Finalizes a part covering every rank of `source`. When the global

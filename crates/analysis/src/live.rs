@@ -2,24 +2,24 @@
 //!
 //! [`LiveAnalysis`] follows a `.pvta` archive that is still being
 //! written (see `perfvar_trace::format::live`) and keeps the *same*
-//! streaming pipeline the batch path runs — [`ReplayMachine`] feeding
-//! the fused profile + segmentation sinks — fed one
-//! [`poll`](LiveAnalysis::poll) at a time. Each poll decodes only the
-//! newly appended bytes and returns a [`LiveDelta`]: the events and
-//! segments that appeared since the previous poll, plus the rolling
-//! prefix-digest fingerprint that identifies the consumed prefix (the
-//! daemon keys SSE resume tokens on it).
+//! streaming pipeline the batch path runs, fed one
+//! [`poll`](LiveAnalysis::poll) at a time: each rank is one of the
+//! driver's resumable folds (a replay machine feeding the combined
+//! profile + segmentation sink), kept open across polls. Each poll
+//! decodes only the newly appended bytes and returns a [`LiveDelta`]:
+//! the events and segments that appeared since the previous poll, plus
+//! the rolling prefix-digest fingerprint that identifies the consumed
+//! prefix (the daemon keys SSE resume tokens on it).
 //!
 //! Once the writer seals the run, [`finalize`](LiveAnalysis::finalize)
-//! folds the accumulated per-rank state into an [`AnalysisPart`] and
-//! completes it with the one driver every batch entry point uses —
-//! including the misprediction re-pass, which re-reads the (now
-//! batch-readable) archive on [`AnalysisConfig::threads`] workers. The
-//! outcome is therefore **bit-identical**
-//! to a one-shot [`analyze_path`](crate::outofcore::analyze_path) of
-//! the finished archive, no matter how the appends were chunked; the
-//! property test at the bottom of this module proves it for arbitrary
-//! chunkings.
+//! closes and assembles the folds as the batch combined pass does and
+//! completes the part with the driver — including the misprediction
+//! re-pass, which re-reads the (now batch-readable) archive on
+//! [`AnalysisConfig::threads`] workers. The outcome is therefore
+//! **bit-identical** to a one-shot
+//! [`analyze_path`](crate::outofcore::analyze_path) of the finished
+//! archive, no matter how the appends were chunked; the property test
+//! at the bottom of this module proves it for arbitrary chunkings.
 //!
 //! # Speculation in a live setting
 //!
@@ -27,11 +27,10 @@
 //! rank-0 prefix before streaming. A live reader cannot re-read, so it
 //! instead *buffers* decoded records until rank 0 has delivered that
 //! same prefix (or the run seals first), predicts from the buffer, then
-//! replays the buffer into the real sinks and streams on. Because
-//! [`AnalysisPart::finalize`] verifies the speculation against the
-//! global profile and re-passes on a mismatch, the final analysis does
-//! not depend on which function was predicted — only the number of
-//! passes does.
+//! replays the buffer into the real sinks and streams on. Because part
+//! finalization verifies the speculation against the global profile and
+//! re-passes on a mismatch, the final analysis does not depend on which
+//! function was predicted — only the number of passes does.
 //!
 //! # Errors
 //!
@@ -39,36 +38,23 @@
 //! surfaces as a typed `TraceError::CorruptStream` carrying the rank
 //! and byte offset on the [`LiveDelta`]; the affected rank stops
 //! advancing while the remaining ranks keep streaming, and the last
-//! good [`LiveSnapshot`] stays available. [`finalize`](LiveAnalysis::finalize)
+//! good [`LiveSnapshot`] stays available; the tail keeps each rank's
+//! progress ([`ArchiveTail::progress`]). [`finalize`](LiveAnalysis::finalize)
 //! refuses to run while the run is unsealed or any rank is poisoned.
 
-use crate::driver::{complete, speculation_target, CombinedSink, Predictor, PREDICT_PREFIX_EVENTS};
-use crate::fused::metric_modes;
+use crate::driver::{
+    close_combined, complete, speculation_target, CombinedPass, CombinedSink, Predictor, RankFold,
+    RankRead, PREDICT_PREFIX_EVENTS,
+};
 use crate::outofcore::{cursor_options, OutOfCoreAnalysis, PathAnalysisError, RecoveryMode};
-use crate::part::AnalysisPart;
+use crate::profile::ProfileTable;
 use crate::report::AnalysisConfig;
 use crate::segment::Segment;
-use crate::stream::ReplayMachine;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Stage, Telemetry};
 use perfvar_trace::format::cursor::ArchiveCursor;
 use perfvar_trace::format::live::ArchiveTail;
-use perfvar_trace::{
-    EventRecord, FunctionId, MetricMode, ProcessId, Registry, Timestamp, TraceError,
-};
+use perfvar_trace::{EventRecord, FunctionId, ProcessId, Registry, Timestamp, TraceError};
 use std::path::Path;
-
-/// Streaming per-rank state: the replay machine and the combined
-/// profile+fused sink, exactly as in the batch combined pass, plus how
-/// far the closed-segment prefix has been reported to [`LiveDelta`]
-/// consumers.
-struct RankLive {
-    machine: ReplayMachine,
-    sink: CombinedSink,
-    /// Number of leading segments already emitted as closed. Segments
-    /// are indexed in enter order and the open stack is increasing, so
-    /// everything before the first open index is closed for good.
-    confirmed: usize,
-}
 
 /// What one [`LiveAnalysis::poll`] changed.
 #[derive(Debug, Default)]
@@ -90,10 +76,10 @@ pub struct LiveDelta {
     /// readers that consumed the same prefix agree on it regardless of
     /// append chunking, so it keys resumable delta streams.
     pub fingerprint: u128,
-    /// A stream error observed this poll (e.g. a sealed archive ending
-    /// inside a record). The offending rank stops advancing; other
-    /// ranks continue. Latches: once any rank is poisoned,
-    /// [`LiveAnalysis::finalize`] refuses.
+    /// The tail's stream error (e.g. a sealed archive ending inside a
+    /// record): the lowest failed rank's, reported again on every later
+    /// poll. The offending rank stops advancing; other ranks continue.
+    /// Once any rank is poisoned, [`LiveAnalysis::finalize`] refuses.
     pub error: Option<TraceError>,
 }
 
@@ -175,25 +161,16 @@ pub struct LiveSnapshot {
 /// let analysis = live.finalize().unwrap().analysis;
 /// ```
 pub struct LiveAnalysis {
+    /// The tail, which also keeps each rank's progress.
     tail: ArchiveTail,
     config: AnalysisConfig,
-    modes: Vec<MetricMode>,
-    num_functions: usize,
-    /// Resolved speculation target; `None` while buffering.
-    target: Option<FunctionId>,
+    /// The combined pass for the resolved speculation target; `None`
+    /// while buffering.
+    pass: Option<CombinedPass>,
     /// Phase-1 record buffers, one per rank; drained on resolution.
     pending: Vec<Vec<EventRecord>>,
-    /// Streaming state, one per rank; empty until the target resolves.
-    ranks: Vec<RankLive>,
-    /// Events delivered per rank (counted from the tail, so it works
-    /// during both phases).
-    events: Vec<u64>,
-    /// Newest timestamp per rank.
-    last: Vec<Option<Timestamp>>,
-    /// Ranks that hit a stream error (their state is frozen).
-    poisoned: Vec<bool>,
-    /// Whether any poll has reported an error (finalize refuses).
-    errored: bool,
+    /// One open fold per rank; empty until the target resolves.
+    folds: Vec<RankFold<CombinedSink>>,
     finished: bool,
 }
 
@@ -210,26 +187,17 @@ impl LiveAnalysis {
         config: AnalysisConfig,
     ) -> Result<LiveAnalysis, PathAnalysisError> {
         let tail = ArchiveTail::open(dir)?;
-        let registry = tail.registry().clone();
-        let np = registry.num_processes();
-        let nf = registry.num_functions();
-        let modes = metric_modes(&registry, config.analyze_counters);
+        let np = tail.num_processes();
         let mut live = LiveAnalysis {
             tail,
             config,
-            modes,
-            num_functions: nf,
-            target: None,
+            pass: None,
             pending: vec![Vec::new(); np],
-            ranks: Vec::new(),
-            events: vec![0; np],
-            last: vec![None; np],
-            poisoned: vec![false; np],
-            errored: false,
+            folds: Vec::new(),
             finished: false,
         };
         if live.config.segment_function.is_some() {
-            let target = speculation_target(&registry, &live.config, || None)?;
+            let target = speculation_target(live.tail.registry(), &live.config, || None)?;
             live.resolve(target);
         }
         Ok(live)
@@ -252,68 +220,54 @@ impl LiveAnalysis {
 
     /// The resolved segmentation target, if any yet.
     pub fn target(&self) -> Option<FunctionId> {
-        self.target
+        self.pass.as_ref().map(|pass| pass.target)
     }
 
-    /// Switches from buffering to streaming: builds the per-rank
-    /// machines/sinks for `target` and replays the buffered records.
+    /// Switches from buffering to streaming: opens one fold per rank for
+    /// `target` and replays the buffered records into it.
     fn resolve(&mut self, target: FunctionId) {
         let registry = self.tail.registry();
-        let mut ranks = Vec::with_capacity(self.pending.len());
-        for (i, pending) in self.pending.iter_mut().enumerate() {
-            let pid = ProcessId::from_index(i);
-            let mut rank = RankLive {
-                machine: ReplayMachine::new(registry),
-                sink: CombinedSink::new(pid, self.num_functions, target, &self.modes),
-                confirmed: 0,
-            };
-            for record in std::mem::take(pending) {
-                rank.machine.step(&record, &mut rank.sink);
-            }
-            ranks.push(rank);
-        }
-        self.ranks = ranks;
-        self.target = Some(target);
+        let pass = CombinedPass::new(registry, &self.config, target);
+        self.folds = (self.pending.iter_mut().enumerate())
+            .map(|(i, pending)| {
+                let mut fold = RankFold::new(registry, pass.sink(ProcessId::from_index(i)));
+                fold.step(&std::mem::take(pending));
+                fold
+            })
+            .collect();
+        self.pass = Some(pass);
     }
 
     /// Decodes everything appended since the last poll and folds it
     /// into the running analysis. Non-blocking: returns an empty delta
     /// when nothing new arrived.
     pub fn poll(&mut self) -> LiveDelta {
+        let reported: Vec<usize> = (0..self.num_processes())
+            .map(|i| self.closed_segments(i).len())
+            .collect();
         let tail_delta = self.tail.poll();
+        self.finished |= tail_delta.finished;
         let mut delta = LiveDelta {
             new_bytes: tail_delta.new_bytes,
-            finished: tail_delta.finished,
+            finished: self.finished,
+            error: tail_delta.error,
             ..LiveDelta::default()
         };
-        self.finished |= tail_delta.finished;
-        delta.finished = self.finished;
-
-        for (pid, records) in &tail_delta.records {
+        for (pid, records) in tail_delta.records {
             let i = pid.index();
-            if records.is_empty() || self.poisoned[i] {
-                continue;
-            }
-            self.events[i] += records.len() as u64;
-            self.last[i] = records.last().map(|r| r.time).or(self.last[i]);
             delta.new_events += records.len() as u64;
             delta.touched_ranks.push(i);
-            match &mut self.target {
-                Some(_) => {
-                    let rank = &mut self.ranks[i];
-                    for record in records {
-                        rank.machine.step(record, &mut rank.sink);
-                    }
-                }
-                None => self.pending[i].extend(records.iter().cloned()),
+            match self.folds.get_mut(i) {
+                Some(fold) => fold.step(&records),
+                None => self.pending[i].extend(records),
             }
         }
 
         // Resolve the speculation target once rank 0 has delivered the
         // prediction prefix — or at end of run, with whatever arrived.
-        if self.target.is_none()
+        if self.pass.is_none()
             && !self.pending.is_empty()
-            && (self.finished || self.events[0] >= PREDICT_PREFIX_EVENTS as u64)
+            && (self.finished || self.tail.consumed(ProcessId(0)) >= PREDICT_PREFIX_EVENTS as u64)
         {
             // The same bounded rank-0 prefix the batch driver predicts
             // from, so both paths speculate identically on the same bytes.
@@ -327,24 +281,10 @@ impl LiveAnalysis {
         }
 
         // Report segments that closed for good this poll, in rank order.
-        // Everything before the first still-open segment is closed for good.
-        for rank in &mut self.ranks {
-            let fused = &rank.sink.fused;
-            let limit = fused.first_open().unwrap_or(fused.segments().len());
-            if limit > rank.confirmed {
-                delta
-                    .new_segments
-                    .extend_from_slice(&rank.sink.fused.segments()[rank.confirmed..limit]);
-                rank.confirmed = limit;
-            }
-        }
-
-        if let Some(error) = tail_delta.error {
-            if let TraceError::CorruptStream { process, .. } = &error {
-                self.poisoned[process.index()] = true;
-            }
-            self.errored = true;
-            delta.error = Some(error);
+        for (i, &before) in reported.iter().enumerate() {
+            delta
+                .new_segments
+                .extend_from_slice(&self.closed_segments(i)[before..]);
         }
         delta.fingerprint = self.tail.prefix_digest().fingerprint();
         delta
@@ -353,67 +293,53 @@ impl LiveAnalysis {
     /// Segments closed for good on `rank` so far, in enter order.
     /// Empty while the speculation target is still unresolved.
     pub fn closed_segments(&self, rank: usize) -> &[Segment] {
-        match self.ranks.get(rank) {
-            Some(r) => &r.sink.fused.segments()[..r.confirmed],
-            None => &[],
-        }
+        let Some(fold) = self.folds.get(rank) else {
+            return &[];
+        };
+        let fused = &fold.sink.fused;
+        &fused.segments()[..fused.first_open().unwrap_or(fused.segments().len())]
     }
 
     /// A point-in-time view of the run. Always reflects the last good
     /// state: poisoned ranks freeze, healthy ranks keep advancing.
     pub fn snapshot(&self) -> LiveSnapshot {
         let registry = self.tail.registry();
-        let np = registry.num_processes();
-        let mut ranks = Vec::with_capacity(np);
-        for i in 0..np {
-            let (segments, duration_total, sos_total) = match self.ranks.get(i) {
-                Some(r) => {
-                    let closed = &r.sink.fused.segments()[..r.confirmed];
-                    (
-                        closed.len(),
-                        closed.iter().map(|s| s.duration().0).sum(),
-                        closed.iter().map(|s| s.sos().0).sum(),
-                    )
+        let ranks: Vec<RankSnapshot> = (0..registry.num_processes())
+            .map(|i| {
+                let progress = self.tail.progress(ProcessId::from_index(i));
+                let closed = self.closed_segments(i);
+                RankSnapshot {
+                    events: progress.records,
+                    bytes: self.tail.prefix_digest().consumed(i),
+                    segments: closed.len(),
+                    duration_total: closed.iter().map(|s| s.duration().0).sum(),
+                    sos_total: closed.iter().map(|s| s.sos().0).sum(),
+                    last: progress.last,
+                    poisoned: progress.failed,
                 }
-                None => (0, 0, 0),
-            };
-            ranks.push(RankSnapshot {
-                events: self.events[i],
-                bytes: self.tail.prefix_digest().consumed(i),
-                segments,
-                duration_total,
-                sos_total,
-                last: self.last[i],
-                poisoned: self.poisoned[i],
-            });
-        }
-        let mut functions: Vec<FunctionTotal> = (0..self.num_functions)
-            .map(|f| FunctionTotal {
-                function: FunctionId(f as u32),
-                name: registry.function_name(FunctionId(f as u32)).to_string(),
-                count: 0,
-                inclusive: 0,
-                exclusive: 0,
             })
             .collect();
-        for rank in &self.ranks {
-            for (f, row) in rank.sink.profile.rows.iter().enumerate() {
-                functions[f].count += row.count;
-                functions[f].inclusive += row.inclusive;
-                functions[f].exclusive += row.exclusive;
-            }
-        }
-        functions.retain(|f| f.count > 0);
-        functions.sort_by(|a, b| {
-            b.inclusive
-                .cmp(&a.inclusive)
-                .then(a.function.0.cmp(&b.function.0))
-        });
+        let profiles = ProfileTable::from_rows(
+            registry.num_functions(),
+            self.folds.iter().map(|fold| &fold.sink.profile.rows),
+        );
+        let functions = (profiles.by_inclusive_desc().into_iter())
+            .map(|function| {
+                let profile = profiles.get(function);
+                FunctionTotal {
+                    function,
+                    name: registry.function_name(function).to_string(),
+                    count: profile.count,
+                    inclusive: profile.inclusive.0,
+                    exclusive: profile.exclusive.0,
+                }
+            })
+            .collect();
         LiveSnapshot {
             name: self.tail.name().to_string(),
             finished: self.finished,
-            target: self.target,
-            events: self.events.iter().sum(),
+            target: self.target(),
+            events: ranks.iter().map(|r| r.events).sum(),
             bytes: ranks.iter().map(|r| r.bytes).sum(),
             fingerprint: self.tail.prefix_digest().fingerprint(),
             ranks,
@@ -421,48 +347,69 @@ impl LiveAnalysis {
         }
     }
 
+    /// [`finalize_observed`](Self::finalize_observed) without recording.
+    pub fn finalize(self) -> Result<OutOfCoreAnalysis, PathAnalysisError> {
+        self.finalize_observed(&Telemetry::noop())
+    }
+
     /// Assembles the final analysis of the sealed run.
     ///
     /// Bit-identical to a one-shot
     /// [`analyze_path_with`](crate::outofcore::analyze_path_with) of
     /// the finished archive, regardless of how the appends were
-    /// chunked: the per-rank state goes through the same
-    /// [`AnalysisPart`] verification, and a misprediction re-passes the
-    /// (now batch-readable) archive with the true function — the batch
+    /// chunked: every rank's fold closes and the part assembles as in
+    /// the batch combined pass, and a misprediction re-passes the (now
+    /// batch-readable) archive with the true function — the batch
     /// driver's own completion step runs it.
+    ///
+    /// `telemetry` counts the run as a batch analysis counts one: the
+    /// prediction prefix in the profile stage, the folds in the fuse
+    /// stage (their payload bytes; the polls that fed them are not
+    /// timed), assembly and any re-pass through the driver. Totals other
+    /// than `bytes_decoded` equal those of
+    /// [`analyze_path_observed`](crate::outofcore::analyze_path_observed)
+    /// on the finished archive.
     ///
     /// Errors if the run has not sealed yet (poll until
     /// [`LiveDelta::finished`]) or if any rank was poisoned by a stream
     /// error.
-    pub fn finalize(self) -> Result<OutOfCoreAnalysis, PathAnalysisError> {
-        if !self.finished {
-            return Err(TraceError::Corrupt(
-                "live analysis finalized before the end-of-run marker was observed".into(),
-            )
-            .into());
+    pub fn finalize_observed(
+        self,
+        telemetry: &Telemetry,
+    ) -> Result<OutOfCoreAnalysis, PathAnalysisError> {
+        let ranks: Vec<usize> = (0..self.num_processes()).collect();
+        let poisoned = (ranks.iter()).any(|&i| self.tail.progress(ProcessId::from_index(i)).failed);
+        if !self.finished || poisoned {
+            let why = match self.finished {
+                false => "the end-of-run marker has not been observed",
+                true => "a stream error poisoned the run",
+            };
+            let error = TraceError::Corrupt(format!("live analysis cannot finalize: {why}"));
+            return Err(error.into());
         }
-        if self.errored {
-            return Err(TraceError::Corrupt(
-                "live analysis cannot finalize: a stream error poisoned the run".into(),
-            )
-            .into());
+        let pass = self.pass.expect("a sealed run has resolved its target");
+        if self.config.segment_function.is_none() {
+            // The rank-0 prefix the target was predicted from.
+            let prefix = self.tail.consumed(ProcessId(0));
+            let mut w = telemetry.worker(Stage::Profile);
+            w.events(prefix.min(PREDICT_PREFIX_EVENTS as u64));
         }
-        let target = self.target.expect("a sealed run has resolved its target");
-        let mut part = AnalysisPart::for_shape(self.num_functions, self.modes.len(), target);
-        for (i, mut rank) in self.ranks.into_iter().enumerate() {
-            rank.machine.finish(&mut rank.sink);
-            let bytes = self.tail.prefix_digest().consumed(i);
-            let (rank, counters) = rank.sink.into_rank(rank.machine.stats(), bytes);
-            part.add_rank(i, rank, &counters);
-        }
+        telemetry.begin_ranks(Stage::Fuse, ranks.len());
+        let results = {
+            let _span = telemetry.span(Stage::Fuse);
+            let close = close_combined(telemetry);
+            let digest = self.tail.prefix_digest();
+            let payload = |i| RankRead {
+                bytes: digest.consumed(i),
+                mapped: None,
+            };
+            (self.folds.into_iter().enumerate())
+                .map(|(i, fold)| Ok(fold.close(payload(i), &close)))
+                .collect()
+        };
+        let part = pass.assemble(&ranks, results, RecoveryMode::Strict, telemetry)?;
         let cursor = ArchiveCursor::open_with(self.tail.dir(), cursor_options(&self.config))?;
-        complete(
-            part,
-            &cursor,
-            &self.config,
-            RecoveryMode::Strict,
-            &Telemetry::noop(),
-        )
+        complete(part, &cursor, &self.config, RecoveryMode::Strict, telemetry)
     }
 }
 
@@ -743,6 +690,102 @@ mod tests {
         // The last good rank-1 state is retained, never rolled back.
         assert!(after.ranks[1].segments >= good.ranks[1].segments);
         assert!(live.finalize().is_err());
+    }
+
+    #[test]
+    fn every_torn_rank_is_poisoned_and_its_error_repeats_unchanged() {
+        let t = sample(4, 12);
+        let dir = tmp("torn-ranks.pvta");
+        let mut w = LiveArchiveWriter::create(&dir, &t.name, t.clock(), t.registry()).unwrap();
+        for stream in t.streams() {
+            for r in stream.records() {
+                w.append(stream.process, r).unwrap();
+            }
+        }
+        w.flush().unwrap();
+        drop(w);
+        for rank in [1, 3] {
+            let file = dir.join(perfvar_trace::format::archive::stream_file(rank));
+            let bytes = std::fs::read(&file).unwrap();
+            std::fs::write(&file, &bytes[..bytes.len() - 2]).unwrap();
+        }
+        perfvar_trace::format::live::mark_finished(&dir).unwrap();
+
+        let mut live = LiveAnalysis::open(&dir, AnalysisConfig::default()).unwrap();
+        let first = live.poll().error.expect("torn ranks fail the poll");
+        let snapshot = live.snapshot();
+        let poisoned: Vec<bool> = snapshot.ranks.iter().map(|r| r.poisoned).collect();
+        assert_eq!(poisoned, [false, true, false, true]);
+        for (i, rank) in snapshot.ranks.iter().enumerate() {
+            // A failed rank keeps the records it delivered before the tear.
+            let records = t.stream(ProcessId::from_index(i)).records();
+            let delivered = records.len() - usize::from(rank.poisoned);
+            assert_eq!(rank.events, delivered as u64, "rank {i}");
+            assert_eq!(rank.last, Some(records[delivered - 1].time), "rank {i}");
+        }
+        // The failure is reported again, with the same text, on every
+        // later poll: the one that finishes the run and the ones after.
+        let first = first.to_string();
+        assert!(!first.contains("corrupt trace data: corrupt"), "{first}");
+        for _ in 0..2 {
+            let delta = live.poll();
+            assert!(delta.finished);
+            assert_eq!(delta.error.map(|e| e.to_string()), Some(first.clone()));
+        }
+        assert!(live.finalize().is_err());
+    }
+
+    /// A sealed live run finalized with a recorder counts what the
+    /// one-shot analysis of the finished archive counts: the same events,
+    /// segments, clamped SOS values and passes.
+    #[test]
+    fn observed_finalize_counts_like_a_one_shot_analysis() {
+        use crate::outofcore::analyze_path_observed;
+        use crate::telemetry::PipelineStats;
+        use perfvar_trace::format::archive::stream_file;
+        let fixtures = [
+            ("observed-sample.pvta", sample(3, 40), 1),
+            ("observed-mispredict.pvta", adversarial(4, 30), 2),
+        ];
+        for (name, trace, passes) in fixtures {
+            let dir = tmp(name);
+            let config = AnalysisConfig::default();
+            let (live, _) = feed_live(&trace, &dir, 7, &config);
+            let payload: u64 = live.snapshot().ranks.iter().map(|r| r.bytes).sum();
+            let observed = Telemetry::enabled();
+            let live = live.finalize_observed(&observed).unwrap();
+            let recorded = Telemetry::enabled();
+            let batch =
+                analyze_path_observed(&dir, &config, RecoveryMode::Strict, &recorded).unwrap();
+            assert_eq!(live.analysis, batch.analysis);
+            assert_eq!((live.passes, batch.passes), (passes, passes), "{name}");
+            let (l, b) = (observed.snapshot().unwrap(), recorded.snapshot().unwrap());
+            assert_eq!(l.totals.events_replayed, b.totals.events_replayed, "{name}");
+            assert_eq!(
+                l.totals.segments_emitted, b.totals.segments_emitted,
+                "{name}"
+            );
+            assert_eq!(l.totals.sos_clamped, b.totals.sos_clamped, "{name}");
+            // Bytes differ by design. The folds count the payload bytes
+            // the polls consumed (Σ `RankSnapshot::bytes`), and the
+            // prediction prefix was buffered, not read again. The batch
+            // route counts each stream file whole, headers included, and
+            // reads the prefix a second time. Any re-pass reads the same
+            // files on both routes.
+            let bytes = |s: &PipelineStats, stage| s.stage(stage).map_or(0, |s| s.bytes);
+            let files: u64 = (0..trace.num_processes())
+                .map(|i| std::fs::metadata(dir.join(stream_file(i))).unwrap().len())
+                .sum();
+            assert_eq!(bytes(&l, "profile"), 0, "{name}");
+            assert_eq!(
+                bytes(&b, "fuse") - bytes(&l, "fuse"),
+                files - payload,
+                "{name}"
+            );
+            if passes == 1 {
+                assert_eq!(l.totals.bytes_decoded, payload, "{name}");
+            }
+        }
     }
 
     #[test]

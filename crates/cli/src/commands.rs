@@ -29,8 +29,7 @@ USAGE:
                    [--live [--flush-every N] [--delay-ms MS]]
   perfvar info     <trace>
   perfvar watch    <archive.pvta> [--interval MS] [--width N] [--top N]
-                   [--function NAME] [--multiplier K] [--threads N]
-                   [--read-buffer BYTES] [--no-mmap] [--no-color]
+                   [--function NAME] [--multiplier K] [--no-color]
   perfvar analyze  <trace> [--function NAME] [--refine N] [--multiplier K]
                    [--threads N] [--auto-refine] [--calltree] [--waitstates]
                    [--phases] [--json] [--partial] [--read-buffer BYTES]
@@ -204,16 +203,8 @@ fn generate_live(trace: &Trace, out: &str, args: &ParsedArgs) -> Result<(), Stri
 /// stays on screen.
 pub fn watch(argv: Vec<String>) -> Result<(), String> {
     const SPEC: ArgSpec = ArgSpec {
-        valued: &[
-            "interval",
-            "width",
-            "top",
-            "function",
-            "multiplier",
-            "threads",
-            "read-buffer",
-        ],
-        flags: &["no-mmap", "no-color"],
+        valued: &["interval", "width", "top", "function", "multiplier"],
+        flags: &["no-color"],
     };
     let args = SPEC.parse(argv).map_err(|e| e.to_string())?;
     let path = args.positional(0).ok_or("missing live archive path")?;

@@ -222,6 +222,12 @@ fn generate_live_seals_a_batch_readable_archive_watch_renders_it() {
         !frame.contains("\x1b[2J"),
         "repaint escapes leaked: {frame}"
     );
+
+    // watch never finalizes, so it takes none of the I/O knobs.
+    let out = perfvar(&["watch", a, "--threads", "2"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option --threads"), "{err}");
 }
 
 #[test]

@@ -927,7 +927,7 @@ impl ServerState {
             }
             if delta.finished {
                 if !errored {
-                    match live.finalize() {
+                    match live.finalize_observed(&self.telemetry) {
                         Ok(result) => {
                             let data =
                                 serde_json::to_string(&serde_json::to_value(&result.analysis))

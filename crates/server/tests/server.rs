@@ -1156,6 +1156,41 @@ fn sse_stream_follows_a_growing_run_to_the_one_shot_result() {
 }
 
 #[test]
+fn sse_result_counts_in_stats_like_a_one_shot_analysis() {
+    let dir = tmp("sse-stats");
+    let arch = dir.join("live.pvta");
+    grow_live_archive(fixture_trace(4), &arch, 16, std::time::Duration::ZERO);
+    let (handle, addr) = spawn(ServeOptions::default());
+    let before = stats_of(&addr).totals.events_replayed;
+    let resp = client::get(
+        &addr,
+        &format!(
+            "/v1/analyze/stream?path={}&interval=10",
+            percent_encode(arch.to_str().unwrap())
+        ),
+    )
+    .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let events = client::sse_events(&resp.body);
+    assert_eq!(events.last().map(|e| e.event.as_str()), Some("result"));
+    let streamed = stats_of(&addr).totals.events_replayed - before;
+    handle.shutdown();
+
+    // Reference: a one-shot analysis of the sealed archive on a fresh
+    // daemon replays this many events.
+    let (ref_handle, ref_addr) = spawn(ServeOptions::default());
+    let resp = client::get(&ref_addr, &analyze_target(&arch)).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let one_shot = stats_of(&ref_addr).totals.events_replayed;
+    ref_handle.shutdown();
+    assert!(one_shot > 0);
+    assert_eq!(
+        streamed, one_shot,
+        "a finalized stream counts like /v1/analyze"
+    );
+}
+
+#[test]
 fn sse_stream_reports_a_torn_append_with_typed_detail() {
     let dir = tmp("sse-torn");
     let arch = dir.join("live.pvta");

@@ -39,7 +39,7 @@ use crate::error::{TraceError, TraceResult};
 use crate::event::EventRecord;
 use crate::ids::{FunctionId, ProcessId};
 use crate::registry::Registry;
-use crate::time::Clock;
+use crate::time::{Clock, Timestamp};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -212,10 +212,26 @@ pub struct TailDelta {
     /// Whether the archive is sealed and every stream was consumed to
     /// its final declared count (clean end of run).
     pub finished: bool,
-    /// A typed failure ([`TraceError::CorruptStream`] with rank and byte
-    /// offset for body damage), `None` on a clean poll. Once a stream
-    /// has failed it stays failed: later polls report it again.
+    /// The failure of the lowest failed rank ([`TraceError::CorruptStream`]
+    /// with rank and byte offset for body damage), `None` while every
+    /// stream is healthy. Once a stream has failed it stays failed:
+    /// every later poll, after the run finished too, reports it again
+    /// with the same text. [`ArchiveTail::progress`] says which ranks
+    /// failed.
     pub error: Option<TraceError>,
+}
+
+/// How far an [`ArchiveTail`] has consumed one rank's stream.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RankProgress {
+    /// Records consumed so far (the final count once the stream is
+    /// complete).
+    pub records: u64,
+    /// Timestamp of the newest consumed record; `None` before the first.
+    pub last: Option<Timestamp>,
+    /// Whether the stream failed. A failed stream stops advancing and
+    /// keeps the progress it had.
+    pub failed: bool,
 }
 
 #[derive(Debug)]
@@ -223,10 +239,10 @@ enum TailState {
     /// Stream file missing or its header incomplete — nothing consumed.
     Unopened,
     Open(StreamTail),
-    /// Complete; remembers the final record count.
-    Done(u64),
-    /// Failed; remembers (offset, description) to re-raise.
-    Poisoned(u64, String),
+    /// Complete; remembers its final progress.
+    Done(RankProgress),
+    /// Failed; remembers its progress and the failure to re-raise.
+    Poisoned(RankProgress, TraceError),
 }
 
 /// Tail reader for one rank's stream file.
@@ -327,10 +343,16 @@ impl ArchiveTail {
     /// stream is complete; payload bytes are
     /// [`PrefixDigest::consumed`]).
     pub fn consumed(&self, process: ProcessId) -> u64 {
+        self.progress(process).records
+    }
+
+    /// How far the stream of `process` has been consumed, and whether it
+    /// failed. Kept through completion and failure alike.
+    pub fn progress(&self, process: ProcessId) -> RankProgress {
         match &self.states[process.index()] {
-            TailState::Open(tail) => tail.consumed,
-            TailState::Done(consumed) => *consumed,
-            _ => 0,
+            TailState::Unopened => RankProgress::default(),
+            TailState::Open(tail) => tail.progress(false),
+            TailState::Done(progress) | TailState::Poisoned(progress, _) => *progress,
         }
     }
 
@@ -354,36 +376,41 @@ impl ArchiveTail {
             finished: false,
             error: None,
         };
-        if self.finished {
-            delta.finished = true;
-            return delta;
-        }
         let mut all_done = true;
         for index in 0..self.states.len() {
             let process = ProcessId::from_index(index);
             if matches!(self.states[index], TailState::Unopened) {
-                match open_tail(&self.dir, index) {
-                    Ok(Some(tail)) => self.states[index] = TailState::Open(tail),
-                    Ok(None) if self.sealed => {
-                        let msg = format!("sealed archive is missing {}", stream_file(index));
-                        self.states[index] = TailState::Poisoned(0, msg);
+                let failure = match open_tail(&self.dir, index) {
+                    Ok(Some(tail)) => {
+                        self.states[index] = TailState::Open(tail);
+                        None
                     }
-                    Ok(None) => {}
-                    Err(e) => {
-                        self.states[index] = TailState::Poisoned(0, e.to_string());
-                    }
+                    Ok(None) if self.sealed => Some(TraceError::Corrupt(format!(
+                        "sealed archive is missing {}",
+                        stream_file(index)
+                    ))),
+                    Ok(None) => None,
+                    Err(e) => Some(e),
+                };
+                if let Some(source) = failure {
+                    let error = TraceError::CorruptStream {
+                        process,
+                        offset: 0,
+                        source: Box::new(source),
+                    };
+                    let progress = RankProgress {
+                        failed: true,
+                        ..RankProgress::default()
+                    };
+                    self.states[index] = TailState::Poisoned(progress, error);
                 }
             }
             match &mut self.states[index] {
                 TailState::Done(_) => {}
                 TailState::Unopened => all_done = false,
-                TailState::Poisoned(offset, msg) => {
+                TailState::Poisoned(_, error) => {
                     if delta.error.is_none() {
-                        delta.error = Some(TraceError::CorruptStream {
-                            process,
-                            offset: *offset,
-                            source: Box::new(TraceError::Corrupt(msg.clone())),
-                        });
+                        delta.error = Some(replica(error));
                     }
                     // A poisoned rank can never recover once the run is
                     // sealed; don't hold `finished` hostage to it.
@@ -405,19 +432,13 @@ impl ArchiveTail {
                         delta.records.push((process, records));
                     }
                     match result {
-                        Ok(true) => self.states[index] = TailState::Done(tail.consumed),
+                        Ok(true) => self.states[index] = TailState::Done(tail.progress(false)),
                         Ok(false) => all_done = false,
                         Err(e) => {
-                            let (offset, msg) = match &e {
-                                TraceError::CorruptStream { offset, source, .. } => {
-                                    (*offset, source.to_string())
-                                }
-                                other => (tail.decoded_offset, other.to_string()),
-                            };
-                            self.states[index] = TailState::Poisoned(offset, msg);
                             if delta.error.is_none() {
-                                delta.error = Some(e);
+                                delta.error = Some(replica(&e));
                             }
+                            self.states[index] = TailState::Poisoned(tail.progress(true), e);
                             all_done = false;
                         }
                     }
@@ -429,6 +450,56 @@ impl ArchiveTail {
         }
         delta.finished = self.finished;
         delta
+    }
+}
+
+/// A copy of a recorded stream failure, so later polls re-raise the same
+/// variant with the same text.
+fn replica(error: &TraceError) -> TraceError {
+    match error {
+        TraceError::NonMonotonicTime {
+            process,
+            previous,
+            attempted,
+        } => TraceError::NonMonotonicTime {
+            process: *process,
+            previous: *previous,
+            attempted: *attempted,
+        },
+        TraceError::MismatchedLeave {
+            process,
+            time,
+            left,
+            expected,
+        } => TraceError::MismatchedLeave {
+            process: *process,
+            time: *time,
+            left: *left,
+            expected: *expected,
+        },
+        TraceError::UnbalancedStack {
+            process,
+            open_frames,
+        } => TraceError::UnbalancedStack {
+            process: *process,
+            open_frames: *open_frames,
+        },
+        TraceError::UndefinedReference { kind, index } => TraceError::UndefinedReference {
+            kind,
+            index: *index,
+        },
+        TraceError::Corrupt(msg) => TraceError::Corrupt(msg.clone()),
+        TraceError::UnsupportedVersion(v) => TraceError::UnsupportedVersion(*v),
+        TraceError::Io(e) => TraceError::Io(std::io::Error::new(e.kind(), e.to_string())),
+        TraceError::CorruptStream {
+            process,
+            offset,
+            source,
+        } => TraceError::CorruptStream {
+            process: *process,
+            offset: *offset,
+            source: Box::new(replica(source)),
+        },
     }
 }
 
@@ -489,6 +560,14 @@ fn open_tail(dir: &Path, index: usize) -> TraceResult<Option<StreamTail>> {
 }
 
 impl StreamTail {
+    fn progress(&self, failed: bool) -> RankProgress {
+        RankProgress {
+            records: self.consumed,
+            last: (self.consumed > 0).then_some(Timestamp(self.prev_time)),
+            failed,
+        }
+    }
+
     /// Wraps a failure in [`TraceError::CorruptStream`] at `offset`
     /// (absolute within the stream file, like the cursors report).
     fn fail(&self, process: ProcessId, offset: u64, source: TraceError) -> TraceError {
@@ -554,7 +633,7 @@ impl StreamTail {
                     digest.extend(process.index(), &self.pending[pos..pos + used]);
                     self.prev_time = time;
                     self.consumed += 1;
-                    out.push(EventRecord::new(crate::time::Timestamp(time), event));
+                    out.push(EventRecord::new(Timestamp(time), event));
                     pos += used;
                 }
                 Err(TraceError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
