@@ -82,6 +82,7 @@ fn main() {
     let live = live_benchmark(&mut report, &out_dir);
     let diagnose = diagnose_benchmark(&mut report, &out_dir);
     let report_render = report_render_benchmark(&mut report);
+    let json_render = json_render_benchmark(&mut report, &out_dir);
     if let serde_json::Value::Object(fields) = &mut bench {
         fields.push(("serve".to_string(), serve));
         fields.push(("serve_load".to_string(), serve_load));
@@ -89,6 +90,7 @@ fn main() {
         fields.push(("live".to_string(), live));
         fields.push(("diagnose".to_string(), diagnose));
         fields.push(("report_render".to_string(), report_render));
+        fields.push(("json_render".to_string(), json_render));
     }
     let bench_path = out_dir.join("BENCH_pipeline.json");
     std::fs::write(&bench_path, serde_json::to_string_pretty(&bench).unwrap()).unwrap();
@@ -1480,5 +1482,56 @@ fn report_render_benchmark(report: &mut Report) -> serde_json::Value {
         "svg_bytes": svg_bytes,
         "html_bytes": first.len(),
         "identical": identical,
+    })
+}
+
+/// Times rendering the analysis of the pipeline benchmark's
+/// `stencil-scaling.pvta` as pretty JSON (the `analyze --json` document,
+/// written through `to_writer_pretty` into a sink), interleaved with
+/// the analysis itself: printing the result must not cost more than
+/// computing it.
+fn json_render_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
+    let archive = out_dir.join("bench-archives").join("stencil-scaling.pvta");
+    let config = AnalysisConfig {
+        threads: 1,
+        ..AnalysisConfig::default()
+    };
+    let strict = perfvar_analysis::RecoveryMode::Strict;
+    let analysis = perfvar_analysis::analyze_path_with(&archive, &config, strict)
+        .unwrap()
+        .analysis;
+    let bytes = serde_json::to_string_pretty(&analysis).unwrap().len();
+    let (analyze_t, render_t) = time_interleaved(
+        &mut || {
+            perfvar_analysis::analyze_path_with(&archive, &config, strict).unwrap();
+        },
+        &mut || {
+            serde_json::to_writer_pretty(std::io::sink(), &analysis).unwrap();
+        },
+    );
+    let mb_per_s = bytes as f64 / render_t.best / 1e6;
+    let ratio = render_t.best / analyze_t.best;
+    report.check(
+        "JSON render of an analysis",
+        "the direct JSON writer renders the analysis of the ≥2M-event \
+         stencil-scaling.pvta in at most 2× the analyze_path wall time of \
+         the same archive (1 thread)",
+        format!(
+            "render best {:.1} ms, median {:.1} ms ({mb_per_s:.0} MB/s, {} KiB); \
+             analyze_path best {:.1} ms; render/analyze {ratio:.2}×",
+            render_t.best * 1e3,
+            render_t.median * 1e3,
+            bytes / 1024,
+            analyze_t.best * 1e3,
+        ),
+        ratio <= 2.0,
+    );
+    serde_json::json!({
+        "fixture": "stencil-scaling.pvta, analyze_path, 1 thread",
+        "bytes": bytes,
+        "render": render_t.to_json(),
+        "render_mb_per_s": mb_per_s,
+        "analyze": analyze_t.to_json(),
+        "render_over_analyze": ratio,
     })
 }

@@ -5,7 +5,8 @@ use crate::workload_args::{generate_trace, WORKLOAD_NAMES};
 use perfvar_analysis::live::LiveAnalysis;
 use perfvar_analysis::{
     analyze_observed, analyze_path_observed, diagnose_meta, Analysis, AnalysisConfig,
-    AnalysisOptions, DiagnoseOptions, OutOfCoreAnalysis, PathAnalysisError, Telemetry,
+    AnalysisOptions, DiagnoseOptions, OutOfCoreAnalysis, PathAnalysisError, PipelineStats,
+    RunComparison, Telemetry, Verdict,
 };
 use perfvar_trace::format::live::LiveArchiveWriter;
 use perfvar_trace::format::{read_trace_file, write_trace_file, Format};
@@ -16,7 +17,8 @@ use perfvar_viz::chart::{
 };
 use perfvar_viz::live::{render_live, LiveViewOptions};
 use perfvar_viz::{render_ansi, render_svg, AnsiOptions, SvgOptions};
-use std::io::IsTerminal;
+use serde::Serialize;
+use std::io::{IsTerminal, Write as _};
 use std::path::Path;
 
 /// Top-level usage text.
@@ -101,6 +103,16 @@ to the baseline; smaller changes classify as noise. bisect binary-
 searches an ordered run sequence (run 0 = known good) for the first
 regressing run in O(log n) comparisons; --reps N repeats the walk and
 errors unless every repetition agrees.";
+
+/// Prints `value` as pretty JSON plus a newline on stdout, streamed
+/// through a buffer: the document is never held whole in memory.
+fn print_json<T: Serialize + ?Sized>(value: &T) -> Result<(), String> {
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    serde_json::to_writer_pretty(&mut out, value).map_err(|e| format!("cannot write JSON: {e}"))?;
+    out.write_all(b"\n")
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("cannot write JSON: {e}"))
+}
 
 fn load_trace(path: &str) -> Result<Trace, String> {
     read_trace_file(path).map_err(|e| format!("cannot read trace {path}: {e}"))
@@ -474,23 +486,31 @@ pub fn analyze(argv: Vec<String>) -> Result<(), String> {
         ),
     };
     let stats = telemetry.snapshot();
+    let stats_table = || {
+        if let Some(s) = stats.as_ref().filter(|_| args.has("stats")) {
+            eprint!("{}", s.render_table());
+        }
+    };
     if args.has("stats-json") && !args.has("json") {
-        let stats = stats.expect("--stats-json enables telemetry");
-        let json = serde_json::to_string_pretty(&stats)
-            .map_err(|e| format!("serialisation failed: {e}"))?;
-        println!("{json}");
+        print_json(stats.as_ref().expect("--stats-json enables telemetry"))?;
+        stats_table();
         return Ok(());
     }
     if args.has("json") {
-        let doc = match &stats {
-            Some(s) if args.has("stats-json") => {
-                serde_json::json!({"analysis": analysis, "stats": s})
-            }
-            _ => serde_json::to_value(&analysis),
-        };
-        let json =
-            serde_json::to_string_pretty(&doc).map_err(|e| format!("serialisation failed: {e}"))?;
-        println!("{json}");
+        /// The `--json --stats-json` document.
+        #[derive(Serialize)]
+        struct WithStats<'a> {
+            analysis: &'a Analysis,
+            stats: &'a PipelineStats,
+        }
+        match &stats {
+            Some(stats) if args.has("stats-json") => print_json(&WithStats {
+                analysis: &analysis,
+                stats,
+            })?,
+            _ => print_json(&analysis)?,
+        }
+        stats_table();
         return Ok(());
     }
     print!("{}", analysis.render_text_meta(&meta));
@@ -517,11 +537,7 @@ pub fn analyze(argv: Vec<String>) -> Result<(), String> {
             println!("    [{:>4.0}%] {}", f.severity * 100.0, f.description);
         }
     }
-    if args.has("stats") {
-        if let Some(s) = &stats {
-            eprint!("{}", s.render_table());
-        }
-    }
+    stats_table();
     Ok(())
 }
 
@@ -691,9 +707,16 @@ pub fn report(argv: Vec<String>) -> Result<(), String> {
         &serde_json::to_string_pretty(&findings)
             .map_err(|e| format!("serialisation failed: {e}"))?,
     )?;
-    let json = serde_json::to_string_pretty(&analysis)
-        .map_err(|e| format!("serialisation failed: {e}"))?;
-    write("analysis.json", &json)?;
+    // Streamed: the analysis is by far the largest document.
+    let p = dir.join("analysis.json");
+    let file =
+        std::fs::File::create(&p).map_err(|e| format!("cannot write {}: {e}", p.display()))?;
+    let mut out = std::io::BufWriter::new(file);
+    serde_json::to_writer_pretty(&mut out, &analysis)
+        .map_err(|e| format!("cannot write {}: {e}", p.display()))?;
+    out.flush()
+        .map_err(|e| format!("cannot write {}: {e}", p.display()))?;
+    println!("wrote {}", p.display());
     let charts = perfvar_viz::report::ReportCharts::render(&trace, &analysis);
     for (file, svg) in charts.files() {
         write(file, svg)?;
@@ -761,14 +784,16 @@ pub fn compare(argv: Vec<String>) -> Result<(), String> {
     );
     let verdict = comparison.verdict(threshold);
     if args.has("json") {
-        let doc = serde_json::json!({
-            "comparison": serde_json::to_value(&comparison),
-            "verdict": serde_json::to_value(&verdict),
-        });
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&doc).map_err(|e| format!("serialisation failed: {e}"))?
-        );
+        /// The `compare --json` document.
+        #[derive(Serialize)]
+        struct CompareDoc<'a> {
+            comparison: &'a RunComparison,
+            verdict: &'a Verdict,
+        }
+        print_json(&CompareDoc {
+            comparison: &comparison,
+            verdict: &verdict,
+        })?;
     } else {
         print!("{}", comparison.render_text());
         println!("verdict: {verdict}");
@@ -853,25 +878,24 @@ pub fn bisect(argv: Vec<String>) -> Result<(), String> {
     let outcome = agreed.expect("reps >= 1");
 
     if args.has("json") {
-        let doc = serde_json::json!({
-            "runs": runs.len(),
-            "first_bad": match outcome.first_bad {
-                Some(i) => serde_json::to_value(&i),
-                None => serde_json::Value::Null,
-            },
-            "first_bad_path": match outcome.first_bad {
-                Some(i) => serde_json::Value::String(runs[i].to_string()),
-                None => serde_json::Value::Null,
-            },
-            "comparisons": outcome.comparisons,
-            "reps": reps,
-            "threshold": threshold,
+        /// The `bisect --json` document.
+        #[derive(Serialize)]
+        struct BisectDoc<'a> {
+            runs: usize,
+            first_bad: Option<usize>,
+            first_bad_path: Option<&'a str>,
+            comparisons: usize,
+            reps: usize,
+            threshold: f64,
+        }
+        return print_json(&BisectDoc {
+            runs: runs.len(),
+            first_bad: outcome.first_bad,
+            first_bad_path: outcome.first_bad.map(|i| runs[i].as_str()),
+            comparisons: outcome.comparisons,
+            reps,
+            threshold,
         });
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&doc).map_err(|e| format!("serialisation failed: {e}"))?
-        );
-        return Ok(());
     }
     match outcome.first_bad {
         Some(i) => println!(
@@ -911,12 +935,7 @@ pub fn cluster(argv: Vec<String>) -> Result<(), String> {
     };
     let clustering = perfvar_analysis::ProcessClustering::compute(&result.analysis.sos, config);
     if args.has("json") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&clustering)
-                .map_err(|e| format!("serialisation failed: {e}"))?
-        );
-        return Ok(());
+        return print_json(&clustering);
     }
     println!(
         "{} behaviour cluster(s) over {} processes:",
@@ -981,12 +1000,7 @@ pub fn diagnose(argv: Vec<String>) -> Result<(), String> {
         analysis_of_path(path, &args, &Telemetry::noop())?;
     let diagnosis = diagnose_meta(&meta, &analysis, &config);
     if args.has("json") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&diagnosis)
-                .map_err(|e| format!("serialisation failed: {e}"))?
-        );
-        return Ok(());
+        return print_json(&diagnosis);
     }
     if !args.has("no-heatmap") && !diagnosis.clusters.is_empty() {
         let chart = cluster_heatmap(&meta, &analysis, &diagnosis, 64);

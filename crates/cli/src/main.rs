@@ -1,22 +1,7 @@
 //! `perfvar` — command-line front end of the perfvar toolkit.
 //!
-//! ```text
-//! perfvar generate <workload> --out trace.pvt [--ranks N] [--iterations N] [--seed S]
-//! perfvar info     <trace>
-//! perfvar watch    <archive.pvta> [--interval MS] [--no-color]
-//! perfvar analyze  <trace> [--function NAME] [--refine N] [--json] [--multiplier K]
-//! perfvar render   <trace> --chart timeline|sos|counter:NAME [--out x.svg] [--ansi]
-//! perfvar report   <trace> --out-dir DIR
-//! perfvar compare  <before> <after> [--threshold T] [--json]
-//! perfvar bisect   <known-good> <run1> … <runN> [--threshold T] [--reps N] [--json]
-//! perfvar cluster  <trace> [--clusters K] [--json]
-//! perfvar diagnose <trace> [--clusters K] [--max-clusters N] [--json]
-//! perfvar convert  <in> <out>
-//! perfvar serve    [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-dir DIR]
-//! ```
-//!
-//! Traces use the PVT binary format (`.pvt`) or the PVTX text format
-//! (`.pvtx`), selected by extension.
+//! The commands and their options are listed once, in
+//! [`commands::USAGE`], which `perfvar help` prints.
 
 mod args;
 mod commands;

@@ -174,6 +174,20 @@ fn stats_table_goes_to_stderr() {
 }
 
 #[test]
+fn stats_table_goes_to_stderr_with_json_too() {
+    let (_pvt, arch) = trace_and_archive("stats-table-json");
+    let plain = perfvar(&["analyze", arch.to_str().unwrap(), "--json"]);
+    let out = perfvar(&["analyze", arch.to_str().unwrap(), "--json", "--stats"]);
+    assert!(plain.status.success() && out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("pipeline stats:"), "{err}");
+    assert_eq!(
+        out.stdout, plain.stdout,
+        "--stats leaves the JSON unchanged"
+    );
+}
+
+#[test]
 fn generate_live_seals_a_batch_readable_archive_watch_renders_it() {
     let dir = tmp_dir("live-watch");
     let arch = dir.join("t.pvta");

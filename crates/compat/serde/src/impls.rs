@@ -1,6 +1,6 @@
 //! Blanket and primitive implementations of the facade traits.
 
-use crate::{Deserialize, Error, Number, Serialize, Value};
+use crate::{Deserialize, Error, JsonWriter, Number, Serialize, Value};
 use std::collections::{BTreeMap, HashMap};
 
 fn type_err(expected: &str, got: &Value) -> Error {
@@ -11,11 +11,17 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        (**self).write_json(out);
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        (**self).write_json(out);
     }
 }
 
@@ -25,9 +31,36 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+/// The one printer of a [`Value`] tree: it walks the tree in place.
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        match self {
+            Value::Null => out.null(),
+            Value::Bool(b) => out.bool(*b),
+            Value::Number(Number::U64(x)) => out.u64(*x),
+            Value::Number(Number::I64(x)) => out.i64(*x),
+            Value::Number(Number::F64(x)) => out.f64(*x),
+            Value::String(s) => out.str(s),
+            Value::Array(items) => {
+                out.begin_array();
+                for item in items {
+                    out.array_value();
+                    item.write_json(out);
+                }
+                out.end_array();
+            }
+            Value::Object(entries) => {
+                out.begin_object();
+                for (key, val) in entries {
+                    out.key(key);
+                    val.write_json(out);
+                }
+                out.end_object();
+            }
+        }
     }
 }
 
@@ -40,6 +73,9 @@ impl Deserialize for Value {
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
+    }
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        out.bool(*self);
     }
 }
 
@@ -54,6 +90,9 @@ macro_rules! impl_unsigned {
         impl Serialize for $ty {
             fn to_value(&self) -> Value {
                 Value::Number(Number::U64(*self as u64))
+            }
+            fn write_json(&self, out: &mut JsonWriter<'_>) {
+                out.u64(*self as u64);
             }
         }
         impl Deserialize for $ty {
@@ -79,6 +118,9 @@ macro_rules! impl_signed {
                     Value::Number(Number::I64(x))
                 }
             }
+            fn write_json(&self, out: &mut JsonWriter<'_>) {
+                out.i64(*self as i64);
+            }
         }
         impl Deserialize for $ty {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -101,6 +143,9 @@ impl Serialize for f64 {
             Value::Null
         }
     }
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        out.f64(*self);
+    }
 }
 
 impl Deserialize for f64 {
@@ -116,6 +161,9 @@ impl Serialize for f32 {
     fn to_value(&self) -> Value {
         (*self as f64).to_value()
     }
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        out.f64(*self as f64);
+    }
 }
 
 impl Deserialize for f32 {
@@ -128,11 +176,17 @@ impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::String(self.to_owned())
     }
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        out.str(self);
+    }
 }
 
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::String(self.clone())
+    }
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        out.str(self);
     }
 }
 
@@ -147,6 +201,9 @@ impl Deserialize for String {
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::String(self.to_string())
+    }
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        out.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
@@ -168,6 +225,12 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Null,
         }
     }
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        match self {
+            Some(x) => x.write_json(out),
+            None => out.null(),
+        }
+    }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -183,17 +246,31 @@ impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        out.begin_array();
+        for item in self {
+            out.array_value();
+            item.write_json(out);
+        }
+        out.end_array();
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         self.as_slice().to_value()
     }
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        self.as_slice().write_json(out);
+    }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         self.as_slice().to_value()
+    }
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        self.as_slice().write_json(out);
     }
 }
 
@@ -227,6 +304,14 @@ macro_rules! impl_tuple {
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$idx.to_value()),+])
+            }
+            fn write_json(&self, out: &mut JsonWriter<'_>) {
+                out.begin_array();
+                $(
+                    out.array_value();
+                    self.$idx.write_json(out);
+                )+
+                out.end_array();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
@@ -262,6 +347,11 @@ impl<V: Serialize> Serialize for HashMap<String, V> {
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         Value::Object(entries)
     }
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        let mut entries: Vec<(&String, &V)> = self.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        write_object(out, entries);
+    }
 }
 
 impl<V: Deserialize> Deserialize for HashMap<String, V> {
@@ -282,6 +372,21 @@ impl<V: Serialize> Serialize for BTreeMap<String, V> {
                 .collect(),
         )
     }
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        write_object(out, self);
+    }
+}
+
+fn write_object<'v, V: Serialize + 'v>(
+    out: &mut JsonWriter<'_>,
+    entries: impl IntoIterator<Item = (&'v String, &'v V)>,
+) {
+    out.begin_object();
+    for (key, val) in entries {
+        out.key(key);
+        val.write_json(out);
+    }
+    out.end_object();
 }
 
 impl<V: Deserialize> Deserialize for BTreeMap<String, V> {

@@ -6,7 +6,9 @@
 //! round-trips through `serde_json`. Instead of serde's visitor-based
 //! data model, both traits convert through a JSON-like [`Value`] tree —
 //! ample for the trace/analysis/report types involved, and externally
-//! indistinguishable for the formats the workspace writes.
+//! indistinguishable for the formats the workspace writes. Output skips
+//! the tree: [`Serialize::write_json`] renders straight into a
+//! [`JsonWriter`], so a document is built once, as text.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,18 +17,28 @@ pub use serde_derive::{Deserialize, Serialize};
 
 mod error;
 mod impls;
+mod ser;
 mod value;
 
 pub use error::Error;
+pub use ser::JsonWriter;
 pub use value::{Number, Value};
 
-/// Types that can be converted into a [`Value`] tree.
+/// Types that can be converted into a [`Value`] tree or written as JSON.
 ///
-/// The derive macro implements this field-by-field; JSON text is produced
-/// from the `Value` by `serde_json`.
+/// The derive macro implements both methods field-by-field; `serde_json`
+/// produces text through [`Serialize::write_json`].
 pub trait Serialize {
     /// Converts `self` into a [`Value`].
     fn to_value(&self) -> Value;
+
+    /// Writes `self` as JSON into `out`. The default renders
+    /// [`Serialize::to_value`], so a hand-written impl that only builds
+    /// a [`Value`] prints the same text; derived and std impls override
+    /// it and write directly.
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        self.to_value().write_json(out);
+    }
 }
 
 /// Types that can be reconstructed from a [`Value`] tree.

@@ -5,6 +5,10 @@
 //! those conversions for the shapes the perfvar workspace actually uses:
 //! structs with named fields, tuple structs, unit structs, and enums with
 //! unit / tuple / struct variants (externally tagged, like real serde).
+//! `Serialize` also gets a direct `write_json` body for every shape, so
+//! derived types render straight into the facade's `JsonWriter` without
+//! building a `Value` first; it may be derived on a type whose only
+//! generic parameters are lifetimes (borrowing document views).
 //! The only container/field attributes honoured are `#[serde(transparent)]`,
 //! `#[serde(skip)]`, and `#[serde(default)]` / `#[serde(default = "path")]`
 //! — the only ones the workspace uses. A defaulted field tolerates being
@@ -46,6 +50,8 @@ enum Body {
 
 struct Input {
     name: String,
+    /// Lifetime parameters with their angle brackets (`<'a>`), or empty.
+    generics: String,
     transparent: bool,
     body: Body,
 }
@@ -63,6 +69,11 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let ast = parse_input(input);
+    assert!(
+        ast.generics.is_empty(),
+        "derive(Deserialize) on generic type `{}` is not supported by the offline serde facade",
+        ast.name
+    );
     gen_deserialize(&ast)
         .parse()
         .expect("generated Deserialize impl parses")
@@ -152,8 +163,27 @@ fn parse_input(input: TokenStream) -> Input {
         other => panic!("expected type name after struct/enum, found {other:?}"),
     };
     i += 1;
+    let mut generics = String::new();
     if matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        panic!("derive on generic type `{name}` is not supported by the offline serde facade");
+        generics.push('<');
+        i += 1;
+        loop {
+            match (tokens.get(i), tokens.get(i + 1)) {
+                (Some(TokenTree::Punct(p)), _) if p.as_char() == '>' => break,
+                (Some(TokenTree::Punct(p)), _) if p.as_char() == ',' => generics.push_str(", "),
+                (Some(TokenTree::Punct(p)), Some(TokenTree::Ident(id))) if p.as_char() == '\'' => {
+                    let _ = write!(generics, "'{id}");
+                    i += 1;
+                }
+                _ => panic!(
+                    "derive on `{name}`: the offline serde facade supports lifetime \
+                     parameters only"
+                ),
+            }
+            i += 1;
+        }
+        generics.push('>');
+        i += 1;
     }
     let body = if is_enum {
         match tokens.get(i) {
@@ -176,6 +206,7 @@ fn parse_input(input: TokenStream) -> Input {
     };
     Input {
         name,
+        generics,
         transparent,
         body,
     }
@@ -332,8 +363,9 @@ fn transparent_field(ast: &Input) -> &str {
 
 fn gen_serialize(ast: &Input) -> String {
     let name = &ast.name;
+    let generics = &ast.generics;
     let mut out = format!(
-        "#[automatically_derived]\nimpl serde::Serialize for {name} {{\n\
+        "#[automatically_derived]\nimpl{generics} serde::Serialize for {name}{generics} {{\n\
          fn to_value(&self) -> serde::Value {{ "
     );
     if ast.transparent {
@@ -426,7 +458,102 @@ fn gen_serialize(ast: &Input) -> String {
             }
         }
     }
-    out.push_str("}\n} ");
+    out.push_str("}\n");
+    out.push_str(&gen_write_json(ast));
+    out.push_str("} ");
+    out
+}
+
+/// `__w.key("name"); <write expr>;` for each live field of a struct
+/// body, wrapped in an object; `access` maps a field name to the
+/// expression that borrows it.
+fn write_fields(out: &mut String, fields: &[Field], access: impl Fn(&str) -> String) {
+    out.push_str("__w.begin_object(); ");
+    for f in fields.iter().filter(|f| !f.skip) {
+        let _ = write!(
+            out,
+            "__w.key(\"{}\"); serde::Serialize::write_json({}, __w); ",
+            f.name,
+            access(&f.name)
+        );
+    }
+    out.push_str("__w.end_object(); ");
+}
+
+/// `__w.array_value(); <write expr>;` for each element, wrapped in an
+/// array.
+fn write_elements(out: &mut String, elements: &[String]) {
+    out.push_str("__w.begin_array(); ");
+    for e in elements {
+        let _ = write!(
+            out,
+            "__w.array_value(); serde::Serialize::write_json({e}, __w); "
+        );
+    }
+    out.push_str("__w.end_array(); ");
+}
+
+/// The direct `write_json` method: the same document `to_value` builds,
+/// written straight into the writer.
+fn gen_write_json(ast: &Input) -> String {
+    let name = &ast.name;
+    let mut out = String::from("fn write_json(&self, __w: &mut serde::JsonWriter<'_>) { ");
+    if ast.transparent {
+        let f = transparent_field(ast);
+        let _ = write!(out, "serde::Serialize::write_json(&self.{f}, __w); ");
+    } else {
+        match &ast.body {
+            Body::Unit => out.push_str("__w.null(); "),
+            Body::Tuple(1) => out.push_str("serde::Serialize::write_json(&self.0, __w); "),
+            Body::Tuple(n) => {
+                let elements: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+                write_elements(&mut out, &elements);
+            }
+            Body::Struct(fields) => write_fields(&mut out, fields, |f| format!("&self.{f}")),
+            Body::Enum(variants) => {
+                out.push_str("match self { ");
+                for v in variants {
+                    let vname = &v.name;
+                    match &v.kind {
+                        VariantKind::Unit => {
+                            let _ = write!(out, "{name}::{vname} => __w.str(\"{vname}\"), ");
+                        }
+                        VariantKind::Tuple(n) => {
+                            let binders: Vec<String> = (0..*n).map(|i| format!("__a{i}")).collect();
+                            let _ = write!(
+                                out,
+                                "{name}::{vname}({}) => {{ __w.begin_object(); \
+                                 __w.key(\"{vname}\"); ",
+                                binders.join(", ")
+                            );
+                            if *n == 1 {
+                                out.push_str("serde::Serialize::write_json(__a0, __w); ");
+                            } else {
+                                write_elements(&mut out, &binders);
+                            }
+                            out.push_str("__w.end_object(); } ");
+                        }
+                        VariantKind::Struct(fields) => {
+                            let live: String = fields
+                                .iter()
+                                .filter(|f| !f.skip)
+                                .map(|f| format!("{}, ", f.name))
+                                .collect();
+                            let _ = write!(
+                                out,
+                                "{name}::{vname} {{ {live}.. }} => {{ __w.begin_object(); \
+                                 __w.key(\"{vname}\"); "
+                            );
+                            write_fields(&mut out, fields, str::to_string);
+                            out.push_str("__w.end_object(); } ");
+                        }
+                    }
+                }
+                out.push_str("} ");
+            }
+        }
+    }
+    out.push_str("}\n");
     out
 }
 

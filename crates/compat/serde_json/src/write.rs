@@ -1,4 +1,6 @@
-//! JSON text rendering (compact and pretty).
+//! The reference renderer: prints a [`Value`] tree the way every
+//! document was printed before the direct writer. Test-only, as the
+//! oracle the direct writer must match byte for byte.
 
 use serde::{Number, Value};
 use std::fmt::Write as _;
@@ -93,8 +95,6 @@ fn write_number(out: &mut String, n: &Number) {
     }
 }
 
-// Escaping every newline keeps raw `\n` in pretty output between tokens
-// only; perfvar-server's `/v1` envelope splice relies on that.
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

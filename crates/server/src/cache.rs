@@ -12,17 +12,18 @@
 //! any result-affecting knob moves to a different key.
 //!
 //! The value is the *rendered* response body (plus one body per metric
-//! channel), pinned at fill time so byte-identity with the CLI's
-//! `--json` output never depends on re-serialisation. Warm `/v1/analyze`
-//! hits splice those bytes into the envelope without re-encoding them.
-//! Next to the body sits a lazily decoded [`Analysis`]: the first
-//! `/v1/diagnose` or `/v1/compare` on an entry parses the body once
-//! ([`CachedResult::analysis`]), every later hit shares that decode, and
-//! entries that only ever serve `/v1/analyze` never pay for it.
+//! channel), pinned at fill time and rendered already nested at the
+//! `/v1` envelope's depth: a warm `/v1/analyze` hit writes the envelope
+//! head, these bytes and the envelope tail, and copies nothing. Next to
+//! the body sits the [`Analysis`] it encodes ([`CachedResult::analysis`])
+//! for `/v1/diagnose` and `/v1/compare`: an entry the daemon rendered
+//! keeps the analysis it rendered from, so only an entry restored from
+//! a spill ever parses its body, once, on first use.
 //!
 //! Spill files are written crash-safely (temp file, fsync, rename), so a
 //! reader sees either the previous file or the complete new one; a spill
 //! that fails to parse anyway is a miss, and the refill replaces it whole.
+//! So is a spill in an older body layout ([`CachedResult`]'s `layout`).
 
 use crate::store::write_atomic;
 use perfvar_analysis::{Analysis, AnalysisConfig, OutOfCoreAnalysis, RecoveryMode};
@@ -49,15 +50,29 @@ pub fn cache_key(
     h.finish()
 }
 
+/// The layout of [`CachedResult`]'s bodies: 1 for bodies rendered at
+/// the `/v1` envelope's depth. Spills without the field (0) hold the
+/// un-nested layout and are misses.
+const NESTED_LAYOUT: u32 = 1;
+
+/// Renders `value` as the `data` member of the `/v1` envelope: pretty,
+/// one level deep.
+pub(crate) fn nested<T: Serialize + ?Sized>(value: &T) -> Result<String, String> {
+    serde_json::to_string_pretty_at(value, 1).map_err(|e| format!("serialisation failed: {e}"))
+}
+
 /// One cached analysis: the rendered response bodies, plus the analysis
-/// they encode once something has asked for it.
+/// they encode.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CachedResult {
-    /// The `/v1/analyze` `data` — pretty-printed [`Analysis`] JSON plus a
-    /// trailing newline, byte-identical to `perfvar analyze --json`.
+    /// The `/v1/analyze` `data` — the [`Analysis`] pretty-printed one
+    /// level deep, exactly the text the envelope holds between
+    /// `"data": ` and its closing line. It is the same JSON value as
+    /// `perfvar analyze --json` prints, indented two spaces more.
     pub body: String,
     /// One `(metric name, rendered CounterAnalysis JSON)` pair per
-    /// metric channel of the trace, for `…&metric=NAME` requests.
+    /// metric channel of the trace, for `…&metric=NAME` requests, each
+    /// rendered one level deep like `body`.
     pub metrics: Vec<(String, String)>,
     /// Function names of the analysed trace, indexed by function id —
     /// `/compare` uses them to report named per-function deltas without
@@ -65,10 +80,27 @@ pub struct CachedResult {
     /// older daemons (deltas then fall back to `fn#<id>` names).
     #[serde(default)]
     pub functions: Vec<String>,
-    /// `body` decoded back into an [`Analysis`], filled on first use by
+    /// The bodies' layout, [`NESTED_LAYOUT`] for every entry this
+    /// version renders; absent (0) in older spills.
+    #[serde(default)]
+    layout: u32,
+    /// The analysis `body` encodes: the one it was rendered from, or for
+    /// an entry restored from a spill, `body` parsed on first use by
     /// [`CachedResult::analysis`]. Never spilled, never compared.
     #[serde(skip)]
     decoded: OnceLock<Arc<Analysis>>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Bodies [`CachedResult::analysis`] parsed on this thread.
+    static PARSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Bodies [`CachedResult::analysis`] has parsed on the calling thread.
+#[cfg(test)]
+pub(crate) fn parses_on_this_thread() -> usize {
+    PARSES.with(|p| p.get())
 }
 
 /// Equality of the rendered bodies; whether the analysis has been
@@ -82,22 +114,15 @@ impl PartialEq for CachedResult {
 }
 
 impl CachedResult {
-    /// Renders an out-of-core analysis into its cacheable bodies,
-    /// reproducing the CLI's `--json` composition
-    /// (`to_string_pretty(to_value(analysis))` + `println!`) byte for
-    /// byte.
+    /// Renders an out-of-core analysis into its cacheable bodies, each
+    /// once, straight at the envelope's depth, and keeps the analysis
+    /// itself for `/v1/diagnose` and `/v1/compare`.
     pub fn render(result: &OutOfCoreAnalysis) -> Result<CachedResult, String> {
-        let doc = serde_json::to_value(&result.analysis);
-        let mut body =
-            serde_json::to_string_pretty(&doc).map_err(|e| format!("serialisation failed: {e}"))?;
-        body.push('\n');
+        let body = nested(&result.analysis)?;
         let mut metrics = Vec::with_capacity(result.analysis.counters.len());
         for counter in &result.analysis.counters {
             let name = result.meta.registry.metric(counter.metric).name.clone();
-            let mut rendered = serde_json::to_string_pretty(&serde_json::to_value(counter))
-                .map_err(|e| format!("serialisation failed: {e}"))?;
-            rendered.push('\n');
-            metrics.push((name, rendered));
+            metrics.push((name, nested(counter)?));
         }
         let functions = result
             .meta
@@ -110,28 +135,26 @@ impl CachedResult {
             body,
             metrics,
             functions,
-            decoded: OnceLock::new(),
+            layout: NESTED_LAYOUT,
+            decoded: OnceLock::from(Arc::new(result.analysis.clone())),
         })
     }
 
-    /// The analysis `body` encodes, parsed on the first call and shared
-    /// by every later one: repeated `/v1/diagnose` and `/v1/compare` hits
-    /// on an entry decode its ~MB body once, not once per request.
+    /// The analysis `body` encodes, shared by every caller. An entry
+    /// rendered by [`CachedResult::render`] returns the analysis it was
+    /// rendered from; one restored from a spill parses its ~MB body on
+    /// the first call only.
     pub fn analysis(&self) -> Result<Arc<Analysis>, String> {
         if let Some(decoded) = self.decoded.get() {
             return Ok(decoded.clone());
         }
         let analysis: Analysis = serde_json::from_str(&self.body)
             .map_err(|e| format!("cached analysis failed to parse: {e}"))?;
+        #[cfg(test)]
+        PARSES.with(|p| p.set(p.get() + 1));
         // Two first callers racing both parse; the first to finish wins
         // and the other's copy is dropped, so every caller shares one.
         Ok(self.decoded.get_or_init(|| Arc::new(analysis)).clone())
-    }
-
-    /// Whether [`CachedResult::analysis`] has decoded the body yet.
-    #[cfg(test)]
-    pub(crate) fn is_decoded(&self) -> bool {
-        self.decoded.get().is_some()
     }
 }
 
@@ -187,6 +210,9 @@ impl ResultCache {
         }
         let bytes = std::fs::read(self.spill_file(key)?).ok()?;
         let decoded: CachedResult = serde_json::from_slice(&bytes).ok()?;
+        if decoded.layout != NESTED_LAYOUT {
+            return None;
+        }
         let entry = Arc::new(decoded);
         self.insert_memory(key, entry.clone());
         Some(entry)
@@ -236,9 +262,10 @@ mod tests {
 
     fn entry(tag: &str) -> Arc<CachedResult> {
         Arc::new(CachedResult {
-            body: format!("{{\"tag\": \"{tag}\"}}\n"),
-            metrics: vec![("CYC".to_string(), format!("{{\"m\": \"{tag}\"}}\n"))],
+            body: format!("{{\n    \"tag\": \"{tag}\"\n  }}"),
+            metrics: vec![("CYC".to_string(), format!("{{\n    \"m\": \"{tag}\"\n  }}"))],
             functions: vec!["main".to_string()],
+            layout: NESTED_LAYOUT,
             decoded: OnceLock::new(),
         })
     }
@@ -297,6 +324,32 @@ mod tests {
         assert_eq!(left, [file.file_name().unwrap()], "no temp files remain");
         let fresh = ResultCache::new(4, Some(dir));
         assert_eq!(*fresh.get(9).expect("from disk"), *entry("whole"));
+    }
+
+    #[test]
+    fn old_layout_spill_is_a_miss() {
+        let dir = std::env::temp_dir()
+            .join("perfvar-server-tests")
+            .join("old-layout-spill");
+        let _ = std::fs::remove_dir_all(&dir);
+        ResultCache::new(4, Some(dir.clone())).put(5, entry("nested"));
+        let file = dir.join(format!("{:032x}.json", 5u128));
+        // The same spill as an older daemon wrote it: no `layout` field
+        // and a body rendered at depth 0.
+        let mut old: serde_json::Value =
+            serde_json::from_slice(&std::fs::read(&file).unwrap()).unwrap();
+        let serde_json::Value::Object(fields) = &mut old else {
+            panic!("a spill is an object");
+        };
+        fields.retain(|(k, _)| k != "layout");
+        fields[0].1 = serde_json::Value::String("{\n  \"tag\": \"nested\"\n}\n".to_string());
+        std::fs::write(&file, serde_json::to_string(&old).unwrap()).unwrap();
+
+        let cache = ResultCache::new(4, Some(dir.clone()));
+        assert!(cache.get(5).is_none(), "an old-layout spill is a miss");
+        cache.put(5, entry("nested"));
+        let fresh = ResultCache::new(4, Some(dir));
+        assert_eq!(*fresh.get(5).expect("refilled"), *entry("nested"));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! (chunked transfer encoding is decoded, so the SSE stream endpoint is
 //! readable too — the body arrives once the server seals the stream).
 
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::TcpStream;
 
 /// One response from the daemon: status code, headers, and complete
@@ -101,9 +101,7 @@ pub fn get_with_headers(
     }
     write!(stream, "Connection: close\r\n\r\n")?;
     stream.flush()?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_response(raw)
+    read_response(stream)
 }
 
 /// One server-sent event, as parsed from an SSE body by [`sse_events`].
@@ -147,16 +145,23 @@ pub fn sse_events(body: &str) -> Vec<SseEvent> {
 /// Splits a raw response into status, headers and body. The body stays
 /// in `raw`'s buffer: a multi-megabyte analysis is validated as UTF-8 but
 /// never copied into a second allocation.
-fn parse_response(mut raw: Vec<u8>) -> std::io::Result<HttpResponse> {
+/// The most body bytes reserved up front from a `Content-Length`
+/// header; a longer body still reads whole, growing as it arrives.
+const MAX_RESERVE: usize = 1 << 28;
+
+/// Reads one response: the head line by line, then the body straight
+/// into a buffer sized by its `Content-Length`, so a multi-megabyte
+/// body is neither regrown nor moved on its way to a `String`.
+fn read_response(reader: impl Read) -> std::io::Result<HttpResponse> {
     let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-    let head_len = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| bad("response has no header/body separator"))?;
-    let head = String::from_utf8_lossy(&raw[..head_len]).into_owned();
-    raw.drain(..head_len + 4);
-    let body = String::from_utf8(raw)
-        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+    let mut reader = std::io::BufReader::new(reader);
+    let mut head = Vec::new();
+    while !head.ends_with(b"\r\n\r\n") {
+        if reader.read_until(b'\n', &mut head)? == 0 {
+            return Err(bad("response has no header/body separator"));
+        }
+    }
+    let head = String::from_utf8_lossy(&head[..head.len() - 4]).into_owned();
     let status_line = head.lines().next().ok_or_else(|| bad("empty response"))?;
     let status = status_line
         .split_whitespace()
@@ -171,9 +176,15 @@ fn parse_response(mut raw: Vec<u8>) -> std::io::Result<HttpResponse> {
             Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
         })
         .collect();
-    let chunked = headers
-        .iter()
-        .any(|(name, value)| name == "transfer-encoding" && value.eq_ignore_ascii_case("chunked"));
+    let header = |name: &str| headers.iter().find(|(n, _)| n == name).map(|(_, v)| v);
+    let reserve = header("content-length")
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or(0);
+    let mut raw = Vec::with_capacity(reserve.min(MAX_RESERVE));
+    reader.read_to_end(&mut raw)?;
+    let body = String::from_utf8(raw)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+    let chunked = header("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
     let body = if chunked {
         dechunk(&body).ok_or_else(|| bad("malformed chunked body"))?
     } else {
@@ -217,24 +228,24 @@ mod tests {
     #[test]
     fn parses_a_minimal_response() {
         let raw = b"HTTP/1.1 404 Not Found\r\nContent-Length: 3\r\n\r\n{}\n";
-        let resp = parse_response(raw.to_vec()).unwrap();
+        let resp = read_response(&raw[..]).unwrap();
         assert_eq!(resp.status, 404);
         assert_eq!(resp.body, "{}\n");
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(parse_response(b"not http at all".to_vec()).is_err());
+        assert!(read_response(&b"not http at all"[..]).is_err());
     }
 
     #[test]
     fn dechunks_a_chunked_response() {
         let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n7\r\n, world\r\n0\r\n\r\n";
-        let resp = parse_response(raw.to_vec()).unwrap();
+        let resp = read_response(&raw[..]).unwrap();
         assert_eq!(resp.body, "hello, world");
         // A stream cut off mid-chunk still yields the received prefix.
         let cut = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nff\r\ntrunc";
-        assert_eq!(parse_response(cut.to_vec()).unwrap().body, "trunc");
+        assert_eq!(read_response(&cut[..]).unwrap().body, "trunc");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! are size-capped ([`MAX_HEAD_BYTES`]) so a misbehaving client cannot
 //! grow server memory.
 
-use std::io::Write;
+use std::io::{IoSlice, Write};
 use std::net::TcpStream;
 
 /// Longest accepted request line (method + target + version).
@@ -225,14 +225,36 @@ pub fn reason_phrase(status: u16) -> &'static str {
 /// Writes one complete JSON response and flushes it. The connection is
 /// closed by the caller afterwards (`Connection: close` is advertised).
 pub fn write_response(stream: &TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    let mut stream = stream;
-    write!(
-        stream,
+    write_response_parts(stream, status, &[body])
+}
+
+/// Writes one complete JSON response whose body is `parts` in order,
+/// gathered by the kernel from where they lie: no part is copied into
+/// a joint buffer. Flushes; the caller closes the connection.
+pub fn write_response_parts(
+    stream: &TcpStream,
+    status: u16,
+    parts: &[&str],
+) -> std::io::Result<()> {
+    let head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         reason_phrase(status),
-        body.len(),
-    )?;
-    stream.write_all(body.as_bytes())?;
+        parts.iter().map(|p| p.len()).sum::<usize>(),
+    );
+    let mut slices: Vec<IoSlice<'_>> = std::iter::once(head.as_str())
+        .chain(parts.iter().copied())
+        .map(|p| IoSlice::new(p.as_bytes()))
+        .collect();
+    let mut pending = &mut slices[..];
+    let mut stream = stream;
+    while !pending.is_empty() {
+        match stream.write_vectored(pending) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 

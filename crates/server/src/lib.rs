@@ -13,8 +13,9 @@
 //!   result-affecting config), not paths: an in-memory LRU with an
 //!   optional on-disk JSON spill. Thread count is excluded from the
 //!   key because the pipeline is bit-identical at every parallelism.
-//!   Warm hits splice the cached bytes into the envelope without
-//!   re-encoding them.
+//!   Bodies are cached already nested at the envelope's depth, so a
+//!   warm hit writes them between the envelope's head and tail without
+//!   re-encoding or copying them.
 //! * [`singleflight`] — N concurrent requests for the same uncached
 //!   trace trigger exactly one analysis; the rest wait and share it.
 //! * [`store`] — the persistent run store behind `GET /v1/runs`,

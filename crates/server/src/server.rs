@@ -28,14 +28,15 @@
 //! requests and parameters, 422 for corrupt traces, 405 for non-GET
 //! methods, 500 for internal failures.
 //!
-//! Success envelopes are **spliced, not re-encoded**: each route renders
-//! its `data` document once (a warm `/v1/analyze` hit renders nothing —
-//! the cache holds the bytes), and `envelope_ok` nests those bytes one
-//! level deeper in a single linear pass. A warm hit therefore costs the
-//! HTTP round trip plus sending the body; a warm `/v1/diagnose` or
-//! `/v1/compare` adds the diagnosis or comparison itself, plus a one-time
-//! decode of each cached analysis it reads
-//! ([`CachedResult::analysis`]).
+//! Success envelopes are **written, not re-encoded**: each route renders
+//! its `data` document once, already at the envelope's depth, and the
+//! response is the envelope head, those bytes and the envelope tail,
+//! gathered into one write. A warm `/v1/analyze` hit renders nothing —
+//! the cache holds the nested bytes — so it costs the HTTP round trip
+//! plus sending the body; a warm `/v1/diagnose` or `/v1/compare` adds the
+//! diagnosis or comparison itself, on the cached [`Analysis`]
+//! ([`CachedResult::analysis`]), which only an entry restored from a
+//! spill has to parse, once.
 //!
 //! * `GET /v1/analyze?path=P` — full [`Analysis`] JSON for the trace at
 //!   `P` (as `data`), matching `perfvar analyze P --json`. Optional
@@ -82,10 +83,10 @@
 //!   analyses this daemon has run, in the `perfvar stats --json` shape.
 //! * `GET /v1/health` — liveness probe, `data = {"status": "ok"}`.
 
-use crate::cache::{cache_key, CachedResult, ResultCache};
+use crate::cache::{cache_key, nested, CachedResult, ResultCache};
 use crate::http::{
-    finish_chunked, head_complete, parse_request, write_response, write_sse_event, write_sse_head,
-    Request, MAX_HEAD_BYTES,
+    finish_chunked, head_complete, parse_request, write_response, write_response_parts,
+    write_sse_event, write_sse_head, Request, MAX_HEAD_BYTES,
 };
 use crate::poll;
 use crate::singleflight::Singleflight;
@@ -94,11 +95,12 @@ use perfvar_analysis::live::LiveAnalysis;
 use perfvar_analysis::parallel::resolve_threads;
 use perfvar_analysis::{
     analyze_path_observed, diagnose_analysis, Analysis, AnalysisConfig, AnalysisOptions,
-    DiagnoseOptions, RecoveryMode, RunComparison, Telemetry, DEFAULT_NOISE_THRESHOLD,
+    DiagnoseOptions, RecoveryMode, RunComparison, Telemetry, Verdict, DEFAULT_NOISE_THRESHOLD,
 };
 use perfvar_trace::format::cursor::ArchiveCursor;
 use perfvar_trace::format::digest::{constituent_files, digest_path};
 use perfvar_trace::format::Format;
+use serde::Serialize;
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
@@ -216,63 +218,12 @@ impl ServeError {
 
 /// Everything a `/v1` success envelope holds before its `data` value.
 const ENVELOPE_HEAD: &str = "{\n  \"ok\": true,\n  \"data\": ";
+/// Everything a `/v1` success envelope holds after its `data` value.
+const ENVELOPE_TAIL: &str = "\n}\n";
 
-/// Wraps a successful raw route body into the `/v1` envelope
-/// `{"ok":true,"data":…}` without re-encoding it.
-///
-/// A raw body is a pretty-printed document plus a newline, and the
-/// pretty writer emits a raw `\n` only between tokens (it escapes the
-/// ones inside strings). Nesting the document one level deeper is
-/// therefore exactly: indent every line after the first by two more
-/// spaces. The result is byte-identical to parsing `raw` and
-/// pretty-printing the envelope — property-tested against that oracle —
-/// for one copy of the bytes.
-fn envelope_ok(raw: &str) -> String {
-    let data = raw.trim_end();
-    // Pretty JSON breaks its line every twenty-odd bytes, so a quarter
-    // of headroom covers the inserted indentation without regrowing.
-    let mut body = String::with_capacity(ENVELOPE_HEAD.len() + data.len() + data.len() / 4 + 3);
-    body.push_str(ENVELOPE_HEAD);
-    let mut line_start = 0;
-    for end in newline_positions(data.as_bytes()) {
-        body.push_str(&data[line_start..=end]);
-        body.push_str("  ");
-        line_start = end + 1;
-    }
-    body.push_str(&data[line_start..]);
-    body.push_str("\n}\n");
-    body
-}
-
-/// The offset of every `\n` in `bytes`, found eight bytes at a time.
-/// Lines in a pretty body are too short for a `memchr` call per line to
-/// pay off: this scan makes the splice about three times faster.
-fn newline_positions(bytes: &[u8]) -> impl Iterator<Item = usize> + '_ {
-    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-    const NEWLINES: u64 = 0x0a0a_0a0a_0a0a_0a0a;
-    let words = bytes.chunks_exact(8);
-    let tail = words.remainder();
-    let tail_start = bytes.len() - tail.len();
-    let in_words = words.enumerate().flat_map(|(i, word)| {
-        // `\n` bytes become zero; the classic exact zero-byte test then
-        // sets the high bit of exactly those bytes.
-        let x = u64::from_le_bytes(word.try_into().expect("eight bytes")) ^ NEWLINES;
-        let mut hits = !(((x & LOW7) + LOW7) | x | LOW7);
-        std::iter::from_fn(move || {
-            (hits != 0).then(|| {
-                let at = i * 8 + hits.trailing_zeros() as usize / 8;
-                hits &= hits - 1;
-                at
-            })
-        })
-    });
-    let in_tail = (tail_start..bytes.len()).filter(move |&at| bytes[at] == b'\n');
-    in_words.chain(in_tail)
-}
-
-/// A successful route body before any `/v1` wrapping: rendered for this
-/// request, or shared straight out of a cache entry without a copy.
-enum RawBody {
+/// A route's `data`, rendered at the envelope's depth ([`nested`]): for
+/// this request, or shared straight out of a cache entry without a copy.
+enum Data {
     Rendered(String),
     /// The entry's analysis body.
     Analysis(Arc<CachedResult>),
@@ -280,14 +231,54 @@ enum RawBody {
     Metric(Arc<CachedResult>, usize),
 }
 
-impl RawBody {
+impl Data {
     fn as_str(&self) -> &str {
         match self {
-            RawBody::Rendered(body) => body,
-            RawBody::Analysis(entry) => &entry.body,
-            RawBody::Metric(entry, i) => &entry.metrics[*i].1,
+            Data::Rendered(body) => body,
+            Data::Analysis(entry) => &entry.body,
+            Data::Metric(entry, i) => &entry.metrics[*i].1,
         }
     }
+}
+
+/// Renders a route's `data` document at the envelope's depth.
+fn render<T: Serialize + ?Sized>(value: &T) -> Result<String, ServeError> {
+    nested(value).map_err(|m| ServeError::new(500, "internal", m))
+}
+
+/// One run of a `/v1/compare` body.
+#[derive(Serialize)]
+struct RunDoc<'a> {
+    reference: &'a str,
+    digest: &'a str,
+    label: &'a str,
+    path: String,
+}
+
+impl<'a> RunDoc<'a> {
+    fn of(run: &'a ResolvedRun, digest: &'a str) -> RunDoc<'a> {
+        RunDoc {
+            reference: &run.reference,
+            digest,
+            label: run.record.as_ref().map_or("", |r| r.label.as_str()),
+            path: run.path.display().to_string(),
+        }
+    }
+}
+
+/// The `/v1/compare` body.
+#[derive(Serialize)]
+struct CompareDoc<'a> {
+    base: RunDoc<'a>,
+    cand: RunDoc<'a>,
+    comparison: &'a RunComparison,
+    verdict: &'a Verdict,
+}
+
+/// The `/v1/runs` body.
+#[derive(Serialize)]
+struct RunsDoc<'a> {
+    runs: &'a [RunRecord],
 }
 
 /// One file's freshness signature: length and modification time.
@@ -608,24 +599,12 @@ impl ServerState {
             &cand_entry.functions,
         );
         let verdict = comparison.verdict(threshold);
-        let run_doc = |run: &ResolvedRun, digest: &str| {
-            serde_json::json!({
-                "reference": run.reference.clone(),
-                "digest": digest,
-                "label": run.record.as_ref().map(|r| r.label.clone()).unwrap_or_default(),
-                "path": run.path.display().to_string(),
-            })
-        };
-        let doc = serde_json::json!({
-            "base": run_doc(&base, &base_digest),
-            "cand": run_doc(&cand, &cand_digest),
-            "comparison": serde_json::to_value(&comparison),
-            "verdict": serde_json::to_value(&verdict),
-        });
-        let mut body = serde_json::to_string_pretty(&doc)
-            .map_err(|e| ServeError::new(500, "internal", format!("serialisation failed: {e}")))?;
-        body.push('\n');
-        Ok(body)
+        render(&CompareDoc {
+            base: RunDoc::of(&base, &base_digest),
+            cand: RunDoc::of(&cand, &cand_digest),
+            comparison: &comparison,
+            verdict: &verdict,
+        })
     }
 
     /// The `/v1/runs/register` handler: digest the archive and record it.
@@ -641,19 +620,14 @@ impl ServerState {
             .map_err(|m| {
                 ServeError::new(500, "internal", format!("run store write failed: {m}"))
             })?;
-        let mut body = serde_json::to_string_pretty(&serde_json::to_value(&record))
-            .map_err(|e| ServeError::new(500, "internal", format!("serialisation failed: {e}")))?;
-        body.push('\n');
-        Ok(body)
+        render(&record)
     }
 
     /// The `/v1/runs` handler: every registration, in order.
     fn list_runs(&self) -> Result<String, ServeError> {
-        let doc = serde_json::json!({ "runs": serde_json::to_value(&self.store.list()) });
-        let mut body = serde_json::to_string_pretty(&doc)
-            .map_err(|e| ServeError::new(500, "internal", format!("serialisation failed: {e}")))?;
-        body.push('\n');
-        Ok(body)
+        render(&RunsDoc {
+            runs: &self.store.list(),
+        })
     }
 
     /// Normalises the thread count exactly like the CLI does: for
@@ -711,10 +685,7 @@ impl ServerState {
         let counter_names: Vec<String> =
             entry.metrics.iter().map(|(name, _)| name.clone()).collect();
         let diagnosis = diagnose_analysis(&analysis, &function, &counter_names, &config);
-        let mut body = serde_json::to_string_pretty(&diagnosis)
-            .map_err(|e| ServeError::new(500, "internal", format!("serialisation failed: {e}")))?;
-        body.push('\n');
-        Ok(body)
+        render(&diagnosis)
     }
 
     /// Cache → singleflight → pipeline. Returns the entry and whether
@@ -738,12 +709,12 @@ impl ServerState {
         result
     }
 
-    /// Routes one request to its handler and returns the raw route body
-    /// (the `data` document), which [`handle_connection`] wraps in the
-    /// envelope. Only full `/v1/…` paths route; anything else is a 404.
+    /// Routes one request to its handler and returns its `data`, which
+    /// [`handle_connection`] writes inside the envelope. Only full
+    /// `/v1/…` paths route; anything else is a 404.
     ///
     /// [`handle_connection`]: ServerState::handle_connection
-    fn respond(&self, req: &Request) -> Result<RawBody, ServeError> {
+    fn respond(&self, req: &Request) -> Result<Data, ServeError> {
         if req.method != "GET" {
             return Err(ServeError::new(
                 405,
@@ -752,23 +723,13 @@ impl ServerState {
             ));
         }
         let rendered = match req.path.as_str() {
-            "/v1/health" => {
-                let mut body = serde_json::to_string_pretty(&serde_json::json!({ "status": "ok" }))
-                    .unwrap_or_default();
-                body.push('\n');
-                Ok(body)
-            }
+            "/v1/health" => render(&serde_json::json!({ "status": "ok" })),
             "/v1/stats" => {
                 let stats = self
                     .telemetry
                     .snapshot()
                     .ok_or_else(|| ServeError::new(500, "internal", "telemetry disabled"))?;
-                let mut body = serde_json::to_string_pretty(&serde_json::to_value(&stats))
-                    .map_err(|e| {
-                        ServeError::new(500, "internal", format!("serialisation failed: {e}"))
-                    })?;
-                body.push('\n');
-                Ok(body)
+                render(&stats)
             }
             "/v1/compare" => self.compare(req),
             "/v1/diagnose" => self.diagnose(req),
@@ -782,20 +743,20 @@ impl ServerState {
                 format!("no such endpoint: {other}"),
             )),
         };
-        rendered.map(RawBody::Rendered)
+        rendered.map(Data::Rendered)
     }
 
     /// The `/v1/analyze` and `/v1/refine` handler: the cached analysis body, or
     /// one metric's body with `metric=NAME`, shared out of the cache
     /// entry without a copy.
-    fn cached_body(&self, req: &Request, refine: bool) -> Result<RawBody, ServeError> {
+    fn cached_body(&self, req: &Request, refine: bool) -> Result<Data, ServeError> {
         let params = params_of(req, refine)?;
         let entry = self.entry_for(&params)?;
         let Some(name) = &params.metric else {
-            return Ok(RawBody::Analysis(entry));
+            return Ok(Data::Analysis(entry));
         };
         if let Some(i) = entry.metrics.iter().position(|(n, _)| n == name) {
-            return Ok(RawBody::Metric(entry, i));
+            return Ok(Data::Metric(entry, i));
         }
         let available: Vec<&str> = entry.metrics.iter().map(|(n, _)| n.as_str()).collect();
         Err(ServeError::new(
@@ -830,7 +791,9 @@ impl ServerState {
             Ok(req) => self.respond(&req),
         };
         let _ = match outcome {
-            Ok(raw) => write_response(&stream, 200, &envelope_ok(raw.as_str())),
+            Ok(data) => {
+                write_response_parts(&stream, 200, &[ENVELOPE_HEAD, data.as_str(), ENVELOPE_TAIL])
+            }
             Err(e) => write_response(&stream, e.status, &e.envelope_body()),
         };
         let _ = stream.shutdown(std::net::Shutdown::Both);
@@ -929,9 +892,7 @@ impl ServerState {
                 if !errored {
                     match live.finalize_observed(&self.telemetry) {
                         Ok(result) => {
-                            let data =
-                                serde_json::to_string(&serde_json::to_value(&result.analysis))
-                                    .unwrap_or_default();
+                            let data = serde_json::to_string(&result.analysis).unwrap_or_default();
                             let _ = write_sse_event(&stream, Some(&id), "result", &data);
                         }
                         Err(e) => {
@@ -1211,9 +1172,9 @@ mod tests {
     use proptest::test_runner::TestRng;
     use serde_json::{Number, Value};
 
-    /// The envelope the daemon used to build by parsing the raw body and
+    /// The envelope built by parsing a route's raw CLI-style body and
     /// pretty-printing `{"ok": true, "data": …}`: the byte-level oracle
-    /// the splicing [`envelope_ok`] must reproduce.
+    /// the head + nested data + tail response must reproduce.
     fn envelope_oracle(raw: &str) -> String {
         let doc: Value = serde_json::from_str(raw).expect("raw body parses");
         let mut body =
@@ -1222,11 +1183,21 @@ mod tests {
         body
     }
 
-    /// A raw route body: the pretty document plus the trailing newline.
+    /// A raw route body: the pretty document plus the trailing newline,
+    /// as the CLI prints it.
     fn raw_body(v: &Value) -> String {
         let mut raw = serde_json::to_string_pretty(v).unwrap();
         raw.push('\n');
         raw
+    }
+
+    /// The response body the daemon writes around a route's `data`.
+    fn envelope(data: &Data) -> String {
+        [ENVELOPE_HEAD, data.as_str(), ENVELOPE_TAIL].concat()
+    }
+
+    fn enveloped(doc: &Value) -> String {
+        envelope(&Data::Rendered(render(doc).unwrap()))
     }
 
     /// Numbers at the edges of the pretty writer: signed zero, whole
@@ -1331,29 +1302,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
-        fn spliced_envelope_matches_the_parse_and_render_oracle(
+        fn nested_data_matches_the_parse_and_render_oracle(
             doc in JsonTree { depth: 6 },
         ) {
-            let raw = raw_body(&doc);
-            prop_assert_eq!(envelope_ok(&raw), envelope_oracle(&raw));
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn newline_scan_finds_exactly_the_newlines(
-            bytes in proptest::collection::vec(
-                prop_oneof![3 => Just(b'\n'), 1 => Just(0x0b_u8), 1 => Just(0x8a_u8), 4 => 0u8..=255],
-                0..64,
-            ),
-        ) {
-            let naive: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == b'\n').collect();
-            prop_assert_eq!(newline_positions(&bytes).collect::<Vec<_>>(), naive);
+            prop_assert_eq!(enveloped(&doc), envelope_oracle(&raw_body(&doc)));
         }
     }
 
     #[test]
-    fn spliced_envelope_matches_the_oracle_on_edge_cases() {
+    fn nested_data_matches_the_oracle_on_edge_cases() {
         let deep = (0..40).fold(Value::Array(Vec::new()), |inner, i| {
             if i % 2 == 0 {
                 Value::Array(vec![inner, Value::Object(Vec::new())])
@@ -1380,7 +1337,7 @@ mod tests {
         ));
         for doc in &cases {
             let raw = raw_body(doc);
-            assert_eq!(envelope_ok(&raw), envelope_oracle(&raw), "{raw:?}");
+            assert_eq!(enveloped(doc), envelope_oracle(&raw), "{raw:?}");
         }
     }
 
@@ -1418,60 +1375,77 @@ mod tests {
         let path = dir.join("t.pvta");
         write_trace_file(&fixture(), &path).unwrap();
         let enc = percent_encode(path.to_str().unwrap());
-
-        let state = ServerState::new(ServeOptions::default()).unwrap();
+        let options = || ServeOptions {
+            cache_dir: Some(dir.join("cache")),
+            ..ServeOptions::default()
+        };
         let request = |target: &str| {
             parse_request(format!("GET {target} HTTP/1.1\r\n\r\n").as_bytes()).unwrap()
         };
-        let get = |target: &str| -> String {
-            let req = request(target);
-            let raw = state.respond(&req).unwrap();
-            envelope_ok(raw.as_str())
+        let get = |state: &ServerState, target: &str| -> String {
+            envelope(&state.respond(&request(target)).unwrap())
         };
-
-        // Two cache entries: the default analysis, first read by
-        // diagnose, and a `multiplier=3` one, first read by compare.
-        let entry_of = |query: &str| {
-            let analyze = format!("/v1/analyze?path={enc}{query}");
-            get(&analyze);
-            let params = params_of(&request(&analyze), false).unwrap();
-            (state.entry_for(&params).unwrap(), params)
-        };
-        let (diagnosed, diagnosed_params) = entry_of("");
-        let (compared, compared_params) = entry_of("&multiplier=3");
-        assert!(
-            !diagnosed.is_decoded(),
-            "serving /v1/analyze decodes nothing"
-        );
-        assert!(
-            !compared.is_decoded(),
-            "serving /v1/analyze decodes nothing"
-        );
-
+        // Two cache entries: the default analysis, read by diagnose, and
+        // a `multiplier=3` one, read by compare.
+        let analyze = [
+            format!("/v1/analyze?path={enc}"),
+            format!("/v1/analyze?path={enc}&multiplier=3"),
+        ];
         let diagnose = format!("/v1/diagnose?path={enc}");
         let compare = format!("/v1/compare?base={enc}&cand={enc}&multiplier=3");
-        let diagnosis = get(&diagnose);
-        assert!(diagnosed.is_decoded(), "diagnose decodes through the entry");
-        assert!(!compared.is_decoded());
-        let comparison = get(&compare);
-        assert!(compared.is_decoded(), "compare decodes through the entry");
-        let decoded = [&diagnosed, &compared].map(|e| e.analysis().unwrap());
+        // Requests run on this thread, so its parse count is theirs.
+        let parses = || crate::cache::parses_on_this_thread();
+
+        // Entries this daemon rendered keep the analysis they were
+        // rendered from: nothing is ever parsed.
+        let state = ServerState::new(options()).unwrap();
+        let before = parses();
+        for target in &analyze {
+            get(&state, target);
+        }
+        let diagnosis = get(&state, &diagnose);
+        let comparison = get(&state, &compare);
+        let entries: Vec<Arc<CachedResult>> = analyze
+            .iter()
+            .map(|target| {
+                let params = params_of(&request(target), false).unwrap();
+                state.entry_for(&params).unwrap()
+            })
+            .collect();
+        let decoded: Vec<Arc<Analysis>> = entries.iter().map(|e| e.analysis().unwrap()).collect();
         for _ in 0..3 {
-            assert_eq!(get(&diagnose), diagnosis);
-            assert_eq!(get(&compare), comparison);
-            for (params, first) in [&diagnosed_params, &compared_params].iter().zip(&decoded) {
-                let again = state.entry_for(params).unwrap();
+            assert_eq!(get(&state, &diagnose), diagnosis);
+            assert_eq!(get(&state, &compare), comparison);
+            for (target, first) in analyze.iter().zip(&decoded) {
+                let again = state.entry_for(&params_of(&request(target), false).unwrap());
                 assert!(
-                    Arc::ptr_eq(&again.analysis().unwrap(), first),
-                    "every warm hit shares the one decoded analysis"
+                    Arc::ptr_eq(&again.unwrap().analysis().unwrap(), first),
+                    "every warm hit shares the one analysis"
                 );
             }
         }
+        assert_eq!(parses(), before, "no entry the daemon rendered is parsed");
 
-        // The memo is not part of the entry's value and is never spilled.
+        // The analysis is not part of the entry's value and is never
+        // spilled: a daemon restarted on the same cache directory parses
+        // each restored entry exactly once, on first use, and answers
+        // with the same bytes.
         let spilled: CachedResult =
-            serde_json::from_str(&serde_json::to_string(&*diagnosed).unwrap()).unwrap();
-        assert!(!spilled.is_decoded());
-        assert_eq!(spilled, *diagnosed);
+            serde_json::from_str(&serde_json::to_string(&*entries[0]).unwrap()).unwrap();
+        assert_eq!(spilled, *entries[0]);
+        let restarted = ServerState::new(options()).unwrap();
+        let before = parses();
+        for _ in 0..3 {
+            assert_eq!(get(&restarted, &diagnose), diagnosis);
+            assert_eq!(parses(), before + 1, "diagnose parsed its entry once");
+        }
+        for _ in 0..3 {
+            assert_eq!(get(&restarted, &compare), comparison);
+            assert_eq!(parses(), before + 2, "compare parsed its entry once");
+        }
+        for target in &analyze {
+            assert_eq!(get(&restarted, target), get(&state, target));
+        }
+        assert_eq!(parses(), before + 2);
     }
 }

@@ -186,7 +186,7 @@ impl RunStore {
         if let Some(dir) = file.parent() {
             std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         }
-        let json = serde_json::to_string_pretty(&records.to_vec())
+        let json = serde_json::to_string_pretty(records)
             .map_err(|e| format!("run store serialisation failed: {e}"))?;
         write_atomic(file, json.as_bytes()).map_err(|e| format!("{}: {e}", file.display()))
     }

@@ -13,7 +13,7 @@ use perfvar_analysis::{
     RecoveryMode,
 };
 use perfvar_server::http::percent_encode;
-use perfvar_server::{client, CachedResult, ServeOptions, Server};
+use perfvar_server::{client, ServeOptions, Server};
 use perfvar_trace::format::{archive, write_trace_file};
 use perfvar_trace::{Clock, FunctionRole, MetricMode, Timestamp, Trace, TraceBuilder};
 use serde::Deserialize;
@@ -847,9 +847,9 @@ fn former_unversioned_routes_are_not_found() {
     handle.shutdown();
 }
 
-/// The `/v1` envelope built the way pre-splice daemons built it: parse
-/// the raw route body and pretty-print `{"ok": true, "data": …}`. Every
-/// spliced success body must equal this byte for byte.
+/// The `/v1` envelope of a raw route body: parse it and pretty-print
+/// `{"ok": true, "data": …}`. Every success body must equal this byte
+/// for byte.
 fn envelope_of(raw: &str) -> String {
     let doc: serde_json::Value = serde_json::from_str(raw).unwrap();
     let mut body =
@@ -868,32 +868,35 @@ fn every_v1_success_body_is_the_enveloped_cli_body() {
     });
     let enc = percent_encode(trace.to_str().unwrap());
 
-    // The raw analysis bodies, rendered in-process exactly as the cache
-    // and `perfvar analyze --json` render them.
+    // The raw analysis bodies, rendered in-process exactly as
+    // `perfvar analyze --json` prints them.
+    let cli = |json: String| json + "\n";
     let config = AnalysisConfig::default();
     let analyzed = analyze_path_with(&trace, &config, RecoveryMode::Strict).unwrap();
     let refined = analyzed
         .refine(&trace, &config, RecoveryMode::Strict)
         .unwrap()
         .expect("the fixture has a finer segmentation function");
-    let analysis_bodies = CachedResult::render(&analyzed).unwrap();
-    let refined_body = CachedResult::render(&refined).unwrap().body;
     let metric = |name: &str| {
-        let (_, body) = analysis_bodies
-            .metrics
+        let counter = analyzed
+            .analysis
+            .counters
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|c| analyzed.meta.registry.metric(c.metric).name == name)
             .expect("fixture metric");
-        body.clone()
+        cli(serde_json::to_string_pretty(counter).unwrap())
     };
     let rendered = [
         (
             format!("/v1/analyze?path={enc}"),
-            analysis_bodies.body.clone(),
+            cli(serde_json::to_string_pretty(&analyzed.analysis).unwrap()),
         ),
         (format!("/v1/analyze?path={enc}&metric=CYC"), metric("CYC")),
         (format!("/v1/analyze?path={enc}&metric=EXC"), metric("EXC")),
-        (format!("/v1/refine?path={enc}&steps=1"), refined_body),
+        (
+            format!("/v1/refine?path={enc}&steps=1"),
+            cli(serde_json::to_string_pretty(&refined.analysis).unwrap()),
+        ),
     ];
     // Each twice: the first is a cold miss, the second a warm hit served
     // from the cache.
