@@ -5,10 +5,16 @@
 //! processes to summarise large runs (Mohror et al.) and classifying
 //! behaviour by clustering (González et al.). Here, each process is a
 //! vector of per-segment SOS-times; agglomerative clustering with
-//! average linkage groups processes with similar computational
-//! behaviour. For the COSMO-SPECS case study this cleanly separates the
-//! six cloud-loaded ranks from the other 94; for a balanced run it
-//! produces a single cluster.
+//! centroid linkage (clusters merge by the Euclidean distance between
+//! their member-weighted mean profiles) groups processes with similar
+//! computational behaviour. For the COSMO-SPECS case study this cleanly
+//! separates the six cloud-loaded ranks from the other 94; for a
+//! balanced run it produces a single cluster.
+//!
+//! The merge engine (`Agglomeration`) keeps a nearest-neighbour cache
+//! per cluster, so `p` processes of `w` segments cluster in about
+//! O(p²·w) time and O(p·w) memory, with the merge order of the plain
+//! closest-pair rescan.
 
 use crate::sos::SosMatrix;
 use perfvar_trace::ProcessId;
@@ -57,6 +63,325 @@ pub struct ProcessClustering {
 impl ProcessClustering {
     /// Clusters the processes of `matrix`.
     pub fn compute(matrix: &SosMatrix, config: ClusterConfig) -> ProcessClustering {
+        ProcessClustering::compute_capped(matrix, config, usize::MAX)
+    }
+
+    /// [`compute`](Self::compute), then, while more than `cap` clusters
+    /// remain, merging on regardless of the threshold. The merges up to
+    /// the threshold stop are the ones a run with `num_clusters:
+    /// Some(cap)` makes too, so this equals that run without repeating
+    /// them.
+    pub(crate) fn compute_capped(
+        matrix: &SosMatrix,
+        config: ClusterConfig,
+        cap: usize,
+    ) -> ProcessClustering {
+        let p = matrix.num_processes();
+        if p == 0 {
+            return ProcessClustering {
+                clusters: Vec::new(),
+            };
+        }
+        // Pad ragged rows with zeros to a rectangular, row-major profile
+        // matrix.
+        let width = (0..p)
+            .map(|i| matrix.process_sos(ProcessId::from_index(i)).len())
+            .max()
+            .unwrap_or(0);
+        let mut profiles = vec![0.0f64; p * width];
+        for (i, profile) in profiles.chunks_exact_mut(width.max(1)).enumerate() {
+            let row = matrix.process_sos(ProcessId::from_index(i));
+            for (v, d) in profile.iter_mut().zip(row) {
+                *v = d.0 as f64;
+            }
+        }
+        let profile = |i: usize| &profiles[i * width..(i + 1) * width];
+
+        // Scale threshold by the RMS of all values.
+        let rms = if profiles.is_empty() {
+            0.0
+        } else {
+            (profiles.iter().fold(0.0f64, |s, v| s + v * v) / profiles.len() as f64).sqrt()
+        };
+        // An all-idle run (every SOS value zero) has rms == 0; the stop
+        // distance is then exactly 0 so identical (all-zero) profiles
+        // still merge — only a pair farther than the stop distance ends
+        // the threshold run.
+        let stop_distance = if rms == 0.0 {
+            0.0
+        } else {
+            config.distance_threshold * rms
+        };
+
+        let mut merging = Agglomeration::new(profiles.clone(), width, vec![1; p]);
+        match config.num_clusters {
+            Some(k) => merging.merge_while(|live, _| live > k.max(1)),
+            None => merging.merge_while(|_, d| d <= stop_distance),
+        }
+        merging.merge_while(|live, _| live > cap);
+
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); p];
+        for (process, root) in merging.roots().into_iter().enumerate() {
+            members[root].push(process);
+        }
+        let mut clusters: Vec<Cluster> = members
+            .into_iter()
+            .enumerate()
+            .filter(|(_, members)| !members.is_empty())
+            .map(|(slot, members)| {
+                let centroid = merging.centroid(slot);
+                // Medoid: member closest to the centroid, lowest rank on
+                // ties.
+                let representative = *members
+                    .iter()
+                    .min_by(|&&a, &&b| {
+                        euclidean(profile(a), centroid).total_cmp(&euclidean(profile(b), centroid))
+                    })
+                    .expect("a live cluster has members");
+                Cluster {
+                    members: members.iter().map(|&m| ProcessId::from_index(m)).collect(),
+                    representative: ProcessId::from_index(representative),
+                    centroid: centroid.to_vec(),
+                }
+            })
+            .collect();
+        clusters.sort_by_key(|c| (std::cmp::Reverse(c.members.len()), c.members[0].0));
+        ProcessClustering { clusters }
+    }
+
+    /// Number of clusters.
+    pub fn len(&self) -> usize {
+        self.clusters.len()
+    }
+
+    /// Whether there are no clusters (empty trace).
+    pub fn is_empty(&self) -> bool {
+        self.clusters.is_empty()
+    }
+
+    /// The cluster containing `process`, if any.
+    pub fn cluster_of(&self, process: ProcessId) -> Option<&Cluster> {
+        self.clusters.iter().find(|c| c.members.contains(&process))
+    }
+
+    /// Clusters other than the largest — the "unusual" processes a
+    /// summarised view must not hide.
+    pub fn minority_clusters(&self) -> &[Cluster] {
+        if self.clusters.is_empty() {
+            &[]
+        } else {
+            &self.clusters[1..]
+        }
+    }
+}
+
+/// Exact agglomerative merging of weighted centroids (centroid linkage),
+/// shared by [`ProcessClustering`] and the diagnosis summariser's final
+/// pass over its sketches.
+///
+/// Each step merges the closest pair of live slots, ties broken by the
+/// lowest `(i, j)`: a merge always folds the higher slot into the lower
+/// one, so a slot's index is the lowest rank it holds and this is the
+/// deterministic lowest-member-rank rule. The merged centroid is the
+/// member-weighted mean of the two.
+///
+/// Instead of rescanning every pair after each merge (O(p³·w) for `p`
+/// slots of width `w`), each live slot `i` caches its nearest live
+/// `j > i`; the pick is the smallest cached `(d, i, j)`, which is the
+/// pair the full scan finds. A merge of `j` into `i` only changes the
+/// distances to `i` and removes `j`, so it recomputes row `i` and the
+/// rows whose cached neighbour was `i` or `j`, and offers the new
+/// distance to `i` to every other row below `i` — about O(p²·w) in
+/// total. Merges can be resumed under a new stop rule.
+pub(crate) struct Agglomeration {
+    width: usize,
+    /// Slot-major centroids, `width` values per slot.
+    centroids: Vec<f64>,
+    /// Members folded into each live slot.
+    weights: Vec<usize>,
+    /// The slot each slot was merged into; a live slot holds itself.
+    merged_into: Vec<usize>,
+    /// Per live slot `i`, the nearest live slot `j > i` as `(d, j)`,
+    /// lowest `j` on ties; `None` for dead slots and the last live one.
+    nearest: Vec<Option<(f64, usize)>>,
+    live: usize,
+}
+
+/// Whether `(d, slot)` orders before `than`: distance under
+/// `total_cmp`, then slot.
+fn closer((d, slot): (f64, usize), than: (f64, usize)) -> bool {
+    d.total_cmp(&than.0).then(slot.cmp(&than.1)).is_lt()
+}
+
+impl Agglomeration {
+    /// One slot per `weights` entry, each with its `width` values of
+    /// `centroids`.
+    pub(crate) fn new(centroids: Vec<f64>, width: usize, weights: Vec<usize>) -> Agglomeration {
+        let n = weights.len();
+        assert_eq!(centroids.len(), n * width, "one centroid per slot");
+        let mut merging = Agglomeration {
+            width,
+            centroids,
+            weights,
+            merged_into: (0..n).collect(),
+            nearest: vec![None; n],
+            live: n,
+        };
+        for i in 0..n {
+            merging.nearest[i] = merging.nearest_after(i);
+        }
+        merging
+    }
+
+    /// Merges the closest pair while `keep(live slots, its distance)`
+    /// holds and more than one slot is live.
+    pub(crate) fn merge_while(&mut self, mut keep: impl FnMut(usize, f64) -> bool) {
+        while self.live > 1 {
+            let (d, i, j) = self.closest_pair();
+            if !keep(self.live, d) {
+                break;
+            }
+            self.merge(i, j);
+        }
+    }
+
+    /// The centroid of `slot`.
+    pub(crate) fn centroid(&self, slot: usize) -> &[f64] {
+        &self.centroids[slot * self.width..(slot + 1) * self.width]
+    }
+
+    /// The live slot each slot ended up in.
+    pub(crate) fn roots(&self) -> Vec<usize> {
+        let mut roots = self.merged_into.clone();
+        // A slot only ever merges into a lower one, whose root is
+        // already final by the time the scan reaches it.
+        for slot in 0..roots.len() {
+            roots[slot] = roots[roots[slot]];
+        }
+        roots
+    }
+
+    fn is_live(&self, slot: usize) -> bool {
+        self.merged_into[slot] == slot
+    }
+
+    fn distance(&self, i: usize, j: usize) -> f64 {
+        euclidean(self.centroid(i), self.centroid(j))
+    }
+
+    fn nearest_after(&self, i: usize) -> Option<(f64, usize)> {
+        let mut best: Option<(f64, usize)> = None;
+        for j in (i + 1..self.merged_into.len()).filter(|&j| self.is_live(j)) {
+            let d = self.distance(i, j);
+            if best.is_none_or(|b| closer((d, j), b)) {
+                best = Some((d, j));
+            }
+        }
+        best
+    }
+
+    /// The smallest cached `(d, i, j)`; needs two live slots.
+    fn closest_pair(&self) -> (f64, usize, usize) {
+        let mut best: Option<(f64, usize, usize)> = None;
+        for (i, nearest) in self.nearest.iter().enumerate() {
+            if let Some((d, j)) = *nearest {
+                // Ascending `i`: only a strictly smaller distance wins.
+                if best.is_none_or(|(bd, _, _)| d.total_cmp(&bd).is_lt()) {
+                    best = Some((d, i, j));
+                }
+            }
+        }
+        best.expect("two live slots have a closest pair")
+    }
+
+    /// Folds slot `j` into slot `i < j`.
+    fn merge(&mut self, i: usize, j: usize) {
+        let width = self.width;
+        let (ni, nj) = (self.weights[i] as f64, self.weights[j] as f64);
+        let (head, tail) = self.centroids.split_at_mut(j * width);
+        for (a, b) in head[i * width..(i + 1) * width]
+            .iter_mut()
+            .zip(&tail[..width])
+        {
+            *a = (*a * ni + b * nj) / (ni + nj);
+        }
+        self.weights[i] += self.weights[j];
+        self.merged_into[j] = i;
+        self.nearest[j] = None;
+        self.live -= 1;
+        // Dead slots cache nothing, and rows above `j` never cached `i`
+        // or `j` (both lie below them).
+        for k in (0..j).filter(|&k| k != i) {
+            match self.nearest[k] {
+                Some((_, m)) if m == i || m == j => self.nearest[k] = self.nearest_after(k),
+                Some(cached) if k < i => {
+                    let d = self.distance(k, i);
+                    if closer((d, i), cached) {
+                        self.nearest[k] = Some((d, i));
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.nearest[i] = self.nearest_after(i);
+    }
+}
+
+pub(crate) fn euclidean(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y) * (x - y))
+        .sum::<f64>()
+        .sqrt()
+}
+
+/// The full-rescan clustering [`ProcessClustering::compute`] replaced,
+/// kept as the oracle of its merge engine (after every merge it scans
+/// every centroid pair for the closest one, O(p³·w)), with the inputs
+/// and the bit-level view the oracle tests share.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Up to 40 ragged SOS rows. Half the time every process copies
+    /// one of a few pooled rows (some all-zero, some empty), so
+    /// duplicate rows, zero distances and equal distances abound;
+    /// otherwise rows are free.
+    pub(crate) fn arb_sos_rows() -> impl Strategy<Value = Vec<Vec<u64>>> {
+        let value = || prop_oneof![Just(0u64), 0u64..4, 0u64..1_000_000];
+        let pooled =
+            (vec(vec(value(), 0..6), 1..7), vec(0usize..6, 0..41)).prop_map(|(pool, picks)| {
+                picks
+                    .iter()
+                    .map(|&pick| pool[pick % pool.len()].clone())
+                    .collect()
+            });
+        prop_oneof![pooled, vec(vec(value(), 0..6), 0..41)]
+    }
+
+    /// The threshold rule (`None`) half the time, else a fixed count of
+    /// 1–41 clusters: up to one more than the largest process count.
+    pub(crate) fn arb_num_clusters() -> impl Strategy<Value = Option<usize>> {
+        (0usize..82).prop_map(|k| (k < 41).then_some(k + 1))
+    }
+
+    /// Members, representative and the bits of every centroid value,
+    /// per cluster in order.
+    pub(crate) fn bits(c: &ProcessClustering) -> Vec<(Vec<ProcessId>, ProcessId, Vec<u64>)> {
+        c.clusters
+            .iter()
+            .map(|cl| {
+                let centroid = cl.centroid.iter().map(|v| v.to_bits()).collect();
+                (cl.members.clone(), cl.representative, centroid)
+            })
+            .collect()
+    }
+
+    /// Clusters the processes of `matrix` by full rescans.
+    pub(crate) fn compute(matrix: &SosMatrix, config: ClusterConfig) -> ProcessClustering {
         let p = matrix.num_processes();
         if p == 0 {
             return ProcessClustering {
@@ -190,40 +515,6 @@ impl ProcessClustering {
         clusters.sort_by_key(|c| (std::cmp::Reverse(c.members.len()), c.members[0].0));
         ProcessClustering { clusters }
     }
-
-    /// Number of clusters.
-    pub fn len(&self) -> usize {
-        self.clusters.len()
-    }
-
-    /// Whether there are no clusters (empty trace).
-    pub fn is_empty(&self) -> bool {
-        self.clusters.is_empty()
-    }
-
-    /// The cluster containing `process`, if any.
-    pub fn cluster_of(&self, process: ProcessId) -> Option<&Cluster> {
-        self.clusters.iter().find(|c| c.members.contains(&process))
-    }
-
-    /// Clusters other than the largest — the "unusual" processes a
-    /// summarised view must not hide.
-    pub fn minority_clusters(&self) -> &[Cluster] {
-        if self.clusters.is_empty() {
-            &[]
-        } else {
-            &self.clusters[1..]
-        }
-    }
-}
-
-pub(crate) fn euclidean(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
 }
 
 #[cfg(test)]
@@ -416,6 +707,28 @@ mod tests {
         );
     }
 
+    #[test]
+    fn merge_offers_the_moved_centroid_to_lower_rows() {
+        // Slots 0–3 in the plane: 1 and 2 are the closest pair (200
+        // apart), slot 0 sits 206 from each and 203 from slot 3. Merging
+        // 2 into 1 moves that centroid to (100, 0), 180 from slot 0 —
+        // closer than slot 0's cached neighbour 3 — so {0, 1, 2} must
+        // merge next, as the full rescan finds.
+        let m =
+            SosMatrix::from_sos_rows(&[vec![100, 180], vec![0, 0], vec![200, 0], vec![100, 383]]);
+        let config = ClusterConfig {
+            num_clusters: Some(2),
+            ..ClusterConfig::default()
+        };
+        let c = ProcessClustering::compute(&m, config);
+        assert_eq!(
+            c.clusters[0].members,
+            vec![ProcessId(0), ProcessId(1), ProcessId(2)]
+        );
+        assert_eq!(c.clusters[1].members, vec![ProcessId(3)]);
+        assert_eq!(oracle::bits(&c), oracle::bits(&oracle::compute(&m, config)));
+    }
+
     mod properties {
         use super::*;
         use proptest::collection::vec;
@@ -461,6 +774,27 @@ mod tests {
                         .collect::<BTreeSet<usize>>()
                 })
                 .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn merge_engine_matches_the_full_rescan_oracle(
+                rows in oracle::arb_sos_rows(),
+                num_clusters in oracle::arb_num_clusters(),
+                threshold in prop_oneof![Just(0.0f64), 0.0f64..1.0],
+            ) {
+                let m = SosMatrix::from_sos_rows(&rows);
+                let config = ClusterConfig {
+                    distance_threshold: threshold,
+                    num_clusters,
+                };
+                prop_assert_eq!(
+                    oracle::bits(&ProcessClustering::compute(&m, config)),
+                    oracle::bits(&oracle::compute(&m, config))
+                );
+            }
         }
 
         proptest! {

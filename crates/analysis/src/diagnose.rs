@@ -30,7 +30,7 @@
 //! percentages only, so the daemon (which holds no [`perfvar_trace::Clock`])
 //! renders byte-identical JSON to the CLI.
 
-use crate::clustering::{euclidean, ClusterConfig, ProcessClustering};
+use crate::clustering::{euclidean, Agglomeration, Cluster, ClusterConfig, ProcessClustering};
 use crate::findings::{Finding, FindingKind};
 use crate::report::Analysis;
 use crate::sos::{SosMatrix, TickStats};
@@ -664,23 +664,15 @@ fn cluster_summarised(matrix: &SosMatrix, config: &DiagnoseConfig) -> ProcessClu
         .num_clusters
         .map(|k| k.clamp(1, max_clusters));
     if n <= config.exact_threshold {
-        let c = ProcessClustering::compute(
+        // A threshold run that overshoots the row budget merges on to
+        // the cap.
+        return ProcessClustering::compute_capped(
             matrix,
             ClusterConfig {
                 distance_threshold: config.cluster.distance_threshold,
                 num_clusters: target,
             },
-        );
-        if c.len() <= max_clusters {
-            return c;
-        }
-        // Threshold clustering overshot the row budget: force the cap.
-        return ProcessClustering::compute(
-            matrix,
-            ClusterConfig {
-                distance_threshold: config.cluster.distance_threshold,
-                num_clusters: Some(max_clusters),
-            },
+            max_clusters,
         );
     }
     cluster_streaming(
@@ -698,10 +690,11 @@ fn cluster_summarised(matrix: &SosMatrix, config: &DiagnoseConfig) -> ProcessClu
 /// opens a new sketch; once the sketch budget is full, profiles are
 /// absorbed into their nearest sketch unconditionally (the summariser
 /// trades tail precision for a hard memory bound, like the rest of the
-/// out-of-core pipeline). A final agglomerative pass merges the sketch
-/// centroids down to the requested cluster count. O(ranks × budget ×
-/// width) time, O(budget × width + ranks) memory — the full rank×segment
-/// matrix is only ever read row by row.
+/// out-of-core pipeline). A final agglomerative pass, the exact path's
+/// merge engine, merges the sketch centroids down to the requested
+/// cluster count. O(ranks × budget × width) time, O(budget × width +
+/// ranks) memory — the full rank×segment matrix is only ever read row by
+/// row.
 fn cluster_streaming(
     matrix: &SosMatrix,
     distance_threshold: f64,
@@ -764,71 +757,22 @@ fn cluster_streaming(
         };
     }
 
-    // Agglomerative merge of the sketch centroids (k ≤ budget, so the
-    // quadratic closest-pair search is cheap). Same semantics as the
-    // exact algorithm: to the fixed target if given, else within the
+    // Agglomerative merge of the sketch centroids with the exact
+    // algorithm's engine: to the fixed target if given, else within the
     // stop distance — but never more than `max_clusters` groups.
     let goal = target.unwrap_or(max_clusters).max(1);
-    let mut redirect: Vec<usize> = (0..sketches.len()).collect();
-    let mut alive: Vec<bool> = vec![true; sketches.len()];
-    let mut live = sketches.len();
-    while live > 1 {
-        let mut best: Option<(usize, usize, f64)> = None;
-        for i in 0..sketches.len() {
-            if !alive[i] {
-                continue;
-            }
-            for j in (i + 1)..sketches.len() {
-                if !alive[j] {
-                    continue;
-                }
-                let d = euclidean(&sketches[i].centroid, &sketches[j].centroid);
-                let better = match best {
-                    None => true,
-                    Some((bi, bj, bd)) => match d.total_cmp(&bd) {
-                        std::cmp::Ordering::Less => true,
-                        std::cmp::Ordering::Equal => (i, j) < (bi, bj),
-                        std::cmp::Ordering::Greater => false,
-                    },
-                };
-                if better {
-                    best = Some((i, j, d));
-                }
-            }
-        }
-        let Some((i, j, d)) = best else { break };
-        let over_goal = live > goal;
-        let within_threshold = target.is_none() && d <= stop_distance && live > 1;
-        if !(over_goal || within_threshold) {
-            break;
-        }
-        let (ci, cj) = (sketches[i].count as f64, sketches[j].count as f64);
-        let merged: Vec<f64> = sketches[i]
-            .centroid
-            .iter()
-            .zip(&sketches[j].centroid)
-            .map(|(a, b)| (a * ci + b * cj) / (ci + cj))
-            .collect();
-        sketches[i].centroid = merged;
-        sketches[i].count += sketches[j].count;
-        alive[j] = false;
-        redirect[j] = i;
-        live -= 1;
-    }
-    // Resolve merge chains.
-    let resolve = |mut i: usize, redirect: &[usize]| {
-        while redirect[i] != i {
-            i = redirect[i];
-        }
-        i
-    };
+    let counts = sketches.iter().map(|s| s.count).collect();
+    let centroids = sketches.iter().flat_map(|s| &s.centroid).copied().collect();
+    let mut merging = Agglomeration::new(centroids, width, counts);
+    merging.merge_while(|live, d| live > goal || (target.is_none() && d <= stop_distance));
+    let roots = merging.roots();
 
     // Gather members per surviving sketch (ascending ranks by
     // construction) and pick each representative in a second row-by-row
     // pass: the member closest to its centroid, lowest rank on ties.
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); sketches.len()];
     for (rank, &a) in assignment.iter().enumerate() {
-        members[resolve(a as usize, &redirect)].push(rank);
+        members[roots[a as usize]].push(rank);
     }
     let mut rep: Vec<Option<(usize, f64)>> = vec![None; sketches.len()];
     for (p, &a) in assignment.iter().enumerate().take(n) {
@@ -836,8 +780,8 @@ fn cluster_streaming(
         for (i, slot) in profile.iter_mut().enumerate() {
             *slot = row.get(i).map(|d| d.0 as f64).unwrap_or(0.0);
         }
-        let s = resolve(a as usize, &redirect);
-        let d = euclidean(&profile, &sketches[s].centroid);
+        let s = roots[a as usize];
+        let d = euclidean(&profile, merging.centroid(s));
         let better = match rep[s] {
             None => true,
             Some((_, bd)) => d < bd,
@@ -847,19 +791,240 @@ fn cluster_streaming(
         }
     }
 
-    let mut clusters: Vec<crate::clustering::Cluster> = (0..sketches.len())
-        .filter(|&i| alive[i] && !members[i].is_empty())
-        .map(|i| crate::clustering::Cluster {
+    let mut clusters: Vec<Cluster> = (0..sketches.len())
+        .filter(|&i| !members[i].is_empty())
+        .map(|i| Cluster {
             members: members[i]
                 .iter()
                 .map(|&m| ProcessId::from_index(m))
                 .collect(),
             representative: ProcessId::from_index(rep[i].map(|(p, _)| p).unwrap_or(members[i][0])),
-            centroid: sketches[i].centroid.clone(),
+            centroid: merging.centroid(i).to_vec(),
         })
         .collect();
     clusters.sort_by_key(|c| (std::cmp::Reverse(c.members.len()), c.members[0].0));
     ProcessClustering { clusters }
+}
+
+/// The clustering of diagnoses before the shared merge engine, kept as
+/// its oracle: the exact path's threshold run recomputed from scratch
+/// when it overshoots the cap, and the sketch path's own full-rescan
+/// merge loop.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// [`super::cluster_summarised`] before the merge engine.
+    pub(super) fn cluster_summarised(
+        matrix: &SosMatrix,
+        config: &DiagnoseConfig,
+    ) -> ProcessClustering {
+        let n = matrix.num_processes();
+        let max_clusters = config.max_clusters.max(1);
+        let target = config
+            .cluster
+            .num_clusters
+            .map(|k| k.clamp(1, max_clusters));
+        if n <= config.exact_threshold {
+            let c = crate::clustering::oracle::compute(
+                matrix,
+                ClusterConfig {
+                    distance_threshold: config.cluster.distance_threshold,
+                    num_clusters: target,
+                },
+            );
+            if c.len() <= max_clusters {
+                return c;
+            }
+            // Threshold clustering overshot the row budget: force the cap.
+            return crate::clustering::oracle::compute(
+                matrix,
+                ClusterConfig {
+                    distance_threshold: config.cluster.distance_threshold,
+                    num_clusters: Some(max_clusters),
+                },
+            );
+        }
+        cluster_streaming(
+            matrix,
+            config.cluster.distance_threshold,
+            target,
+            max_clusters,
+        )
+    }
+
+    /// Deterministic single-pass sketch clustering for large runs.
+    ///
+    /// Ranks are folded in ascending order: each per-rank SOS profile is
+    /// absorbed into the nearest sketch if within the stop distance, else it
+    /// opens a new sketch; once the sketch budget is full, profiles are
+    /// absorbed into their nearest sketch unconditionally (the summariser
+    /// trades tail precision for a hard memory bound, like the rest of the
+    /// out-of-core pipeline). A final agglomerative pass merges the sketch
+    /// centroids down to the requested cluster count. O(ranks × budget ×
+    /// width) time, O(budget × width + ranks) memory — the full rank×segment
+    /// matrix is only ever read row by row.
+    fn cluster_streaming(
+        matrix: &SosMatrix,
+        distance_threshold: f64,
+        target: Option<usize>,
+        max_clusters: usize,
+    ) -> ProcessClustering {
+        let n = matrix.num_processes();
+        let width = (0..n)
+            .map(|p| matrix.process_sos(ProcessId::from_index(p)).len())
+            .max()
+            .unwrap_or(0);
+        let stats = matrix.sos_stats();
+        let rms = (stats.mean * stats.mean + stats.stddev * stats.stddev).sqrt();
+        let stop_distance = if rms == 0.0 {
+            0.0
+        } else {
+            distance_threshold * rms
+        };
+        let budget = (max_clusters * 4).clamp(32, 256);
+
+        struct Sketch {
+            centroid: Vec<f64>,
+            count: usize,
+        }
+        let mut sketches: Vec<Sketch> = Vec::new();
+        let mut assignment: Vec<u32> = Vec::with_capacity(n);
+        let mut profile = vec![0.0f64; width];
+        for p in 0..n {
+            let row = matrix.process_sos(ProcessId::from_index(p));
+            for (i, slot) in profile.iter_mut().enumerate() {
+                *slot = row.get(i).map(|d| d.0 as f64).unwrap_or(0.0);
+            }
+            let nearest = sketches
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (i, euclidean(&profile, &s.centroid)))
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            match nearest {
+                Some((i, d)) if d <= stop_distance || sketches.len() >= budget => {
+                    let s = &mut sketches[i];
+                    let k = s.count as f64;
+                    for (c, v) in s.centroid.iter_mut().zip(&profile) {
+                        *c = (*c * k + v) / (k + 1.0);
+                    }
+                    s.count += 1;
+                    assignment.push(i as u32);
+                }
+                _ => {
+                    assignment.push(sketches.len() as u32);
+                    sketches.push(Sketch {
+                        centroid: profile.clone(),
+                        count: 1,
+                    });
+                }
+            }
+        }
+        if sketches.is_empty() {
+            return ProcessClustering {
+                clusters: Vec::new(),
+            };
+        }
+
+        // Agglomerative merge of the sketch centroids (k ≤ budget, so the
+        // quadratic closest-pair search is cheap). Same semantics as the
+        // exact algorithm: to the fixed target if given, else within the
+        // stop distance — but never more than `max_clusters` groups.
+        let goal = target.unwrap_or(max_clusters).max(1);
+        let mut redirect: Vec<usize> = (0..sketches.len()).collect();
+        let mut alive: Vec<bool> = vec![true; sketches.len()];
+        let mut live = sketches.len();
+        while live > 1 {
+            let mut best: Option<(usize, usize, f64)> = None;
+            for i in 0..sketches.len() {
+                if !alive[i] {
+                    continue;
+                }
+                for j in (i + 1)..sketches.len() {
+                    if !alive[j] {
+                        continue;
+                    }
+                    let d = euclidean(&sketches[i].centroid, &sketches[j].centroid);
+                    let better = match best {
+                        None => true,
+                        Some((bi, bj, bd)) => match d.total_cmp(&bd) {
+                            std::cmp::Ordering::Less => true,
+                            std::cmp::Ordering::Equal => (i, j) < (bi, bj),
+                            std::cmp::Ordering::Greater => false,
+                        },
+                    };
+                    if better {
+                        best = Some((i, j, d));
+                    }
+                }
+            }
+            let Some((i, j, d)) = best else { break };
+            let over_goal = live > goal;
+            let within_threshold = target.is_none() && d <= stop_distance && live > 1;
+            if !(over_goal || within_threshold) {
+                break;
+            }
+            let (ci, cj) = (sketches[i].count as f64, sketches[j].count as f64);
+            let merged: Vec<f64> = sketches[i]
+                .centroid
+                .iter()
+                .zip(&sketches[j].centroid)
+                .map(|(a, b)| (a * ci + b * cj) / (ci + cj))
+                .collect();
+            sketches[i].centroid = merged;
+            sketches[i].count += sketches[j].count;
+            alive[j] = false;
+            redirect[j] = i;
+            live -= 1;
+        }
+        // Resolve merge chains.
+        let resolve = |mut i: usize, redirect: &[usize]| {
+            while redirect[i] != i {
+                i = redirect[i];
+            }
+            i
+        };
+
+        // Gather members per surviving sketch (ascending ranks by
+        // construction) and pick each representative in a second row-by-row
+        // pass: the member closest to its centroid, lowest rank on ties.
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); sketches.len()];
+        for (rank, &a) in assignment.iter().enumerate() {
+            members[resolve(a as usize, &redirect)].push(rank);
+        }
+        let mut rep: Vec<Option<(usize, f64)>> = vec![None; sketches.len()];
+        for (p, &a) in assignment.iter().enumerate().take(n) {
+            let row = matrix.process_sos(ProcessId::from_index(p));
+            for (i, slot) in profile.iter_mut().enumerate() {
+                *slot = row.get(i).map(|d| d.0 as f64).unwrap_or(0.0);
+            }
+            let s = resolve(a as usize, &redirect);
+            let d = euclidean(&profile, &sketches[s].centroid);
+            let better = match rep[s] {
+                None => true,
+                Some((_, bd)) => d < bd,
+            };
+            if better {
+                rep[s] = Some((p, d));
+            }
+        }
+
+        let mut clusters: Vec<crate::clustering::Cluster> = (0..sketches.len())
+            .filter(|&i| alive[i] && !members[i].is_empty())
+            .map(|i| crate::clustering::Cluster {
+                members: members[i]
+                    .iter()
+                    .map(|&m| ProcessId::from_index(m))
+                    .collect(),
+                representative: ProcessId::from_index(
+                    rep[i].map(|(p, _)| p).unwrap_or(members[i][0]),
+                ),
+                centroid: sketches[i].centroid.clone(),
+            })
+            .collect();
+        clusters.sort_by_key(|c| (std::cmp::Reverse(c.members.len()), c.members[0].0));
+        ProcessClustering { clusters }
+    }
 }
 
 #[cfg(test)]
@@ -1042,6 +1207,42 @@ mod tests {
         assert!(text.contains("cluster #0"));
         assert!(text.contains("cause:"));
         assert!(text.contains("findings"));
+    }
+
+    mod properties {
+        use super::*;
+        use crate::clustering::oracle::{arb_num_clusters, arb_sos_rows, bits};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Both paths, every stop rule and row cap — including a
+            /// threshold run that overshoots the cap — against the full
+            /// rescans.
+            #[test]
+            fn summarised_clustering_matches_the_full_rescan_oracle(
+                rows in arb_sos_rows(),
+                num_clusters in arb_num_clusters(),
+                max_clusters in 0usize..43,
+                threshold in prop_oneof![Just(0.0f64), 0.0f64..1.0],
+                exact in 0usize..2,
+            ) {
+                let m = SosMatrix::from_sos_rows(&rows);
+                let config = DiagnoseConfig {
+                    cluster: ClusterConfig {
+                        distance_threshold: threshold,
+                        num_clusters,
+                    },
+                    max_clusters,
+                    exact_threshold: [512, 0][exact],
+                };
+                prop_assert_eq!(
+                    bits(&cluster_summarised(&m, &config)),
+                    bits(&oracle::cluster_summarised(&m, &config))
+                );
+            }
+        }
     }
 
     #[test]

@@ -136,52 +136,111 @@ impl MessageAnalysis {
 
     /// Builds the process×process communication matrix.
     pub fn comm_matrix(&self, num_processes: usize) -> CommMatrix {
-        let mut counts = vec![vec![0u64; num_processes]; num_processes];
-        let mut bytes = vec![vec![0u64; num_processes]; num_processes];
-        for m in &self.messages {
-            counts[m.from.index()][m.to.index()] += 1;
-            bytes[m.from.index()][m.to.index()] += m.bytes;
+        let mut pairs: Vec<(ProcessId, ProcessId, u64)> = self
+            .messages
+            .iter()
+            .map(|m| (m.from, m.to, m.bytes))
+            .collect();
+        pairs.sort_unstable_by_key(|&(from, to, _)| (from, to));
+        let mut cells: Vec<CommCell> = Vec::new();
+        for (from, to, bytes) in pairs {
+            assert!(
+                from.index() < num_processes && to.index() < num_processes,
+                "message {from:?} → {to:?} outside a {num_processes}-process matrix"
+            );
+            match cells.last_mut() {
+                Some(cell) if (cell.from, cell.to) == (from, to) => {
+                    cell.count += 1;
+                    cell.bytes += bytes;
+                }
+                _ => cells.push(CommCell {
+                    from,
+                    to,
+                    count: 1,
+                    bytes,
+                }),
+            }
         }
-        CommMatrix { counts, bytes }
+        CommMatrix {
+            dim: num_processes,
+            cells,
+        }
     }
 }
 
-/// A process×process communication matrix (sender-major).
+/// One sender→receiver pair with traffic.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CommCell {
+    /// Sender.
+    pub from: ProcessId,
+    /// Receiver.
+    pub to: ProcessId,
+    /// Number of messages (at least one).
+    pub count: u64,
+    /// Payload bytes.
+    pub bytes: u64,
+}
+
+/// A process×process communication matrix, stored sparsely: only the
+/// pairs that exchanged messages, sender-major. A run's traffic usually
+/// fills a few cells per row (FD4: 200 of 40,000), so nothing scales
+/// with the square of the rank count.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CommMatrix {
-    /// `counts[from][to]`: number of messages.
-    pub counts: Vec<Vec<u64>>,
-    /// `bytes[from][to]`: payload bytes.
-    pub bytes: Vec<Vec<u64>>,
+    dim: usize,
+    /// Cells with traffic, in row-major `(from, to)` order.
+    cells: Vec<CommCell>,
 }
 
 impl CommMatrix {
     /// Number of processes (matrix dimension).
     pub fn dim(&self) -> usize {
-        self.counts.len()
+        self.dim
     }
 
-    /// The heaviest sender→receiver pair by bytes, if any traffic exists.
+    /// The cells with traffic, in row-major `(from, to)` order; every
+    /// other cell is empty.
+    pub fn cells(&self) -> &[CommCell] {
+        &self.cells
+    }
+
+    /// The cell `from → to`, if the pair exchanged messages.
+    pub fn cell(&self, from: ProcessId, to: ProcessId) -> Option<&CommCell> {
+        self.cells
+            .binary_search_by_key(&(from, to), |c| (c.from, c.to))
+            .ok()
+            .map(|i| &self.cells[i])
+    }
+
+    /// The heaviest sender→receiver pair by bytes, if any traffic exists;
+    /// the first in row-major order on ties.
     pub fn heaviest_pair(&self) -> Option<(ProcessId, ProcessId, u64)> {
-        let mut best: Option<(usize, usize, u64)> = None;
-        for (i, row) in self.bytes.iter().enumerate() {
-            for (j, &b) in row.iter().enumerate() {
-                if b > 0 && best.is_none_or(|(_, _, bb)| b > bb) {
-                    best = Some((i, j, b));
-                }
+        let mut best: Option<&CommCell> = None;
+        for cell in &self.cells {
+            if cell.bytes > 0 && best.is_none_or(|b| cell.bytes > b.bytes) {
+                best = Some(cell);
             }
         }
-        best.map(|(i, j, b)| (ProcessId::from_index(i), ProcessId::from_index(j), b))
+        best.map(|c| (c.from, c.to, c.bytes))
     }
 
     /// Total messages sent by `p`.
     pub fn sent_by(&self, p: ProcessId) -> u64 {
-        self.counts[p.index()].iter().sum()
+        let start = self.cells.partition_point(|c| c.from < p);
+        self.cells[start..]
+            .iter()
+            .take_while(|c| c.from == p)
+            .map(|c| c.count)
+            .sum()
     }
 
     /// Total messages received by `p`.
     pub fn received_by(&self, p: ProcessId) -> u64 {
-        self.counts.iter().map(|row| row[p.index()]).sum()
+        self.cells
+            .iter()
+            .filter(|c| c.to == p)
+            .map(|c| c.count)
+            .sum()
     }
 }
 
@@ -249,13 +308,97 @@ mod tests {
         let a = MessageAnalysis::match_trace(&t);
         let m = a.comm_matrix(3);
         assert_eq!(m.dim(), 3);
-        assert_eq!(m.counts[0][1], 3);
-        assert_eq!(m.bytes[0][1], 350);
-        assert_eq!(m.counts[2][0], 1);
+        assert_eq!(m.cells().len(), 2);
+        let cell = m.cell(ProcessId(0), ProcessId(1)).unwrap();
+        assert_eq!((cell.count, cell.bytes), (3, 350));
+        assert_eq!(m.cell(ProcessId(2), ProcessId(0)).unwrap().count, 1);
+        assert_eq!(m.cell(ProcessId(1), ProcessId(0)), None);
         assert_eq!(m.heaviest_pair(), Some((ProcessId(2), ProcessId(0), 1000)));
         assert_eq!(m.sent_by(ProcessId(0)), 3);
         assert_eq!(m.received_by(ProcessId(1)), 3);
         assert_eq!(m.received_by(ProcessId(2)), 0);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// The dense `counts[from][to]` and `bytes[from][to]` matrices
+        /// [`CommMatrix`] replaced, kept as its oracle.
+        fn dense(messages: &[MatchedMessage], n: usize) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+            let mut counts = vec![vec![0u64; n]; n];
+            let mut bytes = vec![vec![0u64; n]; n];
+            for m in messages {
+                counts[m.from.index()][m.to.index()] += 1;
+                bytes[m.from.index()][m.to.index()] += m.bytes;
+            }
+            (counts, bytes)
+        }
+
+        fn dense_heaviest_pair(bytes: &[Vec<u64>]) -> Option<(ProcessId, ProcessId, u64)> {
+            let mut best: Option<(usize, usize, u64)> = None;
+            for (i, row) in bytes.iter().enumerate() {
+                for (j, &b) in row.iter().enumerate() {
+                    if b > 0 && best.is_none_or(|(_, _, bb)| b > bb) {
+                        best = Some((i, j, b));
+                    }
+                }
+            }
+            best.map(|(i, j, b)| (ProcessId::from_index(i), ProcessId::from_index(j), b))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Few ranks and payloads of 0–3 bytes: repeated pairs,
+            /// zero-byte cells and tied heaviest pairs are common.
+            #[test]
+            fn sparse_matrix_matches_the_dense_oracle(
+                n in 1usize..7,
+                raw in vec((0usize..7, 0usize..7, 0u64..4), 0..40),
+            ) {
+                let messages: Vec<MatchedMessage> = raw
+                    .iter()
+                    .map(|&(from, to, bytes)| MatchedMessage {
+                        from: ProcessId::from_index(from % n),
+                        to: ProcessId::from_index(to % n),
+                        tag: 0,
+                        bytes,
+                        send_time: Timestamp(0),
+                        recv_time: Timestamp(1),
+                    })
+                    .collect();
+                let (counts, bytes) = dense(&messages, n);
+                let m = MessageAnalysis {
+                    messages,
+                    unmatched_sends: 0,
+                    unmatched_recvs: 0,
+                }
+                .comm_matrix(n);
+                prop_assert_eq!(m.dim(), n);
+                let mut cells = Vec::new();
+                for i in 0..n {
+                    for j in 0..n {
+                        if counts[i][j] > 0 {
+                            cells.push((i, j, counts[i][j], bytes[i][j]));
+                        }
+                    }
+                }
+                let sparse: Vec<_> = m
+                    .cells()
+                    .iter()
+                    .map(|c| (c.from.index(), c.to.index(), c.count, c.bytes))
+                    .collect();
+                prop_assert_eq!(sparse, cells);
+                prop_assert_eq!(m.heaviest_pair(), dense_heaviest_pair(&bytes));
+                for p in 0..n {
+                    let p_id = ProcessId::from_index(p);
+                    prop_assert_eq!(m.sent_by(p_id), counts[p].iter().sum::<u64>());
+                    prop_assert_eq!(m.received_by(p_id), counts.iter().map(|r| r[p]).sum::<u64>());
+                }
+            }
+        }
     }
 
     #[test]

@@ -99,6 +99,21 @@ impl SosMatrix {
         }
     }
 
+    /// A matrix with the given per-process SOS rows (durations equal to
+    /// them), for tests that need exact values.
+    #[cfg(test)]
+    pub(crate) fn from_sos_rows(rows: &[Vec<u64>]) -> SosMatrix {
+        let sos: Vec<Vec<DurationTicks>> = rows
+            .iter()
+            .map(|row| row.iter().map(|&v| DurationTicks(v)).collect())
+            .collect();
+        SosMatrix {
+            function: FunctionId(0),
+            durations: sos.clone(),
+            sos,
+        }
+    }
+
     /// Number of processes (rows).
     pub fn num_processes(&self) -> usize {
         self.sos.len()

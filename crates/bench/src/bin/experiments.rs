@@ -81,6 +81,7 @@ fn main() {
     let regression = regression_benchmark(&mut report, &out_dir);
     let live = live_benchmark(&mut report, &out_dir);
     let diagnose = diagnose_benchmark(&mut report, &out_dir);
+    let rank_scale = rank_scale_benchmark(&mut report);
     let report_render = report_render_benchmark(&mut report);
     let json_render = json_render_benchmark(&mut report, &out_dir);
     if let serde_json::Value::Object(fields) = &mut bench {
@@ -89,6 +90,7 @@ fn main() {
         fields.push(("regression".to_string(), regression));
         fields.push(("live".to_string(), live));
         fields.push(("diagnose".to_string(), diagnose));
+        fields.push(("rank_scale".to_string(), rank_scale));
         fields.push(("report_render".to_string(), report_render));
         fields.push(("json_render".to_string(), json_render));
     }
@@ -1431,6 +1433,99 @@ fn diagnose_benchmark(report: &mut Report, _out_dir: &Path) -> serde_json::Value
         "thread_stable": thread_stable,
         "wall_gate_s": wall_gate,
         "relaxed": relaxed,
+    })
+}
+
+// ───────────────────── rank scale ─────────────────────
+
+/// Diagnosis (after the analysis) and the communication-matrix render
+/// (message matching included) on balanced runs of 512–4096 ranks × 20
+/// iterations, best-of-[`BENCH_REPS`] each. 512 ranks is the largest run
+/// the diagnosis clusters exactly, so its point also gates the exact
+/// path; above it the streaming summariser takes over. The RANK-SCALE
+/// row in BENCH_pipeline.json.
+fn rank_scale_benchmark(report: &mut Report) -> serde_json::Value {
+    use perfvar_analysis::messages::MessageAnalysis;
+    use perfvar_analysis::{diagnose_meta, DiagnoseConfig};
+    use perfvar_sim::workloads::{BalancedStencil, Workload};
+    use perfvar_trace::TraceMeta;
+    use perfvar_viz::matrix::{render_comm_matrix_svg, CommQuantity};
+
+    const RANKS: [usize; 4] = [512, 1024, 2048, 4096];
+    let config = DiagnoseConfig::default();
+    let mut points = Vec::new();
+    for ranks in RANKS {
+        let trace = perfvar_sim::simulate(&BalancedStencil::new(ranks, 20).spec()).unwrap();
+        let meta = TraceMeta::of(&trace);
+        let analysis = analyze(&trace, &AnalysisConfig::default()).unwrap();
+        let diagnose_t = time_reps(&mut || {
+            std::hint::black_box(diagnose_meta(&meta, &analysis, &config));
+        });
+        let comm_t = time_reps(&mut || {
+            let comm = MessageAnalysis::match_trace(&trace).comm_matrix(ranks);
+            std::hint::black_box(render_comm_matrix_svg(
+                &trace,
+                &comm,
+                CommQuantity::Count,
+                720,
+            ));
+        });
+        points.push((ranks, trace.num_events(), diagnose_t, comm_t));
+    }
+
+    let exact = &points[0].2;
+    let exact_gate = if bench_relaxed() { 0.3 } else { 0.05 };
+    report.check(
+        "DIAGNOSE 512-rank exact clustering",
+        &format!(
+            "diagnose_meta on a balanced 512-rank run (the exact path's largest) \
+             within {:.0} ms",
+            exact_gate * 1e3
+        ),
+        format!(
+            "best {:.1} ms, median {:.1} ms",
+            exact.best * 1e3,
+            exact.median * 1e3
+        ),
+        exact.best <= exact_gate,
+    );
+
+    let (first, last) = (&points[0], &points[points.len() - 1]);
+    let diagnose_ratio = last.2.best / first.2.best;
+    let comm_ratio = last.3.best / first.3.best;
+    report.check(
+        "RANK-SCALE diagnosis and comm matrix",
+        "at 4096 ranks, diagnosis and the comm-matrix render each take at most 12× \
+         their 512-rank wall time (8× the ranks and events)",
+        format!(
+            "diagnosis {:.1} → {:.1} ms ({diagnose_ratio:.1}×), comm matrix {:.1} → {:.1} ms \
+             ({comm_ratio:.1}×) from 512 to 4096 ranks",
+            first.2.best * 1e3,
+            last.2.best * 1e3,
+            first.3.best * 1e3,
+            last.3.best * 1e3,
+        ),
+        diagnose_ratio <= 12.0 && comm_ratio <= 12.0,
+    );
+
+    let rows: Vec<serde_json::Value> = points
+        .iter()
+        .map(|(ranks, events, diagnose_t, comm_t)| {
+            serde_json::json!({
+                "ranks": ranks,
+                "events": events,
+                "diagnose": diagnose_t.to_json(),
+                "comm_matrix": comm_t.to_json(),
+            })
+        })
+        .collect();
+    serde_json::json!({
+        "workload": "balanced, 20 iterations",
+        "points": rows,
+        "diagnose_4096_over_512": diagnose_ratio,
+        "comm_matrix_4096_over_512": comm_ratio,
+        "exact_gate_s": exact_gate,
+        "relaxed": bench_relaxed(),
     })
 }
 

@@ -41,7 +41,6 @@ USAGE:
   perfvar report   <trace> --out-dir DIR
   perfvar compare  <before> <after> [--function NAME] [--threshold T] [--json]
   perfvar bisect   <known-good> <run1> … <runN> [--threshold T] [--reps N] [--json]
-  perfvar cluster  <trace> [--clusters K] [--threshold T] [--json]
   perfvar diagnose <trace> [--clusters K] [--cluster-threshold T]
                    [--max-clusters N] [--function NAME] [--multiplier K]
                    [--threads N] [--read-buffer BYTES] [--json]
@@ -918,50 +917,6 @@ pub fn bisect(argv: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `perfvar cluster <trace>` — process-similarity clustering.
-pub fn cluster(argv: Vec<String>) -> Result<(), String> {
-    const SPEC: ArgSpec = ArgSpec {
-        valued: &["clusters", "threshold", "function", "multiplier", "threads"],
-        flags: &["json"],
-    };
-    let args = SPEC.parse(argv).map_err(|e| e.to_string())?;
-    let path = args.positional(0).ok_or("missing trace path")?;
-    let result = analysis_of_path(path, &args, &Telemetry::noop())?;
-    let config = perfvar_analysis::clustering::ClusterConfig {
-        num_clusters: args.parse_value("clusters").map_err(|e| e.to_string())?,
-        distance_threshold: args
-            .parse_or("threshold", 0.25f64)
-            .map_err(|e| e.to_string())?,
-    };
-    let clustering = perfvar_analysis::ProcessClustering::compute(&result.analysis.sos, config);
-    if args.has("json") {
-        return print_json(&clustering);
-    }
-    println!(
-        "{} behaviour cluster(s) over {} processes:",
-        clustering.len(),
-        result.meta.num_processes()
-    );
-    for (i, c) in clustering.clusters.iter().enumerate() {
-        let members: Vec<String> = c.members.iter().take(12).map(|p| p.to_string()).collect();
-        let suffix = if c.members.len() > 12 {
-            format!(" … ({} total)", c.members.len())
-        } else {
-            String::new()
-        };
-        println!(
-            "  cluster {i}: representative {} — {}{}",
-            c.representative,
-            members.join(" "),
-            suffix
-        );
-    }
-    if !clustering.minority_clusters().is_empty() {
-        println!("→ minority clusters mark unusual processes worth inspecting");
-    }
-    Ok(())
-}
-
 /// Decodes the diagnosis knobs (`--clusters/--cluster-threshold/
 /// --max-clusters`) through the shared codec the daemon's query
 /// parameters use too, so the CLI and HTTP dialects cannot drift.
@@ -1660,26 +1615,6 @@ mod tests {
         assert!(err.contains("at least two"));
         let err = bisect(argv(&[runs[0].as_str(), runs[1].as_str(), "--reps", "0"])).unwrap_err();
         assert!(err.contains("reps"));
-    }
-
-    #[test]
-    fn cluster_subcommand() {
-        let dir = tmp_dir("cluster");
-        let t = dir.join("t.pvt");
-        generate(argv(&[
-            "outlier",
-            "--out",
-            t.to_str().unwrap(),
-            "--ranks",
-            "6",
-            "--iterations",
-            "6",
-        ]))
-        .unwrap();
-        cluster(argv(&[t.to_str().unwrap()])).unwrap();
-        cluster(argv(&[t.to_str().unwrap(), "--clusters", "2", "--json"])).unwrap();
-        let err = cluster(argv(&[t.to_str().unwrap(), "--threshold", "abc"])).unwrap_err();
-        assert!(err.contains("invalid"));
     }
 
     #[test]

@@ -25,7 +25,6 @@ fn main() -> ExitCode {
         "report" => commands::report(rest),
         "compare" => commands::compare(rest),
         "bisect" => commands::bisect(rest),
-        "cluster" => commands::cluster(rest),
         "diagnose" => commands::diagnose(rest),
         "slice" => commands::slice(rest),
         "convert" => commands::convert(rest),

@@ -299,7 +299,7 @@ proptest! {
         prop_assert_eq!(a.len() + a.unmatched_recvs, total_recvs);
         // The comm matrix totals agree with the matched count.
         let comm = a.comm_matrix(trace.num_processes());
-        let matrix_total: u64 = comm.counts.iter().flatten().sum();
+        let matrix_total: u64 = comm.cells().iter().map(|c| c.count).sum();
         prop_assert_eq!(matrix_total as usize, a.len());
     }
 
