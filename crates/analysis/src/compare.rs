@@ -87,18 +87,20 @@ impl RunSummary {
 }
 
 /// Median of a sequence of tick values (mean of the two middle samples
-/// for even lengths; 0 for an empty sequence).
+/// for even lengths; 0 for an empty sequence), by selection: the upper
+/// middle is the selected value and the lower middle the largest below it.
 fn median_ticks(values: impl Iterator<Item = u64>) -> f64 {
-    let mut sorted: Vec<u64> = values.collect();
-    if sorted.is_empty() {
+    let mut v: Vec<u64> = values.collect();
+    let n = v.len();
+    if n == 0 {
         return 0.0;
     }
-    sorted.sort_unstable();
-    let n = sorted.len();
+    let (lower, &mut upper, _) = v.select_nth_unstable(n / 2);
     if n % 2 == 1 {
-        sorted[n / 2] as f64
+        upper as f64
     } else {
-        (sorted[n / 2 - 1] as f64 + sorted[n / 2] as f64) / 2.0
+        let below = lower.iter().copied().max().unwrap_or(upper);
+        (below as f64 + upper as f64) / 2.0
     }
 }
 
@@ -751,5 +753,40 @@ mod tests {
     fn bisect_propagates_probe_errors() {
         let out = bisect_first_regression(4, |_| Err("boom"));
         assert_eq!(out, Err("boom"));
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// [`median_ticks`] by a full sort.
+        fn oracle_median_ticks(values: impl Iterator<Item = u64>) -> f64 {
+            let mut sorted: Vec<u64> = values.collect();
+            if sorted.is_empty() {
+                return 0.0;
+            }
+            sorted.sort_unstable();
+            let n = sorted.len();
+            if n % 2 == 1 {
+                sorted[n / 2] as f64
+            } else {
+                (sorted[n / 2 - 1] as f64 + sorted[n / 2] as f64) / 2.0
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn selection_median_ticks_matches_the_sorting_oracle(
+                values in vec(prop_oneof![Just(7u64), 0u64..4, 0u64..u64::MAX], 0..41),
+            ) {
+                prop_assert_eq!(
+                    median_ticks(values.iter().copied()).to_bits(),
+                    oracle_median_ticks(values.iter().copied()).to_bits()
+                );
+            }
+        }
     }
 }

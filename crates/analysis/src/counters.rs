@@ -161,16 +161,43 @@ fn reading_at(samples: &[(Timestamp, u64)], t: Timestamp) -> u64 {
 /// Pearson correlation coefficient of two equal-length series.
 /// `None` if fewer than two points or either series has zero variance.
 pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    if xs.len() != ys.len() || xs.len() < 2 {
+    if xs.len() != ys.len() {
         return None;
     }
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
+    pearson_of(|| xs.iter().copied().zip(ys.iter().copied()))
+}
+
+/// Correlates a counter matrix with an SOS matrix over all segments both
+/// cover (paired by process and ordinal).
+pub fn correlate_with_sos(counters: &CounterMatrix, sos: &SosMatrix) -> Option<f64> {
+    pearson_of(|| {
+        counters.values.iter().enumerate().flat_map(|(p, row)| {
+            let sos_row = sos.process_sos(ProcessId::from_index(p));
+            row.iter()
+                .zip(sos_row)
+                .map(|(&v, s)| (v as f64, s.0 as f64))
+        })
+    })
+}
+
+/// [`pearson`] over the pairs `pairs()` yields, walked twice (first for
+/// the sums, then for the deviations) instead of collected.
+fn pearson_of<I: Iterator<Item = (f64, f64)>>(pairs: impl Fn() -> I) -> Option<f64> {
+    let (mut n, mut sum_x, mut sum_y) = (0usize, 0.0, 0.0);
+    for (x, y) in pairs() {
+        n += 1;
+        sum_x += x;
+        sum_y += y;
+    }
+    if n < 2 {
+        return None;
+    }
+    let mx = sum_x / n as f64;
+    let my = sum_y / n as f64;
     let mut sxy = 0.0;
     let mut sxx = 0.0;
     let mut syy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
+    for (x, y) in pairs() {
         let dx = x - mx;
         let dy = y - my;
         sxy += dx * dy;
@@ -183,25 +210,13 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
     Some(sxy / (sxx * syy).sqrt())
 }
 
-/// Correlates a counter matrix with an SOS matrix over all segments both
-/// cover (paired by process and ordinal).
-pub fn correlate_with_sos(counters: &CounterMatrix, sos: &SosMatrix) -> Option<f64> {
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for (p, i, v) in counters.iter() {
-        if let Some(s) = sos.sos(p, i) {
-            xs.push(v as f64);
-            ys.push(s.0 as f64);
-        }
-    }
-    pearson(&xs, &ys)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::invocation::replay_all;
     use perfvar_trace::{Clock, FunctionRole, Trace, TraceBuilder};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     /// One process, two segments [0,10) and [10,20); an accumulating
     /// counter sampled at 0, 10, 20 with values 0, 100, 250; a delta
@@ -319,5 +334,83 @@ mod tests {
         let seg = seg_of(&trace);
         let m = CounterMatrix::for_segments(&trace, &seg, acc);
         assert_eq!(m.process_values(ProcessId(0)), &[0]);
+    }
+
+    /// The allocating `correlate_with_sos` and the slice `pearson` that
+    /// the two-walk `pearson_of` replaced: collect the paired series,
+    /// then sum and fold them.
+    fn oracle_correlate_with_sos(counters: &CounterMatrix, sos: &SosMatrix) -> Option<f64> {
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        for (p, i, v) in counters.iter() {
+            if let Some(s) = sos.sos(p, i) {
+                xs.push(v as f64);
+                ys.push(s.0 as f64);
+            }
+        }
+        if xs.len() < 2 {
+            return None;
+        }
+        let n = xs.len() as f64;
+        let mx = xs.iter().sum::<f64>() / n;
+        let my = ys.iter().sum::<f64>() / n;
+        let mut sxy = 0.0;
+        let mut sxx = 0.0;
+        let mut syy = 0.0;
+        for (x, y) in xs.iter().zip(&ys) {
+            let dx = x - mx;
+            let dy = y - my;
+            sxy += dx * dy;
+            sxx += dx * dx;
+            syy += dy * dy;
+        }
+        if sxx <= 0.0 || syy <= 0.0 {
+            return None;
+        }
+        Some(sxy / (sxx * syy).sqrt())
+    }
+
+    /// Per-process `(counter row, SOS row)` pairs of independent lengths,
+    /// so either row can be the longer; small values make constant rows
+    /// (zero variance) and ties common.
+    fn arb_paired_rows() -> impl Strategy<Value = Vec<(Vec<u64>, Vec<u64>)>> {
+        let value = || prop_oneof![Just(5u64), 0u64..4, 0u64..1_000_000_000];
+        vec((vec(value(), 0..9), vec(value(), 0..9)), 0..9)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn two_pass_correlation_matches_the_allocating_oracle(rows in arb_paired_rows()) {
+            let (counter_rows, sos_rows): (Vec<Vec<u64>>, Vec<Vec<u64>>) =
+                rows.into_iter().unzip();
+            let counters =
+                CounterMatrix::from_parts(MetricId(0), MetricMode::Delta, counter_rows);
+            let sos = SosMatrix::from_sos_rows(&sos_rows);
+            prop_assert_eq!(
+                correlate_with_sos(&counters, &sos).map(f64::to_bits),
+                oracle_correlate_with_sos(&counters, &sos).map(f64::to_bits)
+            );
+        }
+    }
+
+    #[test]
+    fn correlation_of_ragged_and_constant_rows() {
+        // Counter row longer than the SOS row on p0, shorter on p1: only
+        // the three covered segments pair up.
+        let counters =
+            CounterMatrix::from_parts(MetricId(0), MetricMode::Delta, vec![vec![1, 2, 9], vec![3]]);
+        let sos = SosMatrix::from_sos_rows(&[vec![10, 20], vec![30, 40, 50]]);
+        let r = correlate_with_sos(&counters, &sos).unwrap();
+        assert!((r - 1.0).abs() < 1e-12, "r = {r}");
+        // A constant counter has zero variance.
+        let flat = CounterMatrix::from_parts(MetricId(0), MetricMode::Delta, vec![vec![4, 4, 4]]);
+        let sos = SosMatrix::from_sos_rows(&[vec![1, 2, 3]]);
+        assert_eq!(correlate_with_sos(&flat, &sos), None);
+        // One covered pair is too few.
+        let one = CounterMatrix::from_parts(MetricId(0), MetricMode::Delta, vec![vec![4, 5]]);
+        let sos = SosMatrix::from_sos_rows(&[vec![1]]);
+        assert_eq!(correlate_with_sos(&one, &sos), None);
     }
 }

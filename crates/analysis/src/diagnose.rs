@@ -258,13 +258,14 @@ fn member_summary(members: &[ProcessId]) -> String {
     }
 }
 
+/// The lower middle of `values` (0 for none), by selection.
 fn median(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
     let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    v[(v.len() - 1) / 2]
+    let lower_middle = (v.len() - 1) / 2;
+    *v.select_nth_unstable_by(lower_middle, f64::total_cmp).1
 }
 
 /// The strongest root-cause counter hint (|r| > 0.8), as a display name.
@@ -814,6 +815,16 @@ fn cluster_streaming(
 mod oracle {
     use super::*;
 
+    /// [`super::median`] by a full sort.
+    pub(super) fn median(values: &[f64]) -> f64 {
+        if values.is_empty() {
+            return 0.0;
+        }
+        let mut v = values.to_vec();
+        v.sort_by(f64::total_cmp);
+        v[(v.len() - 1) / 2]
+    }
+
     /// [`super::cluster_summarised`] before the merge engine.
     pub(super) fn cluster_summarised(
         matrix: &SosMatrix,
@@ -1212,10 +1223,16 @@ mod tests {
     mod properties {
         use super::*;
         use crate::clustering::oracle::{arb_num_clusters, arb_sos_rows, bits};
+        use crate::imbalance::oracle::arb_values;
         use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn selection_median_matches_the_sorting_oracle(values in arb_values()) {
+                prop_assert_eq!(median(&values).to_bits(), oracle::median(&values).to_bits());
+            }
 
             /// Both paths, every stop rule and row cap — including a
             /// threshold run that overshoots the cap — against the full

@@ -248,12 +248,16 @@ impl ReplayVisitor for FusedSink {
     }
 
     fn on_tick(&mut self, _time: Timestamp) {
+        // The three per-tick lists are drained, not taken, so their
+        // capacity carries over to the next tick; most ticks leave all
+        // three empty, and the emptiness tests skip the drains.
+        //
         // Delta/gauge samples of this group belong to every segment that
         // is *still open* at group end: a segment closed in this group
         // excludes them (`t < leave` is strict) while one entered in this
         // group includes them (`enter ≤ t`).
         if !self.tick_touched.is_empty() {
-            for touched in std::mem::take(&mut self.tick_touched) {
+            for touched in self.tick_touched.drain(..) {
                 let sum = std::mem::take(&mut self.tick_sum[touched]);
                 for &index in &self.open {
                     self.rows[touched][index] += sum;
@@ -264,14 +268,14 @@ impl ReplayVisitor for FusedSink {
         // timestamp ≤ boundary — i.e. this group's final value, whatever
         // the record order within the group was.
         if !self.entered.is_empty() {
-            for index in std::mem::take(&mut self.entered) {
+            for index in self.entered.drain(..) {
                 for &m in &self.acc_metrics {
                     self.acc_start[m][index] = self.last_value[m];
                 }
             }
         }
         if !self.closed.is_empty() {
-            for index in std::mem::take(&mut self.closed) {
+            for index in self.closed.drain(..) {
                 for &m in &self.acc_metrics {
                     self.rows[m][index] =
                         self.last_value[m].saturating_sub(self.acc_start[m][index]);
@@ -427,5 +431,56 @@ mod tests {
         let fused = fuse_segments(&trace, f, 2, false);
         assert!(fused.counters.is_empty());
         assert_eq!(fused.segmentation.len(), 6);
+    }
+
+    /// Back-to-back segments: every boundary tick closes one segment and
+    /// enters the next, and carries a delta, a gauge and an accumulating
+    /// sample, so each tick resolves entered and closed segments and
+    /// touched channels at once — with scratch lists reused from the
+    /// tick before.
+    #[test]
+    fn boundary_ticks_that_close_and_enter_match_the_reference() {
+        use crate::report::{analyze, analyze_reference, AnalysisConfig};
+        let mut b = TraceBuilder::new(Clock::microseconds());
+        let f = b.define_function("seg", FunctionRole::Compute);
+        let acc = b.define_metric("CYC", MetricMode::Accumulating, "cycles");
+        let del = b.define_metric("EXC", MetricMode::Delta, "#");
+        let gauge = b.define_metric("MEM", MetricMode::Gauge, "bytes");
+        for pi in 0..3u64 {
+            let p = b.define_process(format!("rank {pi}"));
+            let w = b.process_mut(p);
+            let mut t = 0u64;
+            w.enter(Timestamp(t), f).unwrap();
+            for k in 1..=6u64 {
+                t += 10 + pi * k;
+                w.metric(Timestamp(t), del, k + pi).unwrap();
+                w.leave(Timestamp(t), f).unwrap();
+                w.metric(Timestamp(t), gauge, 100 * k).unwrap();
+                if k < 6 {
+                    w.enter(Timestamp(t), f).unwrap();
+                }
+                w.metric(Timestamp(t), acc, t * t).unwrap();
+            }
+        }
+        let trace = b.finish().unwrap();
+        let cfg = AnalysisConfig {
+            segment_function: Some("seg".into()),
+            threads: 1,
+            ..AnalysisConfig::default()
+        };
+        let fused = analyze(&trace, &cfg).unwrap();
+        assert_eq!(fused, analyze_reference(&trace, &cfg).unwrap());
+        // Rank 0's segments are [10k, 10(k+1)): each boundary sample
+        // belongs to the segment it opens (the last one to none), and the
+        // accumulating channel differences the squares of the boundaries.
+        let row = |m: usize| {
+            fused.counters[m]
+                .matrix
+                .process_values(ProcessId(0))
+                .to_vec()
+        };
+        assert_eq!(row(0), vec![100, 300, 500, 700, 900, 1100]);
+        assert_eq!(row(1), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(row(2), vec![0, 100, 200, 300, 400, 500]);
     }
 }

@@ -79,8 +79,7 @@ impl ImbalanceAnalysis {
     /// Detects imbalances in `matrix` using `config`.
     pub fn detect(matrix: &SosMatrix, config: ImbalanceConfig) -> ImbalanceAnalysis {
         // --- per-segment outliers ---
-        let values: Vec<f64> = matrix.iter_sos().map(|(_, _, v)| v.0 as f64).collect();
-        let scorer = RobustScorer::fit(&values);
+        let scorer = RobustScorer::fit(|| matrix.iter_sos().map(|(_, _, v)| v.0 as f64));
         let mut segment_outliers: Vec<Outlier> = matrix
             .iter_sos()
             .filter_map(|(p, i, v)| {
@@ -99,7 +98,7 @@ impl ImbalanceAnalysis {
 
         // --- per-process outliers (total SOS = computational load) ---
         let totals: Vec<f64> = matrix.process_totals().iter().map(|d| d.0 as f64).collect();
-        let pscorer = RobustScorer::fit(&totals);
+        let pscorer = RobustScorer::fit(|| totals.iter().copied());
         let process_scores: Vec<f64> = totals.iter().map(|&t| pscorer.score(t)).collect();
         let mut process_outliers: Vec<ProcessId> = process_scores
             .iter()
@@ -223,16 +222,24 @@ struct RobustScorer {
 }
 
 impl RobustScorer {
-    fn fit(values: &[f64]) -> RobustScorer {
-        if values.is_empty() {
+    /// Fits the scorer to the values `values()` yields. Both medians are
+    /// found by selection in one scratch buffer, which first holds the
+    /// values and then their absolute deviations; the mean-absolute-
+    /// deviation fallback walks `values()` again, so it sums in the
+    /// original order.
+    fn fit<I: Iterator<Item = f64>>(values: impl Fn() -> I) -> RobustScorer {
+        let mut scratch: Vec<f64> = values().collect();
+        if scratch.is_empty() {
             return RobustScorer {
                 median: 0.0,
                 scale: 0.0,
             };
         }
-        let median = median_of(values);
-        let deviations: Vec<f64> = values.iter().map(|v| (v - median).abs()).collect();
-        let mad = median_of(&deviations);
+        let median = median_of(&mut scratch);
+        for (d, v) in scratch.iter_mut().zip(values()) {
+            *d = (v - median).abs();
+        }
+        let mad = median_of(&mut scratch);
         let mut scale = 1.4826 * mad;
         if scale <= f64::EPSILON {
             // MAD degenerates to zero when more than half the values are
@@ -241,7 +248,8 @@ impl RobustScorer {
             // (consistency constant 1.2533 for normal data), which stays
             // small in that regime instead of being inflated by the very
             // outliers we are hunting (as σ would be).
-            let mean_ad = deviations.iter().sum::<f64>() / deviations.len() as f64;
+            let n = scratch.len() as f64;
+            let mean_ad = values().map(|v| (v - median).abs()).sum::<f64>() / n;
             scale = 1.2533 * mean_ad;
         }
         RobustScorer { median, scale }
@@ -256,16 +264,25 @@ impl RobustScorer {
     }
 }
 
-fn median_of(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
+/// Median of `values` (the mean of the two middle values for even
+/// lengths, 0 for none) by exact selection, which reorders `values`. The
+/// result has the bits a full sort would give: the upper middle is the
+/// selected element, and the lower middle is the largest value below it.
+fn median_of(values: &mut [f64]) -> f64 {
+    let n = values.len();
     if n == 0 {
-        0.0
-    } else if n % 2 == 1 {
-        v[n / 2]
+        return 0.0;
+    }
+    let (lower, &mut upper, _) = values.select_nth_unstable_by(n / 2, f64::total_cmp);
+    if n % 2 == 1 {
+        upper
     } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
+        let below = lower
+            .iter()
+            .copied()
+            .max_by(f64::total_cmp)
+            .unwrap_or(upper);
+        (below + upper) / 2.0
     }
 }
 
@@ -287,12 +304,12 @@ impl Trend {
         let n = series.len() as f64;
         let mean_x = (n - 1.0) / 2.0;
         let mean_y = series.iter().sum::<f64>() / n;
-        let residuals: Vec<f64> = series
+        let mut residuals: Vec<f64> = series
             .iter()
             .enumerate()
             .map(|(i, &y)| (y - intercept_at(&first, i as f64, mean_x, mean_y)).abs())
             .collect();
-        let mad = median_of(&residuals);
+        let mad = median_of(&mut residuals);
         let cutoff = 3.0 * 1.4826 * mad;
         if cutoff <= f64::EPSILON {
             return first;
@@ -359,6 +376,59 @@ impl Trend {
             slope,
             relative_increase,
         }
+    }
+}
+
+/// The sorting medians and the two-sort scorer fit that [`median_of`]
+/// and [`RobustScorer::fit`] replaced, kept as oracles for their
+/// bit-identity property tests.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Median by a full sort (mean of the two middles for even lengths).
+    pub(crate) fn median_of(values: &[f64]) -> f64 {
+        let mut v = values.to_vec();
+        v.sort_by(f64::total_cmp);
+        let n = v.len();
+        if n == 0 {
+            0.0
+        } else if n % 2 == 1 {
+            v[n / 2]
+        } else {
+            (v[n / 2 - 1] + v[n / 2]) / 2.0
+        }
+    }
+
+    /// `(median, scale)` of the scorer fit: sorted median, a deviation
+    /// vector sorted again for the MAD, the fallback summed over it.
+    pub(crate) fn robust_fit(values: &[f64]) -> (f64, f64) {
+        if values.is_empty() {
+            return (0.0, 0.0);
+        }
+        let median = median_of(values);
+        let deviations: Vec<f64> = values.iter().map(|v| (v - median).abs()).collect();
+        let mad = median_of(&deviations);
+        let mut scale = 1.4826 * mad;
+        if scale <= f64::EPSILON {
+            let mean_ad = deviations.iter().sum::<f64>() / deviations.len() as f64;
+            scale = 1.2533 * mean_ad;
+        }
+        (median, scale)
+    }
+
+    /// Up to 60 values, two thirds of them one shared value, so ties,
+    /// even and odd lengths, single values, empty sets and a majority of
+    /// equal values (MAD = 0, the mean-AD fallback) all come up; the
+    /// rest are fractional, so summing them in another order changes
+    /// the bits.
+    pub(crate) fn arb_values() -> impl Strategy<Value = Vec<f64>> {
+        let shared = prop_oneof![Just(0.0f64), 0.0f64..1e3];
+        let item = prop_oneof![2 => Just(None), 1 => (0.0f64..1e6).prop_map(Some)];
+        let sets = (shared, vec(item, 0..61))
+            .prop_map(|(shared, items)| items.into_iter().map(|v| v.unwrap_or(shared)).collect());
+        prop_oneof![sets, vec(0.0f64..1e6, 0..61)]
     }
 }
 
@@ -598,5 +668,34 @@ mod tests {
         assert_eq!(a.segment_outliers[0].process, ProcessId(1));
         assert_eq!(a.segment_outliers[1].process, ProcessId(4));
         assert!(a.segment_outliers[0].score > a.segment_outliers[1].score);
+    }
+
+    mod properties {
+        use super::*;
+        use crate::imbalance::oracle::{self, arb_values};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn selection_median_matches_the_sorting_oracle(values in arb_values()) {
+                let mut scratch = values.clone();
+                prop_assert_eq!(
+                    median_of(&mut scratch).to_bits(),
+                    oracle::median_of(&values).to_bits()
+                );
+            }
+
+            #[test]
+            fn selection_fit_matches_the_two_sort_oracle(values in arb_values()) {
+                let fit = RobustScorer::fit(|| values.iter().copied());
+                let (median, scale) = oracle::robust_fit(&values);
+                prop_assert_eq!(
+                    (fit.median.to_bits(), fit.scale.to_bits()),
+                    (median.to_bits(), scale.to_bits())
+                );
+            }
+        }
     }
 }

@@ -47,6 +47,8 @@ impl TickStats {
         if v.is_empty() {
             return TickStats::default();
         }
+        // A full sort, not selection: `mean` and `stddev` are summed in
+        // sorted order, and another order would change their bits.
         v.sort_unstable();
         let count = v.len();
         let min = v[0];

@@ -291,6 +291,10 @@ fn decode_event_stream<R: BufRead>(r: &mut R, prev_time: u64) -> TraceResult<(u6
 /// and the running call stack (references in range, balanced nesting).
 /// Timestamp monotonicity is implied by the delta coding and checked by
 /// [`decode_event`]'s overflow test.
+///
+/// Inlined into every caller: the check is [`apply_event`], and only a
+/// failure leaves the caller's loop, for the cold [`event_error`].
+#[inline(always)]
 pub(crate) fn check_event(
     shape: RegistryShape,
     process: ProcessId,
@@ -298,50 +302,61 @@ pub(crate) fn check_event(
     event: &Event,
     stack: &mut Vec<FunctionId>,
 ) -> TraceResult<()> {
+    if apply_event(shape, event, stack) {
+        Ok(())
+    } else {
+        Err(event_error(process, time, event, stack))
+    }
+}
+
+/// The check of [`check_event`]: whether `event` is valid, pushing or
+/// popping `stack` if it is. An invalid event leaves `stack` unchanged.
+#[inline(always)]
+fn apply_event(shape: RegistryShape, event: &Event, stack: &mut Vec<FunctionId>) -> bool {
     match *event {
         Event::Enter { function } => {
-            if function.index() >= shape.functions {
-                return Err(TraceError::UndefinedReference {
-                    kind: "function",
-                    index: function.0 as u64,
-                });
+            let valid = function.index() < shape.functions;
+            if valid {
+                stack.push(function);
             }
-            stack.push(function);
+            valid
         }
-        Event::Leave { function } => match stack.last().copied() {
-            Some(top) if top == function => {
+        Event::Leave { function } => {
+            let valid = stack.last() == Some(&function);
+            if valid {
                 stack.pop();
             }
-            other => {
-                return Err(TraceError::MismatchedLeave {
-                    process,
-                    time: Timestamp(time),
-                    left: function,
-                    expected: other,
-                })
-            }
-        },
-        Event::MsgSend { to, .. } if to.index() >= shape.processes => {
-            return Err(TraceError::UndefinedReference {
-                kind: "process",
-                index: to.0 as u64,
-            });
+            valid
         }
-        Event::MsgRecv { from, .. } if from.index() >= shape.processes => {
-            return Err(TraceError::UndefinedReference {
-                kind: "process",
-                index: from.0 as u64,
-            });
+        Event::MsgSend { to: process, .. } | Event::MsgRecv { from: process, .. } => {
+            process.index() < shape.processes
         }
-        Event::Metric { metric, .. } if metric.index() >= shape.metrics => {
-            return Err(TraceError::UndefinedReference {
-                kind: "metric",
-                index: metric.0 as u64,
-            });
-        }
-        _ => {}
+        Event::Metric { metric, .. } => metric.index() < shape.metrics,
     }
-    Ok(())
+}
+
+/// The error for an event [`apply_event`] rejected, with `stack` as it
+/// was before that event.
+#[cold]
+#[inline(never)]
+fn event_error(process: ProcessId, time: u64, event: &Event, stack: &[FunctionId]) -> TraceError {
+    let undefined = |kind, index: u32| TraceError::UndefinedReference {
+        kind,
+        index: index as u64,
+    };
+    match *event {
+        Event::Enter { function } => undefined("function", function.0),
+        Event::Leave { function } => TraceError::MismatchedLeave {
+            process,
+            time: Timestamp(time),
+            left: function,
+            expected: stack.last().copied(),
+        },
+        Event::MsgSend { to: peer, .. } | Event::MsgRecv { from: peer, .. } => {
+            undefined("process", peer.0)
+        }
+        Event::Metric { metric, .. } => undefined("metric", metric.0),
+    }
 }
 
 /// `Read` adapter counting the bytes consumed so far, so stream cursors
@@ -540,7 +555,7 @@ impl<R: BufRead> StreamCursor<R> {
                 if let Ok(buf) = self.reader.fill_buf() {
                     let (used, prev_time, remaining) = decode_slice(
                         buf,
-                        (self.shape, self.process),
+                        self.shape,
                         (self.prev_time, self.remaining),
                         &mut self.stack,
                         out,
@@ -574,7 +589,7 @@ impl<R: BufRead> StreamCursor<R> {
 #[inline]
 fn decode_slice(
     buf: &[u8],
-    (shape, process): (RegistryShape, ProcessId),
+    shape: RegistryShape,
     (mut prev_time, mut remaining): (u64, u64),
     stack: &mut Vec<FunctionId>,
     out: &mut Vec<EventRecord>,
@@ -593,9 +608,9 @@ fn decode_slice(
                 }
             }
         };
-        // `check_event` mutates nothing on failure; the record stays
-        // unconsumed for `next_record`.
-        if check_event(shape, process, time, &event, stack).is_err() {
+        // A rejected record leaves `stack` unchanged and stays
+        // unconsumed, for `next_record` to report.
+        if !apply_event(shape, &event, stack) {
             break;
         }
         prev_time = time;
