@@ -37,13 +37,14 @@ use crate::profile::{ProfileSink, ProfileTable};
 use crate::report::{AnalysisConfig, AnalysisError};
 use crate::stream::{ClosedFrame, ReplayMachine, ReplayStats, ReplayVisitor};
 use crate::telemetry::{Counters, Stage, Telemetry};
-use perfvar_trace::format::cursor::{ArchiveCursor, CursorOptions};
+use perfvar_trace::format::cursor::{ArchiveCursor, CursorOptions, StreamCursor};
 use perfvar_trace::format::mmap::FileReader;
-use perfvar_trace::format::pvt::PvtStreamReader;
+use perfvar_trace::format::pvt;
 use perfvar_trace::{
     Clock, EventRecord, FunctionId, MetricId, MetricMode, ProcessId, Registry, Timestamp, Trace,
     TraceError,
 };
+use std::io::BufRead;
 use std::path::{Path, PathBuf};
 
 /// Events of the rank-0 prefix that seed the dominant-function
@@ -58,7 +59,7 @@ pub(crate) const PREDICT_PREFIX_EVENTS: usize = 65_536;
 /// always schedules the fused re-pass.
 const NO_PREDICTION: FunctionId = FunctionId(u32::MAX);
 
-/// Records decoded per `StreamCursor::next_chunk` call in the archive
+/// Records decoded per `StreamCursor::next_chunk` call in the file
 /// passes. Large enough to amortise the per-chunk `fill_buf`/`consume`
 /// round-trip and keep the decode loop in pure index arithmetic, small
 /// enough (~tens of KiB) to stay irrelevant next to the read buffer in
@@ -173,20 +174,8 @@ impl RankSource for ArchiveCursor {
     }
 
     fn prefix(&self, predictor: &mut Predictor) -> u64 {
-        let Ok(mut stream) = self.stream(ProcessId(0)) else {
-            return 0;
-        };
-        let mut chunk = Vec::with_capacity(DECODE_CHUNK_EVENTS);
-        while predictor.wants() > 0 {
-            let max = predictor.wants().min(DECODE_CHUNK_EVENTS);
-            // On an error `chunk` holds the records decoded before it.
-            let decoded = stream.next_chunk(&mut chunk, max);
-            predictor.feed(&chunk);
-            if !matches!(decoded, Ok(n) if n > 0) {
-                break;
-            }
-        }
-        stream.byte_offset()
+        self.stream(ProcessId(0))
+            .map_or(0, |mut stream| predictor.read(&mut stream))
     }
 
     fn pass<S: ReplayVisitor, T: Send>(
@@ -214,13 +203,11 @@ impl RankSource for ArchiveCursor {
 }
 
 /// A single-file PVT trace. The rank streams are concatenated, so a pass
-/// decodes the file front to back, and a decode failure in rank `k`
-/// leaves every rank after it unreachable.
+/// steps one rank's cursor after another through the file, and a decode
+/// failure in rank `k` leaves every rank after it unreachable.
 pub(crate) struct PvtFile {
     path: PathBuf,
     options: CursorOptions,
-    /// Whether the file opens as a memory mapping.
-    mapped: bool,
     name: String,
     clock: Clock,
     registry: Registry,
@@ -231,91 +218,74 @@ impl PvtFile {
     /// I/O knobs (mmap with buffered fallback).
     pub(crate) fn open(path: &Path, config: &AnalysisConfig) -> Result<PvtFile, TraceError> {
         let options = cursor_options(config);
-        let header = pvt_reader(path, options)?;
+        let (name, clock, registry, _) = open_pvt(path, options)?;
         Ok(PvtFile {
             path: path.to_path_buf(),
             options,
-            mapped: header.get_ref().is_mapped(),
-            name: header.name().to_string(),
-            clock: header.clock(),
-            registry: header.registry().clone(),
+            name,
+            clock,
+            registry,
         })
     }
 
-    /// Decodes the file front to back, replaying the requested (sorted)
-    /// `ranks` into the matching slots of `done`. Each rank is charged the
-    /// bytes decoded since the previous rank switch, so the ranks of a
-    /// full pass sum to the file size. Returns the error that stopped the
-    /// sweep, if any.
+    /// Reads the file front to back, one rank's cursor after another,
+    /// replaying the requested (sorted) `ranks` into the matching slots
+    /// of `done`. Each rank is charged the bytes its cursor read, the
+    /// header to rank 0, so the ranks of a full pass sum to the file
+    /// size. Returns the rank that stopped the sweep with its error, if
+    /// any; a file whose definitions changed since [`PvtFile::open`]
+    /// stops it at rank 0.
     fn sweep<S: ReplayVisitor, T>(
         &self,
         ranks: &[usize],
         done: &mut [Option<T>],
         open: &impl Fn(ProcessId) -> S,
         close: &impl Fn(S, ReplayStats, RankRead) -> T,
-    ) -> Result<(), TraceError> {
-        let mut reader = pvt_reader(&self.path, self.options)?;
-        let mut mark = 0;
-        let mut retire = |active: Option<Active<S>>, offset: u64| {
-            if let Some((_, state)) = active {
-                let read = RankRead {
-                    bytes: offset - std::mem::replace(&mut mark, offset),
-                    mapped: Some(self.mapped),
-                };
-                if let Some((slot, fold)) = state {
-                    done[slot] = Some(fold.close(read, close));
-                }
-            }
-        };
-        let mut active: Option<Active<S>> = None;
-        while let Some(item) = reader.next() {
-            let (pid, record) = match item {
-                Ok(item) => item,
-                Err(error) => {
-                    // The reader names the failing rank; one it has moved
-                    // past is complete.
-                    if let TraceError::CorruptStream { process, .. } = &error {
-                        if active.as_ref().is_some_and(|(pid, _)| pid < process) {
-                            retire(active.take(), reader.byte_offset());
-                        }
-                    }
-                    return Err(error);
-                }
-            };
-            if active.as_ref().is_none_or(|(current, _)| *current != pid) {
-                retire(active.take(), reader.byte_offset());
-                let state = ranks
-                    .binary_search(&pid.index())
-                    .ok()
-                    .map(|slot| (slot, RankFold::new(&self.registry, open(pid))));
-                active = Some((pid, state));
-            }
-            if let Some((_, Some((_, fold)))) = &mut active {
-                fold.step(std::slice::from_ref(&record));
-            }
+    ) -> Result<(), (ProcessId, TraceError)> {
+        let (.., registry, mut rank) =
+            open_pvt(&self.path, self.options).map_err(|e| (ProcessId(0), e))?;
+        if registry != self.registry {
+            let changed =
+                TraceError::Corrupt("the file's definitions changed between passes".into());
+            return Err((ProcessId(0), changed));
         }
-        retire(active, reader.byte_offset());
+        let mut chunk = Vec::with_capacity(DECODE_CHUNK_EVENTS);
+        let mut mark = 0;
+        while let Some(mut cursor) = rank {
+            let pid = cursor.process();
+            let slot = ranks.binary_search(&pid.index()).ok();
+            let mut fold = slot.map(|_| RankFold::new(&self.registry, open(pid)));
+            while cursor
+                .next_chunk(&mut chunk, DECODE_CHUNK_EVENTS)
+                .map_err(|error| (pid, error))?
+                > 0
+            {
+                fold.iter_mut().for_each(|fold| fold.step(&chunk));
+            }
+            let offset = cursor.byte_offset();
+            let read = RankRead {
+                bytes: offset - std::mem::replace(&mut mark, offset),
+                mapped: Some(cursor.get_ref().is_mapped()),
+            };
+            if let (Some(slot), Some(fold)) = (slot, fold) {
+                done[slot] = Some(fold.close(read, close));
+            }
+            rank = cursor.next_rank();
+        }
         Ok(())
     }
 }
 
-/// The rank a [`PvtFile`] sweep is in, with its replay state when the
-/// pass asked for it.
-type Active<S> = (ProcessId, Option<(usize, RankFold<S>)>);
-
-/// A fresh reader of the PVT file at `path`, positioned at the first
-/// event; open errors name the path.
-fn pvt_reader(
-    path: &Path,
-    options: CursorOptions,
-) -> Result<PvtStreamReader<FileReader>, TraceError> {
+/// Opens the PVT file at `path` ([`pvt::open`]); open errors name the
+/// path.
+fn open_pvt(path: &Path, options: CursorOptions) -> Result<pvt::PvtRanks<FileReader>, TraceError> {
     let file = FileReader::open(path, options.mmap, options.read_buffer_bytes).map_err(|e| {
         TraceError::Io(std::io::Error::new(
             e.kind(),
             format!("{}: {e}", path.display()),
         ))
     })?;
-    PvtStreamReader::new(file)
+    pvt::open(file)
 }
 
 impl RankSource for PvtFile {
@@ -324,16 +294,10 @@ impl RankSource for PvtFile {
     }
 
     fn prefix(&self, predictor: &mut Predictor) -> u64 {
-        let Ok(mut reader) = pvt_reader(&self.path, self.options) else {
-            return 0;
-        };
-        while predictor.wants() > 0 {
-            match reader.next() {
-                Some(Ok((pid, record))) if pid.index() == 0 => predictor.feed(&[record]),
-                _ => break,
-            }
+        match open_pvt(&self.path, self.options) {
+            Ok((.., Some(mut rank))) => predictor.read(&mut rank),
+            _ => 0,
         }
-        reader.byte_offset()
     }
 
     /// Sequential, whatever `threads` says; `ranks` must be ascending.
@@ -347,31 +311,18 @@ impl RankSource for PvtFile {
         assert!(ranks.is_sorted(), "a sequential file is read in rank order");
         let mut done: Vec<Option<T>> = ranks.iter().map(|_| None).collect();
         let mut failure = self.sweep(ranks, &mut done, &open, &close).err();
-        let failing = match &failure {
-            None => None,
-            Some(TraceError::CorruptStream { process, .. }) => Some(*process),
-            // The file did not even open: nothing is reachable.
-            Some(_) => Some(ProcessId(0)),
-        };
+        let failing = failure.as_ref().map(|&(pid, _)| pid);
         done.into_iter()
             .zip(ranks)
             .map(|(result, &rank)| {
                 let pid = ProcessId::from_index(rank);
                 match (result, failing) {
                     (Some(result), _) => Ok(result),
-                    (None, Some(f)) if pid == f => Err(failure.take().expect("one failing rank")),
-                    (None, Some(f)) if pid > f => Err(TraceError::Corrupt(format!(
+                    (None, Some(f)) if pid == f => Err(failure.take().expect("one failing rank").1),
+                    (None, Some(f)) => Err(TraceError::Corrupt(format!(
                         "stream of {pid} is unreachable behind the corrupt stream of {f}"
                     ))),
-                    // The reader went past this rank without meeting a
-                    // record of it: an empty stream.
-                    (None, _) => {
-                        let read = RankRead {
-                            bytes: 0,
-                            mapped: Some(self.mapped),
-                        };
-                        Ok(RankFold::new(&self.registry, open(pid)).close(read, &close))
-                    }
+                    (None, None) => unreachable!("a clean sweep closes every rank"),
                 }
             })
             .collect()
@@ -445,6 +396,24 @@ impl Predictor {
         for record in &records[..records.len().min(self.wants())] {
             self.machine.step(record, &mut self.sink);
         }
+    }
+
+    /// Feeds the leading records of `stream` until the bound or the
+    /// stream's end, returning the bytes the cursor read. A decode error
+    /// ends the prefix early; the pass rediscovers it with proper
+    /// reporting.
+    fn read<R: BufRead>(&mut self, stream: &mut StreamCursor<R>) -> u64 {
+        let mut chunk = Vec::with_capacity(DECODE_CHUNK_EVENTS);
+        while self.wants() > 0 {
+            let max = self.wants().min(DECODE_CHUNK_EVENTS);
+            // On an error `chunk` holds the records decoded before it.
+            let decoded = stream.next_chunk(&mut chunk, max);
+            self.feed(&chunk);
+            if !matches!(decoded, Ok(n) if n > 0) {
+                break;
+            }
+        }
+        stream.byte_offset()
     }
 
     pub(crate) fn predict(self, config: &AnalysisConfig) -> Option<FunctionId> {
@@ -727,6 +696,8 @@ mod tests {
         Rank(usize),
         /// Cut the file at this path to two thirds before reading it.
         Truncate(PathBuf),
+        /// Write this trace over the file at this path before reading it.
+        Replace(PathBuf, Trace),
     }
 
     /// A real source whose second pass — the misprediction re-pass —
@@ -765,9 +736,13 @@ mod tests {
             close: impl Fn(V, ReplayStats, RankRead) -> T + Sync,
         ) -> Vec<Result<T, TraceError>> {
             let second = self.passes.fetch_add(1, Ordering::SeqCst) == 1;
-            if let (true, Sabotage::Truncate(path)) = (second, &self.sabotage) {
-                let bytes = std::fs::read(path).unwrap();
-                std::fs::write(path, &bytes[..bytes.len() * 2 / 3]).unwrap();
+            match (second, &self.sabotage) {
+                (true, Sabotage::Truncate(path)) => {
+                    let bytes = std::fs::read(path).unwrap();
+                    std::fs::write(path, &bytes[..bytes.len() * 2 / 3]).unwrap();
+                }
+                (true, Sabotage::Replace(path, trace)) => write_trace_file(trace, path).unwrap(),
+                _ => {}
             }
             let mut results = self.inner.pass(ranks, threads, open, close);
             if let (true, Sabotage::Rank(rank)) = (second, &self.sabotage) {
@@ -848,6 +823,32 @@ mod tests {
                 .process(ProcessId::from_index(rank));
             assert_eq!(segments.is_empty(), rank >= first.index(), "rank {rank}");
         }
+    }
+
+    #[test]
+    fn pvt_repass_over_changed_definitions_loses_every_rank() {
+        // The file is rewritten between the passes with a third function
+        // that every rank calls, which the first pass's definitions lack.
+        let path = tmp("changed-definitions.pvt");
+        write_trace_file(&adversarial(4), &path).unwrap();
+        let mut b = TraceBuilder::new(Clock::microseconds()).with_name("driver");
+        b.define_function("work", FunctionRole::Compute);
+        b.define_function("decoy", FunctionRole::Compute);
+        let extra = b.define_function("extra", FunctionRole::Compute);
+        for pi in 0..4 {
+            let p = b.define_process(format!("rank {pi}"));
+            b.process_mut(p).enter(Timestamp(0), extra).unwrap();
+            b.process_mut(p).leave(Timestamp(5), extra).unwrap();
+        }
+        let changed = b.finish().unwrap();
+        let config = AnalysisConfig::default();
+        let file = PvtFile::open(&path, &config).unwrap();
+        let source = Flaky::new(file, Sabotage::Replace(path, changed));
+        let ooc = run(&source, &config, RecoveryMode::Partial, &Telemetry::noop()).unwrap();
+        assert_eq!(ooc.passes, 2);
+        let lost: Vec<usize> = ooc.failures.iter().map(|f| f.process.index()).collect();
+        assert_eq!(lost, [0, 1, 2, 3]);
+        assert!(ooc.failures[0].error.to_string().contains("changed"));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! ([`ProfileSink`](crate::profile), [`FusedSink`](crate::fused)) through
 //! the *same* stack machine ([`ReplayMachine`](crate::stream::ReplayMachine))
 //! from the incremental format cursors of `perfvar-trace`
-//! ([`ArchiveCursor`], [`PvtStreamReader`](perfvar_trace::format::pvt::PvtStreamReader)),
+//! ([`ArchiveCursor`] and the per-rank cursors of
+//! [`pvt::open`](perfvar_trace::format::pvt::open)),
 //! so the result is bit-identical to the in-memory pipeline
 //! (property-tested in `tests/properties.rs`) while each worker holds only
 //!
@@ -315,7 +316,11 @@ mod tests {
     use super::*;
     use crate::report::analyze;
     use perfvar_trace::format::{archive, write_trace_file};
-    use perfvar_trace::{Clock, FunctionRole, MetricMode as Mode, Timestamp, Trace, TraceBuilder};
+    use perfvar_trace::{
+        Clock, Event, EventRecord, EventStream, FunctionId, FunctionRole, MetricMode as Mode,
+        Timestamp, Trace, TraceBuilder,
+    };
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("perfvar-outofcore-tests");
@@ -621,6 +626,119 @@ mod tests {
                 .process(ProcessId::from_index(i))
                 .is_empty());
         }
+    }
+
+    /// `trace` written as a PVT file with its streams replaced by
+    /// `streams` (the writer does not validate).
+    fn write_pvt(name: &str, trace: &Trace, streams: Vec<Vec<EventRecord>>) -> PathBuf {
+        let streams = streams
+            .into_iter()
+            .enumerate()
+            .map(|(i, records)| EventStream::from_records(ProcessId::from_index(i), records))
+            .collect();
+        let damaged = Trace::from_parts_unchecked(
+            &trace.name,
+            trace.clock(),
+            trace.registry().clone(),
+            streams,
+        );
+        let path = tmp(name);
+        write_trace_file(&damaged, &path).unwrap();
+        path
+    }
+
+    /// The strict error's process and offset, and the ranks a partial
+    /// analysis loses, for the PVT file at `path`.
+    fn pvt_failure(path: &Path) -> (ProcessId, u64, Vec<usize>) {
+        let config = AnalysisConfig::default();
+        let err = analyze_path(path, &config).unwrap_err();
+        let PathAnalysisError::Trace(TraceError::CorruptStream {
+            process, offset, ..
+        }) = err
+        else {
+            panic!("expected CorruptStream, got {err}");
+        };
+        let ooc = analyze_path_with(path, &config, RecoveryMode::Partial).unwrap();
+        let lost = ooc.failures.iter().map(|f| f.process.index()).collect();
+        (process, offset, lost)
+    }
+
+    fn records(trace: &Trace) -> Vec<Vec<EventRecord>> {
+        trace
+            .streams()
+            .iter()
+            .map(|s| s.records().to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn damaged_pvt_errors_keep_file_offsets() {
+        // Damage inside rank 2 of 4 is reported as rank 2 at its offset
+        // from the start of the file: rank 2's stream starts at byte
+        // 477, after the header and ranks 0–1. A partial analysis keeps
+        // ranks 0 and 1 exactly.
+        let trace = rich_trace(4);
+        let reference = analyze(&trace, &AnalysisConfig::default()).unwrap();
+        let kept = |path: &Path| {
+            let config = AnalysisConfig::default();
+            let ooc = analyze_path_with(path, &config, RecoveryMode::Partial).unwrap();
+            for rank in [ProcessId(0), ProcessId(1)] {
+                assert_eq!(
+                    ooc.analysis.segmentation.process(rank),
+                    reference.segmentation.process(rank)
+                );
+            }
+        };
+
+        // Rank 2's first `inner` leave closes `MPI_Barrier` instead.
+        let mut streams = records(&trace);
+        let leave = &mut streams[2][4];
+        assert!(matches!(leave.event, Event::Leave { .. }));
+        leave.event = Event::Leave {
+            function: FunctionId(2),
+        };
+        let path = write_pvt("mismatched-leave.pvt", &trace, streams);
+        assert_eq!(pvt_failure(&path), (ProcessId(2), 495, vec![2, 3]));
+        kept(&path);
+
+        // The file cut inside rank 2's second record. With ranks 2 and 3
+        // emptied, their two record counts sit where rank 2's starts.
+        let mut streams = records(&trace);
+        streams[2].clear();
+        streams[3].clear();
+        let rank2 = std::fs::read(write_pvt("ranks01.pvt", &trace, streams))
+            .unwrap()
+            .len()
+            - 2
+            - 4;
+        assert_eq!(rank2, 477);
+        let path = tmp("cut-mid-record.pvt");
+        write_trace_file(&trace, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        // Its record count (1 byte), `enter` (3 bytes), 2 bytes of `metric`.
+        std::fs::write(&path, &bytes[..rank2 + 1 + 3 + 2]).unwrap();
+        assert_eq!(pvt_failure(&path), (ProcessId(2), 483, vec![2, 3]));
+        kept(&path);
+    }
+
+    #[test]
+    fn pvt_rank_before_a_damaged_empty_rank_keeps_its_last_record() {
+        // Rank 3 is empty and the trailer after it is damaged: the error
+        // is rank 3's, and rank 2 keeps every record, its last leave
+        // included, so the partial analysis is that of the empty rank.
+        let trace = rich_trace(4);
+        let mut streams = records(&trace);
+        streams[3].clear();
+        let path = write_pvt("empty-last-rank.pvt", &trace, streams);
+        let config = AnalysisConfig::default();
+        let reference = analyze_path(&path, &config).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let n = bytes.len();
+        bytes[n - 1] = b'X';
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(pvt_failure(&path), (ProcessId(3), n as u64, vec![3]));
+        let ooc = analyze_path_with(&path, &config, RecoveryMode::Partial).unwrap();
+        assert_eq!(ooc.analysis, reference);
     }
 
     #[test]

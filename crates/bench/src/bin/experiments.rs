@@ -928,7 +928,7 @@ fn pipeline_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value 
          noop recorder is one dead branch); the stats document lands in \
          BENCH_pipeline.json",
         format!(
-            "noop {noop_s:.3} s vs observed {observed_s:.3} s ({:+.1}%; the 5 ms \
+            "noop {noop_s:.3} s vs observed {observed_s:.3} s ({:+.2}%; the 5 ms \
              floor is {:.1}% of the noop wall); \
              {} stage(s), {} events counted over {} worker buffer(s)",
             overhead * 100.0,
@@ -1027,7 +1027,7 @@ fn serve_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
          trace was analyzed exactly once across 1 cold + 10 warm requests \
          (cold/warm latency recorded in BENCH_pipeline.json)",
         format!(
-            "cold {:.1} ms, warm {:.3} ms ({speedup:.0}×); \
+            "cold {:.1} ms, warm {:.3} ms ({speedup:.2}×); \
              {} events replayed across {} requests, unchanged after the \
              cold one (trace has {}, streamed in a single fused pass)",
             cold_s * 1e3,
@@ -1543,8 +1543,8 @@ fn rank_scale_benchmark(report: &mut Report) -> serde_json::Value {
         "at 4096 ranks, diagnosis and the comm-matrix render each take at most 12× \
          their 512-rank wall time (8× the ranks and events)",
         format!(
-            "diagnosis {:.1} → {:.1} ms ({diagnose_ratio:.1}×), comm matrix {:.1} → {:.1} ms \
-             ({comm_ratio:.1}×) from 512 to 4096 ranks",
+            "diagnosis {:.1} → {:.1} ms ({diagnose_ratio:.2}×), comm matrix {:.1} → {:.1} ms \
+             ({comm_ratio:.2}×) from 512 to 4096 ranks",
             first.2.best * 1e3,
             last.2.best * 1e3,
             first.3.best * 1e3,

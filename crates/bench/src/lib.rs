@@ -1,8 +1,8 @@
-//! Shared fixtures for the perfvar benchmark and experiment harness.
+//! Shared fixtures for the perfvar experiment harness.
 //!
-//! The benches and the `experiments` binary both need the case-study
-//! traces at paper scale plus scaled-down variants; this crate builds
-//! them in one place so bench targets stay declarative.
+//! The `experiments` binary and the tests need the case-study traces at
+//! paper scale plus scaled-down variants; this crate builds them in one
+//! place.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,12 +26,6 @@ pub fn fig5_trace() -> Trace {
 /// The WRF trace at paper scale (64 ranks, 80 timesteps).
 pub fn fig6_trace() -> Trace {
     simulate(&Wrf::paper().spec()).expect("wrf simulates")
-}
-
-/// A balanced stencil trace with the requested size (for scaling
-/// benches).
-pub fn stencil_trace(ranks: usize, iterations: usize) -> Trace {
-    simulate(&BalancedStencil::new(ranks, iterations).spec()).expect("stencil simulates")
 }
 
 /// A balanced stencil trace carrying three hardware-counter channels
@@ -390,7 +384,7 @@ mod tests {
 
     #[test]
     fn fixtures_build() {
-        let t = stencil_trace(4, 5);
+        let t = simulate(&BalancedStencil::new(4, 5).spec()).unwrap();
         assert_eq!(t.num_processes(), 4);
         let a = analyzed(&t);
         assert!(!a.segmentation.is_empty());

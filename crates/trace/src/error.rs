@@ -53,16 +53,17 @@ pub enum TraceError {
     Io(io::Error),
     /// A per-process event stream failed to decode or validate mid-body.
     ///
-    /// Raised by the streaming readers ([`crate::format::pvt::PvtStreamReader`]
-    /// and [`crate::format::cursor::StreamCursor`]) so that consumers of
-    /// truncated or corrupt files learn *which* process broke and *where*:
-    /// `offset` is the number of stream-payload bytes successfully consumed
-    /// before the error (the position of the truncation/corruption within
-    /// that process's event data).
+    /// Raised by the sealed-stream reader
+    /// ([`crate::format::cursor::StreamCursor`], under every PVT and PVTA
+    /// reader) so that consumers of truncated or corrupt files learn
+    /// *which* process broke and *where*: `offset` is the number of bytes
+    /// consumed from the file before the error was found, counted from
+    /// the start of the stream file in an archive and from the start of
+    /// the whole file in a PVT trace.
     CorruptStream {
         /// The process whose stream failed.
         process: ProcessId,
-        /// Byte offset into the stream payload at which decoding failed.
+        /// Byte offset into the file at which decoding failed.
         offset: u64,
         /// The underlying decode or validation error.
         source: Box<TraceError>,

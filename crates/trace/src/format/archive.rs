@@ -13,18 +13,20 @@
 //!   …
 //! ```
 //!
-//! [`read_archive`] loads the streams with multiple threads (std scoped
+//! [`read_archive`] decodes the streams through an
+//! [`ArchiveCursor`]'s stream cursors with multiple threads (std scoped
 //! threads; the per-stream decoding dominates and is independent) and
 //! validates the assembled trace.
 
-use super::pvt::{read_registry, read_stream_events, write_registry, write_stream_events};
+use super::cursor::ArchiveCursor;
+use super::pvt::{read_registry, write_registry, write_stream_events};
 use super::varint::{read_string, read_u64, write_string, write_u64};
 use crate::error::{TraceError, TraceResult};
 use crate::ids::ProcessId;
 use crate::time::Clock;
 use crate::trace::{EventStream, Trace};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 const ANCHOR_MAGIC: &[u8; 4] = b"PVTD";
@@ -65,8 +67,7 @@ pub fn write_archive(trace: &Trace, dir: impl AsRef<Path>) -> TraceResult<()> {
 }
 
 /// Reads the anchor file: name, clock, and definition tables. Shared by
-/// [`read_archive`] and the incremental
-/// [`ArchiveCursor`](super::cursor::ArchiveCursor).
+/// [`ArchiveCursor`] and the live archive's tail.
 pub(crate) fn read_anchor(dir: &Path) -> TraceResult<(String, Clock, crate::registry::Registry)> {
     let mut r = BufReader::new(File::open(dir.join(ANCHOR_FILE)).map_err(|e| {
         TraceError::Io(std::io::Error::new(
@@ -98,43 +99,12 @@ fn read_anchor_body<R: BufRead>(
     Ok((name, Clock::new(ticks), registry))
 }
 
-fn read_stream(dir: &Path, i: usize) -> TraceResult<EventStream> {
-    let path = dir.join(stream_file(i));
-    let mut r = BufReader::new(File::open(&path).map_err(|e| {
-        TraceError::Io(std::io::Error::new(
-            e.kind(),
-            format!("{}: {e}", path.display()),
-        ))
-    })?);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != STREAM_MAGIC {
-        return Err(TraceError::Corrupt(format!("bad stream magic in {i}")));
-    }
-    let declared = read_u64(&mut r)?;
-    if declared != i as u64 {
-        return Err(TraceError::Corrupt(format!(
-            "stream file {i} declares process {declared}"
-        )));
-    }
-    let records = read_stream_events(&mut r)?;
-    // Bytes past the declared records are damage, as the cursors
-    // report them.
-    if !r.fill_buf()?.is_empty() {
-        return Err(TraceError::Corrupt(format!(
-            "trailing bytes after final record of stream {i}"
-        )));
-    }
-    Ok(EventStream::from_records(ProcessId::from_index(i), records))
-}
-
 /// Reads an archive directory written by [`write_archive`], decoding
 /// streams with up to `threads` worker threads (0 = hardware
 /// parallelism). The assembled trace is validated.
 pub fn read_archive(dir: impl AsRef<Path>, threads: usize) -> TraceResult<Trace> {
-    let dir = dir.as_ref();
-    let (name, clock, registry) = read_anchor(dir)?;
-    let np = registry.num_processes();
+    let archive = ArchiveCursor::open(dir)?;
+    let np = archive.num_processes();
     let threads = if threads == 0 {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -144,19 +114,25 @@ pub fn read_archive(dir: impl AsRef<Path>, threads: usize) -> TraceResult<Trace>
     }
     .min(np.max(1));
 
+    let read_stream = |i: usize| -> TraceResult<EventStream> {
+        let pid = ProcessId::from_index(i);
+        let records = archive.stream(pid)?.read_all()?;
+        Ok(EventStream::from_records(pid, records))
+    };
     let mut slots: Vec<Option<TraceResult<EventStream>>> = (0..np).map(|_| None).collect();
     if threads <= 1 {
         for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(read_stream(dir, i));
+            *slot = Some(read_stream(i));
         }
     } else {
         let chunk = np.div_ceil(threads);
+        let read_stream = &read_stream;
         std::thread::scope(|scope| {
             for (worker, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
                 let start = worker * chunk;
                 scope.spawn(move || {
                     for (offset, slot) in chunk_slots.iter_mut().enumerate() {
-                        *slot = Some(read_stream(dir, start + offset));
+                        *slot = Some(read_stream(start + offset));
                     }
                 });
             }
@@ -166,7 +142,8 @@ pub fn read_archive(dir: impl AsRef<Path>, threads: usize) -> TraceResult<Trace>
     for slot in slots {
         streams.push(slot.expect("every stream attempted")?);
     }
-    Trace::from_parts(name, clock, registry, streams)
+    let registry = archive.registry().clone();
+    Trace::from_parts(archive.name(), archive.clock(), registry, streams)
 }
 
 #[cfg(test)]

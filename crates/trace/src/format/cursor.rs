@@ -1,35 +1,37 @@
 //! Incremental event cursors: decode PVT/PVTA streams without a
 //! [`Trace`](crate::trace::Trace).
 //!
-//! The batch readers ([`pvt::read`](super::pvt::read),
-//! [`archive::read_archive`](super::archive::read_archive)) materialise
-//! every event stream in memory before analysis can start, so the memory
-//! ceiling of the whole pipeline is set by ingestion. The cursors in this
-//! module move the streaming boundary to the file descriptor:
+//! [`StreamCursor`] is the one decoder of a sealed rank stream. It
+//! decodes one process's delta-coded event stream record by record,
+//! validating incrementally (monotone timestamps, balanced nesting,
+//! defined references) and tracking the byte offset so failures are
+//! reported precisely. Its sources:
 //!
-//! * [`StreamCursor`] decodes one process's delta-coded event stream
-//!   record by record, validating incrementally (monotone timestamps,
-//!   balanced nesting, defined references) and tracking the byte offset
-//!   so failures are reported precisely;
 //! * [`ArchiveCursor`] opens a PVTA archive directory, reads the anchor
 //!   (name, clock, definitions) once, and hands out one independent
-//!   [`StreamCursor`] per process — workers can pull different ranks from
-//!   disk in parallel without any shared mutable state.
+//!   cursor per stream file — workers can pull different ranks from disk
+//!   in parallel without any shared mutable state;
+//! * [`pvt::open`](super::pvt::open) reads a PVT file's header and hands
+//!   out the cursor of rank 0, and each rank's cursor hands the same
+//!   reader on to the next ([`StreamCursor::next_rank`]).
 //!
-//! Live state per cursor is `O(read buffer + call-stack depth)`; the
-//! event *payload* never lands in memory as a whole. Decode and
-//! validation logic is shared with the batch readers (one implementation,
-//! property-tested for equality), so a cursor consumed to completion
-//! gives the same guarantees as reading and validating the full trace.
+//! The batch readers ([`pvt::read`](super::pvt::read),
+//! [`archive::read_archive`](super::archive::read_archive)) collect the
+//! same cursors into a [`Trace`](crate::trace::Trace); the out-of-core
+//! analysis steps them chunk by chunk, so live state per cursor is
+//! `O(read buffer + call-stack depth)` and the event *payload* never
+//! lands in memory as a whole. A cursor consumed to completion certifies
+//! its stream as whole-trace validation would.
 //!
 //! Errors raised while decoding a stream body are wrapped in
 //! [`TraceError::CorruptStream`] carrying the process id and the byte
-//! offset within the stream file — the contract the out-of-core analysis
-//! path relies on to report which ranks of a damaged archive were
-//! recovered.
+//! offset within the file (the stream file of an archive, the whole file
+//! of a PVT trace) — the contract the out-of-core analysis path relies on
+//! to report which ranks of a damaged trace were recovered.
 
 use super::archive::{read_anchor, stream_file, STREAM_MAGIC};
 use super::mmap::FileReader;
+use super::pvt::read_trailer;
 use super::varint::{fold_leb128_groups, read_u64};
 use crate::error::{TraceError, TraceResult};
 use crate::event::{Event, EventRecord};
@@ -402,20 +404,33 @@ impl<R: BufRead> BufRead for CountingReader<R> {
     }
 }
 
+/// What follows the last declared record of a stream, checked once the
+/// records are read: the end-of-stream rule of its format.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum StreamEnd {
+    /// A PVTA stream file ends right after its last record.
+    EndOfFile,
+    /// A PVT rank is followed by the next rank's record count, or after
+    /// the last rank by the trailer.
+    NextRank,
+}
+
 /// Incremental cursor over one process's event stream.
 ///
-/// Yields [`EventRecord`]s one at a time from a PVTA stream file (see
-/// [`ArchiveCursor::stream`]), decoding and validating on the fly. Live
-/// state is the read buffer plus the call-stack of open invocations —
-/// independent of the number of events.
+/// Yields [`EventRecord`]s from a PVTA stream file (see
+/// [`ArchiveCursor::stream`]) or from one rank of a PVT file (see
+/// [`pvt::open`](super::pvt::open)), decoding and validating on the fly.
+/// Live state is the read buffer plus the call-stack of open
+/// invocations — independent of the number of events.
 ///
 /// Any error while decoding the body comes back as
 /// [`TraceError::CorruptStream`] naming the process and the byte offset
-/// within the stream file; the cursor then *fuses* (yields `None`
-/// forever). A stream that ends with open invocations, or with trailing
-/// bytes after the declared record count, is an error too — consuming a
-/// cursor to completion certifies the stream exactly as the batch reader
-/// would.
+/// within the file; the cursor then *fuses* (yields `None` forever). A
+/// stream that ends with open invocations is an error too, and so is
+/// whatever breaks its format's end-of-stream rule: trailing bytes after
+/// an archive stream's declared records, or a PVT rank not followed by a
+/// record count or the trailer. Consuming a cursor to completion
+/// certifies the stream exactly as the batch reader would.
 #[derive(Debug)]
 pub struct StreamCursor<R: BufRead> {
     reader: CountingReader<R>,
@@ -424,6 +439,9 @@ pub struct StreamCursor<R: BufRead> {
     remaining: u64,
     prev_time: u64,
     stack: Vec<FunctionId>,
+    end: StreamEnd,
+    /// The next PVT rank's record count, once this rank has ended.
+    next: Option<u64>,
     done: bool,
     poisoned: bool,
 }
@@ -450,6 +468,17 @@ impl<R: BufRead> StreamCursor<R> {
                 "stream file of {process} declares process {declared}"
             )));
         }
+        StreamCursor::new(reader, process, shape, StreamEnd::EndOfFile)
+    }
+
+    /// Reads the stream's record count from `reader` and positions
+    /// before its first record; `end` is what must follow the last one.
+    pub(crate) fn new(
+        mut reader: CountingReader<R>,
+        process: ProcessId,
+        shape: RegistryShape,
+        end: StreamEnd,
+    ) -> TraceResult<Self> {
         let remaining = read_u64(&mut reader)?;
         Ok(StreamCursor {
             reader,
@@ -458,8 +487,25 @@ impl<R: BufRead> StreamCursor<R> {
             remaining,
             prev_time: 0,
             stack: Vec::new(),
+            end,
+            next: None,
             done: false,
             poisoned: false,
+        })
+    }
+
+    /// The cursor of the next rank of a PVT file, over the same reader.
+    /// `None` until this rank has ended cleanly, after the last rank
+    /// (whose end checked the trailer), and for an archive stream.
+    pub fn next_rank(self) -> Option<StreamCursor<R>> {
+        let remaining = self.next?;
+        Some(StreamCursor {
+            process: ProcessId::from_index(self.process.index() + 1),
+            remaining,
+            prev_time: 0,
+            next: None,
+            done: false,
+            ..self
         })
     }
 
@@ -473,7 +519,8 @@ impl<R: BufRead> StreamCursor<R> {
         self.remaining
     }
 
-    /// Bytes consumed from the stream file so far.
+    /// Bytes consumed from the file so far (for a PVT rank, from the
+    /// start of the file).
     pub fn byte_offset(&self) -> u64 {
         self.reader.offset()
     }
@@ -493,6 +540,30 @@ impl<R: BufRead> StreamCursor<R> {
         }
     }
 
+    /// Checks what follows the last record, per [`StreamEnd`].
+    fn check_end(&mut self) -> TraceResult<()> {
+        if !self.stack.is_empty() {
+            return Err(TraceError::UnbalancedStack {
+                process: self.process,
+                open_frames: self.stack.len(),
+            });
+        }
+        match self.end {
+            StreamEnd::EndOfFile => {
+                if self.reader.read(&mut [0u8; 1])? > 0 {
+                    return Err(TraceError::Corrupt(
+                        "trailing bytes after final record".into(),
+                    ));
+                }
+            }
+            StreamEnd::NextRank if self.process.index() + 1 < self.shape.processes => {
+                self.next = Some(read_u64(&mut self.reader)?);
+            }
+            StreamEnd::NextRank => read_trailer(&mut self.reader)?,
+        }
+        Ok(())
+    }
+
     /// Decodes and validates the next record, `Ok(None)` at a clean end
     /// of stream. After an error the cursor is poisoned and keeps
     /// returning `Ok(None)`.
@@ -501,21 +572,8 @@ impl<R: BufRead> StreamCursor<R> {
             return Ok(None);
         }
         if self.remaining == 0 {
-            if !self.stack.is_empty() {
-                let e = TraceError::UnbalancedStack {
-                    process: self.process,
-                    open_frames: self.stack.len(),
-                };
+            if let Err(e) = self.check_end() {
                 return Err(self.fail(e));
-            }
-            let mut probe = [0u8; 1];
-            match self.reader.read(&mut probe) {
-                Ok(0) => {}
-                Ok(_) => {
-                    let e = TraceError::Corrupt("trailing bytes after final record".into());
-                    return Err(self.fail(e));
-                }
-                Err(e) => return Err(self.fail(TraceError::Io(e))),
             }
             self.done = true;
             return Ok(None);
@@ -550,6 +608,21 @@ impl<R: BufRead> StreamCursor<R> {
     /// before the failure.
     pub fn next_chunk(&mut self, out: &mut Vec<EventRecord>, max: usize) -> TraceResult<usize> {
         out.clear();
+        self.append(out, max)?;
+        Ok(out.len())
+    }
+
+    /// Decodes the rest of the stream into one vector, as
+    /// [`next_chunk`](Self::next_chunk) would in chunks.
+    pub fn read_all(&mut self) -> TraceResult<Vec<EventRecord>> {
+        let mut records = Vec::with_capacity(self.remaining.min(1 << 20) as usize);
+        self.append(&mut records, usize::MAX)?;
+        Ok(records)
+    }
+
+    /// The loop of [`next_chunk`](Self::next_chunk): appends records to
+    /// `out` until it holds `max` or the stream ends.
+    fn append(&mut self, out: &mut Vec<EventRecord>, max: usize) -> TraceResult<()> {
         while out.len() < max && !self.done && !self.poisoned {
             if self.remaining > 0 {
                 if let Ok(buf) = self.reader.fill_buf() {
@@ -574,7 +647,7 @@ impl<R: BufRead> StreamCursor<R> {
                 None => break,
             }
         }
-        Ok(out.len())
+        Ok(())
     }
 }
 

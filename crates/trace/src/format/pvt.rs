@@ -20,13 +20,13 @@
 //! event: absolute). Deltas are small in practice, so event records are
 //! typically 3–6 bytes.
 
-use super::cursor::{check_event, decode_event, CountingReader, RegistryShape};
+use super::cursor::{CountingReader, RegistryShape, StreamCursor, StreamEnd};
 use super::varint::{read_string, read_u64, write_string, write_u64};
 use crate::error::{TraceError, TraceResult};
 use crate::event::{Event, EventRecord};
-use crate::ids::{FunctionId, ProcessId};
+use crate::ids::ProcessId;
 use crate::registry::{FunctionDef, FunctionRole, MetricDef, MetricMode, ProcessDef, Registry};
-use crate::time::{Clock, Timestamp};
+use crate::time::Clock;
 use crate::trace::{EventStream, Trace};
 use std::io::{BufRead, Read, Write};
 
@@ -153,23 +153,7 @@ pub(crate) fn read_registry<R: BufRead>(r: &mut R) -> TraceResult<Registry> {
     Ok(Registry::from_parts(processes, functions, metrics))
 }
 
-/// Decodes one event stream written by [`write_stream_events`]
-/// (delegating the per-record wire format to the shared
-/// [`decode_event`]).
-pub(crate) fn read_stream_events<R: BufRead>(r: &mut R) -> TraceResult<Vec<EventRecord>> {
-    let count = read_u64(r)?;
-    let mut records = Vec::with_capacity((count as usize).min(1 << 20));
-    let mut time = 0u64;
-    for _ in 0..count {
-        let (t, event) = decode_event(r, time)?;
-        time = t;
-        records.push(EventRecord::new(Timestamp(time), event));
-    }
-    Ok(records)
-}
-
 /// Parses the PVT file header: magic, version, name, clock, definitions.
-/// Shared by the batch [`read`] and the streaming [`PvtStreamReader`].
 fn read_header<R: BufRead>(r: &mut R) -> TraceResult<(String, Clock, Registry)> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -191,33 +175,28 @@ fn read_header<R: BufRead>(r: &mut R) -> TraceResult<(String, Clock, Registry)> 
     Ok((name, Clock::new(ticks_per_second), registry))
 }
 
-/// Deserialises a PVT trace from `r` and validates it.
-pub fn read<R: BufRead>(r: &mut R) -> TraceResult<Trace> {
-    let (name, clock, registry) = read_header(r).map_err(super::truncated_header_as_corrupt)?;
-    let np = registry.num_processes();
-    let mut streams = Vec::with_capacity(np);
-    for pi in 0..np {
-        let records = read_stream_events(r)?;
-        streams.push(EventStream::from_records(
-            ProcessId::from_index(pi),
-            records,
-        ));
-    }
-
+/// Reads the trailer that ends a PVT file.
+pub(crate) fn read_trailer<R: Read>(r: &mut R) -> TraceResult<()> {
     let mut trailer = [0u8; 4];
     r.read_exact(&mut trailer)?;
     if &trailer != TRAILER {
         return Err(TraceError::Corrupt("missing PVT trailer".into()));
     }
-
-    Trace::from_parts(name, clock, registry, streams)
+    Ok(())
 }
 
-/// Streaming PVT reader: decodes definitions eagerly, then yields events
-/// one at a time without materialising the trace — for files larger than
-/// memory or single-pass statistics. Events are validated incrementally
-/// (monotone timestamps, balanced nesting, defined references), so a
-/// consumed-to-completion stream gives the same guarantees as [`read`].
+/// A PVT file opened by [`open`]: its name, clock and definitions, and
+/// the cursor of rank 0 (`None` for a trace without ranks).
+pub type PvtRanks<R> = (String, Clock, Registry, Option<StreamCursor<R>>);
+
+/// Opens a PVT file for reading rank by rank: reads the header, then
+/// hands out the [`StreamCursor`] of rank 0. Each rank's cursor, once
+/// consumed, hands the reader on to the next rank
+/// ([`StreamCursor::next_rank`]); the last one checks the trailer. Error
+/// offsets count from the start of the file.
+///
+/// A file that ends inside the header (zero-length or header-only) is
+/// reported as a typed [`TraceError::Corrupt`], not a bare I/O EOF.
 ///
 /// ```
 /// use perfvar_trace::format::pvt;
@@ -230,162 +209,43 @@ pub fn read<R: BufRead>(r: &mut R) -> TraceResult<Trace> {
 /// b.process_mut(p).leave(Timestamp(5), f).unwrap();
 /// let bytes = pvt::to_bytes(&b.finish().unwrap()).unwrap();
 ///
-/// let mut reader = pvt::PvtStreamReader::new(std::io::Cursor::new(bytes)).unwrap();
-/// assert_eq!(reader.registry().num_functions(), 1);
-/// let events: Vec<_> = reader.by_ref().collect::<Result<Vec<_>, _>>().unwrap();
-/// assert_eq!(events.len(), 2);
-/// assert!(reader.finished());
+/// let (_, _, registry, rank) = pvt::open(bytes.as_slice()).unwrap();
+/// assert_eq!(registry.num_functions(), 1);
+/// let mut rank = rank.unwrap();
+/// assert_eq!(rank.read_all().unwrap().len(), 2);
+/// assert!(rank.next_rank().is_none());
 /// ```
-#[derive(Debug)]
-pub struct PvtStreamReader<R: BufRead> {
-    reader: CountingReader<R>,
-    name: String,
-    clock: Clock,
-    registry: Registry,
-    /// Registry table sizes, for the shared incremental validation.
-    shape: RegistryShape,
-    /// Process currently being decoded.
-    current_process: usize,
-    /// Events left in the current process stream.
-    remaining: u64,
-    /// Previous timestamp of the current stream (delta base).
-    prev_time: u64,
-    /// Incremental validation stack for the current stream.
-    stack: Vec<FunctionId>,
-    /// Set once the trailer was verified.
-    finished: bool,
-    /// Set on first error; the iterator then fuses.
-    poisoned: bool,
-}
-
-impl<R: BufRead> PvtStreamReader<R> {
-    /// Opens a PVT stream: reads and validates header and definitions.
-    ///
-    /// A file that ends inside the header (zero-length or header-only) is
-    /// reported as a typed [`TraceError::Corrupt`], not a bare I/O EOF.
-    pub fn new(reader: R) -> TraceResult<PvtStreamReader<R>> {
-        let mut reader = CountingReader::new(reader);
-        let (name, clock, registry) =
-            read_header(&mut reader).map_err(super::truncated_header_as_corrupt)?;
+pub fn open<R: BufRead>(reader: R) -> TraceResult<PvtRanks<R>> {
+    let mut reader = CountingReader::new(reader);
+    let (name, clock, registry) =
+        read_header(&mut reader).map_err(super::truncated_header_as_corrupt)?;
+    let first = if registry.num_processes() == 0 {
+        read_trailer(&mut reader)?;
+        None
+    } else {
         let shape = RegistryShape::of(&registry);
-
-        let mut this = PvtStreamReader {
+        Some(StreamCursor::new(
             reader,
-            name,
-            clock,
-            registry,
+            ProcessId(0),
             shape,
-            current_process: 0,
-            remaining: 0,
-            prev_time: 0,
-            stack: Vec::new(),
-            finished: false,
-            poisoned: false,
-        };
-        this.advance_stream()?;
-        Ok(this)
-    }
-
-    /// The trace name from the header.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The trace clock.
-    pub fn clock(&self) -> Clock {
-        self.clock
-    }
-
-    /// The definitions (available before any event is consumed).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Whether the stream was consumed to the trailer successfully.
-    pub fn finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Bytes consumed from the underlying reader so far (the position of
-    /// a decode failure within the file).
-    pub fn byte_offset(&self) -> u64 {
-        self.reader.offset()
-    }
-
-    /// The underlying reader (e.g. to ask a
-    /// [`FileReader`](super::mmap::FileReader) whether it is mapped).
-    pub fn get_ref(&self) -> &R {
-        self.reader.get_ref()
-    }
-
-    /// Moves to the next process stream (or the trailer).
-    fn advance_stream(&mut self) -> TraceResult<()> {
-        loop {
-            if !self.stack.is_empty() {
-                return Err(TraceError::UnbalancedStack {
-                    process: ProcessId::from_index(self.current_process.saturating_sub(1)),
-                    open_frames: self.stack.len(),
-                });
-            }
-            if self.current_process >= self.registry.num_processes() {
-                let mut trailer = [0u8; 4];
-                self.reader.read_exact(&mut trailer)?;
-                if &trailer != TRAILER {
-                    return Err(TraceError::Corrupt("missing PVT trailer".into()));
-                }
-                self.finished = true;
-                return Ok(());
-            }
-            self.remaining = read_u64(&mut self.reader)?;
-            self.prev_time = 0;
-            self.current_process += 1;
-            if self.remaining > 0 {
-                return Ok(());
-            }
-        }
-    }
-
-    fn next_event(&mut self) -> TraceResult<Option<(ProcessId, EventRecord)>> {
-        if self.finished {
-            return Ok(None);
-        }
-        let process = ProcessId::from_index(self.current_process - 1);
-        let (time, event) = decode_event(&mut self.reader, self.prev_time)?;
-        check_event(self.shape, process, time, &event, &mut self.stack)?;
-        self.prev_time = time;
-        let record = EventRecord::new(Timestamp(time), event);
-        self.remaining -= 1;
-        if self.remaining == 0 {
-            self.advance_stream()?;
-        }
-        Ok(Some((process, record)))
-    }
+            StreamEnd::NextRank,
+        )?)
+    };
+    Ok((name, clock, registry, first))
 }
 
-impl<R: BufRead> Iterator for PvtStreamReader<R> {
-    type Item = TraceResult<(ProcessId, EventRecord)>;
-
-    /// Yields `(process, record)` pairs; a decode or validation failure
-    /// mid-body comes back as [`TraceError::CorruptStream`] naming the
-    /// process being decoded and the byte offset within the file, after
-    /// which the iterator fuses.
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.poisoned {
-            return None;
-        }
-        match self.next_event() {
-            Ok(Some(item)) => Some(Ok(item)),
-            Ok(None) => None,
-            Err(e) => {
-                self.poisoned = true;
-                Some(Err(TraceError::CorruptStream {
-                    process: ProcessId::from_index(self.current_process.saturating_sub(1)),
-                    offset: self.reader.offset(),
-                    source: Box::new(e),
-                }))
-            }
-        }
+/// Deserialises a PVT trace from `r` and validates it.
+pub fn read<R: BufRead>(r: &mut R) -> TraceResult<Trace> {
+    let (name, clock, registry, mut rank) = open(r)?;
+    let mut streams = Vec::with_capacity(registry.num_processes());
+    while let Some(mut cursor) = rank {
+        streams.push(EventStream::from_records(
+            cursor.process(),
+            cursor.read_all()?,
+        ));
+        rank = cursor.next_rank();
     }
+    Trace::from_parts(name, clock, registry, streams)
 }
 
 /// Serialises a trace to an in-memory byte vector.
@@ -404,6 +264,7 @@ pub fn from_bytes(bytes: &[u8]) -> TraceResult<Trace> {
 mod tests {
     use super::*;
     use crate::registry::FunctionRole as R;
+    use crate::time::Timestamp;
     use crate::trace::TraceBuilder;
 
     fn rich_trace() -> Trace {
@@ -476,7 +337,10 @@ mod tests {
         for cut in [3, 10, bytes.len() / 2, bytes.len() - 1] {
             let err = from_bytes(&bytes[..cut]).unwrap_err();
             assert!(
-                matches!(err, TraceError::Io(_) | TraceError::Corrupt(_)),
+                matches!(
+                    err,
+                    TraceError::Io(_) | TraceError::Corrupt(_) | TraceError::CorruptStream { .. }
+                ),
                 "cut at {cut}: {err}"
             );
         }
@@ -488,26 +352,47 @@ mod tests {
         let n = bytes.len();
         bytes[n - 1] = b'X';
         let err = from_bytes(&bytes).unwrap_err();
-        assert!(matches!(err, TraceError::Corrupt(_)));
+        // The last rank's end-of-stream check reads the trailer.
+        match err {
+            TraceError::CorruptStream {
+                process,
+                offset,
+                source,
+            } => {
+                assert_eq!((process, offset), (ProcessId(1), n as u64));
+                assert!(matches!(*source, TraceError::Corrupt(_)), "{source}");
+            }
+            other => panic!("expected CorruptStream, got {other}"),
+        }
+    }
+
+    /// Every rank of a PVT file through its cursor: the records of each
+    /// rank read, then the first error.
+    fn read_ranks(bytes: &[u8]) -> (Vec<Vec<EventRecord>>, Option<TraceError>) {
+        let (_, _, _, mut rank) = open(bytes).unwrap();
+        let mut ranks = Vec::new();
+        while let Some(mut cursor) = rank {
+            assert_eq!(cursor.process().index(), ranks.len());
+            match cursor.read_all() {
+                Ok(records) => ranks.push(records),
+                Err(e) => return (ranks, Some(e)),
+            }
+            rank = cursor.next_rank();
+        }
+        (ranks, None)
     }
 
     #[test]
     fn stream_reader_yields_same_events_as_full_read() {
         let t = rich_trace();
         let bytes = to_bytes(&t).unwrap();
-        let mut reader = PvtStreamReader::new(std::io::Cursor::new(&bytes)).unwrap();
-        assert_eq!(reader.name(), "rich µ");
-        assert_eq!(reader.clock(), Clock::nanoseconds());
-        assert_eq!(reader.registry(), t.registry());
-        let streamed: Vec<(ProcessId, EventRecord)> =
-            reader.by_ref().collect::<Result<_, _>>().unwrap();
-        assert!(reader.finished());
-        let expected: Vec<(ProcessId, EventRecord)> = t
-            .streams()
-            .iter()
-            .flat_map(|s| s.records().iter().map(move |r| (s.process, *r)))
-            .collect();
-        assert_eq!(streamed, expected);
+        let (name, clock, registry, _) = open(bytes.as_slice()).unwrap();
+        assert_eq!((name.as_str(), clock), ("rich µ", Clock::nanoseconds()));
+        assert_eq!(&registry, t.registry());
+        let (ranks, error) = read_ranks(&bytes);
+        assert!(error.is_none());
+        let expected: Vec<_> = t.streams().iter().map(|s| s.records().to_vec()).collect();
+        assert_eq!(ranks, expected);
     }
 
     #[test]
@@ -524,34 +409,39 @@ mod tests {
         // before the trailer) to provoke a mismatched leave.
         let n = bytes.len();
         bytes[n - 5] = 9; // function id varint of the Leave
-        let reader = PvtStreamReader::new(std::io::Cursor::new(&bytes)).unwrap();
-        let result: Result<Vec<_>, _> = reader.collect();
-        assert!(result.is_err());
+        let (ranks, error) = read_ranks(&bytes);
+        assert!(ranks.is_empty());
+        match error {
+            Some(TraceError::CorruptStream {
+                process, source, ..
+            }) => {
+                assert_eq!(process, ProcessId(0));
+                assert!(matches!(*source, TraceError::MismatchedLeave { .. }));
+            }
+            other => panic!("expected CorruptStream, got {other:?}"),
+        }
     }
 
     #[test]
     fn stream_reader_fuses_after_error() {
-        let mut reader =
-            PvtStreamReader::new(std::io::Cursor::new(to_bytes(&rich_trace()).unwrap())).unwrap();
-        // Drain normally: no fusing needed. Then create a truncated one.
-        while reader.next().is_some() {}
         let bytes = to_bytes(&rich_trace()).unwrap();
         let cut = &bytes[..bytes.len() - 6];
-        let mut reader = PvtStreamReader::new(std::io::Cursor::new(cut)).unwrap();
-        let mut saw_err = false;
-        for item in reader.by_ref() {
-            if item.is_err() {
-                saw_err = true;
-                break;
-            }
-        }
-        assert!(saw_err);
-        assert!(reader.next().is_none(), "iterator fuses after an error");
+        let (_, _, _, rank) = open(cut).unwrap();
+        // Rank 0 reads clean; the cut is in rank 1's last record.
+        let mut cursor = rank.unwrap();
+        cursor.read_all().unwrap();
+        let mut cursor = cursor.next_rank().unwrap();
+        let err = cursor.read_all().unwrap_err();
+        assert!(
+            matches!(err, TraceError::CorruptStream { process, .. } if process == ProcessId(1))
+        );
+        assert!(cursor.next_record().unwrap().is_none(), "the cursor fuses");
+        assert!(cursor.next_rank().is_none(), "no rank follows a failed one");
     }
 
     #[test]
     fn stream_reader_rejects_bad_header() {
-        let err = PvtStreamReader::new(std::io::Cursor::new(b"NOPE....".to_vec())).unwrap_err();
+        let err = open(&b"NOPE...."[..]).unwrap_err();
         assert!(matches!(err, TraceError::Corrupt(_)));
     }
 
@@ -565,10 +455,10 @@ mod tests {
         b.process_mut(p1).enter(Timestamp(0), f).unwrap();
         b.process_mut(p1).leave(Timestamp(1), f).unwrap();
         let t = b.finish().unwrap();
-        let reader = PvtStreamReader::new(std::io::Cursor::new(to_bytes(&t).unwrap())).unwrap();
-        let events: Vec<_> = reader.collect::<Result<_, _>>().unwrap();
-        assert_eq!(events.len(), 2);
-        assert!(events.iter().all(|(p, _)| *p == ProcessId(1)));
+        let (ranks, error) = read_ranks(&to_bytes(&t).unwrap());
+        assert!(error.is_none());
+        let lengths: Vec<usize> = ranks.iter().map(Vec::len).collect();
+        assert_eq!(lengths, [0, 2, 0]);
     }
 
     #[test]

@@ -1,21 +1,26 @@
 //! Seeded mutation tests of the trace decoders.
 //!
-//! A small PVTA archive and a small PVT file are damaged with bit flips,
-//! truncations, splices and record-count inflation, and every mutant is
-//! read by each decoder that accepts the format: `ArchiveCursor` (mapped
-//! and buffered), `archive::read_archive`, `ArchiveTail::poll`,
-//! `pvt::read` and `PvtStreamReader`. Each must end in `Ok` or a typed
-//! `TraceError` without panicking, and the incremental and batch readers
-//! of one format must agree on what they accept and decode.
+//! A small PVTA archive, a small PVT file and a small PVTX text file are
+//! damaged with bit flips, truncations, splices and record-count
+//! inflation, and every mutant is read by each decoder that accepts the
+//! format: `ArchiveCursor` (mapped and buffered),
+//! `archive::read_archive`, `ArchiveTail::poll`, `pvt::read`, the PVT
+//! rank cursors of `pvt::open`, and `text::read`. Each must end in `Ok`
+//! or a typed `TraceError` without panicking. The incremental and batch
+//! readers of one format must agree on what they accept and decode, and
+//! the PVT readers must agree with an independent oracle: a
+//! record-at-a-time decoder written here, validated by
+//! `Trace::from_parts`.
 
 use perfvar_trace::format::archive::{read_archive, stream_file, write_archive};
 use perfvar_trace::format::cursor::{ArchiveCursor, CursorOptions};
 use perfvar_trace::format::live::{mark_finished, ArchiveTail};
-use perfvar_trace::format::pvt;
-use perfvar_trace::format::varint::write_u64;
+use perfvar_trace::format::varint::{read_string, read_u64, write_u64};
+use perfvar_trace::format::{pvt, text};
 use perfvar_trace::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// Mutants per input file.
@@ -247,6 +252,103 @@ fn mutated_archives_end_in_typed_errors_and_readers_agree() {
     assert!(tail_done > CASES / 2, "{tail_done} of {CASES} tailed");
 }
 
+/// The oracle: decodes a PVT file one varint at a time — per rank its
+/// record count and `{tag, delta, payload…}` records, then the trailer —
+/// and validates the streams with `Trace::from_parts`. The definitions
+/// come from the crate's header parser, which this test does not check.
+fn oracle_read(bytes: &[u8]) -> Result<Trace, TraceError> {
+    let (name, clock, registry, _) = pvt::open(bytes)?;
+    let r = &mut &bytes[..];
+    // Skip the header that `pvt::open` accepted.
+    r.read_exact(&mut [0u8; 4])?;
+    read_u64(r)?;
+    read_string(r)?;
+    read_u64(r)?;
+    let (np, nf, nm) = (read_u64(r)?, read_u64(r)?, read_u64(r)?);
+    for _ in 0..np {
+        read_string(r)?;
+    }
+    for _ in 0..nf {
+        read_string(r)?;
+        read_u64(r)?;
+    }
+    for _ in 0..nm {
+        read_string(r)?;
+        read_u64(r)?;
+        read_string(r)?;
+    }
+    let corrupt = |what: &str| TraceError::Corrupt(what.into());
+    let id = |r: &mut &[u8]| -> Result<u32, TraceError> {
+        u32::try_from(read_u64(r)?).map_err(|_| corrupt("id above u32"))
+    };
+    let mut streams = Vec::new();
+    for i in 0..registry.num_processes() {
+        let mut records = Vec::new();
+        let mut time = 0u64;
+        for _ in 0..read_u64(r)? {
+            let tag = read_u64(r)?;
+            time = time
+                .checked_add(read_u64(r)?)
+                .ok_or_else(|| corrupt("timestamp overflow"))?;
+            let event = match tag {
+                0 => Event::Enter {
+                    function: FunctionId(id(r)?),
+                },
+                1 => Event::Leave {
+                    function: FunctionId(id(r)?),
+                },
+                2 => Event::MsgSend {
+                    to: ProcessId(id(r)?),
+                    tag: id(r)?,
+                    bytes: read_u64(r)?,
+                },
+                3 => Event::MsgRecv {
+                    from: ProcessId(id(r)?),
+                    tag: id(r)?,
+                    bytes: read_u64(r)?,
+                },
+                4 => Event::Metric {
+                    metric: MetricId(id(r)?),
+                    value: read_u64(r)?,
+                },
+                _ => return Err(corrupt("unknown tag")),
+            };
+            records.push(EventRecord::new(Timestamp(time), event));
+        }
+        streams.push(EventStream::from_records(ProcessId::from_index(i), records));
+    }
+    let mut trailer = [0u8; 4];
+    r.read_exact(&mut trailer)?;
+    if &trailer != b"PVTE" {
+        return Err(corrupt("missing trailer"));
+    }
+    Trace::from_parts(name, clock, registry, streams)
+}
+
+/// Every rank of a PVT file through the chunked rank cursors, as the
+/// out-of-core analysis reads it.
+fn rank_cursor_read(bytes: &[u8]) -> Outcome {
+    let (_, _, _, mut rank) = pvt::open(bytes)?;
+    let (mut streams, mut chunk) = (Vec::new(), Vec::new());
+    while let Some(mut cursor) = rank {
+        let mut records = Vec::new();
+        while cursor.next_chunk(&mut chunk, 7)? > 0 {
+            records.extend(chunk.iter().copied());
+        }
+        streams.push(records);
+        rank = cursor.next_rank();
+    }
+    Ok(streams)
+}
+
+fn records_of(trace: Trace) -> Vec<Vec<EventRecord>> {
+    trace
+        .streams()
+        .iter()
+        .map(|s| s.records().to_vec())
+        .collect()
+}
+
 #[test]
 fn mutated_pvt_files_end_in_typed_errors_and_readers_agree() {
     let trace = sample();
@@ -264,27 +366,48 @@ fn mutated_pvt_files_end_in_typed_errors_and_readers_agree() {
     );
     let empty = pvt::to_bytes(&empty.unwrap()).unwrap();
     let count_at = empty.len() - trace.num_processes() - 4;
+    assert_eq!(records_of(oracle_read(&clean).unwrap()), records_of(trace));
     let mut rng = SmallRng::seed_from_u64(0x00c0_ffee_0016);
     let mut rejected = 0;
     for case in 0..CASES {
         let bytes = mutate(&mut rng, &clean, count_at);
-        let batch: Outcome = pvt::read(&mut bytes.as_slice())
-            .map(|t| t.streams().iter().map(|s| s.records().to_vec()).collect());
-        let streaming: Outcome = pvt::PvtStreamReader::new(bytes.as_slice()).and_then(|reader| {
-            let mut streams = vec![Vec::new(); reader.registry().num_processes()];
-            for item in reader {
-                let (pid, record) = item?;
-                streams[pid.index()].push(record);
-            }
-            Ok(streams)
-        });
+        let oracle: Outcome = oracle_read(&bytes).map(records_of);
+        let batch: Outcome = pvt::read(&mut bytes.as_slice()).map(records_of);
+        let ranks = rank_cursor_read(&bytes);
         assert!(
-            same_acceptance(&streaming, &batch),
-            "case {case}: stream reader {} vs batch {}",
-            summary(&streaming),
-            summary(&batch)
+            same_acceptance(&oracle, &batch) && same_acceptance(&oracle, &ranks),
+            "case {case}: oracle {} vs batch {} vs rank cursors {}",
+            summary(&oracle),
+            summary(&batch),
+            summary(&ranks)
         );
-        rejected += usize::from(batch.is_err());
+        rejected += usize::from(oracle.is_err());
+    }
+    assert!(rejected > CASES / 2, "{rejected} of {CASES} rejected");
+}
+
+#[test]
+fn mutated_pvtx_files_end_in_typed_errors() {
+    let trace = sample();
+    let mut clean = Vec::new();
+    text::write(&trace, &mut clean).unwrap();
+    // The count-inflating mutation rewrites the first stream index.
+    let count_at = clean.windows(7).position(|w| w == b"STREAM ").unwrap() + 7;
+    let mut rng = SmallRng::seed_from_u64(0x00c0_ffee_0017);
+    let mut rejected = 0;
+    for case in 0..CASES {
+        let bytes = mutate(&mut rng, &clean, count_at);
+        // A mutant the decoder accepts is a trace it writes back and
+        // reads again unchanged.
+        match text::read(&mut bytes.as_slice()) {
+            Ok(read) => {
+                let mut again = Vec::new();
+                text::write(&read, &mut again).unwrap();
+                let back = text::read(&mut again.as_slice());
+                assert!(back.is_ok_and(|back| back == read), "case {case}");
+            }
+            Err(_) => rejected += 1,
+        }
     }
     assert!(rejected > CASES / 2, "{rejected} of {CASES} rejected");
 }

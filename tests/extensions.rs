@@ -87,17 +87,20 @@ fn call_tree_of_wrf_separates_contexts() {
 fn streaming_reader_computes_stats_without_materialising() {
     let trace = simulate(&workloads::CosmoSpecsFd4::small(12, 3).spec()).unwrap();
     let bytes = pvt::to_bytes(&trace).unwrap();
-    let mut reader = pvt::PvtStreamReader::new(std::io::Cursor::new(&bytes)).unwrap();
-    assert_eq!(reader.registry().num_processes(), 12);
-    // Single-pass computation: events per process + global max time.
+    let (_, _, registry, mut rank) = pvt::open(bytes.as_slice()).unwrap();
+    assert_eq!(registry.num_processes(), 12);
+    // Single-pass computation, one rank cursor after another: events per
+    // process + global max time.
     let mut per_process = [0usize; 12];
     let mut max_time = Timestamp(0);
-    for item in reader.by_ref() {
-        let (p, record) = item.unwrap();
-        per_process[p.index()] += 1;
-        max_time = max_time.max(record.time);
+    let mut chunk = Vec::new();
+    while let Some(mut cursor) = rank {
+        while cursor.next_chunk(&mut chunk, 256).unwrap() > 0 {
+            per_process[cursor.process().index()] += chunk.len();
+            max_time = chunk.iter().map(|r| r.time).fold(max_time, Timestamp::max);
+        }
+        rank = cursor.next_rank();
     }
-    assert!(reader.finished());
     assert_eq!(max_time, trace.end());
     for (i, &count) in per_process.iter().enumerate() {
         assert_eq!(count, trace.stream(ProcessId::from_index(i)).len(), "{i}");

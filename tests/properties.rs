@@ -261,16 +261,20 @@ proptest! {
     #[test]
     fn streaming_reader_equals_full_read(trace in trace_strategy()) {
         let bytes = pvt::to_bytes(&trace).unwrap();
-        let mut reader = pvt::PvtStreamReader::new(std::io::Cursor::new(&bytes)).unwrap();
-        prop_assert_eq!(reader.registry(), trace.registry());
-        let streamed: Vec<_> = reader.by_ref().collect::<Result<Vec<_>, _>>().unwrap();
-        prop_assert!(reader.finished());
-        let expected: Vec<_> = trace
-            .streams()
-            .iter()
-            .flat_map(|s| s.records().iter().map(move |r| (s.process, *r)))
-            .collect();
-        prop_assert_eq!(streamed, expected);
+        let (_, _, registry, mut rank) = pvt::open(bytes.as_slice()).unwrap();
+        prop_assert_eq!(&registry, trace.registry());
+        let mut chunk = Vec::new();
+        for stream in trace.streams() {
+            let mut cursor = rank.expect("one cursor per rank");
+            prop_assert_eq!(cursor.process(), stream.process);
+            let mut streamed = Vec::new();
+            while cursor.next_chunk(&mut chunk, 7).unwrap() > 0 {
+                streamed.extend_from_slice(&chunk);
+            }
+            prop_assert_eq!(&streamed[..], stream.records());
+            rank = cursor.next_rank();
+        }
+        prop_assert!(rank.is_none());
     }
 }
 
