@@ -46,6 +46,7 @@ use perfvar_trace::{
 };
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// Events of the rank-0 prefix that seed the dominant-function
 /// prediction. Enough iterations of any real SPMD trace to expose the
@@ -83,22 +84,76 @@ pub(crate) trait RankSource: Sync {
     /// hands the finished sink, its replay stats and how the rank was
     /// read ([`RankRead`]) to `close`. Results come back in the
     /// order of `ranks`; a rank whose stream cannot be decoded yields its
-    /// error.
+    /// error. With `timed`, the pass splits each rank's busy time into
+    /// decoding and replaying ([`PassClock`]); without it, no
+    /// clock is read.
     fn pass<S: ReplayVisitor, T: Send>(
         &self,
         ranks: &[usize],
         threads: usize,
+        timed: bool,
         open: impl Fn(ProcessId) -> S + Sync,
         close: impl Fn(S, ReplayStats, RankRead) -> T + Sync,
     ) -> Vec<Result<T, TraceError>>;
 }
 
-/// How a pass read one rank: the bytes decoded for it (`0` in memory)
-/// and whether they came from a memory mapping (`None` in memory).
+/// How a pass read one rank: the bytes decoded for it (`0` in memory),
+/// whether they came from a memory mapping (`None` in memory), and, in a
+/// timed pass, the busy time spent decoding and replaying them.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct RankRead {
     pub(crate) bytes: u64,
     pub(crate) mapped: Option<bool>,
+    pub(crate) decode: Duration,
+    pub(crate) replay: Duration,
+}
+
+/// The busy-time split of a timed pass: one clock read at each hand-off
+/// between decoding a chunk and replaying it, so a 1024-record chunk
+/// costs two reads. An untimed clock reads nothing.
+struct PassClock {
+    last: Option<Instant>,
+}
+
+impl PassClock {
+    fn new(timed: bool) -> PassClock {
+        PassClock {
+            last: timed.then(Instant::now),
+        }
+    }
+
+    /// Adds the time since the previous hand-off to `into`.
+    #[inline]
+    fn lap(&mut self, into: &mut Duration) {
+        if let Some(last) = &mut self.last {
+            let now = Instant::now();
+            *into += now - *last;
+            *last = now;
+        }
+    }
+}
+
+/// Decodes the rest of one rank's stream chunk by chunk and replays each
+/// chunk into `fold` when there is one (a sequential file pass decodes
+/// ranks it does not replay), adding the busy times to `read`.
+fn drain<R: BufRead, S: ReplayVisitor>(
+    cursor: &mut StreamCursor<R>,
+    chunk: &mut Vec<EventRecord>,
+    mut fold: Option<&mut RankFold<S>>,
+    clock: &mut PassClock,
+    read: &mut RankRead,
+) -> Result<(), TraceError> {
+    loop {
+        let decoded = cursor.next_chunk(chunk, DECODE_CHUNK_EVENTS);
+        clock.lap(&mut read.decode);
+        if decoded? == 0 {
+            return Ok(());
+        }
+        if let Some(fold) = fold.as_deref_mut() {
+            fold.step(chunk);
+            clock.lap(&mut read.replay);
+        }
+    }
 }
 
 /// One rank's resumable replay: the stack machine and the sink it feeds.
@@ -118,11 +173,8 @@ impl<S: ReplayVisitor> RankFold<S> {
     }
 
     /// Replays the rank's next records.
-    #[inline]
     pub(crate) fn step(&mut self, records: &[EventRecord]) {
-        for record in records {
-            self.machine.step(record, &mut self.sink);
-        }
+        self.machine.feed(records, &mut self.sink);
     }
 
     /// Ends the replay and hands the sink, its replay stats and how the
@@ -154,14 +206,18 @@ impl RankSource for Trace {
         &self,
         ranks: &[usize],
         threads: usize,
+        timed: bool,
         open: impl Fn(ProcessId) -> S + Sync,
         close: impl Fn(S, ReplayStats, RankRead) -> T + Sync,
     ) -> Vec<Result<T, TraceError>> {
         par_map_ranks(ranks.len(), threads, |slot| {
             let pid = ProcessId::from_index(ranks[slot.index()]);
             let mut fold = RankFold::new(self.registry(), open(pid));
+            let mut clock = PassClock::new(timed);
+            let mut read = RankRead::default();
             fold.step(self.stream(pid).records());
-            Ok(fold.close(RankRead::default(), &close))
+            clock.lap(&mut read.replay);
+            Ok(fold.close(read, &close))
         })
     }
 }
@@ -182,21 +238,26 @@ impl RankSource for ArchiveCursor {
         &self,
         ranks: &[usize],
         threads: usize,
+        timed: bool,
         open: impl Fn(ProcessId) -> S + Sync,
         close: impl Fn(S, ReplayStats, RankRead) -> T + Sync,
     ) -> Vec<Result<T, TraceError>> {
         par_map_ranks(ranks.len(), threads, |slot| {
             let pid = ProcessId::from_index(ranks[slot.index()]);
+            let mut clock = PassClock::new(timed);
             let mut stream = self.stream(pid)?;
             let mut fold = RankFold::new(self.registry(), open(pid));
             let mut chunk = Vec::with_capacity(DECODE_CHUNK_EVENTS);
-            while stream.next_chunk(&mut chunk, DECODE_CHUNK_EVENTS)? > 0 {
-                fold.step(&chunk);
-            }
-            let read = RankRead {
-                bytes: stream.byte_offset(),
-                mapped: Some(stream.get_ref().is_mapped()),
-            };
+            let mut read = RankRead::default();
+            drain(
+                &mut stream,
+                &mut chunk,
+                Some(&mut fold),
+                &mut clock,
+                &mut read,
+            )?;
+            read.bytes = stream.byte_offset();
+            read.mapped = Some(stream.get_ref().is_mapped());
             Ok(fold.close(read, &close))
         })
     }
@@ -238,6 +299,7 @@ impl PvtFile {
     fn sweep<S: ReplayVisitor, T>(
         &self,
         ranks: &[usize],
+        timed: bool,
         done: &mut [Option<T>],
         open: &impl Fn(ProcessId) -> S,
         close: &impl Fn(S, ReplayStats, RankRead) -> T,
@@ -255,18 +317,19 @@ impl PvtFile {
             let pid = cursor.process();
             let slot = ranks.binary_search(&pid.index()).ok();
             let mut fold = slot.map(|_| RankFold::new(&self.registry, open(pid)));
-            while cursor
-                .next_chunk(&mut chunk, DECODE_CHUNK_EVENTS)
-                .map_err(|error| (pid, error))?
-                > 0
-            {
-                fold.iter_mut().for_each(|fold| fold.step(&chunk));
-            }
+            let mut clock = PassClock::new(timed);
+            let mut read = RankRead::default();
+            drain(
+                &mut cursor,
+                &mut chunk,
+                fold.as_mut(),
+                &mut clock,
+                &mut read,
+            )
+            .map_err(|error| (pid, error))?;
             let offset = cursor.byte_offset();
-            let read = RankRead {
-                bytes: offset - std::mem::replace(&mut mark, offset),
-                mapped: Some(cursor.get_ref().is_mapped()),
-            };
+            read.bytes = offset - std::mem::replace(&mut mark, offset);
+            read.mapped = Some(cursor.get_ref().is_mapped());
             if let (Some(slot), Some(fold)) = (slot, fold) {
                 done[slot] = Some(fold.close(read, close));
             }
@@ -305,12 +368,13 @@ impl RankSource for PvtFile {
         &self,
         ranks: &[usize],
         _threads: usize,
+        timed: bool,
         open: impl Fn(ProcessId) -> S + Sync,
         close: impl Fn(S, ReplayStats, RankRead) -> T + Sync,
     ) -> Vec<Result<T, TraceError>> {
         assert!(ranks.is_sorted(), "a sequential file is read in rank order");
         let mut done: Vec<Option<T>> = ranks.iter().map(|_| None).collect();
-        let mut failure = self.sweep(ranks, &mut done, &open, &close).err();
+        let mut failure = self.sweep(ranks, timed, &mut done, &open, &close).err();
         let failing = failure.as_ref().map(|&(pid, _)| pid);
         done.into_iter()
             .zip(ranks)
@@ -337,29 +401,27 @@ impl RankSource for PvtFile {
 pub(crate) struct CombinedSink {
     pub(crate) profile: ProfileSink,
     pub(crate) fused: FusedSink,
-    first: Option<Timestamp>,
-    last: Option<Timestamp>,
 }
 
 impl ReplayVisitor for CombinedSink {
+    #[inline(always)]
     fn on_enter(&mut self, function: FunctionId, depth: u32, time: Timestamp) {
         self.fused.on_enter(function, depth, time);
     }
 
+    #[inline(always)]
     fn on_frame(&mut self, frame: &ClosedFrame) {
         self.profile.on_frame(frame);
         self.fused.on_frame(frame);
     }
 
+    #[inline(always)]
     fn on_metric(&mut self, metric: MetricId, time: Timestamp, value: u64) {
         self.fused.on_metric(metric, time, value);
     }
 
+    #[inline(always)]
     fn on_tick(&mut self, time: Timestamp) {
-        // Every record's timestamp closes exactly one tick group, and
-        // validated streams are time-ordered.
-        self.first.get_or_insert(time);
-        self.last = Some(time);
         self.fused.on_tick(time);
     }
 
@@ -393,9 +455,8 @@ impl Predictor {
     /// Replays the next records of the prefix; those past the bound are
     /// ignored.
     pub(crate) fn feed(&mut self, records: &[EventRecord]) {
-        for record in &records[..records.len().min(self.wants())] {
-            self.machine.step(record, &mut self.sink);
-        }
+        let wanted = &records[..records.len().min(self.wants())];
+        self.machine.feed(wanted, &mut self.sink);
     }
 
     /// Feeds the leading records of `stream` until the bound or the
@@ -439,10 +500,11 @@ pub(crate) fn speculation_target(
 }
 
 /// Records one replayed rank in the fuse stage and ticks progress.
-fn observe(telemetry: &Telemetry, stats: ReplayStats, bytes: u64, fused: &FusedSink) {
+fn observe(telemetry: &Telemetry, stats: ReplayStats, read: &RankRead, fused: &FusedSink) {
     let mut w = telemetry.worker(Stage::Fuse);
     w.events(stats.events);
-    w.bytes(bytes);
+    w.bytes(read.bytes);
+    w.busy(read.decode, read.replay);
     w.stack_depth(stats.max_depth);
     w.live_segments(fused.peak_open());
     w.sos_clamped(fused.sos_underflows());
@@ -477,8 +539,6 @@ impl CombinedPass {
         CombinedSink {
             profile: ProfileSink::new(self.num_functions),
             fused: FusedSink::new(pid, self.target, self.modes.clone()),
-            first: None,
-            last: None,
         }
     }
 
@@ -515,7 +575,7 @@ pub(crate) fn close_combined(
     telemetry: &Telemetry,
 ) -> impl Fn(CombinedSink, ReplayStats, RankRead) -> (RankPart, Counters) + Sync + '_ {
     move |sink, stats, read| {
-        observe(telemetry, stats, read.bytes, &sink.fused);
+        observe(telemetry, stats, &read, &sink.fused);
         if let Some(mapped) = read.mapped {
             telemetry.count_stream(mapped);
         }
@@ -530,8 +590,8 @@ pub(crate) fn close_combined(
             rows: sink.profile.rows,
             fused: sink.fused.into_parts(),
             num_events: stats.events,
-            first: sink.first,
-            last: sink.last,
+            first: stats.first,
+            last: stats.last,
             failure: None,
         };
         (rank, counters)
@@ -567,6 +627,7 @@ pub(crate) fn collect(
         source.pass(
             ranks,
             config.threads,
+            telemetry.is_enabled(),
             |pid| pass.sink(pid),
             close_combined(telemetry),
         )
@@ -608,9 +669,10 @@ pub(crate) fn complete(
         source.pass(
             &ranks,
             config.threads,
+            telemetry.is_enabled(),
             |pid| FusedSink::new(pid, function, modes.clone()),
             |sink, stats, read| {
-                observe(telemetry, stats, read.bytes, &sink);
+                observe(telemetry, stats, &read, &sink);
                 sink.into_parts()
             },
         )
@@ -732,6 +794,7 @@ mod tests {
             &self,
             ranks: &[usize],
             threads: usize,
+            timed: bool,
             open: impl Fn(ProcessId) -> V + Sync,
             close: impl Fn(V, ReplayStats, RankRead) -> T + Sync,
         ) -> Vec<Result<T, TraceError>> {
@@ -744,7 +807,7 @@ mod tests {
                 (true, Sabotage::Replace(path, trace)) => write_trace_file(trace, path).unwrap(),
                 _ => {}
             }
-            let mut results = self.inner.pass(ranks, threads, open, close);
+            let mut results = self.inner.pass(ranks, threads, timed, open, close);
             if let (true, Sabotage::Rank(rank)) = (second, &self.sabotage) {
                 let slot = ranks.iter().position(|r| r == rank).unwrap();
                 results[slot] = Err(TraceError::Corrupt("changed between passes".into()));

@@ -47,9 +47,13 @@ pub(crate) type FusedPartial = (Vec<Segment>, Vec<Vec<u64>>);
 /// Shared by [`fuse_segments`], the analysis driver behind
 /// [`crate::report::analyze`] and [`crate::outofcore`], which drives it
 /// from memory or a disk cursor, and the live path ([`crate::live`]),
-/// which drives it from a growing archive across many polls. The sink owns all of its state (`Clone` lets the
-/// live analysis snapshot it mid-run without disturbing the pass).
-#[derive(Clone)]
+/// which drives it from a growing archive across many polls.
+///
+/// Each callback is split in two: an inlined test that most records
+/// fail (is this the segmentation function? is anything due at this
+/// tick?) and an out-of-line body for the rare case (open or close a
+/// segment, resolve a tick), so the replay loop makes no call for the
+/// records that leave the sink unchanged.
 pub(crate) struct FusedSink {
     process: ProcessId,
     function: FunctionId,
@@ -57,10 +61,10 @@ pub(crate) struct FusedSink {
     modes: Vec<MetricMode>,
     /// Completed and in-flight segments, in enter order.
     segments: Vec<Segment>,
-    /// Counter rows, `[metric][segment]`, filled as segments close.
+    /// Counter rows, `[metric][segment]`, filled as segments close. While
+    /// a segment is open, an accumulating channel's entry holds the
+    /// reading at its enter boundary.
     rows: Vec<Vec<u64>>,
-    /// Accumulating-metric readings at segment enter, `[metric][segment]`.
-    acc_start: Vec<Vec<u64>>,
     /// Latest sample value per metric (accumulating readings).
     last_value: Vec<u64>,
     /// Delta/gauge sample sums of the current timestamp group.
@@ -71,10 +75,16 @@ pub(crate) struct FusedSink {
     acc_metrics: Vec<usize>,
     /// Stack of open segment indices (nested/recursive invocations).
     open: Vec<usize>,
-    /// Segments entered in the current timestamp group.
-    entered: Vec<usize>,
-    /// Segments closed in the current timestamp group.
+    /// The first segment entered in the current timestamp group: the
+    /// group's segments are `entered..segments.len()`. Kept up to date
+    /// only when there are accumulating metrics to read at the boundary.
+    entered: usize,
+    /// Segments closed in the current timestamp group (likewise).
     closed: Vec<usize>,
+    /// Whether the current timestamp group left work for
+    /// [`resolve_tick`](FusedSink::resolve_tick): a touched channel or a
+    /// boundary reading to take.
+    tick_pending: bool,
     /// Peak of `open.len()`: the live-segment gauge of the telemetry
     /// layer (nested/recursive invocations hold several segments open).
     peak_open: usize,
@@ -104,14 +114,14 @@ impl FusedSink {
             modes,
             segments: Vec::new(),
             rows: vec![Vec::new(); nm],
-            acc_start: vec![Vec::new(); nm],
             last_value: vec![0; nm],
             tick_sum: vec![0; nm],
             tick_touched: Vec::new(),
             acc_metrics,
             open: Vec::new(),
-            entered: Vec::new(),
+            entered: 0,
             closed: Vec::new(),
+            tick_pending: false,
             peak_open: 0,
             sos_underflows: 0,
         }
@@ -144,6 +154,84 @@ impl FusedSink {
     /// property live snapshots rely on.
     pub(crate) fn first_open(&self) -> Option<usize> {
         self.open.first().copied()
+    }
+
+    /// Opens a segment of the target function at `time`.
+    #[inline(never)]
+    fn open_segment(&mut self, time: Timestamp) {
+        let index = self.segments.len();
+        self.segments.push(Segment {
+            process: self.process,
+            ordinal: index as u32,
+            enter: time,
+            leave: time, // finalised on close
+            sync: DurationTicks::ZERO,
+        });
+        for row in &mut self.rows {
+            row.push(0);
+        }
+        self.open.push(index);
+        self.peak_open = self.peak_open.max(self.open.len());
+        self.tick_pending |= !self.acc_metrics.is_empty();
+    }
+
+    /// Closes the innermost open segment at `leave`.
+    #[inline(never)]
+    fn close_segment(&mut self, leave: Timestamp, sync: DurationTicks) {
+        let index = self.open.pop().expect("balanced segment frames");
+        let seg = &mut self.segments[index];
+        seg.leave = leave;
+        seg.sync = sync;
+        if seg.sync > seg.duration() {
+            // SOS-time would underflow; `Segment::sos` clamps it to zero.
+            self.sos_underflows += 1;
+        }
+        if !self.acc_metrics.is_empty() {
+            self.closed.push(index);
+            self.tick_pending = true;
+        }
+    }
+
+    /// The first delta/gauge sample of channel `m` in this group.
+    #[inline(never)]
+    fn touch(&mut self, m: usize) {
+        if !self.tick_touched.contains(&m) {
+            self.tick_touched.push(m);
+            self.tick_pending = true;
+        }
+    }
+
+    /// Resolves the boundary work of the timestamp group that just ended.
+    #[inline(never)]
+    fn resolve_tick(&mut self) {
+        self.tick_pending = false;
+        // The per-tick lists are drained, not taken, so their capacity
+        // carries over to the next tick.
+        //
+        // Delta/gauge samples of this group belong to every segment that
+        // is *still open* at group end: a segment closed in this group
+        // excludes them (`t < leave` is strict) while one entered in this
+        // group includes them (`enter ≤ t`).
+        for touched in self.tick_touched.drain(..) {
+            let sum = std::mem::take(&mut self.tick_sum[touched]);
+            for &index in &self.open {
+                self.rows[touched][index] += sum;
+            }
+        }
+        // Accumulating boundary readings use the last sample with
+        // timestamp ≤ boundary — i.e. this group's final value, whatever
+        // the record order within the group was. The enter reading waits
+        // in the segment's row until the segment closes.
+        for &m in &self.acc_metrics {
+            self.rows[m][self.entered..].fill(self.last_value[m]);
+        }
+        self.entered = self.segments.len();
+        for index in self.closed.drain(..) {
+            for &m in &self.acc_metrics {
+                let row = &mut self.rows[m][index];
+                *row = self.last_value[m].saturating_sub(*row);
+            }
+        }
     }
 }
 
@@ -195,92 +283,39 @@ pub(crate) fn merge_fused(
 }
 
 impl ReplayVisitor for FusedSink {
+    #[inline(always)]
     fn on_enter(&mut self, function: FunctionId, _depth: u32, time: Timestamp) {
-        if function != self.function {
-            return;
+        if function == self.function {
+            self.open_segment(time);
         }
-        let index = self.segments.len();
-        self.segments.push(Segment {
-            process: self.process,
-            ordinal: index as u32,
-            enter: time,
-            leave: time, // finalised on close
-            sync: DurationTicks::ZERO,
-        });
-        for m in 0..self.modes.len() {
-            self.rows[m].push(0);
-            self.acc_start[m].push(0);
-        }
-        self.open.push(index);
-        self.peak_open = self.peak_open.max(self.open.len());
-        self.entered.push(index);
     }
 
+    #[inline(always)]
     fn on_frame(&mut self, frame: &ClosedFrame) {
-        if frame.function != self.function {
-            return;
+        if frame.function == self.function {
+            self.close_segment(frame.leave, frame.sync_within);
         }
-        let index = self.open.pop().expect("balanced segment frames");
-        let seg = &mut self.segments[index];
-        seg.leave = frame.leave;
-        seg.sync = frame.sync_within;
-        if seg.sync > seg.duration() {
-            // SOS-time would underflow; `Segment::sos` clamps it to zero.
-            self.sos_underflows += 1;
-        }
-        self.closed.push(index);
     }
 
+    #[inline(always)]
     fn on_metric(&mut self, metric: MetricId, _time: Timestamp, value: u64) {
-        let Some(mode) = self.modes.get(metric.index()) else {
-            return; // counters disabled
-        };
         let m = metric.index();
-        match mode {
-            MetricMode::Accumulating => self.last_value[m] = value,
-            MetricMode::Delta | MetricMode::Gauge => {
-                if self.tick_sum[m] == 0 && !self.tick_touched.contains(&m) {
-                    self.tick_touched.push(m);
+        match self.modes.get(m) {
+            None => {} // counters disabled
+            Some(MetricMode::Accumulating) => self.last_value[m] = value,
+            Some(MetricMode::Delta | MetricMode::Gauge) => {
+                if self.tick_sum[m] == 0 {
+                    self.touch(m);
                 }
                 self.tick_sum[m] += value;
             }
         }
     }
 
+    #[inline(always)]
     fn on_tick(&mut self, _time: Timestamp) {
-        // The three per-tick lists are drained, not taken, so their
-        // capacity carries over to the next tick; most ticks leave all
-        // three empty, and the emptiness tests skip the drains.
-        //
-        // Delta/gauge samples of this group belong to every segment that
-        // is *still open* at group end: a segment closed in this group
-        // excludes them (`t < leave` is strict) while one entered in this
-        // group includes them (`enter ≤ t`).
-        if !self.tick_touched.is_empty() {
-            for touched in self.tick_touched.drain(..) {
-                let sum = std::mem::take(&mut self.tick_sum[touched]);
-                for &index in &self.open {
-                    self.rows[touched][index] += sum;
-                }
-            }
-        }
-        // Accumulating boundary readings use the last sample with
-        // timestamp ≤ boundary — i.e. this group's final value, whatever
-        // the record order within the group was.
-        if !self.entered.is_empty() {
-            for index in self.entered.drain(..) {
-                for &m in &self.acc_metrics {
-                    self.acc_start[m][index] = self.last_value[m];
-                }
-            }
-        }
-        if !self.closed.is_empty() {
-            for index in self.closed.drain(..) {
-                for &m in &self.acc_metrics {
-                    self.rows[m][index] =
-                        self.last_value[m].saturating_sub(self.acc_start[m][index]);
-                }
-            }
+        if self.tick_pending {
+            self.resolve_tick();
         }
     }
 }

@@ -401,7 +401,7 @@ impl LiveAnalysis {
             let digest = self.tail.prefix_digest();
             let payload = |i| RankRead {
                 bytes: digest.consumed(i),
-                mapped: None,
+                ..RankRead::default()
             };
             (self.folds.into_iter().enumerate())
                 .map(|(i, fold)| Ok(fold.close(payload(i), &close)))

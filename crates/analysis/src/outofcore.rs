@@ -508,6 +508,34 @@ mod tests {
         }
     }
 
+    /// An observed pass splits the fuse stage's busy time: file sources
+    /// into decoding and replaying, the in-memory source into replaying
+    /// alone. The counters match the unobserved run's result.
+    #[test]
+    fn observed_passes_split_decode_and_replay() {
+        let trace = rich_trace(4);
+        let config = AnalysisConfig::default();
+        let expected = analyze(&trace, &config).unwrap();
+        let (archive, pvt) = (tmp("busy.pvta"), tmp("busy.pvt"));
+        write_trace_file(&trace, &archive).unwrap();
+        write_trace_file(&trace, &pvt).unwrap();
+        for path in [&archive, &pvt] {
+            let telemetry = Telemetry::enabled();
+            let result = analyze_path_observed(path, &config, RecoveryMode::Strict, &telemetry);
+            assert_eq!(result.unwrap().analysis, expected, "{}", path.display());
+            let stats = telemetry.snapshot().unwrap();
+            let fuse = stats.stage("fuse").unwrap();
+            assert!(fuse.decode_s > 0.0 && fuse.replay_s > 0.0, "{fuse:?}");
+            assert!(stats.render_table().contains("fuse busy: decode"));
+        }
+        let telemetry = Telemetry::enabled();
+        let in_memory = crate::report::analyze_observed(&trace, &config, &telemetry).unwrap();
+        assert_eq!(in_memory, expected);
+        let stats = telemetry.snapshot().unwrap();
+        let fuse = stats.stage("fuse").unwrap();
+        assert!(fuse.decode_s == 0.0 && fuse.replay_s > 0.0, "{fuse:?}");
+    }
+
     #[test]
     fn buffered_path_equals_mmap_path() {
         let trace = rich_trace(4);

@@ -59,6 +59,7 @@ impl ProfileSink {
 }
 
 impl ReplayVisitor for ProfileSink {
+    #[inline(always)]
     fn on_frame(&mut self, frame: &ClosedFrame) {
         let row = &mut self.rows[frame.function.index()];
         row.count += 1;

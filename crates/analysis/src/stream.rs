@@ -127,6 +127,10 @@ pub struct ReplayMachine {
     sync_role: Vec<bool>,
     stack: Vec<Frame>,
     tick: Option<Timestamp>,
+    /// First and last timestamps of the stream (the last one is set when
+    /// the stream finishes).
+    first: Option<Timestamp>,
+    last: Option<Timestamp>,
     max_depth: usize,
     events: u64,
 }
@@ -141,19 +145,63 @@ impl ReplayMachine {
                 .collect(),
             stack: Vec::new(),
             tick: None,
+            first: None,
+            last: None,
             max_depth: 0,
             events: 0,
         }
     }
 
     /// Feeds one record, firing the due visitor callbacks.
+    ///
+    /// Always inlined, like everything it calls per record: a function
+    /// call per record costs a sizeable share of decoding the record
+    /// (DESIGN.md §4b, "The per-record path").
+    #[inline(always)]
     pub fn step<V: ReplayVisitor>(&mut self, record: &EventRecord, visitor: &mut V) {
         self.events += 1;
-        match self.tick {
-            Some(t) if t != record.time => visitor.on_tick(t),
-            _ => {}
+        self.advance(record.time, visitor);
+        self.apply(record, visitor);
+    }
+
+    /// Feeds a run of records in order, as [`step`](ReplayMachine::step)
+    /// on each would: the loop the chunked drivers run per decoded chunk.
+    /// The current tick stays in a local, so a record of the same tick
+    /// costs one comparison.
+    #[inline]
+    pub fn feed<V: ReplayVisitor>(&mut self, records: &[EventRecord], visitor: &mut V) {
+        let Some((first, rest)) = records.split_first() else {
+            return;
+        };
+        self.events += records.len() as u64;
+        self.advance(first.time, visitor);
+        self.apply(first, visitor);
+        let mut tick = first.time;
+        for record in rest {
+            if record.time != tick {
+                visitor.on_tick(tick);
+                tick = record.time;
+            }
+            self.apply(record, visitor);
         }
-        self.tick = Some(record.time);
+        self.tick = Some(tick);
+    }
+
+    /// Closes the pending tick if `time` starts a new one.
+    #[inline(always)]
+    fn advance<V: ReplayVisitor>(&mut self, time: Timestamp, visitor: &mut V) {
+        if self.tick != Some(time) {
+            match self.tick {
+                Some(t) => visitor.on_tick(t),
+                None => self.first = Some(time),
+            }
+            self.tick = Some(time);
+        }
+    }
+
+    /// The stack-machine transition of one record (ticks aside).
+    #[inline(always)]
+    fn apply<V: ReplayVisitor>(&mut self, record: &EventRecord, visitor: &mut V) {
         match record.event {
             Event::Enter { function } => {
                 visitor.on_enter(function, self.stack.len() as u32, record.time);
@@ -163,7 +211,9 @@ impl ReplayMachine {
                     children_inclusive: 0,
                     sync_within: 0,
                 });
-                self.max_depth = self.max_depth.max(self.stack.len());
+                if self.stack.len() > self.max_depth {
+                    self.max_depth = self.stack.len();
+                }
             }
             Event::Leave { function } => {
                 let frame = self.stack.pop().expect("validated stream: balanced leave");
@@ -197,7 +247,8 @@ impl ReplayMachine {
     /// afterwards.
     pub fn finish<V: ReplayVisitor>(&mut self, visitor: &mut V) {
         debug_assert!(self.stack.is_empty(), "validated stream: balanced");
-        if let Some(t) = self.tick.take() {
+        self.last = self.tick.take();
+        if let Some(t) = self.last {
             visitor.on_tick(t);
         }
         visitor.on_finish();
@@ -221,6 +272,8 @@ impl ReplayMachine {
         ReplayStats {
             events: self.events,
             max_depth: self.max_depth,
+            first: self.first,
+            last: self.last,
         }
     }
 }
@@ -233,6 +286,12 @@ pub struct ReplayStats {
     pub events: u64,
     /// Deepest call stack observed.
     pub max_depth: usize,
+    /// Timestamp of the first record of the last stream fed (`None`
+    /// before any record).
+    pub first: Option<Timestamp>,
+    /// Timestamp of the last record of the last finished stream (`None`
+    /// until a stream with records finishes).
+    pub last: Option<Timestamp>,
 }
 
 /// Replays one process's stream through `visitor` in a single pass.
@@ -288,9 +347,7 @@ pub fn replay_visit<V: ReplayVisitor>(
     visitor: &mut V,
 ) -> ReplayStats {
     let mut machine = ReplayMachine::new(trace.registry());
-    for record in trace.stream(process).records() {
-        machine.step(record, visitor);
-    }
+    machine.feed(trace.stream(process).records(), visitor);
     machine.finish(visitor);
     machine.stats()
 }
@@ -410,6 +467,38 @@ mod tests {
             machine.events_stepped(),
             trace.stream(ProcessId(0)).records().len() as u64
         );
+    }
+
+    /// Chunked feeding fires the same callbacks as stepping record by
+    /// record, wherever the chunk boundaries fall, including between
+    /// two records of one tick, and reports the stream's time extent.
+    #[test]
+    fn feeding_chunks_equals_stepping_records() {
+        let trace = nested_trace();
+        let records = trace.stream(ProcessId(0)).records();
+        let mut stepped = Recorder::default();
+        let mut machine = ReplayMachine::new(trace.registry());
+        for record in records {
+            machine.step(record, &mut stepped);
+        }
+        machine.finish(&mut stepped);
+        let expected = machine.stats();
+        assert_eq!(expected.first, Some(Timestamp(0)));
+        assert_eq!(expected.last, Some(Timestamp(9)));
+        for size in 1..=records.len() {
+            let mut fed = Recorder::default();
+            let mut machine = ReplayMachine::new(trace.registry());
+            machine.feed(&[], &mut fed);
+            for chunk in records.chunks(size) {
+                machine.feed(chunk, &mut fed);
+            }
+            machine.finish(&mut fed);
+            assert_eq!(fed.enters, stepped.enters, "chunks of {size}");
+            assert_eq!(fed.frames, stepped.frames, "chunks of {size}");
+            assert_eq!(fed.metrics, stepped.metrics, "chunks of {size}");
+            assert_eq!(fed.ticks, stepped.ticks, "chunks of {size}");
+            assert_eq!(machine.stats(), expected, "chunks of {size}");
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A stage of the analysis pipeline, for span and counter attribution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,6 +138,15 @@ pub struct StageStats {
     pub events: u64,
     /// Bytes decoded within the stage.
     pub bytes: u64,
+    /// Worker busy time spent decoding records, summed over workers, in
+    /// seconds: one clock pair around each decoded chunk of a file pass
+    /// (`0` for in-memory passes and stages that decode nothing).
+    #[serde(default)]
+    pub decode_s: f64,
+    /// Worker busy time spent replaying decoded records through the
+    /// stack machine and the sinks, summed over workers, in seconds.
+    #[serde(default)]
+    pub replay_s: f64,
 }
 
 impl StageStats {
@@ -224,6 +233,13 @@ impl PipelineStats {
                 s.bytes_per_sec() / (1024.0 * 1024.0),
             );
         }
+        for s in self.stages.iter().filter(|s| s.decode_s + s.replay_s > 0.0) {
+            let _ = writeln!(
+                out,
+                "  {} busy: decode {:.3} s, replay {:.3} s (summed over workers)",
+                s.stage, s.decode_s, s.replay_s,
+            );
+        }
         let _ = writeln!(
             out,
             "  totals: {} events, {} bytes, {} segments",
@@ -292,6 +308,8 @@ struct Agg {
     stage_wall: [f64; Stage::ALL.len()],
     stage_events: [u64; Stage::ALL.len()],
     stage_bytes: [u64; Stage::ALL.len()],
+    stage_decode: [f64; Stage::ALL.len()],
+    stage_replay: [f64; Stage::ALL.len()],
     totals: Counters,
     peaks: Peaks,
 }
@@ -367,6 +385,8 @@ impl Telemetry {
             counters: Counters::default(),
             max_stack_depth: 0,
             max_live_segments: 0,
+            decode: Duration::ZERO,
+            replay: Duration::ZERO,
         }
     }
 
@@ -446,6 +466,8 @@ impl Telemetry {
                 wall_s: agg.stage_wall[s.index()],
                 events: agg.stage_events[s.index()],
                 bytes: agg.stage_bytes[s.index()],
+                decode_s: agg.stage_decode[s.index()],
+                replay_s: agg.stage_replay[s.index()],
             })
             .collect();
         Some(PipelineStats {
@@ -482,6 +504,8 @@ pub struct Worker<'t> {
     counters: Counters,
     max_stack_depth: u64,
     max_live_segments: u64,
+    decode: Duration,
+    replay: Duration,
 }
 
 impl Worker<'_> {
@@ -532,6 +556,17 @@ impl Worker<'_> {
             self.max_live_segments = self.max_live_segments.max(n as u64);
         }
     }
+
+    /// Adds busy time spent decoding records and replaying them (see
+    /// [`StageStats::decode_s`]). Kept apart from [`Counters`], whose
+    /// totals are exact and comparable across runs and shards.
+    #[inline]
+    pub fn busy(&mut self, decode: Duration, replay: Duration) {
+        if self.parent.is_some() {
+            self.decode += decode;
+            self.replay += replay;
+        }
+    }
 }
 
 impl Drop for Worker<'_> {
@@ -543,6 +578,8 @@ impl Drop for Worker<'_> {
             let mut agg = inner.agg.lock().unwrap();
             agg.stage_events[stage.index()] += self.counters.events_replayed;
             agg.stage_bytes[stage.index()] += self.counters.bytes_decoded;
+            agg.stage_decode[stage.index()] += self.decode.as_secs_f64();
+            agg.stage_replay[stage.index()] += self.replay.as_secs_f64();
             agg.totals.merge(&self.counters);
             agg.peaks.max_stack_depth = agg.peaks.max_stack_depth.max(self.max_stack_depth);
             agg.peaks.max_live_segments = agg.peaks.max_live_segments.max(self.max_live_segments);
@@ -654,6 +691,42 @@ mod tests {
         let table = stats.render_table();
         assert!(table.contains("SOS clamped"), "{table}");
         assert!(table.contains("recovered as empty"), "{table}");
+    }
+
+    /// Busy time lands in its stage's `decode_s`/`replay_s`, not in the
+    /// counter totals, and the table prints it under the stages.
+    #[test]
+    fn busy_time_is_recorded_apart_from_the_counters() {
+        let t = Telemetry::enabled();
+        for _ in 0..2 {
+            let mut w = t.worker(Stage::Fuse);
+            w.events(10);
+            w.busy(Duration::from_millis(3), Duration::from_millis(2));
+        }
+        let stats = t.snapshot().unwrap();
+        let fuse = stats.stage("fuse").unwrap();
+        assert!((fuse.decode_s - 0.006).abs() < 1e-9, "{}", fuse.decode_s);
+        assert!((fuse.replay_s - 0.004).abs() < 1e-9, "{}", fuse.replay_s);
+        assert_eq!(stats.totals.events_replayed, 20);
+        let table = stats.render_table();
+        assert!(
+            table.contains("fuse busy: decode 0.006 s, replay 0.004 s"),
+            "{table}"
+        );
+        let noop = Telemetry::noop();
+        let mut w = noop.worker(Stage::Fuse);
+        w.busy(Duration::from_millis(3), Duration::from_millis(2));
+        assert_eq!((w.decode, w.replay), (Duration::ZERO, Duration::ZERO));
+    }
+
+    /// A stats document written before the busy-time split still parses,
+    /// with both fields zero.
+    #[test]
+    fn stage_stats_without_busy_time_parse() {
+        let json = r#"{"stage": "fuse", "wall_s": 0.5, "events": 7, "bytes": 9}"#;
+        let stage: StageStats = serde_json::from_str(json).unwrap();
+        assert_eq!((stage.events, stage.bytes), (7, 9));
+        assert_eq!((stage.decode_s, stage.replay_s), (0.0, 0.0));
     }
 
     #[test]

@@ -76,6 +76,7 @@ fn main() {
     robustness_noise_sweep(&mut report);
     scaling_sweep(&mut report);
     let mut bench = pipeline_benchmark(&mut report, &out_dir);
+    let replay = replay_benchmark(&mut report, &out_dir);
     let serve = serve_benchmark(&mut report, &out_dir);
     let serve_load = serve_load_benchmark(&mut report, &out_dir);
     let regression = regression_benchmark(&mut report, &out_dir);
@@ -85,6 +86,7 @@ fn main() {
     let report_render = report_render_benchmark(&mut report);
     let json_render = json_render_benchmark(&mut report, &out_dir);
     if let serde_json::Value::Object(fields) = &mut bench {
+        fields.push(("replay".to_string(), replay));
         fields.push(("serve".to_string(), serve));
         fields.push(("serve_load".to_string(), serve_load));
         fields.push(("regression".to_string(), regression));
@@ -586,6 +588,14 @@ fn time_interleaved(a: &mut dyn FnMut(), b: &mut dyn FnMut()) -> (Timing, Timing
     (Timing::of_samples(sa), Timing::of_samples(sb))
 }
 
+/// The median of paired per-round statistics (ratios or differences):
+/// one stalled round on either side of a pair moves one sample, not the
+/// verdict.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 /// CI escape hatch: `PERFVAR_BENCH_RELAXED=1` widens the wall-clock
 /// performance gates so the harness still runs end-to-end (and records
 /// real numbers) on slow shared runners. Correctness and shape gates —
@@ -958,9 +968,131 @@ fn pipeline_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value 
     json
 }
 
-/// Measures the analysis daemon's content-addressed cache: cold
-/// (pipeline runs) vs warm (cache hit) latency for the same request,
-/// and verifies the telemetry at `/v1/stats` shows exactly one analysis.
+/// Paired rounds of the REPLAY row (item 10's statistic: the median of
+/// per-round ratios).
+const REPLAY_ROUNDS: usize = 11;
+/// Back-to-back sweeps (and analyses) per REPLAY sample, so every
+/// sample is ≥50 ms of work.
+const REPLAY_RUNS: usize = 3;
+/// The REPLAY gate: the fuse stage over the bare sweep, strict mode.
+const REPLAY_LIMIT: f64 = 2.3;
+
+/// Replay at decode speed: a bare cursor sweep of the pipeline
+/// benchmark's `stencil-scaling.pvta` (every rank's stream decoded in
+/// 1024-record chunks, nothing else) against the `fuse` stage of
+/// one-thread analyses of the same archive (the same decode, plus the
+/// replay machine, the profile and fused sinks and their output), timed
+/// as pairs. The gate is on the median per-round ratio `fuse / sweep`.
+fn replay_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
+    use perfvar_trace::format::cursor::ArchiveCursor;
+    use std::time::Instant;
+
+    let archive = out_dir.join("bench-archives").join("stencil-scaling.pvta");
+    let config = AnalysisConfig {
+        threads: 1,
+        ..AnalysisConfig::default()
+    };
+    let strict = perfvar_analysis::RecoveryMode::Strict;
+    let sweep = || {
+        let cursor = ArchiveCursor::open(&archive).unwrap();
+        let mut chunk = Vec::with_capacity(1024);
+        let mut events = 0u64;
+        for i in 0..cursor.num_processes() {
+            let mut stream = cursor.stream(ProcessId::from_index(i)).unwrap();
+            while stream.next_chunk(&mut chunk, 1024).unwrap() > 0 {
+                events += chunk.len() as u64;
+            }
+        }
+        events
+    };
+    // The fuse stage of one analysis: wall, decode and replay busy time.
+    let fuse = || {
+        let telemetry = perfvar_analysis::Telemetry::enabled();
+        perfvar_analysis::analyze_path_observed(&archive, &config, strict, &telemetry).unwrap();
+        let stats = telemetry.snapshot().unwrap();
+        let fuse = stats.stage("fuse").unwrap();
+        (fuse.wall_s, fuse.decode_s, fuse.replay_s, fuse.events)
+    };
+    let events = sweep();
+    let (mut sweeps, mut fuses, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut decode, mut replay) = (Vec::new(), Vec::new());
+    let mut replayed = 0;
+    for round in 0..REPLAY_ROUNDS {
+        // One sample per side is REPLAY_RUNS runs, taken in alternation
+        // (which side leads alternates by round), so a drift of the host
+        // within a round reaches both sides.
+        let (mut s, mut f, mut d, mut r) = (0.0, 0.0, 0.0, 0.0);
+        for run in 0..REPLAY_RUNS {
+            for side in [(round + run) % 2, (round + run + 1) % 2] {
+                if side == 0 {
+                    let start = Instant::now();
+                    assert_eq!(sweep(), events);
+                    s += start.elapsed().as_secs_f64();
+                } else {
+                    let (wall, dd, rr, n) = fuse();
+                    (f, d, r, replayed) = (f + wall, d + dd, r + rr, n);
+                }
+            }
+        }
+        sweeps.push(s);
+        fuses.push(f);
+        ratios.push(f / s);
+        decode.push(d);
+        replay.push(r);
+    }
+    let ratio = median(ratios.clone());
+    let limit = if bench_relaxed() { 3.0 } else { REPLAY_LIMIT };
+    let per_event = |s: f64| s / (REPLAY_RUNS as u64 * events) as f64 * 1e9;
+    let (sweep_t, fuse_t) = (Timing::of_samples(sweeps), Timing::of_samples(fuses));
+    let (decode_s, replay_s) = (median(decode), median(replay));
+    report.check(
+        "REPLAY at decode speed",
+        &format!(
+            "the fuse stage of a one-thread analysis of the ≥2M-event \
+             stencil-scaling.pvta costs ≤{REPLAY_LIMIT}× a bare cursor sweep of the \
+             same archive (median of {REPLAY_ROUNDS} paired rounds of \
+             {REPLAY_RUNS} runs each; 3× relaxed)"
+        ),
+        format!(
+            "{events} events; sweep median {:.2} ns/event, fuse median {:.2} ns/event \
+             (decode {:.2} + replay {:.2} ns/event of worker busy time); \
+             fuse/sweep median {ratio:.2}× (rounds {:.2}–{:.2}×)",
+            per_event(sweep_t.median),
+            per_event(fuse_t.median),
+            per_event(decode_s),
+            per_event(replay_s),
+            ratios.iter().copied().fold(f64::INFINITY, f64::min),
+            ratios.iter().copied().fold(0.0, f64::max),
+        ),
+        replayed == events && ratio <= limit,
+    );
+    serde_json::json!({
+        "fixture": "stencil-scaling.pvta, 1 thread",
+        "events": events,
+        "rounds": REPLAY_ROUNDS,
+        "runs_per_sample": REPLAY_RUNS,
+        "sweep": sweep_t.to_json(),
+        "fuse": fuse_t.to_json(),
+        "fuse_decode_busy_s": decode_s,
+        "fuse_replay_busy_s": replay_s,
+        "fuse_over_sweep": ratios,
+        "fuse_over_sweep_median": ratio,
+        "limit": limit,
+    })
+}
+
+/// Paired rounds of the SERVE row.
+const SERVE_ROUNDS: usize = 9;
+/// Requests per SERVE sample (each ~2 ms), so a sample is ≥50 ms of
+/// loopback traffic.
+const SERVE_REQUESTS: usize = 24;
+/// The SERVE gate: a warm hit over the bare transfer, strict mode.
+const SERVE_LIMIT: f64 = 1.5;
+
+/// Measures the analysis daemon's content-addressed cache: a warm hit
+/// against a bare loopback transfer of the same body bytes (paired
+/// rounds), the cold request that filled the cache for the record, and
+/// that the telemetry at `/v1/stats` shows exactly one analysis.
 fn serve_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
     use perfvar_analysis::prelude::PipelineStats;
     use perfvar_server::http::percent_encode;
@@ -974,10 +1106,8 @@ fn serve_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
         PipelineStats::from_value(&client::parse_envelope(&resp.body).unwrap().data).unwrap()
     };
 
-    // Large enough that the cold request is dominated by the pipeline
-    // rather than the loopback HTTP round-trip — the single-pass disk
-    // path cut cold latency ~2×, which would otherwise squeeze the
-    // warm/cold ratio on a tiny fixture.
+    // A 4 MB analysis body, so a warm hit is mostly moving bytes over
+    // loopback — what the bare-transfer reference below times.
     let trace = perfvar_bench::counter_stencil_trace(32, 500);
     let archive = out_dir.join("serve-fixture.pvta");
     perfvar_trace::format::write_trace_file(&trace, &archive).unwrap();
@@ -1002,50 +1132,110 @@ fn serve_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
     // frozen through the warm rounds.
     let after_cold = stats_of(&addr);
 
-    let mut warm_s = f64::INFINITY;
-    let warm_rounds = 10usize;
-    for _ in 0..warm_rounds {
+    // The reference the code cannot change: the same body bytes under a
+    // minimal HTTP head, served over loopback by a thread that reads one
+    // request head per connection and writes the response whole.
+    let response = [
+        format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nConnection: close\r\n\r\n",
+            cold.body.len()
+        )
+        .as_bytes(),
+        cold.body.as_bytes(),
+    ]
+    .concat();
+    let bare = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let bare_addr = bare.local_addr().unwrap().to_string();
+    let transfers = SERVE_ROUNDS * SERVE_REQUESTS;
+    let bare_server = std::thread::spawn(move || {
+        use std::io::{BufRead, Write};
+        for stream in bare.incoming().take(transfers) {
+            let mut stream = std::io::BufReader::new(stream.unwrap());
+            let mut line = String::new();
+            while stream.read_line(&mut line).unwrap() > 0 && line != "\r\n" {
+                line.clear();
+            }
+            stream.get_mut().write_all(&response).unwrap();
+        }
+    });
+
+    // Paired rounds of SERVE_REQUESTS back-to-back requests per side;
+    // which side leads alternates by round.
+    let time_requests = |addr: &str, target: &str| {
         let start = Instant::now();
-        let warm = client::get(&addr, &target).unwrap();
-        warm_s = warm_s.min(start.elapsed().as_secs_f64());
-        assert_eq!(warm.body, cold.body, "warm hit must be byte-identical");
+        for _ in 0..SERVE_REQUESTS {
+            let response = client::get(addr, target).unwrap();
+            assert_eq!(response.body, cold.body, "warm hit must be byte-identical");
+        }
+        start.elapsed().as_secs_f64() / SERVE_REQUESTS as f64
+    };
+    let (mut warm, mut reference, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for round in 0..SERVE_ROUNDS {
+        let (w, b) = if round % 2 == 0 {
+            let w = time_requests(&addr, &target);
+            (w, time_requests(&bare_addr, "/"))
+        } else {
+            let b = time_requests(&bare_addr, "/");
+            (time_requests(&addr, &target), b)
+        };
+        warm.push(w);
+        reference.push(b);
+        ratios.push(w / b);
     }
+    bare_server.join().unwrap();
 
     let stats = stats_of(&addr);
     handle.shutdown();
 
     let events = trace.num_events() as u64;
-    let speedup = cold_s / warm_s;
+    let ratio = median(ratios.clone());
+    let (warm_t, bare_t) = (Timing::of_samples(warm), Timing::of_samples(reference));
     let one_analysis = stats.totals.events_replayed > 0
         && stats.totals.events_replayed == after_cold.totals.events_replayed
         && stats.totals.bytes_decoded == after_cold.totals.bytes_decoded;
+    let limit = if bench_relaxed() { 5.0 } else { SERVE_LIMIT };
 
     report.check(
         "SERVE content-addressed result cache",
-        "a warm /v1/analyze hit answers from the cache ≥10× faster than the \
-         cold request that ran the pipeline; /v1/stats telemetry shows the \
-         trace was analyzed exactly once across 1 cold + 10 warm requests \
-         (cold/warm latency recorded in BENCH_pipeline.json)",
+        &format!(
+            "a warm /v1/analyze hit costs ≤{SERVE_LIMIT}× a bare loopback transfer of \
+             the same body bytes (median of {SERVE_ROUNDS} paired rounds of \
+             {SERVE_REQUESTS} requests; 5× relaxed); /v1/stats telemetry shows \
+             the trace was analyzed exactly once across 1 cold + {} warm requests",
+            transfers
+        ),
         format!(
-            "cold {:.1} ms, warm {:.3} ms ({speedup:.2}×); \
+            "cold {:.1} ms; warm median {:.3} ms vs bare transfer median {:.3} ms of \
+             {} KiB: warm/bare median {ratio:.2}× (rounds {:.2}–{:.2}×); \
              {} events replayed across {} requests, unchanged after the \
              cold one (trace has {}, streamed in a single fused pass)",
             cold_s * 1e3,
-            warm_s * 1e3,
+            warm_t.median * 1e3,
+            bare_t.median * 1e3,
+            cold.body.len() / 1024,
+            ratios.iter().copied().fold(f64::INFINITY, f64::min),
+            ratios.iter().copied().fold(0.0, f64::max),
             stats.totals.events_replayed,
-            warm_rounds + 1,
+            transfers + 1,
             events,
         ),
-        speedup >= if bench_relaxed() { 2.0 } else { 10.0 } && one_analysis,
+        ratio <= limit && one_analysis,
     );
 
     serde_json::json!({
         "ranks": 32,
         "events": events,
+        "body_bytes": cold.body.len(),
         "cold_s": cold_s,
-        "warm_best_s": warm_s,
-        "warm_rounds": warm_rounds,
-        "warm_speedup": speedup,
+        "warm": warm_t.to_json(),
+        "bare_transfer": bare_t.to_json(),
+        "rounds": SERVE_ROUNDS,
+        "requests_per_sample": SERVE_REQUESTS,
+        "warm_over_bare": ratios,
+        "warm_over_bare_median": ratio,
+        "limit": limit,
+        "warm_speedup": cold_s / warm_t.median,
         "events_replayed": stats.totals.events_replayed,
     })
 }
@@ -1625,11 +1815,19 @@ fn report_render_benchmark(report: &mut Report) -> serde_json::Value {
     })
 }
 
+/// Samples of the JSON row; each renders the whole document once.
+const JSON_SAMPLES: usize = 15;
+/// The JSON gate: render throughput floor, strict mode, in MB/s. Twice
+/// the analysis time of the parent of this gate (51.2 ms best for
+/// `analyze_path` of the same archive at one thread) over the 55.3 MB
+/// document is 540 MB/s, the old `render ≤ 2 × analyze_path` bound.
+const JSON_FLOOR_MB_S: f64 = 550.0;
+
 /// Times rendering the analysis of the pipeline benchmark's
 /// `stencil-scaling.pvta` as pretty JSON (the `analyze --json` document,
-/// written through `to_writer_pretty` into a sink), interleaved with
-/// the analysis itself: printing the result must not cost more than
-/// computing it.
+/// written through `to_writer_pretty` into a sink) and gates on the
+/// render throughput over that fixed document, which no analysis
+/// speed-up moves.
 fn json_render_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
     let archive = out_dir.join("bench-archives").join("stencil-scaling.pvta");
     let config = AnalysisConfig {
@@ -1641,37 +1839,42 @@ fn json_render_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Val
         .unwrap()
         .analysis;
     let bytes = serde_json::to_string_pretty(&analysis).unwrap().len();
-    let (analyze_t, render_t) = time_interleaved(
-        &mut || {
-            perfvar_analysis::analyze_path_with(&archive, &config, strict).unwrap();
-        },
-        &mut || {
-            serde_json::to_writer_pretty(std::io::sink(), &analysis).unwrap();
-        },
+    let render_t = Timing::of_samples(
+        (0..JSON_SAMPLES)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                serde_json::to_writer_pretty(std::io::sink(), &analysis).unwrap();
+                start.elapsed().as_secs_f64()
+            })
+            .collect(),
     );
     let mb_per_s = bytes as f64 / render_t.best / 1e6;
-    let ratio = render_t.best / analyze_t.best;
+    let floor = if bench_relaxed() {
+        150.0
+    } else {
+        JSON_FLOOR_MB_S
+    };
     report.check(
         "JSON render of an analysis",
-        "the direct JSON writer renders the analysis of the ≥2M-event \
-         stencil-scaling.pvta in at most 2× the analyze_path wall time of \
-         the same archive (1 thread)",
+        &format!(
+            "the direct JSON writer renders the analysis document of the \
+             ≥2M-event stencil-scaling.pvta at ≥{JSON_FLOOR_MB_S:.0} MB/s \
+             (best of {JSON_SAMPLES}; 150 MB/s relaxed)"
+        ),
         format!(
-            "render best {:.1} ms, median {:.1} ms ({mb_per_s:.0} MB/s, {} KiB); \
-             analyze_path best {:.1} ms; render/analyze {ratio:.2}×",
+            "{mb_per_s:.0} MB/s over {} KiB: render best {:.1} ms, median {:.1} ms (σ {:.1} ms)",
+            bytes / 1024,
             render_t.best * 1e3,
             render_t.median * 1e3,
-            bytes / 1024,
-            analyze_t.best * 1e3,
+            render_t.stddev * 1e3,
         ),
-        ratio <= 2.0,
+        mb_per_s >= floor,
     );
     serde_json::json!({
-        "fixture": "stencil-scaling.pvta, analyze_path, 1 thread",
+        "fixture": "stencil-scaling.pvta analysis document, pretty",
         "bytes": bytes,
         "render": render_t.to_json(),
         "render_mb_per_s": mb_per_s,
-        "analyze": analyze_t.to_json(),
-        "render_over_analyze": ratio,
+        "floor_mb_per_s": floor,
     })
 }

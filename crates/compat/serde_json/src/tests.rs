@@ -545,6 +545,8 @@ impl Strategy for RandomStats {
                     wall_s: tricky_f64(rng),
                     events: rng.next_u64(),
                     bytes: rng.next_u64() >> 8,
+                    decode_s: tricky_f64(rng),
+                    replay_s: tricky_f64(rng),
                 })
                 .collect(),
             totals,
