@@ -525,7 +525,7 @@ mod tests {
     use perfvar_trace::{Clock, FunctionRole, Timestamp, Trace, TraceBuilder};
 
     /// `groups` gives, per process, the per-iteration loads.
-    fn trace_with_loads(groups: &[Vec<u64>]) -> SosMatrix {
+    fn trace_with_loads(groups: &[Vec<u64>]) -> Segmentation {
         let mut b = TraceBuilder::new(Clock::microseconds());
         let f = b.define_function("iter", FunctionRole::Compute);
         for loads in groups {
@@ -539,13 +539,14 @@ mod tests {
             }
         }
         let trace: Trace = b.finish().unwrap();
-        SosMatrix::from_segmentation(&Segmentation::new(&trace, &replay_all(&trace), f))
+        Segmentation::new(&trace, &replay_all(&trace), f)
     }
 
     #[test]
     fn identical_processes_form_one_cluster() {
         let m = trace_with_loads(&vec![vec![100, 100, 100]; 6]);
-        let c = ProcessClustering::compute(&m, ClusterConfig::default());
+        let c =
+            ProcessClustering::compute(&SosMatrix::from_segmentation(&m), ClusterConfig::default());
         assert_eq!(c.len(), 1);
         assert_eq!(c.clusters[0].members.len(), 6);
         assert!(c.minority_clusters().is_empty());
@@ -556,7 +557,8 @@ mod tests {
         let mut groups = vec![vec![100u64, 100, 100]; 5];
         groups.extend(vec![vec![300u64, 320, 310]; 3]);
         let m = trace_with_loads(&groups);
-        let c = ProcessClustering::compute(&m, ClusterConfig::default());
+        let c =
+            ProcessClustering::compute(&SosMatrix::from_segmentation(&m), ClusterConfig::default());
         assert_eq!(c.len(), 2, "{c:?}");
         assert_eq!(c.clusters[0].members.len(), 5); // largest first
         assert_eq!(c.clusters[1].members.len(), 3);
@@ -571,7 +573,7 @@ mod tests {
         groups.push(vec![900u64; 4]);
         let m = trace_with_loads(&groups);
         let c = ProcessClustering::compute(
-            &m,
+            &SosMatrix::from_segmentation(&m),
             ClusterConfig {
                 num_clusters: Some(2),
                 ..ClusterConfig::default()
@@ -591,7 +593,8 @@ mod tests {
             vec![500, 500],
         ];
         let m = trace_with_loads(&groups);
-        let c = ProcessClustering::compute(&m, ClusterConfig::default());
+        let c =
+            ProcessClustering::compute(&SosMatrix::from_segmentation(&m), ClusterConfig::default());
         let big = &c.clusters[0];
         assert!(big.members.contains(&big.representative));
         // Centroid of {100,110,90} is 100 → representative is process 0.
@@ -602,7 +605,8 @@ mod tests {
     fn cluster_of_lookup() {
         let groups = vec![vec![100u64; 3]; 3];
         let m = trace_with_loads(&groups);
-        let c = ProcessClustering::compute(&m, ClusterConfig::default());
+        let c =
+            ProcessClustering::compute(&SosMatrix::from_segmentation(&m), ClusterConfig::default());
         assert!(c.cluster_of(ProcessId(2)).is_some());
         assert!(c.cluster_of(ProcessId(9)).is_none());
     }
@@ -610,7 +614,8 @@ mod tests {
     #[test]
     fn empty_matrix_clusters_to_nothing() {
         let m = trace_with_loads(&[]);
-        let c = ProcessClustering::compute(&m, ClusterConfig::default());
+        let c =
+            ProcessClustering::compute(&SosMatrix::from_segmentation(&m), ClusterConfig::default());
         assert!(c.is_empty());
     }
 
@@ -618,7 +623,8 @@ mod tests {
     fn ragged_rows_are_padded() {
         let groups = vec![vec![100u64, 100, 100], vec![100, 100]];
         let m = trace_with_loads(&groups);
-        let c = ProcessClustering::compute(&m, ClusterConfig::default());
+        let c =
+            ProcessClustering::compute(&SosMatrix::from_segmentation(&m), ClusterConfig::default());
         // The missing third segment (padded 0) makes process 1 distinct
         // at the default threshold of 0.25·RMS.
         assert_eq!(c.len(), 2);
@@ -632,7 +638,8 @@ mod tests {
         // one-cluster-per-process (regression: the threshold used to be
         // scaled by `rms.max(EPSILON)`, leaving the intent implicit).
         let m = trace_with_loads(&vec![vec![0u64, 0, 0]; 5]);
-        let c = ProcessClustering::compute(&m, ClusterConfig::default());
+        let c =
+            ProcessClustering::compute(&SosMatrix::from_segmentation(&m), ClusterConfig::default());
         assert_eq!(c.len(), 1, "{c:?}");
         assert_eq!(c.clusters[0].members.len(), 5);
         assert!(c.clusters[0].centroid.iter().all(|&v| v == 0.0));
@@ -641,7 +648,8 @@ mod tests {
     #[test]
     fn single_process_is_its_own_cluster() {
         let m = trace_with_loads(&[vec![100u64, 200, 300]]);
-        let c = ProcessClustering::compute(&m, ClusterConfig::default());
+        let c =
+            ProcessClustering::compute(&SosMatrix::from_segmentation(&m), ClusterConfig::default());
         assert_eq!(c.len(), 1);
         assert_eq!(c.clusters[0].members, vec![ProcessId(0)]);
         assert_eq!(c.clusters[0].representative, ProcessId(0));
@@ -654,7 +662,7 @@ mod tests {
         // the pair with the lowest member rank, i.e. {0,1} | {2}.
         let m = trace_with_loads(&[vec![0u64; 2], vec![100u64; 2], vec![200u64; 2]]);
         let c = ProcessClustering::compute(
-            &m,
+            &SosMatrix::from_segmentation(&m),
             ClusterConfig {
                 num_clusters: Some(2),
                 ..ClusterConfig::default()
@@ -677,7 +685,7 @@ mod tests {
         ];
         let m = trace_with_loads(&groups);
         let c = ProcessClustering::compute(
-            &m,
+            &SosMatrix::from_segmentation(&m),
             ClusterConfig {
                 num_clusters: Some(3),
                 ..ClusterConfig::default()
@@ -694,7 +702,8 @@ mod tests {
         groups.push((0..8).map(|i| 100 + 40 * i).collect());
         groups.push((0..8).map(|i| 100 + 50 * i).collect());
         let m = trace_with_loads(&groups);
-        let c = ProcessClustering::compute(&m, ClusterConfig::default());
+        let c =
+            ProcessClustering::compute(&SosMatrix::from_segmentation(&m), ClusterConfig::default());
         assert!(c.len() >= 2);
         let minority: Vec<u32> = c
             .minority_clusters()
@@ -714,19 +723,26 @@ mod tests {
         // 2 into 1 moves that centroid to (100, 0), 180 from slot 0 —
         // closer than slot 0's cached neighbour 3 — so {0, 1, 2} must
         // merge next, as the full rescan finds.
-        let m =
-            SosMatrix::from_sos_rows(&[vec![100, 180], vec![0, 0], vec![200, 0], vec![100, 383]]);
+        let m = Segmentation::from_sos_rows(&[
+            vec![100, 180],
+            vec![0, 0],
+            vec![200, 0],
+            vec![100, 383],
+        ]);
         let config = ClusterConfig {
             num_clusters: Some(2),
             ..ClusterConfig::default()
         };
-        let c = ProcessClustering::compute(&m, config);
+        let c = ProcessClustering::compute(&SosMatrix::from_segmentation(&m), config);
         assert_eq!(
             c.clusters[0].members,
             vec![ProcessId(0), ProcessId(1), ProcessId(2)]
         );
         assert_eq!(c.clusters[1].members, vec![ProcessId(3)]);
-        assert_eq!(oracle::bits(&c), oracle::bits(&oracle::compute(&m, config)));
+        assert_eq!(
+            oracle::bits(&c),
+            oracle::bits(&oracle::compute(&SosMatrix::from_segmentation(&m), config))
+        );
     }
 
     mod properties {
@@ -785,14 +801,14 @@ mod tests {
                 num_clusters in oracle::arb_num_clusters(),
                 threshold in prop_oneof![Just(0.0f64), 0.0f64..1.0],
             ) {
-                let m = SosMatrix::from_sos_rows(&rows);
+                let m = Segmentation::from_sos_rows(&rows);
                 let config = ClusterConfig {
                     distance_threshold: threshold,
                     num_clusters,
                 };
                 prop_assert_eq!(
-                    oracle::bits(&ProcessClustering::compute(&m, config)),
-                    oracle::bits(&oracle::compute(&m, config))
+                    oracle::bits(&ProcessClustering::compute(&SosMatrix::from_segmentation(&m), config)),
+                    oracle::bits(&oracle::compute(&SosMatrix::from_segmentation(&m), config))
                 );
             }
         }
@@ -803,8 +819,8 @@ mod tests {
             #[test]
             fn deterministic_across_repeated_runs(groups in arb_groups()) {
                 let m = trace_with_loads(&groups);
-                let a = ProcessClustering::compute(&m, ClusterConfig::default());
-                let b = ProcessClustering::compute(&m, ClusterConfig::default());
+                let a = ProcessClustering::compute(&SosMatrix::from_segmentation(&m), ClusterConfig::default());
+                let b = ProcessClustering::compute(&SosMatrix::from_segmentation(&m), ClusterConfig::default());
                 prop_assert_eq!(a, b);
             }
 
@@ -815,7 +831,7 @@ mod tests {
             ) {
                 let m = trace_with_loads(&groups);
                 let c = ProcessClustering::compute(
-                    &m,
+                    &SosMatrix::from_segmentation(&m),
                     ClusterConfig { num_clusters: Some(k), ..ClusterConfig::default() },
                 );
                 prop_assert!(c.len() <= k, "{} clusters > bound {}", c.len(), k);
@@ -834,9 +850,9 @@ mod tests {
                 let permuted: Vec<Vec<u64>> =
                     perm.iter().map(|&orig| groups[orig].clone()).collect();
                 let c_orig = ProcessClustering::compute(
-                    &trace_with_loads(&groups), ClusterConfig::default());
+                    &SosMatrix::from_segmentation(&trace_with_loads(&groups)), ClusterConfig::default());
                 let c_perm = ProcessClustering::compute(
-                    &trace_with_loads(&permuted), ClusterConfig::default());
+                    &SosMatrix::from_segmentation(&trace_with_loads(&permuted)), ClusterConfig::default());
                 let orig_sets = member_sets(&c_orig, |i| i);
                 let perm_sets = member_sets(&c_perm, |i| perm[i]);
                 prop_assert_eq!(orig_sets, perm_sets);
@@ -857,7 +873,7 @@ mod tests {
                 let num_clusters = (k < 9).then_some(k);
                 let m = trace_with_loads(&vec![vec![load; width]; n]);
                 let c = ProcessClustering::compute(
-                    &m,
+                    &SosMatrix::from_segmentation(&m),
                     ClusterConfig { num_clusters, ..ClusterConfig::default() },
                 );
                 // Identical profiles always collapse to one cluster

@@ -272,7 +272,7 @@ impl RunComparison {
         after: &Analysis,
         after_functions: &[String],
     ) -> RunComparison {
-        let mut cmp = RunComparison::compare(&before.sos, &after.sos);
+        let mut cmp = RunComparison::compare(&before.sos(), &after.sos());
         cmp.functions = function_deltas(
             &before.profiles,
             before_functions,
@@ -514,7 +514,7 @@ mod tests {
     use crate::segment::Segmentation;
     use perfvar_trace::{Clock, FunctionRole, Timestamp, Trace, TraceBuilder};
 
-    fn matrix_with_loads(groups: &[Vec<u64>]) -> SosMatrix {
+    fn matrix_with_loads(groups: &[Vec<u64>]) -> Segmentation {
         let mut b = TraceBuilder::new(Clock::microseconds());
         let f = b.define_function("iter", FunctionRole::Compute);
         for loads in groups {
@@ -528,13 +528,13 @@ mod tests {
             }
         }
         let trace: Trace = b.finish().unwrap();
-        SosMatrix::from_segmentation(&Segmentation::new(&trace, &replay_all(&trace), f))
+        Segmentation::new(&trace, &replay_all(&trace), f)
     }
 
     #[test]
     fn summary_of_balanced_run() {
         let m = matrix_with_loads(&vec![vec![100u64; 4]; 3]);
-        let s = RunSummary::from_matrix(&m);
+        let s = RunSummary::from_matrix(&SosMatrix::from_segmentation(&m));
         assert_eq!(s.processes, 3);
         assert_eq!(s.total_sos, 1200);
         assert_eq!(s.max_process_sos, 400);
@@ -546,7 +546,7 @@ mod tests {
     fn imbalance_index_of_skewed_run() {
         // One process does 3× the work: max 300, mean 150 → index 0.5.
         let m = matrix_with_loads(&[vec![100u64], vec![100], vec![100], vec![300]]);
-        let s = RunSummary::from_matrix(&m);
+        let s = RunSummary::from_matrix(&SosMatrix::from_segmentation(&m));
         assert_eq!(s.max_process_sos, 300);
         assert!((s.imbalance_index - 0.5).abs() < 1e-12);
     }
@@ -558,7 +558,10 @@ mod tests {
         loads[4] = 1000;
         let spiky = matrix_with_loads(&[loads]);
         let flat = matrix_with_loads(&[vec![100u64; 10]]);
-        let cmp = RunComparison::compare(&flat, &spiky);
+        let cmp = RunComparison::compare(
+            &SosMatrix::from_segmentation(&flat),
+            &SosMatrix::from_segmentation(&spiky),
+        );
         assert_eq!(cmp.after.total_sos, 1900);
         assert_eq!(cmp.verdict(0.05).class, VerdictClass::Noise);
     }
@@ -572,13 +575,22 @@ mod tests {
             vec![160; 8], // one rank persistently 60 % slower
             vec![100; 8],
         ]);
-        let cmp = RunComparison::compare(&base, &slow);
+        let cmp = RunComparison::compare(
+            &SosMatrix::from_segmentation(&base),
+            &SosMatrix::from_segmentation(&slow),
+        );
         let v = cmp.verdict(DEFAULT_NOISE_THRESHOLD);
         assert_eq!(v.class, VerdictClass::Regression);
         assert!((v.relative_change - 0.6).abs() < 1e-9);
-        let back = RunComparison::compare(&slow, &base);
+        let back = RunComparison::compare(
+            &SosMatrix::from_segmentation(&slow),
+            &SosMatrix::from_segmentation(&base),
+        );
         assert_eq!(back.verdict(0.05).class, VerdictClass::Improvement);
-        let same = RunComparison::compare(&base, &base);
+        let same = RunComparison::compare(
+            &SosMatrix::from_segmentation(&base),
+            &SosMatrix::from_segmentation(&base),
+        );
         assert_eq!(same.verdict(0.05).class, VerdictClass::Noise);
         assert!(format!("{v}").contains("regression"));
     }
@@ -587,7 +599,10 @@ mod tests {
     fn comparison_shows_fix_effect() {
         let before = matrix_with_loads(&[vec![120u64], vec![120], vec![120], vec![300]]);
         let after = matrix_with_loads(&[vec![165u64], vec![165], vec![165], vec![165]]);
-        let cmp = RunComparison::compare(&before, &after);
+        let cmp = RunComparison::compare(
+            &SosMatrix::from_segmentation(&before),
+            &SosMatrix::from_segmentation(&after),
+        );
         assert!(cmp.imbalance_change() < -0.2);
         let top = cmp.largest_changes(1);
         assert_eq!(top[0].process, ProcessId(3));
@@ -601,7 +616,10 @@ mod tests {
     fn differing_process_counts_record_unmatched_ranks() {
         let before = matrix_with_loads(&[vec![100u64], vec![100], vec![100]]);
         let after = matrix_with_loads(&[vec![100u64], vec![200]]);
-        let cmp = RunComparison::compare(&before, &after);
+        let cmp = RunComparison::compare(
+            &SosMatrix::from_segmentation(&before),
+            &SosMatrix::from_segmentation(&after),
+        );
         assert_eq!(cmp.deltas.len(), 2);
         assert_eq!(cmp.before.processes, 3);
         assert_eq!(cmp.after.processes, 2);
@@ -612,7 +630,10 @@ mod tests {
         assert!(text.contains("unmatched ranks"));
         assert!(text.contains("baseline-only [P2]"));
 
-        let grown = RunComparison::compare(&after, &before);
+        let grown = RunComparison::compare(
+            &SosMatrix::from_segmentation(&after),
+            &SosMatrix::from_segmentation(&before),
+        );
         assert_eq!(grown.unmatched_after, vec![ProcessId(2)]);
         assert!(grown.unmatched_before.is_empty());
     }
@@ -620,7 +641,10 @@ mod tests {
     #[test]
     fn matched_process_counts_have_no_unmatched_ranks() {
         let m = matrix_with_loads(&[vec![100u64], vec![100]]);
-        let cmp = RunComparison::compare(&m, &m);
+        let cmp = RunComparison::compare(
+            &SosMatrix::from_segmentation(&m),
+            &SosMatrix::from_segmentation(&m),
+        );
         assert!(cmp.unmatched_before.is_empty());
         assert!(cmp.unmatched_after.is_empty());
         assert!(!cmp.render_text().contains("unmatched"));
@@ -639,7 +663,10 @@ mod tests {
     #[test]
     fn empty_runs_compare() {
         let empty = matrix_with_loads(&[]);
-        let cmp = RunComparison::compare(&empty, &empty);
+        let cmp = RunComparison::compare(
+            &SosMatrix::from_segmentation(&empty),
+            &SosMatrix::from_segmentation(&empty),
+        );
         assert_eq!(cmp.deltas.len(), 0);
         assert_eq!(cmp.imbalance_change(), 0.0);
         assert_eq!(cmp.verdict(0.05).class, VerdictClass::Noise);

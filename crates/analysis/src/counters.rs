@@ -387,10 +387,10 @@ mod tests {
                 rows.into_iter().unzip();
             let counters =
                 CounterMatrix::from_parts(MetricId(0), MetricMode::Delta, counter_rows);
-            let sos = SosMatrix::from_sos_rows(&sos_rows);
+            let sos = Segmentation::from_sos_rows(&sos_rows);
             prop_assert_eq!(
-                correlate_with_sos(&counters, &sos).map(f64::to_bits),
-                oracle_correlate_with_sos(&counters, &sos).map(f64::to_bits)
+                correlate_with_sos(&counters, &SosMatrix::from_segmentation(&sos)).map(f64::to_bits),
+                oracle_correlate_with_sos(&counters, &SosMatrix::from_segmentation(&sos)).map(f64::to_bits)
             );
         }
     }
@@ -401,16 +401,22 @@ mod tests {
         // the three covered segments pair up.
         let counters =
             CounterMatrix::from_parts(MetricId(0), MetricMode::Delta, vec![vec![1, 2, 9], vec![3]]);
-        let sos = SosMatrix::from_sos_rows(&[vec![10, 20], vec![30, 40, 50]]);
-        let r = correlate_with_sos(&counters, &sos).unwrap();
+        let sos = Segmentation::from_sos_rows(&[vec![10, 20], vec![30, 40, 50]]);
+        let r = correlate_with_sos(&counters, &SosMatrix::from_segmentation(&sos)).unwrap();
         assert!((r - 1.0).abs() < 1e-12, "r = {r}");
         // A constant counter has zero variance.
         let flat = CounterMatrix::from_parts(MetricId(0), MetricMode::Delta, vec![vec![4, 4, 4]]);
-        let sos = SosMatrix::from_sos_rows(&[vec![1, 2, 3]]);
-        assert_eq!(correlate_with_sos(&flat, &sos), None);
+        let sos = Segmentation::from_sos_rows(&[vec![1, 2, 3]]);
+        assert_eq!(
+            correlate_with_sos(&flat, &SosMatrix::from_segmentation(&sos)),
+            None
+        );
         // One covered pair is too few.
         let one = CounterMatrix::from_parts(MetricId(0), MetricMode::Delta, vec![vec![4, 5]]);
-        let sos = SosMatrix::from_sos_rows(&[vec![1]]);
-        assert_eq!(correlate_with_sos(&one, &sos), None);
+        let sos = Segmentation::from_sos_rows(&[vec![1]]);
+        assert_eq!(
+            correlate_with_sos(&one, &SosMatrix::from_segmentation(&sos)),
+            None
+        );
     }
 }

@@ -128,10 +128,10 @@ pub fn diagnose_analysis(
     counter_names: &[String],
     config: &DiagnoseConfig,
 ) -> Diagnosis {
-    let n = analysis.sos.num_processes();
-    let clustering = cluster_summarised(&analysis.sos, config);
+    let n = analysis.sos().num_processes();
+    let clustering = cluster_summarised(&analysis.sos(), config);
     let wave = detect_wave(analysis);
-    let totals = analysis.sos.process_totals();
+    let totals = analysis.sos().process_totals();
 
     // Decorate clusters with spread and cause labels.
     let baseline_median = clustering
@@ -386,10 +386,10 @@ fn diagnosis_findings(
     if let Some(w) = wave {
         // The wave accounts for the run's waiting time; rank it by the
         // larger of its direct cost and the overall waste it explains.
-        let total: u64 = (0..analysis.sos.num_processes())
+        let total: u64 = (0..analysis.sos().num_processes())
             .map(|p| {
                 analysis
-                    .sos
+                    .sos()
                     .process_durations(ProcessId::from_index(p))
                     .iter()
                     .map(|d| d.0)
@@ -399,7 +399,7 @@ fn diagnosis_findings(
         let front_cost: u64 = w
             .affected
             .iter()
-            .map(|p| peak_wait_of(&analysis.sos, *p).0)
+            .map(|p| peak_wait_of(&analysis.sos(), *p).0)
             .sum();
         let fraction = if total > 0 {
             front_cost as f64 / total as f64
@@ -572,7 +572,7 @@ fn peak_wait_of(m: &SosMatrix, p: ProcessId) -> DurationTicks {
 /// waiting rank peaks at the *same* ordinal (typically the last), and
 /// background jitter fails the diagonal fit.
 fn detect_wave(analysis: &Analysis) -> Option<WaveDiagnosis> {
-    let m = &analysis.sos;
+    let m = &analysis.sos();
     let n = m.num_processes();
     if n < 3 {
         return None;
@@ -1245,7 +1245,7 @@ mod tests {
                 threshold in prop_oneof![Just(0.0f64), 0.0f64..1.0],
                 exact in 0usize..2,
             ) {
-                let m = SosMatrix::from_sos_rows(&rows);
+                let m = crate::segment::Segmentation::from_sos_rows(&rows);
                 let config = DiagnoseConfig {
                     cluster: ClusterConfig {
                         distance_threshold: threshold,
@@ -1255,8 +1255,8 @@ mod tests {
                     exact_threshold: [512, 0][exact],
                 };
                 prop_assert_eq!(
-                    bits(&cluster_summarised(&m, &config)),
-                    bits(&oracle::cluster_summarised(&m, &config))
+                    bits(&cluster_summarised(&SosMatrix::from_segmentation(&m), &config)),
+                    bits(&oracle::cluster_summarised(&SosMatrix::from_segmentation(&m), &config))
                 );
             }
         }

@@ -156,7 +156,7 @@ fn findings_impl(clock: Clock, registry: &Registry, analysis: &Analysis) -> Vec<
     // Regime switches (distinct from gradual drift): phase detection on
     // the per-ordinal duration series.
     let phases = crate::phases::PhaseDetection::detect_durations(
-        &analysis.sos,
+        &analysis.sos(),
         crate::phases::PhaseConfig::default(),
     );
     if phases.len() > 1 {

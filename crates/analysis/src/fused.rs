@@ -26,7 +26,7 @@
 
 use crate::counters::CounterMatrix;
 use crate::parallel::par_map_processes;
-use crate::segment::{Segment, Segmentation};
+use crate::segment::{SegmentColumns, Segmentation, Segments};
 use crate::stream::{replay_visit, ClosedFrame, ReplayVisitor};
 use perfvar_trace::{DurationTicks, FunctionId, MetricId, MetricMode, ProcessId, Timestamp, Trace};
 
@@ -39,9 +39,10 @@ pub struct FusedSegments {
     pub counters: Vec<CounterMatrix>,
 }
 
-/// One process's fused-pass partial: its segments (in enter order) plus
-/// one counter row per metric channel, `[metric][segment]`.
-pub(crate) type FusedPartial = (Vec<Segment>, Vec<Vec<u64>>);
+/// One process's fused-pass partial: its row of the segment table (in
+/// enter order) plus one counter row per metric channel,
+/// `[metric][segment]`.
+pub(crate) type FusedPartial = (SegmentColumns, Vec<Vec<u64>>);
 
 /// Per-process sink folding segments and counter rows in one pass.
 /// Shared by [`fuse_segments`], the analysis driver behind
@@ -59,8 +60,9 @@ pub(crate) struct FusedSink {
     function: FunctionId,
     /// Metric modes by metric index; empty disables counter tracking.
     modes: Vec<MetricMode>,
-    /// Completed and in-flight segments, in enter order.
-    segments: Vec<Segment>,
+    /// Completed and in-flight segments, in enter order: the process's
+    /// row of the segment table, filled in place.
+    segments: SegmentColumns,
     /// Counter rows, `[metric][segment]`, filled as segments close. While
     /// a segment is open, an accumulating channel's entry holds the
     /// reading at its enter boundary.
@@ -90,7 +92,7 @@ pub(crate) struct FusedSink {
     peak_open: usize,
     /// Segments whose contained sync time exceeded their inclusive time
     /// (possible after timestamp repair on malformed streams); their SOS
-    /// is clamped to zero by [`Segment::sos`], and the telemetry layer
+    /// is clamped to zero, and the telemetry layer
     /// surfaces the count.
     sos_underflows: u64,
 }
@@ -112,7 +114,7 @@ impl FusedSink {
             process,
             function,
             modes,
-            segments: Vec::new(),
+            segments: SegmentColumns::default(),
             rows: vec![Vec::new(); nm],
             last_value: vec![0; nm],
             tick_sum: vec![0; nm],
@@ -144,8 +146,8 @@ impl FusedSink {
 
     /// All segments emitted so far, in enter order (a suffix may still
     /// be in flight — see [`first_open`](FusedSink::first_open)).
-    pub(crate) fn segments(&self) -> &[Segment] {
-        &self.segments
+    pub(crate) fn segments(&self) -> Segments<'_> {
+        self.segments.view(self.process)
     }
 
     /// Index of the earliest-entered segment that is still open, if any.
@@ -159,14 +161,7 @@ impl FusedSink {
     /// Opens a segment of the target function at `time`.
     #[inline(never)]
     fn open_segment(&mut self, time: Timestamp) {
-        let index = self.segments.len();
-        self.segments.push(Segment {
-            process: self.process,
-            ordinal: index as u32,
-            enter: time,
-            leave: time, // finalised on close
-            sync: DurationTicks::ZERO,
-        });
+        let index = self.segments.open(time);
         for row in &mut self.rows {
             row.push(0);
         }
@@ -179,11 +174,8 @@ impl FusedSink {
     #[inline(never)]
     fn close_segment(&mut self, leave: Timestamp, sync: DurationTicks) {
         let index = self.open.pop().expect("balanced segment frames");
-        let seg = &mut self.segments[index];
-        seg.leave = leave;
-        seg.sync = sync;
-        if seg.sync > seg.duration() {
-            // SOS-time would underflow; `Segment::sos` clamps it to zero.
+        if self.segments.close(index, leave, sync) {
+            // SOS-time would underflow; the table clamps it to zero.
             self.sos_underflows += 1;
         }
         if !self.acc_metrics.is_empty() {
@@ -268,7 +260,7 @@ pub(crate) fn merge_fused(
             values[m].push(row);
         }
     }
-    let segmentation = Segmentation::from_parts(function, per_process);
+    let segmentation = Segmentation::from_rows(function, per_process);
     // `values` is empty when counters are disabled, so the zip yields
     // nothing in that case.
     let counters = registry
@@ -368,7 +360,9 @@ mod tests {
         assert_eq!(sink.peak_open(), 1);
         let (segments, _) = sink.into_parts();
         assert_eq!(segments.len(), 1);
-        assert_eq!(segments[0].sos(), DurationTicks::ZERO);
+        let segment = segments.view(ProcessId(0)).get(0).unwrap();
+        assert_eq!(segment.sos(), DurationTicks::ZERO);
+        assert_eq!(segment.sync, DurationTicks(9));
     }
 
     /// Well-formed frames (sync ≤ duration) never trip the counter.

@@ -78,26 +78,75 @@ pub struct ImbalanceAnalysis {
 impl ImbalanceAnalysis {
     /// Detects imbalances in `matrix` using `config`.
     pub fn detect(matrix: &SosMatrix, config: ImbalanceConfig) -> ImbalanceAnalysis {
-        // --- per-segment outliers ---
-        let scorer = RobustScorer::fit(|| matrix.iter_sos().map(|(_, _, v)| v.0 as f64));
-        let mut segment_outliers: Vec<Outlier> = matrix
-            .iter_sos()
-            .filter_map(|(p, i, v)| {
+        ImbalanceAnalysis::detect_with_waste(matrix, config).0
+    }
+
+    /// [`detect`](ImbalanceAnalysis::detect) and
+    /// [`WasteAnalysis::compute`] in two walks over the columns: the
+    /// first gathers the process totals, the per-ordinal SOS maxima and
+    /// the per-ordinal duration sums; after the segment scorer is fitted
+    /// on integers, the second flags segment outliers
+    /// and sums the waste.
+    pub fn detect_with_waste(
+        matrix: &SosMatrix,
+        config: ImbalanceConfig,
+    ) -> (ImbalanceAnalysis, WasteAnalysis) {
+        let rows = || {
+            (0..matrix.num_processes()).map(|p| {
+                let pid = ProcessId::from_index(p);
+                (matrix.process_sos(pid), matrix.process_durations(pid))
+            })
+        };
+        let width = rows().map(|(sos, _)| sos.len()).max().unwrap_or(0);
+        let mut totals = Vec::with_capacity(matrix.num_processes());
+        let mut maxima = vec![0u64; width];
+        let mut duration_sums = vec![0.0f64; width];
+        let mut counts = vec![0usize; width];
+        for (sos, durations) in rows() {
+            for count in &mut counts[..sos.len()] {
+                *count += 1;
+            }
+            let mut total = 0u64;
+            let columns = maxima
+                .iter_mut()
+                .zip(&mut duration_sums)
+                .zip(sos)
+                .zip(durations);
+            for (((max, sum), v), d) in columns {
+                total += v.0;
+                *max = (*max).max(v.0);
+                *sum += d.0 as f64;
+            }
+            totals.push(total);
+        }
+
+        // --- per-segment outliers, and the waste of each ordinal ---
+        let scorer = RobustScorer::fit_ticks(|| rows().map(|(sos, _)| sos));
+        let mut segment_outliers = Vec::new();
+        let mut per_ordinal = vec![0u64; width];
+        for (p, (sos, _)) in rows().enumerate() {
+            for ((waste, max), v) in per_ordinal.iter_mut().zip(&maxima).zip(sos) {
+                *waste += max - v.0;
+            }
+            for (i, &v) in sos.iter().enumerate() {
                 let score = scorer.score(v.0 as f64);
                 let excess_ok = scorer.median > 0.0
                     && v.0 as f64 >= scorer.median * (1.0 + config.min_relative_excess);
-                (score >= config.z_threshold && excess_ok).then_some(Outlier {
-                    process: p,
-                    ordinal: i,
-                    sos: v,
-                    score,
-                })
-            })
-            .collect();
+                if score >= config.z_threshold && excess_ok {
+                    segment_outliers.push(Outlier {
+                        process: ProcessId::from_index(p),
+                        ordinal: i,
+                        sos: v,
+                        score,
+                    });
+                }
+            }
+        }
         segment_outliers.sort_by(|a, b| b.score.total_cmp(&a.score));
 
         // --- per-process outliers (total SOS = computational load) ---
-        let totals: Vec<f64> = matrix.process_totals().iter().map(|d| d.0 as f64).collect();
+        let total_sos = DurationTicks(totals.iter().sum());
+        let totals: Vec<f64> = totals.iter().map(|&t| t as f64).collect();
         let pscorer = RobustScorer::fit(|| totals.iter().copied());
         let process_scores: Vec<f64> = totals.iter().map(|&t| pscorer.score(t)).collect();
         let mut process_outliers: Vec<ProcessId> = process_scores
@@ -113,15 +162,21 @@ impl ImbalanceAnalysis {
         process_outliers
             .sort_by(|a, b| process_scores[b.index()].total_cmp(&process_scores[a.index()]));
 
-        let duration_trend = Trend::fit_robust(&matrix.duration_by_ordinal());
+        let duration_trend = Trend::fit_robust(&crate::sos::means(&duration_sums, &counts));
 
-        ImbalanceAnalysis {
+        let imbalance = ImbalanceAnalysis {
             segment_outliers,
             process_scores,
             process_outliers,
             duration_trend,
             config,
-        }
+        };
+        let waste = WasteAnalysis {
+            total: DurationTicks(per_ordinal.iter().sum()),
+            per_ordinal: per_ordinal.into_iter().map(DurationTicks).collect(),
+            total_sos,
+        };
+        (imbalance, waste)
     }
 
     /// The process with the highest total-SOS score, if any process
@@ -169,26 +224,7 @@ impl WasteAnalysis {
     /// Computes the waste of `matrix`. Ragged rows contribute to the
     /// ordinals they have.
     pub fn compute(matrix: &SosMatrix) -> WasteAnalysis {
-        let p = matrix.num_processes();
-        let width = (0..p)
-            .map(|i| matrix.process_sos(ProcessId::from_index(i)).len())
-            .max()
-            .unwrap_or(0);
-        let mut maxima = vec![0u64; width];
-        for (_, i, v) in matrix.iter_sos() {
-            maxima[i] = maxima[i].max(v.0);
-        }
-        let mut per_ordinal = vec![0u64; width];
-        for (_, i, v) in matrix.iter_sos() {
-            per_ordinal[i] += maxima[i] - v.0;
-        }
-        let total = DurationTicks(per_ordinal.iter().sum());
-        let total_sos = DurationTicks(matrix.iter_sos().map(|(_, _, v)| v.0).sum());
-        WasteAnalysis {
-            per_ordinal: per_ordinal.into_iter().map(DurationTicks).collect(),
-            total,
-            total_sos,
-        }
+        ImbalanceAnalysis::detect_with_waste(matrix, ImbalanceConfig::default()).1
     }
 
     /// Fraction of aggregate CPU time lost to waiting:
@@ -255,6 +291,53 @@ impl RobustScorer {
         RobustScorer { median, scale }
     }
 
+    /// [`fit`](RobustScorer::fit) to the tick values of `rows()` (in
+    /// their order), with the same bits. When the values span fewer
+    /// ticks than there are values, both medians come from counts per
+    /// tick instead of selection in a copy: below 2^51 every value, the
+    /// doubled median and every doubled deviation `|2v − 2·median|` are
+    /// exact in `f64`, so counting the integers ranks the floats `fit`
+    /// selects among. Other inputs take `fit`.
+    fn fit_ticks<'r, R: Iterator<Item = &'r [DurationTicks]>>(
+        rows: impl Fn() -> R,
+    ) -> RobustScorer {
+        let values = || rows().flatten().map(|v| v.0 as f64);
+        let (mut n, mut min, mut max) = (0, u64::MAX, 0);
+        for row in rows() {
+            n += row.len();
+            for v in row {
+                min = min.min(v.0);
+                max = max.max(v.0);
+            }
+        }
+        if n == 0 || max >= 1 << 51 || max - min >= n as u64 {
+            return RobustScorer::fit(values);
+        }
+        let mut counts = vec![0usize; (max - min + 1) as usize];
+        for row in rows() {
+            for v in row {
+                counts[(v.0 - min) as usize] += 1;
+            }
+        }
+        let (lower, upper) = histogram_middles(&counts, n);
+        let (lower, upper) = (min + lower, min + upper);
+        let deviation = |v: u64| (2 * v).abs_diff(lower + upper);
+        let mut by_deviation = vec![0usize; deviation(min).max(deviation(max)) as usize + 1];
+        for (v, &count) in (min..).zip(&counts) {
+            by_deviation[deviation(v) as usize] += count;
+        }
+        let (dev_lower, dev_upper) = histogram_middles(&by_deviation, n);
+        let median = (lower as f64 + upper as f64) / 2.0;
+        let mad = (dev_lower as f64 / 2.0 + dev_upper as f64 / 2.0) / 2.0;
+        let mut scale = 1.4826 * mad;
+        if scale <= f64::EPSILON {
+            // The mean-absolute-deviation fallback, as in `fit`.
+            let mean_ad = values().map(|v| (v - median).abs()).sum::<f64>() / n as f64;
+            scale = 1.2533 * mean_ad;
+        }
+        RobustScorer { median, scale }
+    }
+
     fn score(&self, value: f64) -> f64 {
         if self.scale <= f64::EPSILON {
             0.0
@@ -262,6 +345,23 @@ impl RobustScorer {
             (value - self.median) / self.scale
         }
     }
+}
+
+/// The two middle values (ranks `⌊(n−1)/2⌋` and `⌊n/2⌋`, the same one
+/// twice for odd `n`) of the `n` values `v` counted as `counts[v]`.
+fn histogram_middles(counts: &[usize], n: usize) -> (u64, u64) {
+    let (a, b) = ((n - 1) / 2, n / 2);
+    let (mut lower, mut below) = (None, 0);
+    for (v, &count) in (0u64..).zip(counts) {
+        below += count;
+        if lower.is_none() && below > a {
+            lower = Some(v);
+        }
+        if below > b {
+            return (lower.unwrap_or(v), v);
+        }
+    }
+    unreachable!("the counts hold all {n} values")
 }
 
 /// Median of `values` (the mean of the two middle values for even
@@ -384,8 +484,75 @@ impl Trend {
 /// bit-identity property tests.
 #[cfg(test)]
 pub(crate) mod oracle {
+    use super::{ImbalanceAnalysis, ImbalanceConfig, Outlier, RobustScorer, Trend, WasteAnalysis};
+    use crate::sos::SosMatrix;
+    use perfvar_trace::{DurationTicks, ProcessId};
     use proptest::collection::vec;
     use proptest::prelude::*;
+
+    /// Imbalance detection as separate walks per quantity (the form
+    /// [`ImbalanceAnalysis::detect_with_waste`] folds into two).
+    pub(crate) fn detect(matrix: &SosMatrix, config: ImbalanceConfig) -> ImbalanceAnalysis {
+        let scorer = RobustScorer::fit(|| matrix.iter_sos().map(|(_, _, v)| v.0 as f64));
+        let mut segment_outliers: Vec<Outlier> = matrix
+            .iter_sos()
+            .filter_map(|(p, i, v)| {
+                let score = scorer.score(v.0 as f64);
+                let excess_ok = scorer.median > 0.0
+                    && v.0 as f64 >= scorer.median * (1.0 + config.min_relative_excess);
+                (score >= config.z_threshold && excess_ok).then_some(Outlier {
+                    process: p,
+                    ordinal: i,
+                    sos: v,
+                    score,
+                })
+            })
+            .collect();
+        segment_outliers.sort_by(|a, b| b.score.total_cmp(&a.score));
+        let totals: Vec<f64> = matrix.process_totals().iter().map(|d| d.0 as f64).collect();
+        let pscorer = RobustScorer::fit(|| totals.iter().copied());
+        let process_scores: Vec<f64> = totals.iter().map(|&t| pscorer.score(t)).collect();
+        let mut process_outliers: Vec<ProcessId> = process_scores
+            .iter()
+            .enumerate()
+            .filter(|(p, &score)| {
+                score >= config.z_threshold
+                    && pscorer.median > 0.0
+                    && totals[*p] >= pscorer.median * (1.0 + config.min_relative_excess)
+            })
+            .map(|(p, _)| ProcessId::from_index(p))
+            .collect();
+        process_outliers
+            .sort_by(|a, b| process_scores[b.index()].total_cmp(&process_scores[a.index()]));
+        ImbalanceAnalysis {
+            segment_outliers,
+            process_scores,
+            process_outliers,
+            duration_trend: Trend::fit_robust(&matrix.duration_by_ordinal()),
+            config,
+        }
+    }
+
+    /// Waste by three walks: maxima, per-ordinal sums, total SOS.
+    pub(crate) fn waste(matrix: &SosMatrix) -> WasteAnalysis {
+        let width = (0..matrix.num_processes())
+            .map(|i| matrix.process_sos(ProcessId::from_index(i)).len())
+            .max()
+            .unwrap_or(0);
+        let mut maxima = vec![0u64; width];
+        for (_, i, v) in matrix.iter_sos() {
+            maxima[i] = maxima[i].max(v.0);
+        }
+        let mut per_ordinal = vec![0u64; width];
+        for (_, i, v) in matrix.iter_sos() {
+            per_ordinal[i] += maxima[i] - v.0;
+        }
+        WasteAnalysis {
+            total: DurationTicks(per_ordinal.iter().sum()),
+            per_ordinal: per_ordinal.into_iter().map(DurationTicks).collect(),
+            total_sos: DurationTicks(matrix.iter_sos().map(|(_, _, v)| v.0).sum()),
+        }
+    }
 
     /// Median by a full sort (mean of the two middles for even lengths).
     pub(crate) fn median_of(values: &[f64]) -> f64 {
@@ -416,6 +583,24 @@ pub(crate) mod oracle {
             scale = 1.2533 * mean_ad;
         }
         (median, scale)
+    }
+
+    /// Tick values: small sets with ties and a shared majority (MAD =
+    /// 0), wide ranges, more values than the ticks they span, and values
+    /// past 2^51.
+    pub(crate) fn arb_ticks() -> impl Strategy<Value = Vec<u64>> {
+        let item = prop_oneof![2 => Just(None), 1 => (0u64..200).prop_map(Some)];
+        let shared = (0u64..100, vec(item, 0..61))
+            .prop_map(|(shared, items)| items.into_iter().map(|v| v.unwrap_or(shared)).collect());
+        let wide = vec(0u64..1 << 45, 0..300);
+        // More values than ticks they span: counted, not copied.
+        let dense = (0u64..1 << 50, 1u64..60, 1usize..400).prop_map(|(base, span, n)| {
+            (0..n as u64)
+                .map(|i| base + (i * 31 + i * i) % span)
+                .collect()
+        });
+        let huge = vec((1u64 << 50)..1 << 60, 1..40);
+        prop_oneof![shared, wide, dense, huge]
     }
 
     /// Up to 60 values, two thirds of them one shared value, so ties,
@@ -468,16 +653,19 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn matrix_of(trace: &Trace) -> SosMatrix {
+    fn matrix_of(trace: &Trace) -> Segmentation {
         let f = trace.registry().function_by_name("iter").unwrap();
-        SosMatrix::from_segmentation(&Segmentation::new(trace, &replay_all(trace), f))
+        Segmentation::new(trace, &replay_all(trace), f)
     }
 
     #[test]
     fn single_hot_segment_flagged() {
         let trace = trace_with_hot_segment(6, 10, 100, (3, 7, 500));
         let m = matrix_of(&trace);
-        let a = ImbalanceAnalysis::detect(&m, ImbalanceConfig::default());
+        let a = ImbalanceAnalysis::detect(
+            &SosMatrix::from_segmentation(&m),
+            ImbalanceConfig::default(),
+        );
         assert_eq!(a.segment_outliers.len(), 1);
         let o = a.hottest_segment().unwrap();
         assert_eq!(o.process, ProcessId(3));
@@ -492,7 +680,10 @@ mod tests {
     fn balanced_matrix_has_no_findings() {
         let trace = trace_with_hot_segment(4, 8, 100, (0, 0, 100));
         let m = matrix_of(&trace);
-        let a = ImbalanceAnalysis::detect(&m, ImbalanceConfig::default());
+        let a = ImbalanceAnalysis::detect(
+            &SosMatrix::from_segmentation(&m),
+            ImbalanceConfig::default(),
+        );
         assert!(!a.has_findings());
         assert!(a.segment_outliers.is_empty());
         assert!(a.process_outliers.is_empty());
@@ -504,7 +695,10 @@ mod tests {
         // excess gate even though MAD-based z would explode (scale ≈ 0).
         let trace = trace_with_hot_segment(4, 10, 1000, (1, 2, 1050));
         let m = matrix_of(&trace);
-        let a = ImbalanceAnalysis::detect(&m, ImbalanceConfig::default());
+        let a = ImbalanceAnalysis::detect(
+            &SosMatrix::from_segmentation(&m),
+            ImbalanceConfig::default(),
+        );
         assert!(a.segment_outliers.is_empty());
     }
 
@@ -526,7 +720,10 @@ mod tests {
         }
         let trace = b.finish().unwrap();
         let m = matrix_of(&trace);
-        let a = ImbalanceAnalysis::detect(&m, ImbalanceConfig::default());
+        let a = ImbalanceAnalysis::detect(
+            &SosMatrix::from_segmentation(&m),
+            ImbalanceConfig::default(),
+        );
         assert_eq!(a.process_outliers, vec![ProcessId(2)]);
         assert_eq!(a.hottest_process(), Some(ProcessId(2)));
     }
@@ -578,7 +775,10 @@ mod tests {
         b.define_process("p0");
         let trace = b.finish().unwrap();
         let m = matrix_of(&trace);
-        let a = ImbalanceAnalysis::detect(&m, ImbalanceConfig::default());
+        let a = ImbalanceAnalysis::detect(
+            &SosMatrix::from_segmentation(&m),
+            ImbalanceConfig::default(),
+        );
         assert!(!a.has_findings());
         assert_eq!(a.hottest_process(), Some(ProcessId(0)));
         assert!(a.hottest_segment().is_none());
@@ -602,7 +802,7 @@ mod tests {
         }
         let trace = b.finish().unwrap();
         let m = matrix_of(&trace);
-        let waste = WasteAnalysis::compute(&m);
+        let waste = WasteAnalysis::compute(&SosMatrix::from_segmentation(&m));
         assert_eq!(
             waste.per_ordinal,
             vec![DurationTicks(6), DurationTicks(0), DurationTicks(0)]
@@ -616,7 +816,7 @@ mod tests {
     #[test]
     fn balanced_run_has_zero_waste() {
         let trace = trace_with_hot_segment(4, 6, 100, (0, 0, 100));
-        let waste = WasteAnalysis::compute(&matrix_of(&trace));
+        let waste = WasteAnalysis::compute(&SosMatrix::from_segmentation(&matrix_of(&trace)));
         assert_eq!(waste.total, DurationTicks::ZERO);
         assert_eq!(waste.waste_fraction(), 0.0);
     }
@@ -624,7 +824,7 @@ mod tests {
     #[test]
     fn hot_segment_concentrates_waste_in_its_ordinal() {
         let trace = trace_with_hot_segment(5, 8, 100, (2, 3, 600));
-        let waste = WasteAnalysis::compute(&matrix_of(&trace));
+        let waste = WasteAnalysis::compute(&SosMatrix::from_segmentation(&matrix_of(&trace)));
         assert_eq!(waste.worst_ordinal(), Some(3));
         // Waste of ordinal 3: four processes wait 500 each.
         assert_eq!(waste.per_ordinal[3], DurationTicks(4 * 500));
@@ -636,7 +836,7 @@ mod tests {
         let _f = b.define_function("iter", FunctionRole::Compute);
         b.define_process("p0");
         let trace = b.finish().unwrap();
-        let waste = WasteAnalysis::compute(&matrix_of(&trace));
+        let waste = WasteAnalysis::compute(&SosMatrix::from_segmentation(&matrix_of(&trace)));
         assert!(waste.per_ordinal.is_empty());
         assert_eq!(waste.worst_ordinal(), None);
         assert_eq!(waste.waste_fraction(), 0.0);
@@ -663,7 +863,10 @@ mod tests {
         }
         let trace = b.finish().unwrap();
         let m = matrix_of(&trace);
-        let a = ImbalanceAnalysis::detect(&m, ImbalanceConfig::default());
+        let a = ImbalanceAnalysis::detect(
+            &SosMatrix::from_segmentation(&m),
+            ImbalanceConfig::default(),
+        );
         assert_eq!(a.segment_outliers.len(), 2);
         assert_eq!(a.segment_outliers[0].process, ProcessId(1));
         assert_eq!(a.segment_outliers[1].process, ProcessId(4));
@@ -684,6 +887,59 @@ mod tests {
                 prop_assert_eq!(
                     median_of(&mut scratch).to_bits(),
                     oracle::median_of(&values).to_bits()
+                );
+            }
+
+            /// The two-walk detection equals one walk per quantity, bit
+            /// for bit (floats by their `Debug` text), on ragged tables
+            /// with clamped segments, hot spots and empty rows.
+            #[test]
+            fn two_walks_match_the_separate_walks(
+                rows in proptest::collection::vec(
+                    proptest::collection::vec((0u64..4, 1u64..60, 0u64..70), 0..14),
+                    0..7,
+                ),
+                z in prop_oneof![Just(3.5f64), 0.5f64..4.0],
+            ) {
+                let triples: Vec<Vec<(u64, u64, u64)>> = rows
+                    .iter()
+                    .map(|row| {
+                        let mut t = 0;
+                        row.iter()
+                            .map(|&(hot, len, sync)| {
+                                let len = if hot == 0 { len * 20 } else { len };
+                                let enter = t;
+                                t += len;
+                                (enter, t, sync)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let seg = crate::segment::oracle::Segmentation::from_triples(
+                    perfvar_trace::FunctionId(0),
+                    &triples,
+                )
+                .to_table();
+                let config = ImbalanceConfig { z_threshold: z, ..ImbalanceConfig::default() };
+                for m in [SosMatrix::from_segmentation(&seg), SosMatrix::from_segmentation(&seg).durations_as_sos()] {
+                    let (imbalance, waste) = ImbalanceAnalysis::detect_with_waste(&m, config);
+                    prop_assert_eq!(format!("{imbalance:?}"), format!("{:?}", oracle::detect(&m, config)));
+                    prop_assert_eq!(waste, oracle::waste(&m));
+                }
+            }
+
+            /// The scorer fitted by counts per tick has the bits of the
+            /// one fitted on the values as floats (which wide inputs and
+            /// values past 2^51 take directly).
+            #[test]
+            fn counting_fit_matches_the_float_fit(values in oracle::arb_ticks()) {
+                let ticks: Vec<DurationTicks> = values.iter().map(|&v| DurationTicks(v)).collect();
+                // The values as ragged rows, some of them empty.
+                let fit = RobustScorer::fit_ticks(|| ticks.chunks(7).chain([&[][..]]));
+                let copy = RobustScorer::fit(|| values.iter().map(|&v| v as f64));
+                prop_assert_eq!(
+                    (fit.median.to_bits(), fit.scale.to_bits()),
+                    (copy.median.to_bits(), copy.scale.to_bits())
                 );
             }
 

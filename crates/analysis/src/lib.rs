@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crate::report::{
         analyze, analyze_observed, analyze_reference, Analysis, AnalysisConfig, AnalysisError,
     };
-    pub use crate::segment::{Segment, Segmentation};
+    pub use crate::segment::{Segment, Segmentation, Segments};
     pub use crate::sos::SosMatrix;
     pub use crate::stream::{replay_visit, ClosedFrame, ReplayMachine, ReplayVisitor};
     pub use crate::telemetry::{PipelineStats, Progress, Stage, Telemetry};
@@ -132,7 +132,7 @@ pub use profile::FunctionProfile;
 pub use report::{
     analyze, analyze_observed, analyze_reference, Analysis, AnalysisConfig, AnalysisError,
 };
-pub use segment::{Segment, Segmentation};
+pub use segment::{Segment, Segmentation, Segments};
 pub use sos::SosMatrix;
 pub use stream::{replay_visit, ClosedFrame, ReplayMachine, ReplayVisitor};
 pub use telemetry::{PipelineStats, Telemetry};

@@ -49,7 +49,7 @@ use crate::driver::{
 use crate::outofcore::{cursor_options, OutOfCoreAnalysis, PathAnalysisError, RecoveryMode};
 use crate::profile::ProfileTable;
 use crate::report::AnalysisConfig;
-use crate::segment::Segment;
+use crate::segment::{Segment, Segments};
 use crate::telemetry::{Stage, Telemetry};
 use perfvar_trace::format::cursor::ArchiveCursor;
 use perfvar_trace::format::live::ArchiveTail;
@@ -282,9 +282,10 @@ impl LiveAnalysis {
 
         // Report segments that closed for good this poll, in rank order.
         for (i, &before) in reported.iter().enumerate() {
+            let closed = self.closed_segments(i);
             delta
                 .new_segments
-                .extend_from_slice(&self.closed_segments(i)[before..]);
+                .extend(closed.slice(before..closed.len()).iter());
         }
         delta.fingerprint = self.tail.prefix_digest().fingerprint();
         delta
@@ -292,12 +293,12 @@ impl LiveAnalysis {
 
     /// Segments closed for good on `rank` so far, in enter order.
     /// Empty while the speculation target is still unresolved.
-    pub fn closed_segments(&self, rank: usize) -> &[Segment] {
+    pub fn closed_segments(&self, rank: usize) -> Segments<'_> {
         let Some(fold) = self.folds.get(rank) else {
-            return &[];
+            return Segments::empty(ProcessId::from_index(rank));
         };
-        let fused = &fold.sink.fused;
-        &fused.segments()[..fused.first_open().unwrap_or(fused.segments().len())]
+        let segments = fold.sink.fused.segments();
+        segments.slice(0..fold.sink.fused.first_open().unwrap_or(segments.len()))
     }
 
     /// A point-in-time view of the run. Always reflects the last good
@@ -591,7 +592,11 @@ mod tests {
         // suffixes, never fabricates).
         for s in &segments {
             assert!(
-                live.analysis.segmentation.process(s.process).contains(s),
+                live.analysis
+                    .segmentation
+                    .process(s.process)
+                    .iter()
+                    .any(|t| t == *s),
                 "{s:?}"
             );
         }

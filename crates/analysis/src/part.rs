@@ -95,6 +95,7 @@ use crate::outofcore::{
 };
 use crate::profile::{ProfileRow, ProfileTable};
 use crate::report::{assemble, segmentation_function, AnalysisConfig};
+use crate::segment::SegmentColumns;
 use crate::telemetry::{Counters, Telemetry};
 use perfvar_trace::format::cursor::ArchiveCursor;
 use perfvar_trace::{Clock, FunctionId, ProcessId, Registry, Timestamp, TraceError, TraceMeta};
@@ -128,7 +129,7 @@ pub(crate) struct RankPart {
 /// An empty fused partial — what a failed rank contributes (identical to
 /// an empty stream).
 fn empty_fused(num_metrics: usize) -> FusedPartial {
-    (Vec::new(), vec![Vec::new(); num_metrics])
+    (SegmentColumns::default(), vec![Vec::new(); num_metrics])
 }
 
 /// A mergeable partial analysis covering a subset of a trace's ranks.

@@ -279,8 +279,11 @@ mod tests {
             }
         }
         let trace = b.finish().unwrap();
-        let m = SosMatrix::from_segmentation(&Segmentation::new(&trace, &replay_all(&trace), f));
-        let d = PhaseDetection::detect_durations(&m, PhaseConfig::default());
+        let seg = Segmentation::new(&trace, &replay_all(&trace), f);
+        let d = PhaseDetection::detect_durations(
+            &SosMatrix::from_segmentation(&seg),
+            PhaseConfig::default(),
+        );
         assert_eq!(d.boundaries(), vec![6]);
     }
 }

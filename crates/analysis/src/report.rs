@@ -156,7 +156,12 @@ pub struct CounterAnalysis {
 /// `PartialEq` compares every component bit-for-bit; the equivalence
 /// property tests rely on it to hold the fused and reference pipelines
 /// (and runs at different thread counts) equal.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// The SOS matrix is not a field but a view of the segmentation's
+/// columns ([`Analysis::sos`]). The JSON form still carries it, as the
+/// `sos` member between `segmentation` and `imbalance`; reading a
+/// document back rebuilds it from `segmentation`.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Analysis {
     /// Name of the analysed trace.
     pub trace_name: String,
@@ -169,8 +174,6 @@ pub struct Analysis {
     pub profiles: ProfileTable,
     /// Segments of the run.
     pub segmentation: Segmentation,
-    /// The SOS-time matrix.
-    pub sos: SosMatrix,
     /// Imbalance findings.
     pub imbalance: ImbalanceAnalysis,
     /// Waste quantification (CPU time lost to waiting for the slowest).
@@ -209,8 +212,7 @@ pub(crate) fn assemble(
     counter_matrices: Vec<CounterMatrix>,
 ) -> Analysis {
     let sos = SosMatrix::from_segmentation(&segmentation);
-    let imbalance = ImbalanceAnalysis::detect(&sos, config.imbalance);
-    let waste = WasteAnalysis::compute(&sos);
+    let (imbalance, waste) = ImbalanceAnalysis::detect_with_waste(&sos, config.imbalance);
     let counters = counter_matrices
         .into_iter()
         .map(|matrix| CounterAnalysis {
@@ -225,10 +227,87 @@ pub(crate) fn assemble(
         function,
         profiles,
         segmentation,
-        sos,
         imbalance,
         waste,
         counters,
+    }
+}
+
+impl Analysis {
+    /// The SOS-time matrix: a view of the segmentation's columns.
+    pub fn sos(&self) -> SosMatrix<'_> {
+        SosMatrix::from_segmentation(&self.segmentation)
+    }
+}
+
+/// The JSON document of an [`Analysis`]: its fields in declaration
+/// order, with the SOS matrix view in its old place.
+#[derive(Serialize)]
+struct AnalysisDoc<'a> {
+    trace_name: &'a String,
+    dominant: &'a DominantSelection,
+    function: FunctionId,
+    profiles: &'a ProfileTable,
+    segmentation: &'a Segmentation,
+    sos: SosMatrix<'a>,
+    imbalance: &'a ImbalanceAnalysis,
+    waste: &'a WasteAnalysis,
+    counters: &'a Vec<CounterAnalysis>,
+}
+
+impl Analysis {
+    fn doc(&self) -> AnalysisDoc<'_> {
+        AnalysisDoc {
+            trace_name: &self.trace_name,
+            dominant: &self.dominant,
+            function: self.function,
+            profiles: &self.profiles,
+            segmentation: &self.segmentation,
+            sos: self.sos(),
+            imbalance: &self.imbalance,
+            waste: &self.waste,
+            counters: &self.counters,
+        }
+    }
+}
+
+impl Serialize for Analysis {
+    fn to_value(&self) -> serde::Value {
+        self.doc().to_value()
+    }
+
+    fn write_json(&self, out: &mut serde::JsonWriter<'_>) {
+        self.doc().write_json(out);
+    }
+}
+
+/// What a document of an [`Analysis`] is read as: every member but the
+/// derived `sos`, which is a view of `segmentation`.
+#[derive(Deserialize)]
+struct AnalysisWire {
+    trace_name: String,
+    dominant: DominantSelection,
+    function: FunctionId,
+    profiles: ProfileTable,
+    segmentation: Segmentation,
+    imbalance: ImbalanceAnalysis,
+    waste: WasteAnalysis,
+    counters: Vec<CounterAnalysis>,
+}
+
+impl Deserialize for Analysis {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let w = AnalysisWire::from_value(v)?;
+        Ok(Analysis {
+            trace_name: w.trace_name,
+            dominant: w.dominant,
+            function: w.function,
+            profiles: w.profiles,
+            segmentation: w.segmentation,
+            imbalance: w.imbalance,
+            waste: w.waste,
+            counters: w.counters,
+        })
     }
 }
 
@@ -394,7 +473,7 @@ impl Analysis {
                 .collect::<Vec<_>>()
                 .join(", ")
         );
-        let stats = self.sos.sos_stats();
+        let stats = self.sos().sos_stats();
         let _ = writeln!(
             out,
             "  segments: {} ({} per process max); SOS median {} / max {}",

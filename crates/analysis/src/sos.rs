@@ -8,19 +8,24 @@
 //! holds the per-process, per-segment values and the summary statistics
 //! the detector and visualizer work with.
 
-use crate::segment::Segmentation;
+use crate::segment::{SegmentColumns, Segmentation};
 use perfvar_trace::{DurationTicks, FunctionId, ProcessId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize, Value};
 
 /// Per-process, per-segment SOS-times (and durations) for one
-/// segmentation function. Rows may be ragged if processes executed
-/// different numbers of segments.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SosMatrix {
+/// segmentation function: a view of the columns of a [`Segmentation`],
+/// so building one copies nothing. Rows may be ragged if processes
+/// executed different numbers of segments.
+///
+/// Serializes as `{"function": …, "sos": [[…], …], "durations": [[…],
+/// …]}`.
+#[derive(Clone, Copy, Debug)]
+pub struct SosMatrix<'a> {
     /// The segmentation function the matrix was computed for.
     pub function: FunctionId,
-    sos: Vec<Vec<DurationTicks>>,
-    durations: Vec<Vec<DurationTicks>>,
+    rows: &'a [SegmentColumns],
+    /// Read the duration column as SOS (the naive ablation).
+    naive: bool,
 }
 
 /// Simple distribution summary of a set of tick values.
@@ -84,66 +89,66 @@ impl TickStats {
     }
 }
 
-impl SosMatrix {
-    /// Computes the matrix from a segmentation.
-    pub fn from_segmentation(seg: &Segmentation) -> SosMatrix {
-        let mut sos = Vec::with_capacity(seg.num_processes());
-        let mut durations = Vec::with_capacity(seg.num_processes());
-        for p in 0..seg.num_processes() {
-            let segs = seg.process(ProcessId::from_index(p));
-            sos.push(segs.iter().map(|s| s.sos()).collect());
-            durations.push(segs.iter().map(|s| s.duration()).collect());
-        }
+impl<'a> SosMatrix<'a> {
+    /// The matrix of a segmentation: a view of its columns, no copy.
+    pub fn from_segmentation(seg: &'a Segmentation) -> SosMatrix<'a> {
         SosMatrix {
             function: seg.function,
-            sos,
-            durations,
-        }
-    }
-
-    /// A matrix with the given per-process SOS rows (durations equal to
-    /// them), for tests that need exact values.
-    #[cfg(test)]
-    pub(crate) fn from_sos_rows(rows: &[Vec<u64>]) -> SosMatrix {
-        let sos: Vec<Vec<DurationTicks>> = rows
-            .iter()
-            .map(|row| row.iter().map(|&v| DurationTicks(v)).collect())
-            .collect();
-        SosMatrix {
-            function: FunctionId(0),
-            durations: sos.clone(),
-            sos,
+            rows: seg.rows(),
+            naive: false,
         }
     }
 
     /// Number of processes (rows).
     pub fn num_processes(&self) -> usize {
-        self.sos.len()
+        self.rows.len()
     }
 
     /// The SOS-time series of one process.
-    pub fn process_sos(&self, p: ProcessId) -> &[DurationTicks] {
-        &self.sos[p.index()]
+    #[inline]
+    pub fn process_sos(&self, p: ProcessId) -> &'a [DurationTicks] {
+        self.sos_row(&self.rows[p.index()])
     }
 
     /// The plain segment-duration series of one process.
-    pub fn process_durations(&self, p: ProcessId) -> &[DurationTicks] {
-        &self.durations[p.index()]
+    #[inline]
+    pub fn process_durations(&self, p: ProcessId) -> &'a [DurationTicks] {
+        self.rows[p.index()].durations()
     }
 
     /// SOS-time of segment `ordinal` on `p`, if present.
     pub fn sos(&self, p: ProcessId, ordinal: usize) -> Option<DurationTicks> {
-        self.sos[p.index()].get(ordinal).copied()
+        self.process_sos(p).get(ordinal).copied()
     }
 
     /// Duration of segment `ordinal` on `p`, if present.
     pub fn duration(&self, p: ProcessId, ordinal: usize) -> Option<DurationTicks> {
-        self.durations[p.index()].get(ordinal).copied()
+        self.process_durations(p).get(ordinal).copied()
+    }
+
+    #[inline]
+    fn sos_row(&self, row: &'a SegmentColumns) -> &'a [DurationTicks] {
+        if self.naive {
+            row.durations()
+        } else {
+            row.sos()
+        }
+    }
+
+    /// The SOS rows, in process order.
+    fn sos_rows(&self) -> impl Iterator<Item = &'a [DurationTicks]> + Clone + 'a {
+        let view = *self;
+        self.rows.iter().map(move |row| view.sos_row(row))
+    }
+
+    /// The duration rows, in process order.
+    fn duration_rows(&self) -> impl Iterator<Item = &'a [DurationTicks]> + Clone + 'a {
+        self.rows.iter().map(SegmentColumns::durations)
     }
 
     /// Iterates `(process, ordinal, sos)` over all segments.
-    pub fn iter_sos(&self) -> impl Iterator<Item = (ProcessId, usize, DurationTicks)> + '_ {
-        self.sos.iter().enumerate().flat_map(|(p, row)| {
+    pub fn iter_sos(&self) -> impl Iterator<Item = (ProcessId, usize, DurationTicks)> + 'a {
+        self.sos_rows().enumerate().flat_map(|(p, row)| {
             row.iter()
                 .enumerate()
                 .map(move |(i, &v)| (ProcessId::from_index(p), i, v))
@@ -152,64 +157,38 @@ impl SosMatrix {
 
     /// Total SOS-time per process (the per-process computational load).
     pub fn process_totals(&self) -> Vec<DurationTicks> {
-        self.sos
-            .iter()
+        self.sos_rows()
             .map(|row| row.iter().copied().sum())
             .collect()
     }
 
     /// Maximum SOS-time per process.
     pub fn process_maxima(&self) -> Vec<DurationTicks> {
-        self.sos
-            .iter()
+        self.sos_rows()
             .map(|row| row.iter().copied().max().unwrap_or(DurationTicks::ZERO))
             .collect()
     }
 
     /// Statistics over all SOS values in the matrix.
     pub fn sos_stats(&self) -> TickStats {
-        TickStats::from_values(self.sos.iter().flatten().map(|d| d.0))
+        TickStats::from_values(self.sos_rows().flatten().map(|d| d.0))
     }
 
     /// Statistics over all plain durations.
     pub fn duration_stats(&self) -> TickStats {
-        TickStats::from_values(self.durations.iter().flatten().map(|d| d.0))
+        TickStats::from_values(self.duration_rows().flatten().map(|d| d.0))
     }
 
     /// Per-ordinal mean duration across processes (the "how long was
     /// iteration k" series; reveals variation over time, §V ¶1). Ragged
     /// rows contribute to the ordinals they have.
     pub fn duration_by_ordinal(&self) -> Vec<f64> {
-        let width = self.durations.iter().map(Vec::len).max().unwrap_or(0);
-        let mut sums = vec![0.0f64; width];
-        let mut counts = vec![0usize; width];
-        for row in &self.durations {
-            for (i, d) in row.iter().enumerate() {
-                sums[i] += d.0 as f64;
-                counts[i] += 1;
-            }
-        }
-        sums.iter()
-            .zip(&counts)
-            .map(|(s, &c)| if c > 0 { s / c as f64 } else { 0.0 })
-            .collect()
+        ordinal_means(self.duration_rows())
     }
 
     /// Per-ordinal mean SOS across processes.
     pub fn sos_by_ordinal(&self) -> Vec<f64> {
-        let width = self.sos.iter().map(Vec::len).max().unwrap_or(0);
-        let mut sums = vec![0.0f64; width];
-        let mut counts = vec![0usize; width];
-        for row in &self.sos {
-            for (i, d) in row.iter().enumerate() {
-                sums[i] += d.0 as f64;
-                counts[i] += 1;
-            }
-        }
-        sums.iter()
-            .zip(&counts)
-            .map(|(s, &c)| if c > 0 { s / c as f64 } else { 0.0 })
-            .collect()
+        ordinal_means(self.sos_rows())
     }
 
     /// The globally largest SOS value and its location.
@@ -225,12 +204,76 @@ impl SosMatrix {
     /// what detection quality is lost without the synchronization
     /// subtraction (synchronization hides the slow process, so the naive
     /// variant cannot localise imbalances across processes).
-    pub fn durations_as_sos(&self) -> SosMatrix {
+    pub fn durations_as_sos(&self) -> SosMatrix<'a> {
         SosMatrix {
-            function: self.function,
-            sos: self.durations.clone(),
-            durations: self.durations.clone(),
+            naive: true,
+            ..*self
         }
+    }
+}
+
+/// Per-ordinal means of `rows` (ragged rows contribute to the ordinals
+/// they have), summed row by row.
+fn ordinal_means<'r>(rows: impl Iterator<Item = &'r [DurationTicks]> + Clone) -> Vec<f64> {
+    let width = rows.clone().map(<[_]>::len).max().unwrap_or(0);
+    let mut sums = vec![0.0f64; width];
+    let mut counts = vec![0usize; width];
+    for row in rows {
+        for (i, d) in row.iter().enumerate() {
+            sums[i] += d.0 as f64;
+            counts[i] += 1;
+        }
+    }
+    means(&sums, &counts)
+}
+
+/// `sums[i] / counts[i]`, 0 where the count is 0.
+pub(crate) fn means(sums: &[f64], counts: &[usize]) -> Vec<f64> {
+    sums.iter()
+        .zip(counts)
+        .map(|(s, &c)| if c > 0 { s / c as f64 } else { 0.0 })
+        .collect()
+}
+
+/// Two matrices are equal when their functions, SOS rows and duration
+/// rows are.
+impl PartialEq for SosMatrix<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.function == other.function
+            && self.sos_rows().eq(other.sos_rows())
+            && self.duration_rows().eq(other.duration_rows())
+    }
+}
+
+impl Serialize for SosMatrix<'_> {
+    fn to_value(&self) -> Value {
+        let rows = |rows: &mut dyn Iterator<Item = &[DurationTicks]>| {
+            Value::Array(rows.map(|row| row.to_value()).collect())
+        };
+        Value::Object(vec![
+            ("function".to_string(), self.function.to_value()),
+            ("sos".to_string(), rows(&mut self.sos_rows())),
+            ("durations".to_string(), rows(&mut self.duration_rows())),
+        ])
+    }
+
+    fn write_json(&self, out: &mut JsonWriter<'_>) {
+        let rows = |out: &mut JsonWriter<'_>, rows: &mut dyn Iterator<Item = &[DurationTicks]>| {
+            out.begin_array();
+            for row in rows {
+                out.array_value();
+                row.write_json(out);
+            }
+            out.end_array();
+        };
+        out.begin_object();
+        out.key("function");
+        self.function.write_json(out);
+        out.key("sos");
+        rows(out, &mut self.sos_rows());
+        out.key("durations");
+        rows(out, &mut self.duration_rows());
+        out.end_object();
     }
 }
 
@@ -238,8 +281,9 @@ impl SosMatrix {
 mod tests {
     use super::*;
     use crate::invocation::replay_all;
-    use crate::segment::Segmentation;
+    use crate::segment::{oracle, Segmentation};
     use perfvar_trace::{Clock, FunctionRole, Timestamp, Trace, TraceBuilder};
+    use proptest::prelude::*;
 
     /// The paper's Fig. 3: three processes, three invocations of the
     /// dominant function `a`, each `calc` + `MPI`. All processes leave
@@ -274,16 +318,16 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn fig3_matrix() -> SosMatrix {
+    fn fig3_segmentation() -> Segmentation {
         let trace = fig3_trace();
         let a = trace.registry().function_by_name("a").unwrap();
-        let seg = Segmentation::new(&trace, &replay_all(&trace), a);
-        SosMatrix::from_segmentation(&seg)
+        Segmentation::new(&trace, &replay_all(&trace), a)
     }
 
     #[test]
     fn fig3_durations_match_paper() {
-        let m = fig3_matrix();
+        let seg = fig3_segmentation();
+        let m = SosMatrix::from_segmentation(&seg);
         // Middle of Fig. 3: plain durations are 6 then 3 then 3, on every
         // process — the duration comparison cannot tell processes apart.
         for p in 0..3 {
@@ -298,7 +342,8 @@ mod tests {
 
     #[test]
     fn fig3_sos_times_match_paper() {
-        let m = fig3_matrix();
+        let seg = fig3_segmentation();
+        let m = SosMatrix::from_segmentation(&seg);
         // Bottom of Fig. 3: subtracting synchronization reveals the load
         // imbalance of the first iteration.
         assert_eq!(m.sos(ProcessId(0), 0), Some(DurationTicks(5)));
@@ -316,7 +361,8 @@ mod tests {
 
     #[test]
     fn totals_and_maxima() {
-        let m = fig3_matrix();
+        let seg = fig3_segmentation();
+        let m = SosMatrix::from_segmentation(&seg);
         assert_eq!(
             m.process_totals(),
             vec![DurationTicks(9), DurationTicks(7), DurationTicks(5)]
@@ -329,7 +375,8 @@ mod tests {
 
     #[test]
     fn ordinal_series() {
-        let m = fig3_matrix();
+        let seg = fig3_segmentation();
+        let m = SosMatrix::from_segmentation(&seg);
         assert_eq!(m.duration_by_ordinal(), vec![6.0, 3.0, 3.0]);
         let sos = m.sos_by_ordinal();
         assert!((sos[0] - 3.0).abs() < 1e-12);
@@ -338,7 +385,8 @@ mod tests {
 
     #[test]
     fn stats_summary() {
-        let m = fig3_matrix();
+        let seg = fig3_segmentation();
+        let m = SosMatrix::from_segmentation(&seg);
         let s = m.sos_stats();
         assert_eq!(s.count, 9);
         assert_eq!(s.min, 1);
@@ -374,5 +422,134 @@ mod tests {
         assert_eq!(m.argmax(), None);
         assert_eq!(m.sos_stats().count, 0);
         assert!(m.duration_by_ordinal().is_empty());
+    }
+
+    /// The matrix as it was before it became a view: two copied
+    /// columns per segment and the derived serde impls. The oracle of
+    /// the view's tests.
+    #[derive(Serialize)]
+    struct OracleMatrix {
+        function: FunctionId,
+        sos: Vec<Vec<DurationTicks>>,
+        durations: Vec<Vec<DurationTicks>>,
+    }
+
+    impl OracleMatrix {
+        fn from_segmentation(seg: &oracle::Segmentation) -> OracleMatrix {
+            OracleMatrix {
+                function: seg.function,
+                sos: (seg.per_process.iter())
+                    .map(|row| row.iter().map(|s| s.sos()).collect())
+                    .collect(),
+                durations: (seg.per_process.iter())
+                    .map(|row| row.iter().map(|s| s.duration()).collect())
+                    .collect(),
+            }
+        }
+
+        fn iter_sos(&self) -> impl Iterator<Item = (ProcessId, usize, DurationTicks)> + '_ {
+            self.sos.iter().enumerate().flat_map(|(p, row)| {
+                row.iter()
+                    .enumerate()
+                    .map(move |(i, &v)| (ProcessId::from_index(p), i, v))
+            })
+        }
+
+        fn by_ordinal(rows: &[Vec<DurationTicks>]) -> Vec<f64> {
+            let width = rows.iter().map(Vec::len).max().unwrap_or(0);
+            let mut sums = vec![0.0f64; width];
+            let mut counts = vec![0usize; width];
+            for row in rows {
+                for (i, d) in row.iter().enumerate() {
+                    sums[i] += d.0 as f64;
+                    counts[i] += 1;
+                }
+            }
+            sums.iter()
+                .zip(&counts)
+                .map(|(s, &c)| if c > 0 { s / c as f64 } else { 0.0 })
+                .collect()
+        }
+    }
+
+    fn stats_bits(s: TickStats) -> (usize, u64, u64, u64, u64, u64) {
+        (
+            s.count,
+            s.min,
+            s.max,
+            s.mean.to_bits(),
+            s.stddev.to_bits(),
+            s.median,
+        )
+    }
+
+    fn bits(v: Vec<f64>) -> Vec<u64> {
+        v.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// Rows of `(enter, leave, sync)` triples: ragged, some empty, with
+    /// sync below, at and above the duration (SOS clamped to zero).
+    fn triples() -> impl Strategy<Value = Vec<Vec<(u64, u64, u64)>>> {
+        let segment = (0u64..1_000, 0u64..80, 0u64..60)
+            .prop_map(|(enter, len, sync)| (enter, enter + len, sync));
+        proptest::collection::vec(proptest::collection::vec(segment, 0..10), 0..6)
+    }
+
+    proptest! {
+        /// The view equals the copied matrix it replaced on every
+        /// accessor (floats compared by bits), in both the SOS and the
+        /// naive durations-as-SOS reading, and on both serde paths.
+        #[test]
+        fn view_matches_the_copied_matrix(rows in triples(), f in 0u32..3) {
+            let oracle_seg = oracle::Segmentation::from_triples(FunctionId(f), &rows);
+            let seg = oracle_seg.to_table();
+            let mut oracle = OracleMatrix::from_segmentation(&oracle_seg);
+            let mut m = SosMatrix::from_segmentation(&seg);
+            for naive in [false, true] {
+                if naive {
+                    oracle.sos = oracle.durations.clone();
+                    m = m.durations_as_sos();
+                }
+                prop_assert_eq!(m.function, oracle.function);
+                prop_assert_eq!(m.num_processes(), oracle.sos.len());
+                for p in 0..oracle.sos.len() {
+                    let pid = ProcessId::from_index(p);
+                    prop_assert_eq!(m.process_sos(pid), &oracle.sos[p][..]);
+                    prop_assert_eq!(m.process_durations(pid), &oracle.durations[p][..]);
+                    for i in 0..=oracle.sos[p].len() {
+                        prop_assert_eq!(m.sos(pid, i), oracle.sos[p].get(i).copied());
+                        prop_assert_eq!(m.duration(pid, i), oracle.durations[p].get(i).copied());
+                    }
+                }
+                prop_assert_eq!(m.iter_sos().collect::<Vec<_>>(), oracle.iter_sos().collect::<Vec<_>>());
+                let totals: Vec<DurationTicks> =
+                    oracle.sos.iter().map(|r| r.iter().copied().sum()).collect();
+                prop_assert_eq!(m.process_totals(), totals);
+                let maxima: Vec<DurationTicks> = (oracle.sos.iter())
+                    .map(|r| r.iter().copied().max().unwrap_or(DurationTicks::ZERO))
+                    .collect();
+                prop_assert_eq!(m.process_maxima(), maxima);
+                prop_assert_eq!(
+                    stats_bits(m.sos_stats()),
+                    stats_bits(TickStats::from_values(oracle.sos.iter().flatten().map(|d| d.0)))
+                );
+                prop_assert_eq!(
+                    stats_bits(m.duration_stats()),
+                    stats_bits(TickStats::from_values(oracle.durations.iter().flatten().map(|d| d.0)))
+                );
+                prop_assert_eq!(bits(m.duration_by_ordinal()), bits(OracleMatrix::by_ordinal(&oracle.durations)));
+                prop_assert_eq!(bits(m.sos_by_ordinal()), bits(OracleMatrix::by_ordinal(&oracle.sos)));
+                let argmax = oracle
+                    .iter_sos()
+                    .max_by_key(|(p, i, v)| (*v, std::cmp::Reverse(p.0), std::cmp::Reverse(*i)));
+                prop_assert_eq!(m.argmax(), argmax);
+                prop_assert_eq!(serde::to_value(&m), serde::to_value(&oracle));
+                prop_assert_eq!(serde_json::to_string(&m).unwrap(), serde_json::to_string(&oracle).unwrap());
+                prop_assert_eq!(
+                    serde_json::to_string_pretty(&m).unwrap(),
+                    serde_json::to_string_pretty(&oracle).unwrap()
+                );
+            }
+        }
     }
 }

@@ -125,6 +125,23 @@ pub struct Peaks {
     /// buffer.
     #[serde(default)]
     pub buffered_streams: u64,
+    /// The process's peak resident set size, in bytes, when the stats
+    /// were taken: `VmHWM` of `/proc/self/status` (0 where that is not
+    /// available). The whole process, not the pipeline alone.
+    #[serde(default)]
+    pub peak_rss_bytes: u64,
+}
+
+/// The process's peak resident set size so far, in bytes: `VmHWM` of
+/// `/proc/self/status`, or 0 where that file or line is missing.
+pub fn peak_rss_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.trim().strip_suffix("kB"))
+        .and_then(|kb| kb.trim().parse::<u64>().ok())
+        .map_or(0, |kb| kb * 1024)
 }
 
 /// Wall time and throughput of one pipeline stage.
@@ -257,6 +274,13 @@ impl PipelineStats {
                 self.peaks.mapped_streams,
                 self.peaks.buffered_streams,
                 self.peaks.read_buffer_bytes
+            );
+        }
+        if self.peaks.peak_rss_bytes > 0 {
+            let _ = writeln!(
+                out,
+                "  memory: peak RSS {:.1} MiB (VmHWM)",
+                self.peaks.peak_rss_bytes as f64 / (1024.0 * 1024.0)
             );
         }
         if self.totals.sos_clamped > 0 {
@@ -474,7 +498,10 @@ impl Telemetry {
             wall_s: inner.start.elapsed().as_secs_f64(),
             stages,
             totals: agg.totals,
-            peaks: agg.peaks,
+            peaks: Peaks {
+                peak_rss_bytes: peak_rss_bytes(),
+                ..agg.peaks
+            },
             ranks: inner.ranks_max.load(Ordering::Relaxed),
         })
     }
@@ -717,6 +744,23 @@ mod tests {
         let mut w = noop.worker(Stage::Fuse);
         w.busy(Duration::from_millis(3), Duration::from_millis(2));
         assert_eq!((w.decode, w.replay), (Duration::ZERO, Duration::ZERO));
+    }
+
+    /// The snapshot reads the process's own peak RSS (on Linux, where
+    /// `/proc/self/status` has it) and the table prints it; a stats
+    /// document written before the field existed parses with 0.
+    #[test]
+    fn peak_rss_is_read_from_the_process_and_defaults_to_zero() {
+        let stats = Telemetry::enabled().snapshot().unwrap();
+        if cfg!(target_os = "linux") {
+            assert!(stats.peaks.peak_rss_bytes > 1 << 20, "{:?}", stats.peaks);
+            assert!(stats.render_table().contains("peak RSS"));
+        }
+        let old = r#"{"max_stack_depth": 3, "max_live_segments": 1, "worker_buffers": 2}"#;
+        let peaks: Peaks = serde_json::from_str(old).unwrap();
+        assert_eq!(peaks.peak_rss_bytes, 0);
+        let quiet = PipelineStats { peaks, ..stats };
+        assert!(!quiet.render_table().contains("peak RSS"));
     }
 
     /// A stats document written before the busy-time split still parses,

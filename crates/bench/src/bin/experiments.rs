@@ -85,6 +85,7 @@ fn main() {
     let rank_scale = rank_scale_benchmark(&mut report);
     let report_render = report_render_benchmark(&mut report);
     let json_render = json_render_benchmark(&mut report, &out_dir);
+    let segment_table = segment_table_benchmark(&mut report, &out_dir);
     if let serde_json::Value::Object(fields) = &mut bench {
         fields.push(("replay".to_string(), replay));
         fields.push(("serve".to_string(), serve));
@@ -95,6 +96,7 @@ fn main() {
         fields.push(("rank_scale".to_string(), rank_scale));
         fields.push(("report_render".to_string(), report_render));
         fields.push(("json_render".to_string(), json_render));
+        fields.push(("segment_table".to_string(), segment_table));
     }
     let bench_path = out_dir.join("BENCH_pipeline.json");
     std::fs::write(&bench_path, serde_json::to_string_pretty(&bench).unwrap()).unwrap();
@@ -281,7 +283,7 @@ fn fig5(report: &mut Report, out_dir: &Path) {
     let config = AnalysisConfig::default();
     let coarse = analyze(&trace, &config).unwrap();
 
-    let durations = coarse.sos.duration_by_ordinal();
+    let durations = coarse.sos().duration_by_ordinal();
     let median = {
         let mut d = durations.clone();
         d.sort_by(f64::total_cmp);
@@ -320,9 +322,9 @@ fn fig5(report: &mut Report, out_dir: &Path) {
     let cycles_ok = hot
         .map(|hot| {
             let hot_rate = cyc.matrix.value(hot.process, hot.ordinal).unwrap() as f64
-                / fine.sos.duration(hot.process, hot.ordinal).unwrap().0 as f64;
+                / fine.sos().duration(hot.process, hot.ordinal).unwrap().0 as f64;
             let prev_rate = cyc.matrix.value(hot.process, hot.ordinal - 1).unwrap() as f64
-                / fine.sos.duration(hot.process, hot.ordinal - 1).unwrap().0 as f64;
+                / fine.sos().duration(hot.process, hot.ordinal - 1).unwrap().0 as f64;
             hot_rate < 0.5 * prev_rate
         })
         .unwrap_or(false);
@@ -575,18 +577,43 @@ fn time_reps(f: &mut dyn FnMut()) -> Timing {
 /// best-of-[`BENCH_REPS`]) so slow rounds on a shared box hit both
 /// measurements equally.
 fn time_interleaved(a: &mut dyn FnMut(), b: &mut dyn FnMut()) -> (Timing, Timing) {
-    let mut sa = Vec::with_capacity(BENCH_REPS);
-    let mut sb = Vec::with_capacity(BENCH_REPS);
-    for _ in 0..BENCH_REPS {
-        let start = std::time::Instant::now();
-        a();
-        sa.push(start.elapsed().as_secs_f64());
-        let start = std::time::Instant::now();
-        b();
-        sb.push(start.elapsed().as_secs_f64());
-    }
+    let (sa, sb) = time_rounds(BENCH_REPS, a, b);
     (Timing::of_samples(sa), Timing::of_samples(sb))
 }
+
+/// The per-round samples of `rounds` paired rounds, one run of each
+/// closure per round; which one leads alternates by round, so a drift
+/// of the host within a round reaches both sides.
+fn time_rounds(rounds: usize, a: &mut dyn FnMut(), b: &mut dyn FnMut()) -> (Vec<f64>, Vec<f64>) {
+    let time = |f: &mut dyn FnMut()| {
+        let start = std::time::Instant::now();
+        f();
+        start.elapsed().as_secs_f64()
+    };
+    let (mut sa, mut sb) = (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
+    for round in 0..rounds {
+        if round % 2 == 0 {
+            sa.push(time(a));
+            sb.push(time(b));
+        } else {
+            sb.push(time(b));
+            sa.push(time(a));
+        }
+    }
+    (sa, sb)
+}
+
+/// Back-to-back runs of `f` that make one sample of at least
+/// [`MIN_SAMPLE_S`], judged from a first timed run.
+fn runs_per_sample(f: &mut dyn FnMut()) -> usize {
+    let start = std::time::Instant::now();
+    f();
+    let once = start.elapsed().as_secs_f64().max(1e-6);
+    (MIN_SAMPLE_S / once).ceil().max(1.0) as usize
+}
+
+/// The least wall one timed sample of a paired row covers.
+const MIN_SAMPLE_S: f64 = 0.050;
 
 /// The median of paired per-round statistics (ratios or differences):
 /// one stalled round on either side of a pair moves one sample, not the
@@ -693,15 +720,27 @@ fn pipeline_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value 
         perfvar_trace::format::write_trace_file(&t, &archive).unwrap();
         let cfg = cfg_at(0);
         // Both routes start from the file path: the in-memory route has
-        // to materialise the whole trace before it can analyze.
-        let (in_memory_t, ooc_t) = time_interleaved(
-            &mut || {
-                let loaded = perfvar_trace::format::read_trace_file(&archive).unwrap();
-                analyze(&loaded, &cfg).unwrap();
-            },
-            &mut || {
-                perfvar_analysis::analyze_path(&archive, &cfg).unwrap();
-            },
+        // to materialise the whole trace before it can analyze. A sample
+        // is `k` back-to-back analyses (≥50 ms), and the gate is the
+        // median of the per-round ratios.
+        let mut in_memory = || {
+            let loaded = perfvar_trace::format::read_trace_file(&archive).unwrap();
+            analyze(&loaded, &cfg).unwrap();
+        };
+        let out_of_core = || {
+            perfvar_analysis::analyze_path(&archive, &cfg).unwrap();
+        };
+        let k = runs_per_sample(&mut in_memory);
+        let (in_memory_s, ooc_s) = time_rounds(
+            OOC_ROUNDS,
+            &mut || (0..k).for_each(|_| in_memory()),
+            &mut || (0..k).for_each(|_| out_of_core()),
+        );
+        let ratios: Vec<f64> = ooc_s.iter().zip(&in_memory_s).map(|(o, m)| o / m).collect();
+        let ratio = median(ratios.clone());
+        let (in_memory_t, ooc_t) = (
+            Timing::of_samples(in_memory_s.iter().map(|s| s / k as f64).collect()),
+            Timing::of_samples(ooc_s.iter().map(|s| s / k as f64).collect()),
         );
         let from_disk = analyze_path_with(&archive, &cfg, RecoveryMode::Strict).unwrap();
         let passes = from_disk.passes;
@@ -718,30 +757,36 @@ fn pipeline_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value 
         // the in-memory route, which pays the same decode *plus*
         // materialisation. `passes == 1` is a correctness gate and stays
         // strict even in relaxed mode.
-        let wall_ratio = ooc_t.best / in_memory_t.best;
-        let per_pass_ratio = (ooc_t.best / passes as f64) / in_memory_t.best;
+        let per_pass_ratio = ratio / passes as f64;
         let ratio_limit = if relaxed { 3.0 } else { 1.0 };
         ooc_ok &=
             passes == 1 && per_pass_ratio <= ratio_limit && worker_items < t.num_events() / 100;
         ooc_summary.push(format!(
-            "{ranks} ranks: in-memory {:.3} s vs out-of-core {:.3} s in {passes} pass(es) \
-             ({wall_ratio:.2}× wall, {:.1}M ev/s streamed); \
-             worker holds {worker_items} items, not {ev} events",
-            in_memory_t.best,
-            ooc_t.best,
-            passes as f64 * ev as f64 / ooc_t.best / 1e6
+            "{ranks} ranks: out-of-core/in-memory median {ratio:.2}× over {OOC_ROUNDS} \
+             rounds of {k} analyses (rounds {:.2}–{:.2}×; median {:.1} vs {:.1} ms an \
+             analysis) in {passes} pass(es), {:.1}M ev/s streamed; worker holds \
+             {worker_items} items, not {ev} events",
+            ratios.iter().copied().fold(f64::INFINITY, f64::min),
+            ratios.iter().copied().fold(0.0, f64::max),
+            ooc_t.median * 1e3,
+            in_memory_t.median * 1e3,
+            passes as f64 * ev as f64 / ooc_t.median / 1e6
         ));
         ooc_rows.push(serde_json::json!({
             "ranks": ranks,
             "iterations": iterations,
             "events": ev,
+            "rounds": OOC_ROUNDS,
+            "analyses_per_sample": k,
             "in_memory": in_memory_t.to_json(),
             "out_of_core": ooc_t.to_json(),
             "out_of_core_passes": passes,
-            "out_of_core_events_per_sec": ev as f64 / ooc_t.best,
-            "streamed_events_per_sec_per_pass": passes as f64 * ev as f64 / ooc_t.best,
+            "out_of_core_events_per_sec": ev as f64 / ooc_t.median,
+            "streamed_events_per_sec_per_pass": passes as f64 * ev as f64 / ooc_t.median,
+            "ooc_over_in_memory": ratios,
+            "ooc_over_in_memory_median": ratio,
             "slowdown_per_pass_vs_in_memory": per_pass_ratio,
-            "slowdown_ooc_vs_in_memory": wall_ratio,
+            "limit": ratio_limit,
             "peak_state": serde_json::json!({
                 "in_memory_resident_events": ev,
                 "ooc_worker_live_items": worker_items,
@@ -922,11 +967,14 @@ fn pipeline_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value 
 
     report.check(
         "OUT-OF-CORE analyze_path vs in-memory fused",
-        "speculative fusion reads the archive once (passes == 1, strict even \
-         in relaxed mode) and the single streaming pass is no slower than \
-         the in-memory path's end-to-end rate; per-worker state is \
-         O(buffer + stack + segments + functions), independent of trace \
-         length (64 and 256 ranks)",
+        &format!(
+            "speculative fusion reads the archive once (passes == 1, strict even \
+             in relaxed mode) and the single streaming pass is no slower than \
+             the in-memory path's end-to-end rate (median of {OOC_ROUNDS} paired \
+             rounds of ≥50 ms samples, ≤1.0×; 3× relaxed); per-worker state is \
+             O(buffer + stack + segments + functions), independent of trace \
+             length (64 and 256 ranks)"
+        ),
         ooc_summary.join("; "),
         ooc_ok,
     );
@@ -967,6 +1015,9 @@ fn pipeline_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value 
 
     json
 }
+
+/// Paired rounds of the OUT-OF-CORE row, per fixture.
+const OOC_ROUNDS: usize = 9;
 
 /// Paired rounds of the REPLAY row (item 10's statistic: the median of
 /// per-round ratios).
@@ -1514,7 +1565,7 @@ fn ablation_sos_vs_durations(report: &mut Report) {
             sos_hits += 1;
         }
         let naive = ImbalanceAnalysis::detect(
-            &analysis.sos.durations_as_sos(),
+            &analysis.sos().durations_as_sos(),
             AnalysisConfig::default().imbalance,
         );
         // The naive variant must name the process; ties (everyone equal
@@ -1815,20 +1866,28 @@ fn report_render_benchmark(report: &mut Report) -> serde_json::Value {
     })
 }
 
-/// Samples of the JSON row; each renders the whole document once.
-const JSON_SAMPLES: usize = 15;
-/// The JSON gate: render throughput floor, strict mode, in MB/s. Twice
-/// the analysis time of the parent of this gate (51.2 ms best for
-/// `analyze_path` of the same archive at one thread) over the 55.3 MB
-/// document is 540 MB/s, the old `render ≤ 2 × analyze_path` bound.
-const JSON_FLOOR_MB_S: f64 = 550.0;
+/// Paired rounds of the JSON row; each renders the whole document once
+/// and formats the reference once.
+const JSON_ROUNDS: usize = 11;
+/// The JSON gate: render time over the reference time, median of the
+/// per-round ratios, strict mode. The old gate was a 550 MB/s floor: a
+/// render of the 55.3 MB document within 100.5 ms. On a 2-vCPU host
+/// whose reference took 34.6 ms (median), 2.5× the reference is 86.5
+/// ms (639 MB/s), and it reaches 100.5 ms only once the host runs the
+/// reference 16% slower than that.
+const JSON_LIMIT: f64 = 2.5;
 
 /// Times rendering the analysis of the pipeline benchmark's
 /// `stencil-scaling.pvta` as pretty JSON (the `analyze --json` document,
-/// written through `to_writer_pretty` into a sink) and gates on the
-/// render throughput over that fixed document, which no analysis
-/// speed-up moves.
+/// written through `to_writer_pretty` into a sink) against a reference
+/// this code does not change: std's `write!` of the document's integers
+/// (every segment's five fields and the SOS matrix's two values per
+/// segment, copied out beforehand) into a buffered sink. The two are
+/// timed as pairs and the gate is on the median of the per-round
+/// ratios, so a host that runs slow for the whole row slows both.
 fn json_render_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
+    use std::io::Write as _;
+
     let archive = out_dir.join("bench-archives").join("stencil-scaling.pvta");
     let config = AnalysisConfig {
         threads: 1,
@@ -1839,42 +1898,179 @@ fn json_render_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Val
         .unwrap()
         .analysis;
     let bytes = serde_json::to_string_pretty(&analysis).unwrap().len();
-    let render_t = Timing::of_samples(
-        (0..JSON_SAMPLES)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                serde_json::to_writer_pretty(std::io::sink(), &analysis).unwrap();
-                start.elapsed().as_secs_f64()
-            })
-            .collect(),
+    let mut integers: Vec<u64> = Vec::new();
+    for s in analysis.segmentation.iter() {
+        integers.extend([
+            s.process.0 as u64,
+            s.ordinal as u64,
+            s.enter.0,
+            s.leave.0,
+            s.sync.0,
+        ]);
+    }
+    for (_, _, v) in analysis.sos().iter_sos() {
+        integers.push(v.0);
+    }
+    integers.extend(analysis.segmentation.iter().map(|s| s.duration().0));
+    let (render_s, reference_s) = time_rounds(
+        JSON_ROUNDS,
+        &mut || serde_json::to_writer_pretty(std::io::sink(), &analysis).unwrap(),
+        &mut || {
+            let mut out = std::io::BufWriter::with_capacity(64 * 1024, std::io::sink());
+            for v in &integers {
+                write!(out, "{v},").unwrap();
+            }
+            out.flush().unwrap();
+        },
     );
-    let mb_per_s = bytes as f64 / render_t.best / 1e6;
-    let floor = if bench_relaxed() {
-        150.0
-    } else {
-        JSON_FLOOR_MB_S
-    };
+    let ratios: Vec<f64> = render_s
+        .iter()
+        .zip(&reference_s)
+        .map(|(r, f)| r / f)
+        .collect();
+    let ratio = median(ratios.clone());
+    let (render_t, reference_t) = (
+        Timing::of_samples(render_s),
+        Timing::of_samples(reference_s),
+    );
+    let mb_per_s = bytes as f64 / render_t.median / 1e6;
+    let limit = if bench_relaxed() { 6.0 } else { JSON_LIMIT };
     report.check(
         "JSON render of an analysis",
         &format!(
             "the direct JSON writer renders the analysis document of the \
-             ≥2M-event stencil-scaling.pvta at ≥{JSON_FLOOR_MB_S:.0} MB/s \
-             (best of {JSON_SAMPLES}; 150 MB/s relaxed)"
+             ≥2M-event stencil-scaling.pvta in ≤{JSON_LIMIT}× the time std's write! \
+             formats the document's integers (median of {JSON_ROUNDS} paired \
+             rounds; 6× relaxed)"
         ),
         format!(
-            "{mb_per_s:.0} MB/s over {} KiB: render best {:.1} ms, median {:.1} ms (σ {:.1} ms)",
-            bytes / 1024,
-            render_t.best * 1e3,
+            "render/reference median {ratio:.2}× (rounds {:.2}–{:.2}×): render median \
+             {:.1} ms ({mb_per_s:.0} MB/s over {} KiB), reference median {:.1} ms for \
+             {} integers",
+            ratios.iter().copied().fold(f64::INFINITY, f64::min),
+            ratios.iter().copied().fold(0.0, f64::max),
             render_t.median * 1e3,
-            render_t.stddev * 1e3,
+            bytes / 1024,
+            reference_t.median * 1e3,
+            integers.len(),
         ),
-        mb_per_s >= floor,
+        ratio <= limit,
     );
     serde_json::json!({
         "fixture": "stencil-scaling.pvta analysis document, pretty",
         "bytes": bytes,
+        "rounds": JSON_ROUNDS,
         "render": render_t.to_json(),
         "render_mb_per_s": mb_per_s,
-        "floor_mb_per_s": floor,
+        "reference": reference_t.to_json(),
+        "reference_integers": integers.len(),
+        "render_over_reference": ratios,
+        "render_over_reference_median": ratio,
+        "limit": limit,
+    })
+}
+
+/// Runs of the SEGMENT-TABLE row.
+const SEGMENT_TABLE_RUNS: usize = 11;
+/// The SEGMENT-TABLE memory gate: the peak RSS of text-mode `perfvar
+/// analyze` on the scale input, in MiB (strict in every mode).
+const SEGMENT_TABLE_RSS_MIB: f64 = 30.0;
+/// The SEGMENT-TABLE time gate: its `assemble` stage, strict mode.
+const SEGMENT_TABLE_ASSEMBLE_S: f64 = 0.020;
+
+/// The segment table at scale: child runs of `perfvar analyze --threads
+/// 1 --stats` on the scale input (`perfvar generate balanced --ranks 32
+/// --iterations 24000`: 768,000 segments), each a fresh process, gated
+/// on the median of the peak RSS its stats table reports (`VmHWM` at the
+/// end of the command) and of its `assemble` stage. The `perfvar` binary
+/// is the one built next to this one (`cargo build --release`).
+fn segment_table_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
+    use std::process::{Command, Stdio};
+
+    const ID: &str = "SEGMENT-TABLE columnar segments at scale";
+    let paper = format!(
+        "text-mode `perfvar analyze --threads 1` of the 768,000-segment scale \
+         input peaks at ≤{SEGMENT_TABLE_RSS_MIB:.0} MiB RSS and its assemble stage \
+         takes ≤{:.0} ms (medians of {SEGMENT_TABLE_RUNS} child runs; 60 ms relaxed, \
+         the memory gate is strict in every mode)",
+        SEGMENT_TABLE_ASSEMBLE_S * 1e3
+    );
+    let perfvar = std::env::current_exe()
+        .map(|exe| exe.with_file_name("perfvar"))
+        .unwrap_or_default();
+    let input = out_dir.join("bench-archives").join("scale.pvta");
+    let _ = std::fs::remove_dir_all(&input);
+    let generated = Command::new(&perfvar)
+        .args([
+            "generate",
+            "balanced",
+            "--ranks",
+            "32",
+            "--iterations",
+            "24000",
+            "--out",
+        ])
+        .arg(&input)
+        .stdout(Stdio::null())
+        .status();
+    if !generated.is_ok_and(|s| s.success()) {
+        let why = format!(
+            "cannot run {} (build it with `cargo build --release -p perfvar-cli`)",
+            perfvar.display()
+        );
+        report.check(ID, &paper, why.clone(), false);
+        return serde_json::json!({ "error": why });
+    }
+    let (mut rss_mib, mut assemble_s) = (Vec::new(), Vec::new());
+    for _ in 0..SEGMENT_TABLE_RUNS {
+        let out = Command::new(&perfvar)
+            .arg("analyze")
+            .arg(&input)
+            .args(["--threads", "1", "--stats"])
+            .stdout(Stdio::null())
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "perfvar analyze failed: {out:?}");
+        let table = String::from_utf8_lossy(&out.stderr);
+        let field = |prefix: &str| {
+            table
+                .lines()
+                .find_map(|line| line.trim_start().strip_prefix(prefix))
+                .and_then(|rest| rest.split_whitespace().next()?.parse::<f64>().ok())
+                .unwrap_or_else(|| panic!("no {prefix:?} line in:\n{table}"))
+        };
+        rss_mib.push(field("memory: peak RSS "));
+        assemble_s.push(field("assemble "));
+    }
+    let (rss, assemble) = (median(rss_mib.clone()), median(assemble_s.clone()));
+    let assemble_limit = if bench_relaxed() {
+        0.060
+    } else {
+        SEGMENT_TABLE_ASSEMBLE_S
+    };
+    report.check(
+        ID,
+        &paper,
+        format!(
+            "768000 segments; peak RSS median {rss:.1} MiB (runs {:.1}–{:.1}); \
+             assemble median {:.0} ms (runs {:.0}–{:.0})",
+            rss_mib.iter().copied().fold(f64::INFINITY, f64::min),
+            rss_mib.iter().copied().fold(0.0, f64::max),
+            assemble * 1e3,
+            assemble_s.iter().copied().fold(f64::INFINITY, f64::min) * 1e3,
+            assemble_s.iter().copied().fold(0.0, f64::max) * 1e3,
+        ),
+        rss <= SEGMENT_TABLE_RSS_MIB && assemble <= assemble_limit,
+    );
+    serde_json::json!({
+        "fixture": "perfvar generate balanced --ranks 32 --iterations 24000; \
+                    perfvar analyze --threads 1 --stats",
+        "runs": SEGMENT_TABLE_RUNS,
+        "peak_rss_mib": rss_mib,
+        "peak_rss_mib_median": rss,
+        "rss_limit_mib": SEGMENT_TABLE_RSS_MIB,
+        "assemble_s": assemble_s,
+        "assemble_median_s": assemble,
+        "assemble_limit_s": assemble_limit,
     })
 }

@@ -81,8 +81,9 @@ reads and --read-buffer BYTES sizes the buffered read window (a pure
 performance knob — results are bit-identical either way).
 
 --stats prints a per-stage pipeline timing table (wall time, events/s,
-bytes/s, peak state) to stderr; --stats-json emits the same data as JSON
-on stdout (combined with --json it becomes {\"analysis\": …, \"stats\": …}).
+bytes/s, peak state, the process's peak RSS) to stderr; --stats-json
+emits the same data as JSON on stdout (combined with --json it becomes
+{\"analysis\": …, \"stats\": …}).
 analyze runs on a terminal show a live N/M-ranks progress line.
 
 serve starts an analysis daemon answering GET /v1/analyze?path=…,
@@ -485,8 +486,12 @@ pub fn analyze(argv: Vec<String>) -> Result<(), String> {
         ),
     };
     let stats = telemetry.snapshot();
+    // The table comes last, so its peak RSS is read again at the end of
+    // the command, after everything the command printed.
     let stats_table = || {
         if let Some(s) = stats.as_ref().filter(|_| args.has("stats")) {
+            let mut s = s.clone();
+            s.peaks.peak_rss_bytes = perfvar_analysis::telemetry::peak_rss_bytes();
             eprint!("{}", s.render_table());
         }
     };
@@ -524,7 +529,7 @@ pub fn analyze(argv: Vec<String>) -> Result<(), String> {
         }
     }
     if args.has("phases") {
-        print_phases(&analysis.sos);
+        print_phases(&analysis.sos());
     }
     if let Some(trace) = &trace {
         print_replays(trace, &args)?;

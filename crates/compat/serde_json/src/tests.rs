@@ -535,6 +535,7 @@ impl Strategy for RandomStats {
             read_buffer_bytes: n(),
             mapped_streams: n(),
             buffered_streams: n(),
+            peak_rss_bytes: n(),
         };
         let ranks = n();
         PipelineStats {

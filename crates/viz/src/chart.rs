@@ -328,7 +328,7 @@ pub fn sos_heatmap_with(
     analysis: &Analysis,
     max_spans_per_row: usize,
 ) -> TimelineChart {
-    let scale = ColorScale::from_values(analysis.sos.iter_sos().map(|(_, _, v)| v.0 as f64));
+    let scale = ColorScale::from_values(analysis.sos().iter_sos().map(|(_, _, v)| v.0 as f64));
     let registry = trace.registry();
     let rows = (0..analysis.segmentation.num_processes())
         .map(|p| {
@@ -403,7 +403,7 @@ pub fn cluster_heatmap(
     diagnosis: &Diagnosis,
     max_spans_per_row: usize,
 ) -> TimelineChart {
-    let scale = ColorScale::from_values(analysis.sos.iter_sos().map(|(_, _, v)| v.0 as f64));
+    let scale = ColorScale::from_values(analysis.sos().iter_sos().map(|(_, _, v)| v.0 as f64));
     let rows = diagnosis
         .clusters
         .iter()

@@ -134,10 +134,10 @@ fn recent(
     live: &LiveAnalysis,
     rank: usize,
     width: usize,
-) -> impl Iterator<Item = &perfvar_analysis::Segment> {
+) -> impl Iterator<Item = perfvar_analysis::Segment> + '_ {
     let closed = live.closed_segments(rank);
     let skip = closed.len().saturating_sub(width.max(1));
-    closed[skip..].iter()
+    closed.slice(skip..closed.len()).iter()
 }
 
 #[cfg(test)]

@@ -81,7 +81,7 @@ pub fn function_summary(trace: &Trace, profiles: &ProfileTable, max_bars: usize)
 /// process, coloured on the heat scale (so the overloaded rank is red
 /// here too).
 pub fn process_load_chart(trace: &Trace, analysis: &Analysis) -> BarChart {
-    let totals = analysis.sos.process_totals();
+    let totals = analysis.sos().process_totals();
     let scale = ColorScale::from_values(totals.iter().map(|d| d.0 as f64));
     let registry = trace.registry();
     let bars = totals
@@ -107,7 +107,7 @@ pub fn process_load_chart(trace: &Trace, analysis: &Analysis) -> BarChart {
 pub fn sos_histogram(analysis: &Analysis, bins: usize) -> Histogram {
     assert!(bins > 0, "need at least one bin");
     let values: Vec<f64> = analysis
-        .sos
+        .sos()
         .iter_sos()
         .map(|(_, _, v)| v.0 as f64)
         .collect();
@@ -284,12 +284,12 @@ pub fn ordinal_series_chart(analysis: &Analysis) -> SeriesChart {
         series: vec![
             (
                 "duration".to_string(),
-                analysis.sos.duration_by_ordinal(),
+                analysis.sos().duration_by_ordinal(),
                 Color::rgb(0x88, 0x55, 0x2b),
             ),
             (
                 "SOS".to_string(),
-                analysis.sos.sos_by_ordinal(),
+                analysis.sos().sos_by_ordinal(),
                 Color::rgb(0x2b, 0x6f, 0xd9),
             ),
         ],

@@ -40,7 +40,7 @@ fn main() {
     println!("\n— after the fix (FD4 dynamic load balancing) —");
     print!("{}", after.render_text(&fixed));
 
-    let comparison = RunComparison::compare(&before.sos, &after.sos);
+    let comparison = RunComparison::compare(&before.sos(), &after.sos());
     println!();
     print!("{}", comparison.render_text());
     assert!(
@@ -58,8 +58,8 @@ fn main() {
 
     // Clustering view: the baseline splits into cloud / no-cloud
     // behaviour groups; the fixed run is one group.
-    let clusters_before = ProcessClustering::compute(&before.sos, ClusterConfig::default());
-    let clusters_after = ProcessClustering::compute(&after.sos, ClusterConfig::default());
+    let clusters_before = ProcessClustering::compute(&before.sos(), ClusterConfig::default());
+    let clusters_after = ProcessClustering::compute(&after.sos(), ClusterConfig::default());
     println!(
         "behaviour clusters: {} before → {} after",
         clusters_before.len(),

@@ -37,7 +37,7 @@ fn main() {
         "\ncoarse dominant function: {:?}",
         trace.registry().function_name(coarse.function)
     );
-    let durations = coarse.sos.duration_by_ordinal();
+    let durations = coarse.sos().duration_by_ordinal();
     println!("Fig 5(a) — mean iteration durations:");
     let median = {
         let mut d = durations.clone();
@@ -84,10 +84,14 @@ fn main() {
         .find(|c| trace.registry().metric(c.metric).name == "PAPI_TOT_CYC")
         .expect("cycle counter attributed");
     let hot_cycles = cyc.matrix.value(hot.process, hot.ordinal).unwrap();
-    let hot_duration = fine.sos.duration(hot.process, hot.ordinal).unwrap().0 as f64;
+    let hot_duration = fine.sos().duration(hot.process, hot.ordinal).unwrap().0 as f64;
     let neighbour_ordinal = hot.ordinal.saturating_sub(1);
     let normal_cycles = cyc.matrix.value(hot.process, neighbour_ordinal).unwrap();
-    let normal_duration = fine.sos.duration(hot.process, neighbour_ordinal).unwrap().0 as f64;
+    let normal_duration = fine
+        .sos()
+        .duration(hot.process, neighbour_ordinal)
+        .unwrap()
+        .0 as f64;
     println!(
         "  PAPI_TOT_CYC: outlier invocation {:.0} cycles/tick vs normal {:.0} cycles/tick",
         hot_cycles as f64 / hot_duration,

@@ -15,7 +15,7 @@ fn clustering_isolates_the_cosmo_cloud_ranks() {
     let workload = workloads::CosmoSpecs::paper();
     let trace = simulate(&workload.spec()).unwrap();
     let analysis = analyze(&trace, &AnalysisConfig::default()).unwrap();
-    let clustering = ProcessClustering::compute(&analysis.sos, ClusterConfig::default());
+    let clustering = ProcessClustering::compute(&analysis.sos(), ClusterConfig::default());
     // The majority cluster holds the 94 cloud-free ranks; the minority
     // clusters hold exactly the paper's six.
     assert!(clustering.len() >= 2);
@@ -35,7 +35,7 @@ fn balanced_fd4_run_is_one_cluster() {
     workload.interruption_factor = 0.0;
     let trace = simulate(&workload.spec()).unwrap();
     let analysis = analyze(&trace, &AnalysisConfig::default()).unwrap();
-    let clustering = ProcessClustering::compute(&analysis.sos, ClusterConfig::default());
+    let clustering = ProcessClustering::compute(&analysis.sos(), ClusterConfig::default());
     assert_eq!(clustering.len(), 1);
 }
 
@@ -52,7 +52,7 @@ fn comparison_quantifies_the_fd4_fix() {
     let config = AnalysisConfig::default();
     let before = analyze(&before_trace, &config).unwrap();
     let after = analyze(&after_trace, &config).unwrap();
-    let cmp = RunComparison::compare(&before.sos, &after.sos);
+    let cmp = RunComparison::compare(&before.sos(), &after.sos());
     assert!(cmp.before.imbalance_index > 0.15, "{:?}", cmp.before);
     assert!(cmp.after.imbalance_index < 0.05, "{:?}", cmp.after);
     assert!(cmp.imbalance_change() < -0.1);

@@ -179,7 +179,7 @@ fn fig5_fd4_process_interruption() {
     // (a) "only a few iterations behaved differently and exhibited larger
     // durations": exactly one iteration sticks out.
     let coarse = analyze(&trace, &config).unwrap();
-    let durations = coarse.sos.duration_by_ordinal();
+    let durations = coarse.sos().duration_by_ordinal();
     let slow: Vec<usize> = {
         let mut sorted = durations.clone();
         sorted.sort_by(f64::total_cmp);
@@ -221,10 +221,10 @@ fn fig5_fd4_process_interruption() {
         .find(|c| trace.registry().metric(c.metric).name == "PAPI_TOT_CYC")
         .unwrap();
     let hot_cycles = cyc.matrix.value(hot.process, hot.ordinal).unwrap() as f64;
-    let hot_duration = fine.sos.duration(hot.process, hot.ordinal).unwrap().0 as f64;
+    let hot_duration = fine.sos().duration(hot.process, hot.ordinal).unwrap().0 as f64;
     let prev = hot.ordinal - 1;
     let prev_cycles = cyc.matrix.value(hot.process, prev).unwrap() as f64;
-    let prev_duration = fine.sos.duration(hot.process, prev).unwrap().0 as f64;
+    let prev_duration = fine.sos().duration(hot.process, prev).unwrap().0 as f64;
     assert!(
         hot_cycles / hot_duration < 0.5 * (prev_cycles / prev_duration),
         "interrupted invocation must show low cycles per wall tick"

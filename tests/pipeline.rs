@@ -32,7 +32,7 @@ fn simulate_serialise_reload_analyse_cosmo() {
     let a1 = analyze(&trace, &config).unwrap();
     let a2 = analyze(&from_bin, &config).unwrap();
     assert_eq!(a1.function, a2.function);
-    assert_eq!(a1.sos, a2.sos);
+    assert_eq!(a1.sos(), a2.sos());
     assert_eq!(a1.imbalance.process_scores, a2.imbalance.process_scores);
 }
 
