@@ -319,14 +319,14 @@ impl RobustScorer {
                 counts[(v.0 - min) as usize] += 1;
             }
         }
-        let (lower, upper) = histogram_middles(&counts, n);
+        let (lower, upper) = crate::sos::histogram_middles(&counts, n);
         let (lower, upper) = (min + lower, min + upper);
         let deviation = |v: u64| (2 * v).abs_diff(lower + upper);
         let mut by_deviation = vec![0usize; deviation(min).max(deviation(max)) as usize + 1];
         for (v, &count) in (min..).zip(&counts) {
             by_deviation[deviation(v) as usize] += count;
         }
-        let (dev_lower, dev_upper) = histogram_middles(&by_deviation, n);
+        let (dev_lower, dev_upper) = crate::sos::histogram_middles(&by_deviation, n);
         let median = (lower as f64 + upper as f64) / 2.0;
         let mad = (dev_lower as f64 / 2.0 + dev_upper as f64 / 2.0) / 2.0;
         let mut scale = 1.4826 * mad;
@@ -345,23 +345,6 @@ impl RobustScorer {
             (value - self.median) / self.scale
         }
     }
-}
-
-/// The two middle values (ranks `⌊(n−1)/2⌋` and `⌊n/2⌋`, the same one
-/// twice for odd `n`) of the `n` values `v` counted as `counts[v]`.
-fn histogram_middles(counts: &[usize], n: usize) -> (u64, u64) {
-    let (a, b) = ((n - 1) / 2, n / 2);
-    let (mut lower, mut below) = (None, 0);
-    for (v, &count) in (0u64..).zip(counts) {
-        below += count;
-        if lower.is_none() && below > a {
-            lower = Some(v);
-        }
-        if below > b {
-            return (lower.unwrap_or(v), v);
-        }
-    }
-    unreachable!("the counts hold all {n} values")
 }
 
 /// Median of `values` (the mean of the two middle values for even

@@ -78,6 +78,48 @@ impl TickStats {
         }
     }
 
+    /// [`from_values`](TickStats::from_values) over what `values`
+    /// yields, with the same bits. When the values span fewer ticks than
+    /// there are values they are counted per tick instead of copied and
+    /// sorted: walking the ticks in ascending order, each as often as it
+    /// occurs, is the sorted order the sums need.
+    pub(crate) fn from_ticks(values: impl Iterator<Item = u64> + Clone) -> TickStats {
+        let (mut count, mut min, mut max) = (0usize, u64::MAX, 0);
+        for v in values.clone() {
+            count += 1;
+            min = min.min(v);
+            max = max.max(v);
+        }
+        if count == 0 || max - min >= count as u64 {
+            return TickStats::from_values(values);
+        }
+        let mut counts = vec![0usize; (max - min + 1) as usize];
+        for v in values {
+            counts[(v - min) as usize] += 1;
+        }
+        let sorted = || {
+            (min..)
+                .zip(&counts)
+                .flat_map(|(v, &n)| std::iter::repeat_n(v, n))
+        };
+        let mean = sorted().map(|x| x as f64).sum::<f64>() / count as f64;
+        let var = sorted()
+            .map(|x| {
+                let d = x as f64 - mean;
+                d * d
+            })
+            .sum::<f64>()
+            / count as f64;
+        TickStats {
+            count,
+            min,
+            max,
+            mean,
+            stddev: var.sqrt(),
+            median: min + histogram_middles(&counts, count).0,
+        }
+    }
+
     /// Coefficient of variation (stddev / mean); 0 for an empty or
     /// zero-mean set.
     pub fn cv(&self) -> f64 {
@@ -171,12 +213,12 @@ impl<'a> SosMatrix<'a> {
 
     /// Statistics over all SOS values in the matrix.
     pub fn sos_stats(&self) -> TickStats {
-        TickStats::from_values(self.sos_rows().flatten().map(|d| d.0))
+        TickStats::from_ticks(self.sos_rows().flatten().map(|d| d.0))
     }
 
     /// Statistics over all plain durations.
     pub fn duration_stats(&self) -> TickStats {
-        TickStats::from_values(self.duration_rows().flatten().map(|d| d.0))
+        TickStats::from_ticks(self.duration_rows().flatten().map(|d| d.0))
     }
 
     /// Per-ordinal mean duration across processes (the "how long was
@@ -225,6 +267,23 @@ fn ordinal_means<'r>(rows: impl Iterator<Item = &'r [DurationTicks]> + Clone) ->
         }
     }
     means(&sums, &counts)
+}
+
+/// The two middle values (ranks `⌊(n−1)/2⌋` and `⌊n/2⌋`, the same one
+/// twice for odd `n`) of the `n` values `v` counted as `counts[v]`.
+pub(crate) fn histogram_middles(counts: &[usize], n: usize) -> (u64, u64) {
+    let (a, b) = ((n - 1) / 2, n / 2);
+    let (mut lower, mut below) = (None, 0);
+    for (v, &count) in (0u64..).zip(counts) {
+        below += count;
+        if lower.is_none() && below > a {
+            lower = Some(v);
+        }
+        if below > b {
+            return (lower.unwrap_or(v), v);
+        }
+    }
+    unreachable!("the counts hold all {n} values")
 }
 
 /// `sums[i] / counts[i]`, 0 where the count is 0.
@@ -496,6 +555,17 @@ mod tests {
     }
 
     proptest! {
+        /// Counting per tick gives the bits sorting a copy gives.
+        #[test]
+        fn counted_tick_stats_match_the_sorted_ones(
+            values in crate::imbalance::oracle::arb_ticks(),
+        ) {
+            prop_assert_eq!(
+                stats_bits(TickStats::from_ticks(values.iter().copied())),
+                stats_bits(TickStats::from_values(values.iter().copied()))
+            );
+        }
+
         /// The view equals the copied matrix it replaced on every
         /// accessor (floats compared by bits), in both the SOS and the
         /// naive durations-as-SOS reading, and on both serde paths.
