@@ -24,9 +24,11 @@
 //! owns the single fused-only re-pass a misprediction costs. A
 //! [`RankSource`] is all that differs between the batch entry points:
 //! where the header, the prediction prefix and the per-rank records come
-//! from. Every pass replays a rank through one [`RankFold`]; a live
-//! analysis keeps one fold per rank open across its polls and closes them
-//! with the same [`close_combined`] and [`CombinedPass::assemble`].
+//! from. A pass feeds each rank to one [`RecordFold`]: every analysis
+//! pass ([`RankSource::replay`]) a [`RankFold`], the chart fold of
+//! [`crate::activity`] its own. A live analysis keeps one `RankFold` per
+//! rank open across its polls and closes them with the same
+//! [`close_combined`] and [`CombinedPass::assemble`].
 
 use crate::dominant::DominantRanking;
 use crate::fused::{metric_modes, FusedSink};
@@ -80,21 +82,48 @@ pub(crate) trait RankSource: Sync {
     /// end the prefix early; the pass rediscovers them with proper
     /// reporting.
     fn prefix(&self, predictor: &mut Predictor) -> u64;
-    /// Replays every rank of `ranks` through a sink from `open`, then
-    /// hands the finished sink, its replay stats and how the rank was
-    /// read ([`RankRead`]) to `close`. Results come back in the
-    /// order of `ranks`; a rank whose stream cannot be decoded yields its
-    /// error. With `timed`, the pass splits each rank's busy time into
-    /// decoding and replaying ([`PassClock`]); without it, no
-    /// clock is read.
-    fn pass<S: ReplayVisitor, T: Send>(
+    /// Feeds the records of every rank of `ranks` to a fold from `open`,
+    /// then hands the fold and how the rank was read ([`RankRead`]) to
+    /// `close`. Results come back in the order of `ranks`; a rank whose
+    /// stream cannot be decoded yields its error. With `timed`, the pass
+    /// splits each rank's busy time into decoding and folding
+    /// ([`PassClock`]); without it, no clock is read.
+    fn pass<F: RecordFold, T: Send>(
+        &self,
+        ranks: &[usize],
+        threads: usize,
+        timed: bool,
+        open: impl Fn(ProcessId) -> F + Sync,
+        close: impl Fn(F, RankRead) -> T + Sync,
+    ) -> Vec<Result<T, TraceError>>;
+
+    /// [`pass`](RankSource::pass) replaying each rank through the stack
+    /// machine into a sink from `open` ([`RankFold`]); `close` gets the
+    /// finished sink with its replay stats.
+    fn replay<S: ReplayVisitor, T: Send>(
         &self,
         ranks: &[usize],
         threads: usize,
         timed: bool,
         open: impl Fn(ProcessId) -> S + Sync,
         close: impl Fn(S, ReplayStats, RankRead) -> T + Sync,
-    ) -> Vec<Result<T, TraceError>>;
+    ) -> Vec<Result<T, TraceError>> {
+        let registry = self.registry();
+        self.pass(
+            ranks,
+            threads,
+            timed,
+            |pid| RankFold::new(registry, open(pid)),
+            |fold, read| fold.close(read, &close),
+        )
+    }
+}
+
+/// What a pass feeds one rank's records into, in stream order, one
+/// decoded chunk at a time.
+pub(crate) trait RecordFold {
+    /// Folds the rank's next records.
+    fn step(&mut self, records: &[EventRecord]);
 }
 
 /// How a pass read one rank: the bytes decoded for it (`0` in memory),
@@ -133,13 +162,13 @@ impl PassClock {
     }
 }
 
-/// Decodes the rest of one rank's stream chunk by chunk and replays each
-/// chunk into `fold` when there is one (a sequential file pass decodes
-/// ranks it does not replay), adding the busy times to `read`.
-fn drain<R: BufRead, S: ReplayVisitor>(
+/// Decodes the rest of one rank's stream chunk by chunk and feeds each
+/// chunk to `fold` when there is one (a sequential file pass decodes
+/// ranks it does not fold), adding the busy times to `read`.
+fn drain<R: BufRead, F: RecordFold>(
     cursor: &mut StreamCursor<R>,
     chunk: &mut Vec<EventRecord>,
-    mut fold: Option<&mut RankFold<S>>,
+    mut fold: Option<&mut F>,
     clock: &mut PassClock,
     read: &mut RankRead,
 ) -> Result<(), TraceError> {
@@ -189,6 +218,13 @@ impl<S: ReplayVisitor> RankFold<S> {
     }
 }
 
+impl<S: ReplayVisitor> RecordFold for RankFold<S> {
+    #[inline]
+    fn step(&mut self, records: &[EventRecord]) {
+        RankFold::step(self, records);
+    }
+}
+
 /// In memory: ranks are work-stolen across `threads` workers.
 impl RankSource for Trace {
     fn header(&self) -> (&str, Clock, &Registry) {
@@ -202,22 +238,22 @@ impl RankSource for Trace {
         0
     }
 
-    fn pass<S: ReplayVisitor, T: Send>(
+    fn pass<F: RecordFold, T: Send>(
         &self,
         ranks: &[usize],
         threads: usize,
         timed: bool,
-        open: impl Fn(ProcessId) -> S + Sync,
-        close: impl Fn(S, ReplayStats, RankRead) -> T + Sync,
+        open: impl Fn(ProcessId) -> F + Sync,
+        close: impl Fn(F, RankRead) -> T + Sync,
     ) -> Vec<Result<T, TraceError>> {
         par_map_ranks(ranks.len(), threads, |slot| {
             let pid = ProcessId::from_index(ranks[slot.index()]);
-            let mut fold = RankFold::new(self.registry(), open(pid));
+            let mut fold = open(pid);
             let mut clock = PassClock::new(timed);
             let mut read = RankRead::default();
             fold.step(self.stream(pid).records());
             clock.lap(&mut read.replay);
-            Ok(fold.close(read, &close))
+            Ok(close(fold, read))
         })
     }
 }
@@ -234,19 +270,19 @@ impl RankSource for ArchiveCursor {
             .map_or(0, |mut stream| predictor.read(&mut stream))
     }
 
-    fn pass<S: ReplayVisitor, T: Send>(
+    fn pass<F: RecordFold, T: Send>(
         &self,
         ranks: &[usize],
         threads: usize,
         timed: bool,
-        open: impl Fn(ProcessId) -> S + Sync,
-        close: impl Fn(S, ReplayStats, RankRead) -> T + Sync,
+        open: impl Fn(ProcessId) -> F + Sync,
+        close: impl Fn(F, RankRead) -> T + Sync,
     ) -> Vec<Result<T, TraceError>> {
         par_map_ranks(ranks.len(), threads, |slot| {
             let pid = ProcessId::from_index(ranks[slot.index()]);
             let mut clock = PassClock::new(timed);
             let mut stream = self.stream(pid)?;
-            let mut fold = RankFold::new(self.registry(), open(pid));
+            let mut fold = open(pid);
             let mut chunk = Vec::with_capacity(DECODE_CHUNK_EVENTS);
             let mut read = RankRead::default();
             drain(
@@ -258,7 +294,7 @@ impl RankSource for ArchiveCursor {
             )?;
             read.bytes = stream.byte_offset();
             read.mapped = Some(stream.get_ref().is_mapped());
-            Ok(fold.close(read, &close))
+            Ok(close(fold, read))
         })
     }
 }
@@ -290,19 +326,19 @@ impl PvtFile {
     }
 
     /// Reads the file front to back, one rank's cursor after another,
-    /// replaying the requested (sorted) `ranks` into the matching slots
+    /// folding the requested (sorted) `ranks` into the matching slots
     /// of `done`. Each rank is charged the bytes its cursor read, the
     /// header to rank 0, so the ranks of a full pass sum to the file
     /// size. Returns the rank that stopped the sweep with its error, if
     /// any; a file whose definitions changed since [`PvtFile::open`]
     /// stops it at rank 0.
-    fn sweep<S: ReplayVisitor, T>(
+    fn sweep<F: RecordFold, T>(
         &self,
         ranks: &[usize],
         timed: bool,
         done: &mut [Option<T>],
-        open: &impl Fn(ProcessId) -> S,
-        close: &impl Fn(S, ReplayStats, RankRead) -> T,
+        open: &impl Fn(ProcessId) -> F,
+        close: &impl Fn(F, RankRead) -> T,
     ) -> Result<(), (ProcessId, TraceError)> {
         let (.., registry, mut rank) =
             open_pvt(&self.path, self.options).map_err(|e| (ProcessId(0), e))?;
@@ -316,7 +352,7 @@ impl PvtFile {
         while let Some(mut cursor) = rank {
             let pid = cursor.process();
             let slot = ranks.binary_search(&pid.index()).ok();
-            let mut fold = slot.map(|_| RankFold::new(&self.registry, open(pid)));
+            let mut fold = slot.map(|_| open(pid));
             let mut clock = PassClock::new(timed);
             let mut read = RankRead::default();
             drain(
@@ -331,7 +367,7 @@ impl PvtFile {
             read.bytes = offset - std::mem::replace(&mut mark, offset);
             read.mapped = Some(cursor.get_ref().is_mapped());
             if let (Some(slot), Some(fold)) = (slot, fold) {
-                done[slot] = Some(fold.close(read, close));
+                done[slot] = Some(close(fold, read));
             }
             rank = cursor.next_rank();
         }
@@ -364,13 +400,13 @@ impl RankSource for PvtFile {
     }
 
     /// Sequential, whatever `threads` says; `ranks` must be ascending.
-    fn pass<S: ReplayVisitor, T: Send>(
+    fn pass<F: RecordFold, T: Send>(
         &self,
         ranks: &[usize],
         _threads: usize,
         timed: bool,
-        open: impl Fn(ProcessId) -> S + Sync,
-        close: impl Fn(S, ReplayStats, RankRead) -> T + Sync,
+        open: impl Fn(ProcessId) -> F + Sync,
+        close: impl Fn(F, RankRead) -> T + Sync,
     ) -> Vec<Result<T, TraceError>> {
         assert!(ranks.is_sorted(), "a sequential file is read in rank order");
         let mut done: Vec<Option<T>> = ranks.iter().map(|_| None).collect();
@@ -624,7 +660,7 @@ pub(crate) fn collect(
     telemetry.begin_ranks(Stage::Fuse, ranks.len());
     let results = {
         let _span = telemetry.span(Stage::Fuse);
-        source.pass(
+        source.replay(
             ranks,
             config.threads,
             telemetry.is_enabled(),
@@ -666,7 +702,7 @@ pub(crate) fn complete(
     telemetry.begin_ranks(Stage::Fuse, ranks.len());
     let results = {
         let _span = telemetry.span(Stage::Fuse);
-        source.pass(
+        source.replay(
             &ranks,
             config.threads,
             telemetry.is_enabled(),
@@ -790,13 +826,13 @@ mod tests {
             self.inner.prefix(predictor)
         }
 
-        fn pass<V: ReplayVisitor, T: Send>(
+        fn pass<F: RecordFold, T: Send>(
             &self,
             ranks: &[usize],
             threads: usize,
             timed: bool,
-            open: impl Fn(ProcessId) -> V + Sync,
-            close: impl Fn(V, ReplayStats, RankRead) -> T + Sync,
+            open: impl Fn(ProcessId) -> F + Sync,
+            close: impl Fn(F, RankRead) -> T + Sync,
         ) -> Vec<Result<T, TraceError>> {
             let second = self.passes.fetch_add(1, Ordering::SeqCst) == 1;
             match (second, &self.sabotage) {

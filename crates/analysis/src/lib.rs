@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod activity;
 pub mod callpath;
 pub mod clustering;
 pub mod compare;
@@ -71,6 +72,7 @@ pub mod waitstates;
 
 /// Convenient glob-import of the analysis pipeline.
 pub mod prelude {
+    pub use crate::activity::{activity_of_path, Activity, BucketGrid, BucketRun};
     pub use crate::callpath::{CallPathId, CallTree};
     pub use crate::clustering::{Cluster, ClusterConfig, ProcessClustering};
     pub use crate::compare::{
@@ -88,7 +90,9 @@ pub mod prelude {
     pub use crate::imbalance::{ImbalanceAnalysis, Outlier, WasteAnalysis};
     pub use crate::invocation::{Invocation, ProcessInvocations};
     pub use crate::live::{FunctionTotal, LiveAnalysis, LiveDelta, LiveSnapshot, RankSnapshot};
-    pub use crate::messages::{CommMatrix, MatchedMessage, MessageAnalysis};
+    pub use crate::messages::{
+        CommMatrix, Endpoint, MatchedMessage, MessageAnalysis, RankEndpoints,
+    };
     pub use crate::options::{AnalysisOptions, DiagnoseOptions, OptionsError};
     pub use crate::outofcore::{
         analyze_path, analyze_path_observed, analyze_path_with, OutOfCoreAnalysis,
@@ -107,6 +111,7 @@ pub mod prelude {
     pub use crate::waitstates::{ProcessWaitStates, WaitStateAnalysis};
 }
 
+pub use activity::{activity_of_path, Activity, BucketGrid};
 pub use callpath::CallTree;
 pub use clustering::ProcessClustering;
 pub use compare::{

@@ -7,10 +7,38 @@
 //! endpoints (FIFO per `(src, dst, tag)`, the MPI ordering guarantee),
 //! yielding per-message transfer times, a process×process communication
 //! matrix, and slow-transfer outliers.
+//!
+//! The endpoints come from the chart fold ([`crate::activity`]), per rank
+//! in stream order; [`MessageAnalysis::match_endpoints`] sorts them by
+//! `(from, to, tag, stream position)` and merge-joins sends with
+//! receives, so the k-th receive of a key takes the k-th send of it.
 
-use perfvar_trace::{DurationTicks, Event, ProcessId, Timestamp, Trace};
+use crate::activity::Activity;
+use perfvar_trace::{DurationTicks, ProcessId, Timestamp, Trace};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+
+/// One message endpoint of a rank's stream: a send (the peer is the
+/// receiver) or a receive (the peer is the sender).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Endpoint {
+    /// The other side of the message.
+    pub peer: ProcessId,
+    /// Message tag.
+    pub tag: u32,
+    /// Payload size.
+    pub bytes: u64,
+    /// Event timestamp.
+    pub time: Timestamp,
+}
+
+/// The message endpoints of one rank, each kind in stream order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RankEndpoints {
+    /// `MsgSend` events.
+    pub sends: Vec<Endpoint>,
+    /// `MsgRecv` events.
+    pub recvs: Vec<Endpoint>,
+}
 
 /// One matched point-to-point message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,52 +76,80 @@ pub struct MessageAnalysis {
     pub unmatched_recvs: usize,
 }
 
+/// The sort key of an endpoint: `(from, to, tag)` above its position in
+/// the concatenation of every rank's endpoints of its kind, which orders
+/// each key's endpoints as its one sending (or receiving) stream does.
+fn sort_key(from: ProcessId, to: ProcessId, tag: u32, position: usize) -> u128 {
+    let position = u32::try_from(position).expect("fewer than 2^32 endpoints");
+    (from.0 as u128) << 96 | (to.0 as u128) << 64 | (tag as u128) << 32 | position as u128
+}
+
 impl MessageAnalysis {
-    /// Matches the messages of `trace`.
+    /// Matches the messages of `trace`: the chart fold's endpoints
+    /// ([`Activity::of_trace`]) through [`match_endpoints`](Self::match_endpoints).
     pub fn match_trace(trace: &Trace) -> MessageAnalysis {
-        let mut sends: HashMap<(u32, u32, u32), Vec<(Timestamp, u64)>> = HashMap::new();
-        let mut total_sends = 0usize;
-        for stream in trace.streams() {
-            for r in stream.records() {
-                if let Event::MsgSend { to, tag, bytes } = r.event {
-                    sends
-                        .entry((stream.process.0, to.0, tag))
-                        .or_default()
-                        .push((r.time, bytes));
-                    total_sends += 1;
+        Self::match_endpoints(&Activity::of_trace(trace, None, 1).endpoints)
+    }
+
+    /// Matches the endpoints of every rank (`ranks[p]` holds process
+    /// `p`'s). Sends and receives are sorted by `(from, to, tag, stream
+    /// position)` and merge-joined, FIFO per key; the matched messages
+    /// come out in receive order: by receiving rank, then by the
+    /// receive's position in its stream.
+    pub fn match_endpoints(ranks: &[RankEndpoints]) -> MessageAnalysis {
+        let mut send_times = Vec::new();
+        let mut sends = Vec::new();
+        let mut recvs = Vec::new();
+        for (p, rank) in ranks.iter().enumerate() {
+            let me = ProcessId::from_index(p);
+            for s in &rank.sends {
+                sends.push(sort_key(me, s.peer, s.tag, send_times.len()));
+                send_times.push(s.time);
+            }
+            for r in &rank.recvs {
+                recvs.push(sort_key(r.peer, me, r.tag, recvs.len()));
+            }
+        }
+        let total_sends = sends.len();
+        sends.sort_unstable();
+        let mut matched: Vec<Option<Timestamp>> = vec![None; recvs.len()];
+        recvs.sort_unstable();
+        let (mut i, mut j) = (0, 0);
+        while i < sends.len() && j < recvs.len() {
+            match (sends[i] >> 32).cmp(&(recvs[j] >> 32)) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    let send = sends[i] as u32 as usize;
+                    matched[recvs[j] as u32 as usize] = Some(send_times[send]);
+                    i += 1;
+                    j += 1;
                 }
             }
         }
-        let mut cursors: HashMap<(u32, u32, u32), usize> = HashMap::new();
+        drop((sends, recvs, send_times));
         let mut messages = Vec::new();
-        let mut unmatched_recvs = 0usize;
-        for stream in trace.streams() {
-            for r in stream.records() {
-                if let Event::MsgRecv { from, tag, bytes } = r.event {
-                    let key = (from.0, stream.process.0, tag);
-                    let cursor = cursors.entry(key).or_insert(0);
-                    match sends.get(&key).and_then(|v| v.get(*cursor)) {
-                        Some(&(send_time, _)) => {
-                            *cursor += 1;
-                            messages.push(MatchedMessage {
-                                from,
-                                to: stream.process,
-                                tag,
-                                bytes,
-                                send_time,
-                                recv_time: r.time,
-                            });
-                        }
-                        None => unmatched_recvs += 1,
-                    }
+        let mut matched = matched.into_iter();
+        for (p, rank) in ranks.iter().enumerate() {
+            for (r, send_time) in rank.recvs.iter().zip(matched.by_ref()) {
+                if let Some(send_time) = send_time {
+                    messages.push(MatchedMessage {
+                        from: r.peer,
+                        to: ProcessId::from_index(p),
+                        tag: r.tag,
+                        bytes: r.bytes,
+                        send_time,
+                        recv_time: r.time,
+                    });
                 }
             }
         }
+        let total_recvs: usize = ranks.iter().map(|r| r.recvs.len()).sum();
         let matched = messages.len();
         MessageAnalysis {
             messages,
             unmatched_sends: total_sends - matched,
-            unmatched_recvs,
+            unmatched_recvs: total_recvs - matched,
         }
     }
 
@@ -247,7 +303,57 @@ impl CommMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfvar_trace::{Clock, TraceBuilder};
+    use perfvar_trace::{Clock, Event, TraceBuilder};
+    use std::collections::HashMap;
+
+    /// The `HashMap`-of-`Vec`s matcher the sort-merge join replaced,
+    /// kept as its oracle.
+    fn match_trace_oracle(trace: &Trace) -> MessageAnalysis {
+        let mut sends: HashMap<(u32, u32, u32), Vec<(Timestamp, u64)>> = HashMap::new();
+        let mut total_sends = 0usize;
+        for stream in trace.streams() {
+            for r in stream.records() {
+                if let Event::MsgSend { to, tag, bytes } = r.event {
+                    sends
+                        .entry((stream.process.0, to.0, tag))
+                        .or_default()
+                        .push((r.time, bytes));
+                    total_sends += 1;
+                }
+            }
+        }
+        let mut cursors: HashMap<(u32, u32, u32), usize> = HashMap::new();
+        let mut messages = Vec::new();
+        let mut unmatched_recvs = 0usize;
+        for stream in trace.streams() {
+            for r in stream.records() {
+                if let Event::MsgRecv { from, tag, bytes } = r.event {
+                    let key = (from.0, stream.process.0, tag);
+                    let cursor = cursors.entry(key).or_insert(0);
+                    match sends.get(&key).and_then(|v| v.get(*cursor)) {
+                        Some(&(send_time, _)) => {
+                            *cursor += 1;
+                            messages.push(MatchedMessage {
+                                from,
+                                to: stream.process,
+                                tag,
+                                bytes,
+                                send_time,
+                                recv_time: r.time,
+                            });
+                        }
+                        None => unmatched_recvs += 1,
+                    }
+                }
+            }
+        }
+        let matched = messages.len();
+        MessageAnalysis {
+            messages,
+            unmatched_sends: total_sends - matched,
+            unmatched_recvs,
+        }
+    }
 
     fn messaging_trace() -> Trace {
         let mut b = TraceBuilder::new(Clock::microseconds());
@@ -348,8 +454,49 @@ mod tests {
             best.map(|(i, j, b)| (ProcessId::from_index(i), ProcessId::from_index(j), b))
         }
 
+        /// A trace of `ranks` processes from per-rank endpoint lists:
+        /// `(op, tag, bytes, gap)` sends when `op` is even, else receives,
+        /// with peer `op / 2` modulo the rank count (so self-sends occur),
+        /// `gap` ticks after the previous endpoint.
+        fn endpoint_trace(ranks: usize, ops: &[Vec<(usize, u32, u64, u64)>]) -> Trace {
+            let mut b = TraceBuilder::new(Clock::microseconds());
+            let pids: Vec<ProcessId> = (0..ranks)
+                .map(|p| b.define_process(format!("p{p}")))
+                .collect();
+            for (p, ops) in ops.iter().enumerate().take(ranks) {
+                let w = b.process_mut(pids[p]);
+                let mut t = 0;
+                for &(op, tag, bytes, gap) in ops {
+                    t += gap;
+                    let peer = pids[op / 2 % ranks];
+                    if op % 2 == 0 {
+                        w.send(Timestamp(t), peer, tag, bytes).unwrap();
+                    } else {
+                        w.recv(Timestamp(t), peer, tag, bytes).unwrap();
+                    }
+                }
+            }
+            b.finish().unwrap()
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Few ranks and tags: keys repeat, self-sends occur, and
+            /// sends and receives of a key rarely balance, so both sides
+            /// leave unmatched ends.
+            #[test]
+            fn sort_merge_matcher_matches_the_hashmap_oracle(
+                ranks in 1usize..5,
+                ops in vec(vec((0usize..10, 0u32..3, 0u64..4, 0u64..3), 0..24), 0..5),
+            ) {
+                let trace = endpoint_trace(ranks, &ops);
+                let oracle = match_trace_oracle(&trace);
+                let sorted = MessageAnalysis::match_trace(&trace);
+                prop_assert_eq!(&sorted.messages, &oracle.messages);
+                prop_assert_eq!(sorted.unmatched_sends, oracle.unmatched_sends);
+                prop_assert_eq!(sorted.unmatched_recvs, oracle.unmatched_recvs);
+            }
 
             /// Few ranks and payloads of 0–3 bytes: repeated pairs,
             /// zero-byte cells and tied heaviest pairs are common.

@@ -48,11 +48,21 @@ pub enum Stage {
     Fuse,
     /// Merging partials and deriving SOS/imbalance/waste/correlations.
     Assemble,
+    /// The chart fold of `report`, `render` and `info`
+    /// ([`crate::activity`]): timeline buckets, function ticks, event
+    /// counts and message endpoints per rank.
+    Fold,
 }
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 4] = [Stage::Load, Stage::Profile, Stage::Fuse, Stage::Assemble];
+    pub const ALL: [Stage; 5] = [
+        Stage::Load,
+        Stage::Profile,
+        Stage::Fuse,
+        Stage::Assemble,
+        Stage::Fold,
+    ];
 
     /// Stable lower-case name (used in `--stats` output and JSON).
     pub fn name(self) -> &'static str {
@@ -61,6 +71,7 @@ impl Stage {
             Stage::Profile => "profile",
             Stage::Fuse => "fuse",
             Stage::Assemble => "assemble",
+            Stage::Fold => "fold",
         }
     }
 
@@ -433,7 +444,11 @@ impl Telemetry {
             let done = inner.ranks_done.fetch_add(1, Ordering::Relaxed) + 1;
             if let Some(progress) = &inner.progress {
                 progress(Progress {
-                    stage: Stage::ALL[inner.stage.load(Ordering::Relaxed).min(3)].name(),
+                    stage: Stage::ALL[inner
+                        .stage
+                        .load(Ordering::Relaxed)
+                        .min(Stage::ALL.len() - 1)]
+                    .name(),
                     ranks_done: done,
                     ranks_total: inner.ranks_total.load(Ordering::Relaxed),
                     events_replayed: inner.events_done.load(Ordering::Relaxed),

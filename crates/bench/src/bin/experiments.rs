@@ -86,6 +86,7 @@ fn main() {
     let report_render = report_render_benchmark(&mut report);
     let json_render = json_render_benchmark(&mut report, &out_dir);
     let segment_table = segment_table_benchmark(&mut report, &out_dir);
+    let report_memory = report_memory_benchmark(&mut report, &out_dir);
     if let serde_json::Value::Object(fields) = &mut bench {
         fields.push(("replay".to_string(), replay));
         fields.push(("serve".to_string(), serve));
@@ -97,6 +98,7 @@ fn main() {
         fields.push(("report_render".to_string(), report_render));
         fields.push(("json_render".to_string(), json_render));
         fields.push(("segment_table".to_string(), segment_table));
+        fields.push(("report_memory".to_string(), report_memory));
     }
     let bench_path = out_dir.join("BENCH_pipeline.json");
     std::fs::write(&bench_path, serde_json::to_string_pretty(&bench).unwrap()).unwrap();
@@ -1821,17 +1823,23 @@ fn rank_scale_benchmark(report: &mut Report) -> serde_json::Value {
 /// arrows, SOS and counter heatmaps, summary charts, communication
 /// matrix — plus the `report.html` assembly, on the Fig. 5 FD4 trace
 /// (200 ranks, 7200 messages). Everything between the finished analysis
-/// and the file writes; message matching included. Checks that every
-/// rep renders the same bytes. The REPORT-RENDER row in
-/// BENCH_pipeline.json.
+/// and the file writes; the chart fold over the in-memory streams and
+/// message matching included. Checks that every rep renders the same
+/// bytes. The REPORT-RENDER row in BENCH_pipeline.json.
 fn report_render_benchmark(report: &mut Report) -> serde_json::Value {
+    use perfvar_analysis::activity::Activity;
+    use perfvar_analysis::messages::MessageAnalysis;
+    use perfvar_trace::TraceMeta;
     use perfvar_viz::html::HtmlReport;
     use perfvar_viz::report::ReportCharts;
 
     let trace = fig5_trace();
     let analysis = analyze(&trace, &AnalysisConfig::default()).unwrap();
+    let grid = TimelineOptions::default().grid(&TraceMeta::of(&trace));
     let render = || {
-        let charts = ReportCharts::render(&trace, &analysis);
+        let activity = Activity::of_trace(&trace, Some(grid), 1);
+        let messages = MessageAnalysis::match_endpoints(&activity.endpoints);
+        let charts = ReportCharts::render(&activity, &analysis, &messages);
         let svg_bytes: usize = charts.files().iter().map(|(_, svg)| svg.len()).sum();
         let mut html = HtmlReport::new(format!("perfvar report — {}", trace.name));
         charts.into_html(&mut html);
@@ -2072,5 +2080,93 @@ fn segment_table_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::V
         "assemble_s": assemble_s,
         "assemble_median_s": assemble,
         "assemble_limit_s": assemble_limit,
+    })
+}
+
+/// Child runs of each side of the REPORT row.
+const REPORT_RUNS: usize = 5;
+/// The REPORT gate: the median peak RSS of `perfvar report` over that of
+/// text-mode `perfvar analyze` on the scale input (strict in every
+/// mode).
+const REPORT_RSS_RATIO: f64 = 1.5;
+
+/// The peak RSS (`VmHWM` at the end of the command) a `perfvar … --stats`
+/// child run reports on stderr, in MiB.
+fn child_peak_rss_mib(perfvar: &Path, args: &[&str]) -> Result<f64, String> {
+    let out = std::process::Command::new(perfvar)
+        .args(args)
+        .stdout(std::process::Stdio::null())
+        .output()
+        .map_err(|e| format!("cannot run {}: {e}", perfvar.display()))?;
+    let table = String::from_utf8_lossy(&out.stderr);
+    if !out.status.success() {
+        return Err(format!("perfvar {args:?} failed: {table}"));
+    }
+    table
+        .lines()
+        .find_map(|line| line.trim_start().strip_prefix("memory: peak RSS "))
+        .and_then(|rest| rest.split_whitespace().next()?.parse::<f64>().ok())
+        .ok_or_else(|| format!("no peak RSS line in:\n{table}"))
+}
+
+/// `perfvar report` streams the trace: child runs of `perfvar report
+/// --threads 1 --stats` on the scale input (the SEGMENT-TABLE row's
+/// `scale.pvta`, 4.6M events, whose decoded trace alone is ~147 MB),
+/// alternating with text-mode `perfvar analyze --threads 1 --stats`,
+/// gated on the ratio of their median peak RSS. A report that loads the
+/// trace peaks several times above the analysis.
+fn report_memory_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value {
+    const ID: &str = "REPORT streaming report at scale";
+    let paper = format!(
+        "`perfvar report --threads 1` of the 4.6M-event scale input peaks at \
+         ≤{REPORT_RSS_RATIO}× the RSS of text-mode `perfvar analyze --threads 1` \
+         (medians of {REPORT_RUNS} alternating child runs each; strict in every mode)"
+    );
+    let perfvar = std::env::current_exe()
+        .map(|exe| exe.with_file_name("perfvar"))
+        .unwrap_or_default();
+    let archives = out_dir.join("bench-archives");
+    let input = archives.join("scale.pvta");
+    let report_dir = archives.join("scale-report");
+    let (mut report_mib, mut analyze_mib) = (Vec::new(), Vec::new());
+    let (input_arg, report_arg) = (input.to_string_lossy(), report_dir.to_string_lossy());
+    let runs = (0..REPORT_RUNS).try_for_each(|_| {
+        let common = [input_arg.as_ref(), "--threads", "1", "--stats"];
+        let report = [&["report"][..], &common, &["--out-dir", &report_arg]].concat();
+        report_mib.push(child_peak_rss_mib(&perfvar, &report)?);
+        let analyze = [&["analyze"][..], &common].concat();
+        analyze_mib.push(child_peak_rss_mib(&perfvar, &analyze)?);
+        Ok::<(), String>(())
+    });
+    let _ = std::fs::remove_dir_all(&report_dir);
+    if let Err(why) = runs {
+        report.check(ID, &paper, why.clone(), false);
+        return serde_json::json!({ "error": why });
+    }
+    let (report_median, analyze_median) = (median(report_mib.clone()), median(analyze_mib.clone()));
+    let ratio = report_median / analyze_median;
+    report.check(
+        ID,
+        &paper,
+        format!(
+            "report peak RSS median {report_median:.1} MiB (runs {:.1}–{:.1}), analyze \
+             {analyze_median:.1} MiB (runs {:.1}–{:.1}): {ratio:.2}×",
+            report_mib.iter().copied().fold(f64::INFINITY, f64::min),
+            report_mib.iter().copied().fold(0.0, f64::max),
+            analyze_mib.iter().copied().fold(f64::INFINITY, f64::min),
+            analyze_mib.iter().copied().fold(0.0, f64::max),
+        ),
+        ratio <= REPORT_RSS_RATIO,
+    );
+    serde_json::json!({
+        "fixture": "perfvar generate balanced --ranks 32 --iterations 24000; \
+                    perfvar report|analyze --threads 1 --stats",
+        "runs": REPORT_RUNS,
+        "report_peak_rss_mib": report_mib,
+        "analyze_peak_rss_mib": analyze_mib,
+        "report_peak_rss_mib_median": report_median,
+        "analyze_peak_rss_mib_median": analyze_median,
+        "report_over_analyze": ratio,
+        "limit": REPORT_RSS_RATIO,
     })
 }

@@ -3,19 +3,22 @@
 use crate::args::{ArgSpec, ParsedArgs};
 use crate::workload_args::{generate_trace, WORKLOAD_NAMES};
 use perfvar_analysis::live::LiveAnalysis;
+use perfvar_analysis::messages::MessageAnalysis;
 use perfvar_analysis::{
-    analyze_observed, analyze_path_observed, diagnose_meta, Analysis, AnalysisConfig,
-    AnalysisOptions, DiagnoseOptions, OutOfCoreAnalysis, PathAnalysisError, PipelineStats,
-    RunComparison, Telemetry, Verdict,
+    activity_of_path, analyze_observed, analyze_path_observed, diagnose_meta, Analysis,
+    AnalysisConfig, AnalysisOptions, DiagnoseOptions, OutOfCoreAnalysis, PathAnalysisError,
+    PipelineStats, RunComparison, Telemetry, Verdict,
 };
 use perfvar_trace::format::live::LiveArchiveWriter;
 use perfvar_trace::format::{read_trace_file, write_trace_file, Format};
-use perfvar_trace::stats::{event_counts, role_time_profile};
 use perfvar_trace::{Trace, TraceMeta};
 use perfvar_viz::chart::{
-    cluster_heatmap, counter_heatmap, function_timeline, sos_heatmap, TimelineOptions,
+    cluster_heatmap, counter_heatmap_meta, function_timeline_of, sos_heatmap_meta, TimelineOptions,
 };
+use perfvar_viz::html::HtmlReport;
 use perfvar_viz::live::{render_live, LiveViewOptions};
+use perfvar_viz::matrix::{render_comm_matrix_svg_meta, CommQuantity};
+use perfvar_viz::report::ReportCharts;
 use perfvar_viz::{render_ansi, render_svg, AnsiOptions, SvgOptions};
 use serde::Serialize;
 use std::io::{IsTerminal, Write as _};
@@ -29,7 +32,7 @@ USAGE:
   perfvar generate <workload> --out <trace.pvt> [--ranks N] [--iterations N]
                    [--seed S] [--work W]
                    [--live [--flush-every N] [--delay-ms MS]]
-  perfvar info     <trace>
+  perfvar info     <trace> [--threads N] [--stats]
   perfvar watch    <archive.pvta> [--interval MS] [--width N] [--top N]
                    [--function NAME] [--multiplier K] [--no-color]
   perfvar analyze  <trace> [--function NAME] [--refine N] [--multiplier K]
@@ -37,8 +40,8 @@ USAGE:
                    [--phases] [--json] [--partial] [--read-buffer BYTES]
                    [--no-mmap] [--stats] [--stats-json]
   perfvar render   <trace> --chart timeline|sos|comm|comm-bytes|counter:<METRIC>
-                   [--out x.svg] [--ansi]
-  perfvar report   <trace> --out-dir DIR
+                   [--out x.svg] [--ansi] [--threads N] [--stats]
+  perfvar report   <trace> --out-dir DIR [--threads N] [--stats]
   perfvar compare  <before> <after> [--function NAME] [--threshold T] [--json]
   perfvar bisect   <known-good> <run1> … <runN> [--threshold T] [--reps N] [--json]
   perfvar diagnose <trace> [--clusters K] [--cluster-threshold T]
@@ -80,8 +83,12 @@ Stream files are memory-mapped where possible; --no-mmap forces buffered
 reads and --read-buffer BYTES sizes the buffered read window (a pure
 performance knob — results are bit-identical either way).
 
+report, render and info never load the trace either: the charts come
+from one more streaming pass over the file (the \"fold\" stage).
+
 --stats prints a per-stage pipeline timing table (wall time, events/s,
-bytes/s, peak state, the process's peak RSS) to stderr; --stats-json
+bytes/s, peak state, the process's peak RSS) to stderr (analyze,
+report, render and info); --stats-json
 emits the same data as JSON on stdout (combined with --json it becomes
 {\"analysis\": …, \"stats\": …}).
 analyze runs on a terminal show a live N/M-ranks progress line.
@@ -263,21 +270,25 @@ pub fn watch(argv: Vec<String>) -> Result<(), String> {
     }
 }
 
-/// `perfvar info <trace>`
+/// `perfvar info <trace>`: one chart fold over the file, without
+/// timeline buckets.
 pub fn info(argv: Vec<String>) -> Result<(), String> {
     const SPEC: ArgSpec = ArgSpec {
-        valued: &[],
-        flags: &[],
+        valued: &["threads"],
+        flags: &["stats"],
     };
     let args = SPEC.parse(argv).map_err(|e| e.to_string())?;
     let path = args.positional(0).ok_or("missing trace path")?;
-    let trace = load_trace(path)?;
-    let counts = event_counts(&trace);
-    let profile = role_time_profile(&trace);
-    println!("trace {:?}", trace.name);
-    println!("  processes: {}", trace.num_processes());
-    println!("  functions: {}", trace.registry().num_functions());
-    println!("  metrics:   {}", trace.registry().num_metrics());
+    let config = options_of(&args)?.config();
+    let telemetry = telemetry_of(&args, false);
+    let activity = activity_of_path(path, &config, None, &telemetry)
+        .map_err(|e| format!("cannot read trace {path}: {e}"))?;
+    let meta = &activity.meta;
+    let counts = activity.counts;
+    println!("trace {:?}", meta.name);
+    println!("  processes: {}", meta.num_processes());
+    println!("  functions: {}", meta.registry.num_functions());
+    println!("  metrics:   {}", meta.registry.num_metrics());
     println!(
         "  events:    {} (enter/leave {}, messages {}, metric samples {})",
         counts.total(),
@@ -285,12 +296,9 @@ pub fn info(argv: Vec<String>) -> Result<(), String> {
         counts.sends + counts.recvs,
         counts.metrics
     );
-    println!(
-        "  span:      {}",
-        trace.clock().format_duration(trace.span())
-    );
-    println!("  MPI share: {:.1}%", profile.mpi_fraction() * 100.0);
-    let messages = perfvar_analysis::messages::MessageAnalysis::match_trace(&trace);
+    println!("  span:      {}", meta.clock.format_duration(meta.span()));
+    println!("  MPI share: {:.1}%", activity.mpi_fraction() * 100.0);
+    let messages = MessageAnalysis::match_endpoints(&activity.endpoints);
     if !messages.is_empty() {
         println!(
             "  messages:  {} matched ({} bytes), mean transfer {:.1} ticks",
@@ -299,6 +307,7 @@ pub fn info(argv: Vec<String>) -> Result<(), String> {
             messages.mean_transfer().unwrap_or(0.0)
         );
     }
+    print_stats(&args, telemetry.snapshot());
     Ok(())
 }
 
@@ -366,6 +375,16 @@ fn telemetry_of(args: &ParsedArgs, live_progress: bool) -> Telemetry {
         })
     } else {
         telemetry
+    }
+}
+
+/// Prints the `--stats` table to stderr when the flag is set. It comes
+/// last, so its peak RSS is read again at the end of the command, after
+/// everything the command printed.
+fn print_stats(args: &ParsedArgs, stats: Option<PipelineStats>) {
+    if let Some(mut stats) = stats.filter(|_| args.has("stats")) {
+        stats.peaks.peak_rss_bytes = perfvar_analysis::telemetry::peak_rss_bytes();
+        eprint!("{}", stats.render_table());
     }
 }
 
@@ -486,15 +505,7 @@ pub fn analyze(argv: Vec<String>) -> Result<(), String> {
         ),
     };
     let stats = telemetry.snapshot();
-    // The table comes last, so its peak RSS is read again at the end of
-    // the command, after everything the command printed.
-    let stats_table = || {
-        if let Some(s) = stats.as_ref().filter(|_| args.has("stats")) {
-            let mut s = s.clone();
-            s.peaks.peak_rss_bytes = perfvar_analysis::telemetry::peak_rss_bytes();
-            eprint!("{}", s.render_table());
-        }
-    };
+    let stats_table = || print_stats(&args, stats.clone());
     if args.has("stats-json") && !args.has("json") {
         print_json(stats.as_ref().expect("--stats-json enables telemetry"))?;
         stats_table();
@@ -578,7 +589,9 @@ fn print_replays(trace: &Trace, args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// `perfvar render <trace> --chart <kind>`
+/// `perfvar render <trace> --chart <kind>`: the timeline and the
+/// communication matrix come from the chart fold and the message
+/// matcher, the heatmaps from the analysis of the file.
 pub fn render(argv: Vec<String>) -> Result<(), String> {
     const SPEC: ArgSpec = ArgSpec {
         valued: &[
@@ -590,61 +603,85 @@ pub fn render(argv: Vec<String>) -> Result<(), String> {
             "threads",
             "width",
         ],
-        flags: &["ansi"],
+        flags: &["ansi", "stats"],
     };
     let args = SPEC.parse(argv).map_err(|e| e.to_string())?;
     let path = args.positional(0).ok_or("missing trace path")?;
     let chart_kind = args.value("chart").unwrap_or("timeline");
-    let trace = load_trace(path)?;
-
-    // The comm matrix has its own geometry; handle it before the
-    // timeline-chart path.
-    if chart_kind == "comm" || chart_kind == "comm-bytes" {
-        let analysis = perfvar_analysis::messages::MessageAnalysis::match_trace(&trace);
-        let comm = analysis.comm_matrix(trace.num_processes());
-        let quantity = if chart_kind == "comm" {
-            perfvar_viz::matrix::CommQuantity::Count
-        } else {
-            perfvar_viz::matrix::CommQuantity::Bytes
-        };
-        let svg = perfvar_viz::matrix::render_comm_matrix_svg(&trace, &comm, quantity, 720);
+    let metric_name = chart_kind.strip_prefix("counter:");
+    if !matches!(chart_kind, "timeline" | "sos" | "comm" | "comm-bytes") && metric_name.is_none() {
+        return Err(format!(
+            "unknown chart {chart_kind:?}; use timeline, sos, comm, comm-bytes, \
+             or counter:<METRIC>"
+        ));
+    }
+    let config = options_of(&args)?.config();
+    let telemetry = telemetry_of(&args, false);
+    let read_error = |e| format!("cannot read trace {path}: {e}");
+    let write_svg = |svg: &str| -> Result<(), String> {
         match args.value("out") {
             Some(out) => {
-                std::fs::write(out, &svg).map_err(|e| format!("cannot write {out}: {e}"))?;
+                std::fs::write(out, svg).map_err(|e| format!("cannot write {out}: {e}"))?;
                 println!("wrote {out}");
             }
             None => println!("{svg}"),
         }
+        Ok(())
+    };
+
+    // The comm matrix has its own geometry; handle it before the
+    // timeline-chart path.
+    if chart_kind == "comm" || chart_kind == "comm-bytes" {
+        let activity = activity_of_path(path, &config, None, &telemetry).map_err(read_error)?;
+        let comm = MessageAnalysis::match_endpoints(&activity.endpoints)
+            .comm_matrix(activity.meta.num_processes());
+        let quantity = if chart_kind == "comm" {
+            CommQuantity::Count
+        } else {
+            CommQuantity::Bytes
+        };
+        write_svg(&render_comm_matrix_svg_meta(
+            &activity.meta,
+            &comm,
+            quantity,
+            720,
+        ))?;
+        print_stats(&args, telemetry.snapshot());
         return Ok(());
     }
 
-    let chart = match chart_kind {
-        "timeline" => function_timeline(&trace, &TimelineOptions::default()),
-        "sos" => {
-            let analysis = analysis_of_trace(&trace, &args, &Telemetry::noop())?;
-            sos_heatmap(&trace, &analysis)
+    let chart = match metric_name {
+        None if chart_kind == "timeline" => {
+            // The first fold finds the time axis the buckets divide.
+            let opts = TimelineOptions::default();
+            let axis = activity_of_path(path, &config, None, &telemetry).map_err(read_error)?;
+            let activity = (axis.with_timeline(path, &config, opts.buckets, &telemetry))
+                .map_err(read_error)?;
+            let messages = MessageAnalysis::match_endpoints(&activity.endpoints);
+            function_timeline_of(&activity, &opts, Some(&messages))
         }
-        other => match other.strip_prefix("counter:") {
-            Some(metric_name) => {
-                let analysis = analysis_of_trace(&trace, &args, &Telemetry::noop())?;
-                let metric = trace
-                    .registry()
-                    .metric_by_name(metric_name)
-                    .ok_or_else(|| format!("metric {metric_name:?} not in trace"))?;
-                let counter = analysis
-                    .counters
-                    .iter()
-                    .find(|c| c.metric == metric)
-                    .ok_or("counter analysis missing")?;
-                counter_heatmap(&trace, &analysis, &counter.matrix)
-            }
-            None => {
-                return Err(format!(
-                    "unknown chart {other:?}; use timeline, sos, comm, comm-bytes, \
-                     or counter:<METRIC>"
-                ))
-            }
-        },
+        None => {
+            let result = analysis_of_path(path, &args, &telemetry)?;
+            sos_heatmap_meta(
+                &result.meta,
+                &result.analysis,
+                TimelineOptions::default().buckets,
+            )
+        }
+        Some(metric_name) => {
+            let OutOfCoreAnalysis { analysis, meta, .. } =
+                analysis_of_path(path, &args, &telemetry)?;
+            let metric = meta
+                .registry
+                .metric_by_name(metric_name)
+                .ok_or_else(|| format!("metric {metric_name:?} not in trace"))?;
+            let counter = analysis
+                .counters
+                .iter()
+                .find(|c| c.metric == metric)
+                .ok_or("counter analysis missing")?;
+            counter_heatmap_meta(&meta, &analysis, &counter.matrix)
+        }
     };
 
     if args.has("ansi") {
@@ -659,30 +696,37 @@ pub fn render(argv: Vec<String>) -> Result<(), String> {
                 }
             )
         );
-        return Ok(());
+    } else {
+        write_svg(&render_svg(&chart, &SvgOptions::default()))?;
     }
-    let svg = render_svg(&chart, &SvgOptions::default());
-    match args.value("out") {
-        Some(out) => {
-            std::fs::write(out, &svg).map_err(|e| format!("cannot write {out}: {e}"))?;
-            println!("wrote {out}");
-        }
-        None => println!("{svg}"),
-    }
+    print_stats(&args, telemetry.snapshot());
     Ok(())
 }
 
 /// `perfvar report <trace> --out-dir DIR` — text report plus every chart.
+/// Two passes over the file and no trace in memory: the analysis
+/// ([`analysis_of_path`]), then the chart fold on its time axis.
 pub fn report(argv: Vec<String>) -> Result<(), String> {
     const SPEC: ArgSpec = ArgSpec {
         valued: &["out-dir", "function", "refine", "multiplier", "threads"],
-        flags: &[],
+        flags: &["stats"],
     };
     let args = SPEC.parse(argv).map_err(|e| e.to_string())?;
     let path = args.positional(0).ok_or("missing trace path")?;
     let out_dir = args.value("out-dir").ok_or("missing --out-dir DIR")?;
-    let trace = load_trace(path)?;
-    let analysis = analysis_of_trace(&trace, &args, &Telemetry::noop())?;
+    let telemetry = telemetry_of(&args, false);
+    let config = options_of(&args)?.config();
+    let result = analysis_of_path(path, &args, &telemetry)?;
+    let mut activity = result
+        .activity(
+            path,
+            &config,
+            TimelineOptions::default().buckets,
+            &telemetry,
+        )
+        .map_err(|e| format!("cannot read trace {path}: {e}"))?;
+    let OutOfCoreAnalysis { analysis, meta, .. } = result;
+    let messages = MessageAnalysis::match_endpoints(&std::mem::take(&mut activity.endpoints));
     std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
     let dir = Path::new(out_dir);
 
@@ -692,9 +736,22 @@ pub fn report(argv: Vec<String>) -> Result<(), String> {
         println!("wrote {}", p.display());
         Ok(())
     };
+    // Streamed through a buffer: the analysis and the HTML report are the
+    // largest documents.
+    let write_streamed =
+        |name: &str,
+         body: &dyn Fn(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>|
+         -> Result<(), String> {
+            let p = dir.join(name);
+            let failed = |e: std::io::Error| format!("cannot write {}: {e}", p.display());
+            let mut out = std::io::BufWriter::new(std::fs::File::create(&p).map_err(failed)?);
+            body(&mut out).and_then(|()| out.flush()).map_err(failed)?;
+            println!("wrote {}", p.display());
+            Ok(())
+        };
 
-    let mut report_text = analysis.render_text(&trace);
-    let findings = perfvar_analysis::findings::findings(&trace, &analysis);
+    let mut report_text = analysis.render_text_meta(&meta);
+    let findings = perfvar_analysis::findings::findings_meta(&meta, &analysis);
     if !findings.is_empty() {
         report_text.push_str("  findings (ranked by severity):\n");
         for f in &findings {
@@ -711,23 +768,17 @@ pub fn report(argv: Vec<String>) -> Result<(), String> {
         &serde_json::to_string_pretty(&findings)
             .map_err(|e| format!("serialisation failed: {e}"))?,
     )?;
-    // Streamed: the analysis is by far the largest document.
-    let p = dir.join("analysis.json");
-    let file =
-        std::fs::File::create(&p).map_err(|e| format!("cannot write {}: {e}", p.display()))?;
-    let mut out = std::io::BufWriter::new(file);
-    serde_json::to_writer_pretty(&mut out, &analysis)
-        .map_err(|e| format!("cannot write {}: {e}", p.display()))?;
-    out.flush()
-        .map_err(|e| format!("cannot write {}: {e}", p.display()))?;
-    println!("wrote {}", p.display());
-    let charts = perfvar_viz::report::ReportCharts::render(&trace, &analysis);
+    write_streamed("analysis.json", &|out| {
+        serde_json::to_writer_pretty(out, &analysis).map_err(std::io::Error::other)
+    })?;
+    let charts = ReportCharts::render(&activity, &analysis, &messages);
+    drop((activity, messages));
     for (file, svg) in charts.files() {
         write(file, svg)?;
     }
 
     // Single-file HTML report bundling text, findings and every chart.
-    let mut html = perfvar_viz::html::HtmlReport::new(format!("perfvar report — {}", trace.name));
+    let mut html = HtmlReport::new(format!("perfvar report — {}", meta.name));
     html.heading("Hotspot report").text(&report_text);
     if !findings.is_empty() {
         html.heading("Findings (ranked by severity)").list(
@@ -738,7 +789,8 @@ pub fn report(argv: Vec<String>) -> Result<(), String> {
         );
     }
     charts.into_html(&mut html);
-    write("report.html", &html.render())?;
+    write_streamed("report.html", &|out| html.write_to(out))?;
+    print_stats(&args, telemetry.snapshot());
     Ok(())
 }
 

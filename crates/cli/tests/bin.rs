@@ -538,3 +538,129 @@ fn report_html_embeds_the_written_charts() {
         }
     }
 }
+
+/// The report of `perfvar generate wrf --ranks 8 --iterations 6` (with
+/// messages and a counter) as the in-memory report wrote it, files and
+/// stdout: the streaming report reproduces it byte for byte from the
+/// `.pvt`, `.pvta` and `.pvtx` forms of the trace.
+#[test]
+fn report_reproduces_the_golden_directory_from_every_format() {
+    let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let golden = data.join("wrf-report");
+    let mut names: Vec<String> = std::fs::read_dir(&golden)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let stdout = std::fs::read(data.join("wrf-report.stdout")).unwrap();
+
+    let dir = tmp_dir("report-golden");
+    let pvt = generate_fixture(&dir, "w", &["wrf", "--ranks", "8", "--iterations", "6"]);
+    for ext in ["pvt", "pvta", "pvtx"] {
+        let input = pvt.with_extension(ext);
+        if ext != "pvt" {
+            let _ = std::fs::remove_dir_all(&input);
+            let out = perfvar(&["convert", pvt.to_str().unwrap(), input.to_str().unwrap()]);
+            assert!(out.status.success());
+        }
+        let cwd = dir.join(ext);
+        let _ = std::fs::remove_dir_all(&cwd);
+        std::fs::create_dir_all(&cwd).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_perfvar"))
+            .args(["report", input.to_str().unwrap(), "--out-dir", "wrf-report"])
+            .current_dir(&cwd)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{ext}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(out.stdout == stdout, "{ext}: stdout differs");
+        let written = cwd.join("wrf-report");
+        let mut got: Vec<String> = std::fs::read_dir(&written)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        got.sort();
+        assert_eq!(got, names, "{ext}: file set");
+        for name in &names {
+            let expected = std::fs::read(golden.join(name)).unwrap();
+            let actual = std::fs::read(written.join(name)).unwrap();
+            assert!(actual == expected, "{ext}: {name} differs");
+        }
+    }
+}
+
+/// `report`, `render` and `info` on a damaged `.pvt` or `.pvta` end in a
+/// typed error naming the file, never a panic.
+#[test]
+fn damaged_input_fails_report_render_and_info_with_a_typed_error() {
+    let (pvt, arch) = trace_and_archive("damaged-charts");
+    let bytes = std::fs::read(&pvt).unwrap();
+    std::fs::write(&pvt, &bytes[..bytes.len() * 2 / 3]).unwrap();
+    let stream = arch.join("stream-2.pvts");
+    let len = std::fs::metadata(&stream).unwrap().len();
+    let f = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&stream)
+        .unwrap();
+    f.set_len(len / 2).unwrap();
+    let out_dir = pvt.with_file_name("report");
+    for path in [&pvt, &arch] {
+        let p = path.to_str().unwrap();
+        let o = out_dir.to_str().unwrap();
+        for argv in [
+            &["info", p][..],
+            &["report", p, "--out-dir", o],
+            &["render", p, "--chart", "timeline"],
+            &["render", p, "--chart", "comm"],
+            &["render", p, "--chart", "sos"],
+            &["render", p, "--chart", "counter:PAPI_TOT_CYC"],
+        ] {
+            let out = perfvar(argv);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{argv:?} succeeded");
+            assert!(!err.contains("panicked"), "{argv:?}: {err}");
+            assert!(
+                err.contains(&format!("cannot read trace {p}")),
+                "{argv:?}: {err}"
+            );
+        }
+    }
+}
+
+/// `--stats` on `report`, `render` and `info` prints the pipeline table
+/// with the chart fold and the process's peak RSS to stderr, and leaves
+/// stdout as it is without the flag.
+#[test]
+fn stats_cover_report_render_and_info() {
+    let (pvt, arch) = trace_and_archive("chart-stats");
+    for path in [&pvt, &arch] {
+        let p = path.to_str().unwrap();
+        let o = path.with_extension("report");
+        let o = o.to_str().unwrap();
+        for argv in [
+            &["info", p][..],
+            &["report", p, "--out-dir", o],
+            &["render", p, "--chart", "timeline"],
+            &["render", p, "--chart", "sos"],
+        ] {
+            let plain = perfvar(argv);
+            let mut with = argv.to_vec();
+            with.push("--stats");
+            let out = perfvar(&with);
+            assert!(plain.status.success() && out.status.success(), "{with:?}");
+            assert_eq!(out.stdout, plain.stdout, "{with:?}: stdout");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("pipeline stats:"), "{with:?}: {err}");
+            assert!(err.contains("memory: peak RSS"), "{with:?}: {err}");
+            let stage = if argv[2..].contains(&"sos") {
+                "fuse"
+            } else {
+                "fold"
+            };
+            assert!(err.contains(&format!("  {stage} ")), "{with:?}: {err}");
+        }
+    }
+}

@@ -6,9 +6,10 @@
 //! builders produce the chart types used by the paper's figures.
 
 use crate::color::{Color, ColorScale, FunctionPalette};
+use perfvar_analysis::activity::{Activity, BucketGrid};
 use perfvar_analysis::messages::MessageAnalysis;
 use perfvar_analysis::{Analysis, CounterMatrix, Diagnosis};
-use perfvar_trace::{Clock, Event, FunctionId, ProcessId, Timestamp, Trace, TraceMeta};
+use perfvar_trace::{Clock, FunctionId, ProcessId, Timestamp, Trace, TraceMeta};
 use serde::{Deserialize, Serialize};
 
 /// One coloured interval on a row.
@@ -114,147 +115,75 @@ impl Default for TimelineOptions {
     }
 }
 
+impl TimelineOptions {
+    /// The time buckets of the function timeline over `meta`'s time
+    /// axis: what the chart fold ([`Activity`]) folds the rows over.
+    pub fn grid(&self, meta: &TraceMeta) -> BucketGrid {
+        BucketGrid::new(meta.begin, meta.end, self.buckets)
+    }
+}
+
 /// Builds the master-timeline chart (Figs. 4(a), 5(a), 6(a)): every
 /// process row shows the dominant activity per time bucket, coloured by
-/// the [`FunctionPalette`].
+/// the [`FunctionPalette`]. The chart fold and the message matcher run
+/// over the in-memory streams; [`function_timeline_of`] is the chart.
 pub fn function_timeline(trace: &Trace, opts: &TimelineOptions) -> TimelineChart {
+    let grid = opts.grid(&TraceMeta::of(trace));
+    let activity = Activity::of_trace(trace, Some(grid), 1);
     let messages = opts
         .include_messages
-        .then(|| MessageAnalysis::match_trace(trace));
-    function_timeline_with_messages(trace, opts, messages.as_ref())
+        .then(|| MessageAnalysis::match_endpoints(&activity.endpoints));
+    function_timeline_of(&activity, opts, messages.as_ref())
 }
 
-/// Ticks per function of the one time bucket a stream replay is in.
-/// A stream's timestamps never decrease (traces are validated on
-/// construction), so the replay visits buckets in order and a bucket is
-/// final once the replay moves past it: memory is one slot per
-/// function, not per bucket × function.
-struct OpenBucket {
-    /// Bucket index the ticks belong to.
-    index: usize,
-    /// Ticks per function index; zero for every function not in `touched`.
-    ticks: Vec<u64>,
-    /// Functions with ticks in this bucket, in first-touch order.
-    touched: Vec<FunctionId>,
-}
-
-impl OpenBucket {
-    fn new(num_functions: usize) -> OpenBucket {
-        OpenBucket {
-            index: 0,
-            ticks: vec![0; num_functions],
-            touched: Vec::new(),
-        }
-    }
-
-    fn add(&mut self, function: FunctionId, ticks: u64) {
-        let slot = &mut self.ticks[function.index()];
-        if *slot == 0 {
-            self.touched.push(function);
-        }
-        *slot += ticks;
-    }
-
-    /// The bucket's dominant function — most ticks, ties to the lowest
-    /// id; functions without ticks never count — and resets the bucket.
-    fn take_dominant(&mut self) -> Option<FunctionId> {
-        let mut best: Option<(u64, FunctionId)> = None;
-        for &f in &self.touched {
-            let t = std::mem::take(&mut self.ticks[f.index()]);
-            if best.is_none_or(|(bt, bf)| t > bt || (t == bt && f.0 < bf.0)) {
-                best = Some((t, f));
-            }
-        }
-        self.touched.clear();
-        best.map(|(_, f)| f)
-    }
-}
-
-/// [`function_timeline`] drawing its arrows from a message match the
-/// caller already holds, so a report that also draws the communication
-/// matrix matches the trace's messages once. No arrows without a match
-/// or with [`TimelineOptions::include_messages`] off.
-pub(crate) fn function_timeline_with_messages(
-    trace: &Trace,
+/// The master timeline from the chart fold of a trace: the rows, legend
+/// and axis come from `activity` (folded over [`TimelineOptions::grid`]
+/// of its own time axis), the arrows from `messages`. No arrows without
+/// a match or with [`TimelineOptions::include_messages`] off.
+///
+/// # Panics
+/// Panics if `activity` was folded without the options' bucket grid.
+pub fn function_timeline_of(
+    activity: &Activity,
     opts: &TimelineOptions,
     messages: Option<&MessageAnalysis>,
 ) -> TimelineChart {
+    let meta = &activity.meta;
+    let grid = opts.grid(meta);
+    assert_eq!(
+        activity.grid,
+        Some(grid),
+        "the activity must be folded over the timeline's buckets"
+    );
     let palette = FunctionPalette;
-    let begin = trace.begin();
-    let end = trace.end();
-    let span = (end.0 - begin.0).max(1);
-    let buckets = opts.buckets.max(1);
-    let bucket_width = span.div_ceil(buckets as u64).max(1);
-    let registry = trace.registry();
+    let registry = &meta.registry;
     let color_of = |f: FunctionId| palette.function_color(f.index(), registry.function_role(f));
-    // Colours bucket `b` by `f`, merging it into an equal left neighbour.
-    let push_bucket = |spans: &mut Vec<Span>, b: usize, f: FunctionId| {
-        let color = color_of(f);
-        let start = Timestamp(begin.0 + b as u64 * bucket_width);
-        let stop = Timestamp((begin.0 + (b as u64 + 1) * bucket_width).min(end.0));
-        match spans.last_mut() {
-            Some(prev) if prev.color == color && prev.end == start => prev.end = stop,
-            _ => spans.push(Span {
-                start,
-                end: stop,
-                color,
-            }),
-        }
-    };
-
-    let mut function_ticks = vec![0u64; registry.num_functions()];
-    let mut open = OpenBucket::new(registry.num_functions());
-    let mut stack: Vec<FunctionId> = Vec::new();
-    let mut rows = Vec::with_capacity(trace.num_processes());
-    for stream in trace.streams() {
-        let mut spans: Vec<Span> = Vec::new();
-        stack.clear();
-        let mut last: Option<Timestamp> = None;
-        for r in stream.records() {
-            if let (Some(prev), Some(&top)) = (last, stack.last()) {
-                let mut start = prev.0 - begin.0;
-                let stop = r.time.0 - begin.0;
-                while start < stop {
-                    let b = ((start / bucket_width) as usize).min(buckets - 1);
-                    let boundary = if b == buckets - 1 {
-                        u64::MAX
-                    } else {
-                        (b as u64 + 1) * bucket_width
-                    };
-                    let chunk_end = stop.min(boundary);
-                    if b != open.index {
-                        if let Some(f) = open.take_dominant() {
-                            push_bucket(&mut spans, open.index, f);
-                        }
-                        open.index = b;
-                    }
-                    open.add(top, chunk_end - start);
-                    function_ticks[top.index()] += chunk_end - start;
-                    start = chunk_end;
+    let rows = (activity.rows.iter().enumerate())
+        .map(|(p, runs)| {
+            let mut spans: Vec<Span> = Vec::with_capacity(runs.len());
+            for run in runs {
+                // Colours the run, merging it into an equal left
+                // neighbour.
+                let color = color_of(run.function);
+                let (start, stop) = (grid.start(run.first), grid.stop(run.last));
+                match spans.last_mut() {
+                    Some(prev) if prev.color == color && prev.end == start => prev.end = stop,
+                    _ => spans.push(Span {
+                        start,
+                        end: stop,
+                        color,
+                    }),
                 }
             }
-            last = Some(r.time);
-            match r.event {
-                Event::Enter { function } => stack.push(function),
-                Event::Leave { .. } => {
-                    stack.pop();
-                }
-                _ => {}
+            Row {
+                label: registry.process(ProcessId::from_index(p)).name.clone(),
+                spans,
             }
-        }
-        if let Some(f) = open.take_dominant() {
-            push_bucket(&mut spans, open.index, f);
-        }
-        rows.push(Row {
-            label: registry.process(stream.process).name.clone(),
-            spans,
-        });
-    }
+        })
+        .collect();
 
     // Legend: top functions by total ticks.
-    let mut by_ticks: Vec<(FunctionId, u64)> = function_ticks
-        .iter()
-        .enumerate()
+    let mut by_ticks: Vec<(FunctionId, u64)> = (activity.function_ticks.iter().enumerate())
         .filter(|&(_, &t)| t > 0)
         .map(|(f, &t)| (FunctionId::from_index(f), t))
         .collect();
@@ -274,15 +203,15 @@ pub(crate) fn function_timeline_with_messages(
     };
 
     TimelineChart {
-        title: format!("Timeline — {}", trace.name),
+        title: format!("Timeline — {}", meta.name),
         subtitle: format!(
             "{} processes, {}",
-            trace.num_processes(),
-            trace.clock().format_duration(trace.span())
+            meta.num_processes(),
+            meta.clock.format_duration(meta.span())
         ),
-        clock: trace.clock(),
-        begin,
-        end,
+        clock: meta.clock,
+        begin: meta.begin,
+        end: meta.end,
         rows,
         messages,
         legend,
@@ -328,8 +257,18 @@ pub fn sos_heatmap_with(
     analysis: &Analysis,
     max_spans_per_row: usize,
 ) -> TimelineChart {
+    sos_heatmap_meta(&TraceMeta::of(trace), analysis, max_spans_per_row)
+}
+
+/// [`sos_heatmap_with`] from trace metadata alone: an out-of-core
+/// analysis holds a [`TraceMeta`], never a [`Trace`].
+pub fn sos_heatmap_meta(
+    meta: &TraceMeta,
+    analysis: &Analysis,
+    max_spans_per_row: usize,
+) -> TimelineChart {
     let scale = ColorScale::from_values(analysis.sos().iter_sos().map(|(_, _, v)| v.0 as f64));
-    let registry = trace.registry();
+    let registry = &meta.registry;
     let rows = (0..analysis.segmentation.num_processes())
         .map(|p| {
             let pid = ProcessId::from_index(p);
@@ -365,16 +304,16 @@ pub fn sos_heatmap_with(
             }
         })
         .collect();
-    let clock = trace.clock();
+    let clock = meta.clock;
     TimelineChart {
-        title: format!("SOS-time — {}", trace.name),
+        title: format!("SOS-time — {}", meta.name),
         subtitle: format!(
             "segments = invocations of {:?}",
             registry.function_name(analysis.function)
         ),
         clock,
-        begin: trace.begin(),
-        end: trace.end(),
+        begin: meta.begin,
+        end: meta.end,
         rows,
         messages: Vec::new(),
         legend: Vec::new(),
@@ -477,8 +416,17 @@ pub fn counter_heatmap(
     analysis: &Analysis,
     counter: &CounterMatrix,
 ) -> TimelineChart {
+    counter_heatmap_meta(&TraceMeta::of(trace), analysis, counter)
+}
+
+/// [`counter_heatmap`] from trace metadata alone.
+pub fn counter_heatmap_meta(
+    meta: &TraceMeta,
+    analysis: &Analysis,
+    counter: &CounterMatrix,
+) -> TimelineChart {
     let scale = ColorScale::from_values(counter.iter().map(|(_, _, v)| v as f64));
-    let registry = trace.registry();
+    let registry = &meta.registry;
     let metric_def = registry.metric(counter.metric);
     let rows = (0..analysis.segmentation.num_processes())
         .map(|p| {
@@ -501,14 +449,14 @@ pub fn counter_heatmap(
         })
         .collect();
     TimelineChart {
-        title: format!("{} — {}", metric_def.name, trace.name),
+        title: format!("{} — {}", metric_def.name, meta.name),
         subtitle: format!(
             "per segment of {:?}",
             registry.function_name(analysis.function)
         ),
-        clock: trace.clock(),
-        begin: trace.begin(),
-        end: trace.end(),
+        clock: meta.clock,
+        begin: meta.begin,
+        end: meta.end,
         rows,
         messages: Vec::new(),
         legend: Vec::new(),
@@ -525,7 +473,7 @@ pub fn counter_heatmap(
 pub(crate) mod testing {
     use super::*;
     use perfvar_sim::prelude::*;
-    use perfvar_trace::{Clock, FunctionRole, TraceBuilder};
+    use perfvar_trace::{Clock, Event, FunctionRole, TraceBuilder};
     use std::collections::HashMap;
 
     /// The three case studies at small scale plus the `balanced`,
@@ -880,10 +828,17 @@ mod tests {
         }
     }
 
+    /// The fold-built timeline at `threads` workers.
+    fn folded_timeline(trace: &Trace, opts: &TimelineOptions, threads: usize) -> TimelineChart {
+        let grid = opts.grid(&TraceMeta::of(trace));
+        let activity = Activity::of_trace(trace, Some(grid), threads);
+        let messages = MessageAnalysis::match_endpoints(&activity.endpoints);
+        function_timeline_of(&activity, opts, Some(&messages))
+    }
+
     #[test]
     fn timeline_matches_hashmap_oracle_on_workloads() {
         for trace in oracle_traces() {
-            let matched = MessageAnalysis::match_trace(&trace);
             for buckets in [1, 7, 64, 960, 5000] {
                 let opts = TimelineOptions {
                     buckets,
@@ -892,14 +847,24 @@ mod tests {
                 };
                 let expected = function_timeline_oracle(&trace, &opts);
                 assert_eq!(function_timeline(&trace, &opts), expected, "{}", trace.name);
-                assert_eq!(
-                    function_timeline_with_messages(&trace, &opts, Some(&matched)),
-                    expected,
-                    "{}",
-                    trace.name
-                );
+                for threads in [2, 8] {
+                    assert_eq!(
+                        folded_timeline(&trace, &opts, threads),
+                        expected,
+                        "{} at {threads} threads",
+                        trace.name
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "folded over the timeline's buckets")]
+    fn timeline_of_an_activity_without_its_grid_panics() {
+        let (trace, _) = outlier_setup();
+        let activity = Activity::of_trace(&trace, None, 1);
+        function_timeline_of(&activity, &TimelineOptions::default(), None);
     }
 
     proptest::proptest! {
@@ -914,15 +879,17 @@ mod tests {
             buckets in 1..=80usize,
         ) {
             let trace = random_trace(&[p0, p1, p2], functions);
-            let opts = TimelineOptions {
-                buckets,
-                max_legend: 3,
-                ..TimelineOptions::default()
-            };
-            proptest::prop_assert_eq!(
-                function_timeline(&trace, &opts),
-                function_timeline_oracle(&trace, &opts)
-            );
+            for buckets in [buckets, 1, 7, 960] {
+                let opts = TimelineOptions {
+                    buckets,
+                    max_legend: 3,
+                    ..TimelineOptions::default()
+                };
+                let expected = function_timeline_oracle(&trace, &opts);
+                for threads in [1, 2, 8] {
+                    proptest::prop_assert_eq!(&folded_timeline(&trace, &opts, threads), &expected);
+                }
+            }
         }
     }
 }

@@ -5,7 +5,7 @@
 //! the closest single-file equivalent of a Vampir session for sharing.
 
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
+use std::io::{self, Write};
 
 /// One section of the report.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -62,10 +62,10 @@ impl HtmlReport {
         self
     }
 
-    /// Renders the final standalone HTML document.
-    pub fn render(&self) -> String {
-        let mut out = String::with_capacity(1 << 16);
-        let _ = write!(
+    /// Writes the final standalone HTML document to `out`, section by
+    /// section, so a report written to a file is never held whole.
+    pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
+        write!(
             out,
             "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
              <title>{}</title>\n<style>\n\
@@ -80,30 +80,34 @@ impl HtmlReport {
              </style>\n</head>\n<body>\n<h1>{}</h1>\n",
             escape(&self.title),
             escape(&self.title)
-        );
+        )?;
         for section in &self.sections {
             match section {
-                ReportSection::Heading(h) => {
-                    let _ = writeln!(out, "<h2>{}</h2>", escape(h));
-                }
-                ReportSection::Text(t) => {
-                    let _ = writeln!(out, "<pre>{}</pre>", escape(t));
-                }
+                ReportSection::Heading(h) => writeln!(out, "<h2>{}</h2>", escape(h))?,
+                ReportSection::Text(t) => writeln!(out, "<pre>{}</pre>", escape(t))?,
                 ReportSection::List(items) => {
-                    let _ = writeln!(out, "<ul>");
+                    writeln!(out, "<ul>")?;
                     for item in items {
-                        let _ = writeln!(out, "<li>{}</li>", escape(item));
+                        writeln!(out, "<li>{}</li>", escape(item))?;
                     }
-                    let _ = writeln!(out, "</ul>");
+                    writeln!(out, "</ul>")?;
                 }
                 ReportSection::Svg(svg) => {
                     // SVG is trusted output of our own renderers; embed as-is.
-                    let _ = writeln!(out, "<div class=\"chart\">{svg}</div>");
+                    writeln!(out, "<div class=\"chart\">{svg}</div>")?;
                 }
             }
         }
-        out.push_str("</body>\n</html>\n");
-        out
+        out.write_all(b"</body>\n</html>\n")
+    }
+
+    /// Renders the final standalone HTML document ([`write_to`](Self::write_to)
+    /// into a string).
+    pub fn render(&self) -> String {
+        let mut out = Vec::with_capacity(1 << 16);
+        self.write_to(&mut out)
+            .expect("writing to memory cannot fail");
+        String::from_utf8(out).expect("the document is UTF-8")
     }
 }
 

@@ -18,8 +18,13 @@
 //! * [`chart::counter_heatmap`] — Fig. 6(c): segments coloured by a
 //!   hardware-counter value.
 //!
-//! [`report::ReportCharts`] renders the whole chart set of `perfvar
-//! report` once, for both its `.svg` files and `report.html`.
+//! Each builder that takes a [`Trace`](perfvar_trace::Trace) is a thin
+//! wrapper: the chart itself is built from a
+//! [`TraceMeta`](perfvar_trace::TraceMeta) (and, for the timeline, the
+//! chart fold [`Activity`](perfvar_analysis::activity::Activity)), so
+//! `perfvar report`, `render` and `info` draw from a trace file without
+//! loading it. [`report::ReportCharts`] renders the whole chart set of
+//! `perfvar report` once, for both its `.svg` files and `report.html`.
 //!
 //! ```
 //! use perfvar_sim::prelude::*;
@@ -51,16 +56,18 @@ mod text;
 pub mod prelude {
     pub use crate::ansi::{render_ansi, AnsiOptions};
     pub use crate::chart::{
-        cluster_heatmap, counter_heatmap, function_timeline, sos_heatmap, sos_heatmap_with,
-        TimelineChart, TimelineOptions,
+        cluster_heatmap, counter_heatmap, counter_heatmap_meta, function_timeline,
+        function_timeline_of, sos_heatmap, sos_heatmap_meta, sos_heatmap_with, TimelineChart,
+        TimelineOptions,
     };
     pub use crate::color::{Color, ColorScale, FunctionPalette, HeatScale};
     pub use crate::html::{HtmlReport, ReportSection};
     pub use crate::live::{render_live, LiveViewOptions};
-    pub use crate::matrix::{render_comm_matrix_svg, CommQuantity};
+    pub use crate::matrix::{render_comm_matrix_svg, render_comm_matrix_svg_meta, CommQuantity};
     pub use crate::summary::{
-        function_summary, ordinal_series_chart, process_load_chart, render_bar_svg,
-        render_histogram_svg, render_series_svg, sos_histogram, BarChart, Histogram, SeriesChart,
+        function_summary, function_summary_meta, ordinal_series_chart, process_load_chart,
+        process_load_chart_meta, render_bar_svg, render_histogram_svg, render_series_svg,
+        sos_histogram, BarChart, Histogram, SeriesChart,
     };
     pub use crate::svg::{render_svg, SvgOptions};
 }

@@ -8,7 +8,7 @@
 use crate::color::{Color, ColorScale};
 use crate::text::{push_fixed, xml_escape};
 use perfvar_analysis::messages::CommMatrix;
-use perfvar_trace::Trace;
+use perfvar_trace::{Trace, TraceMeta};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -33,7 +33,17 @@ pub fn render_comm_matrix_svg(
     quantity: CommQuantity,
     size: u32,
 ) -> String {
-    render_comm_matrix_with(trace, comm, quantity, size, push_rect)
+    render_comm_matrix_with(&trace.name, comm, quantity, size, push_rect)
+}
+
+/// [`render_comm_matrix_svg`] from trace metadata alone.
+pub fn render_comm_matrix_svg_meta(
+    meta: &TraceMeta,
+    comm: &CommMatrix,
+    quantity: CommQuantity,
+    size: u32,
+) -> String {
+    render_comm_matrix_with(&meta.name, comm, quantity, size, push_rect)
 }
 
 /// Fill of cells without traffic.
@@ -84,7 +94,7 @@ fn block_sums(comm: &CommMatrix, quantity: CommQuantity, block: usize) -> Vec<(u
 /// [`render_comm_matrix_svg`] with the rect writer as a parameter, so
 /// tests can render the same document through the `write!` oracle.
 fn render_comm_matrix_with(
-    trace: &Trace,
+    name: &str,
     comm: &CommMatrix,
     quantity: CommQuantity,
     size: u32,
@@ -118,7 +128,7 @@ fn render_comm_matrix_with(
     let _ = write!(
         svg,
         r##"<text x="{margin}" y="18" font-size="13" font-weight="bold">Communication matrix ({what}) — {t}</text>"##,
-        t = xml_escape(&trace.name)
+        t = xml_escape(name)
     );
     let _ = write!(svg, r##"<g shape-rendering="crispEdges">"##);
     let top = title_h + margin;
@@ -248,7 +258,7 @@ mod tests {
                 for size in [720, 241, 125] {
                     assert_eq!(
                         render_comm_matrix_svg(&trace, &comm, q, size),
-                        render_comm_matrix_with(&trace, &comm, q, size, rect_oracle),
+                        render_comm_matrix_with(&trace.name, &comm, q, size, rect_oracle),
                         "{}",
                         trace.name
                     );

@@ -2,23 +2,23 @@
 //!
 //! The report writes every chart as its own `.svg` file and embeds most
 //! of them in `report.html`. [`ReportCharts::render`] builds and renders
-//! each chart one time; [`ReportCharts::files`] lends the documents for
-//! the file writes and [`ReportCharts::into_html`] then moves them into
-//! the HTML report, so no chart is drawn twice.
+//! each chart one time from the analysis, the chart fold and the matched
+//! messages — no [`Trace`](perfvar_trace::Trace) is needed;
+//! [`ReportCharts::files`] lends the documents for the file writes and
+//! [`ReportCharts::into_html`] then moves them into the HTML report, so
+//! no chart is drawn twice.
 
-use crate::chart::{
-    counter_heatmap, function_timeline_with_messages, sos_heatmap, TimelineOptions,
-};
+use crate::chart::{counter_heatmap_meta, function_timeline_of, sos_heatmap_meta, TimelineOptions};
 use crate::html::HtmlReport;
-use crate::matrix::{render_comm_matrix_svg, CommQuantity};
+use crate::matrix::{render_comm_matrix_svg_meta, CommQuantity};
 use crate::summary::{
-    function_summary, ordinal_series_chart, process_load_chart, render_bar_svg,
+    function_summary_meta, ordinal_series_chart, process_load_chart_meta, render_bar_svg,
     render_histogram_svg, render_series_svg, sos_histogram,
 };
 use crate::svg::{render_svg, SvgOptions};
+use perfvar_analysis::activity::Activity;
 use perfvar_analysis::messages::MessageAnalysis;
 use perfvar_analysis::Analysis;
-use perfvar_trace::Trace;
 use std::collections::HashSet;
 
 /// One counter heatmap of the report.
@@ -59,14 +59,20 @@ pub struct ReportCharts {
 }
 
 impl ReportCharts {
-    /// Builds and renders every report chart of `trace` and its
-    /// `analysis`. The trace's messages are matched once, for both the
-    /// timeline arrows and the communication matrix.
-    pub fn render(trace: &Trace, analysis: &Analysis) -> ReportCharts {
+    /// Builds and renders every report chart of `analysis` and the chart
+    /// fold of the same trace (`activity`, folded over the default
+    /// [`TimelineOptions::grid`]). `messages` — the fold's endpoints,
+    /// matched — draw both the timeline arrows and the communication
+    /// matrix.
+    pub fn render(
+        activity: &Activity,
+        analysis: &Analysis,
+        messages: &MessageAnalysis,
+    ) -> ReportCharts {
+        let meta = &activity.meta;
         let svg = SvgOptions::default();
-        let messages = MessageAnalysis::match_trace(trace);
         let timeline = render_svg(
-            &function_timeline_with_messages(trace, &TimelineOptions::default(), Some(&messages)),
+            &function_timeline_of(activity, &TimelineOptions::default(), Some(messages)),
             &svg,
         );
         let mut taken = HashSet::new();
@@ -74,7 +80,7 @@ impl ReportCharts {
             .counters
             .iter()
             .map(|counter| {
-                let metric = trace.registry().metric(counter.metric).name.clone();
+                let metric = meta.registry.metric(counter.metric).name.clone();
                 let mut stem = format!(
                     "counter-{}",
                     metric
@@ -89,21 +95,27 @@ impl ReportCharts {
                 CounterChart {
                     metric,
                     file,
-                    svg: render_svg(&counter_heatmap(trace, analysis, &counter.matrix), &svg),
+                    svg: render_svg(&counter_heatmap_meta(meta, analysis, &counter.matrix), &svg),
                 }
             })
             .collect();
         ReportCharts {
             timeline,
-            sos: render_svg(&sos_heatmap(trace, analysis), &svg),
+            sos: render_svg(
+                &sos_heatmap_meta(meta, analysis, TimelineOptions::default().buckets),
+                &svg,
+            ),
             counters,
-            function_summary: render_bar_svg(&function_summary(trace, &analysis.profiles, 12), 900),
-            process_load: render_bar_svg(&process_load_chart(trace, analysis), 900),
+            function_summary: render_bar_svg(
+                &function_summary_meta(meta, &analysis.profiles, 12),
+                900,
+            ),
+            process_load: render_bar_svg(&process_load_chart_meta(meta, analysis), 900),
             sos_histogram: render_histogram_svg(&sos_histogram(analysis, 24), 640, 320),
             comm_matrix: (!messages.is_empty()).then(|| {
-                render_comm_matrix_svg(
-                    trace,
-                    &messages.comm_matrix(trace.num_processes()),
+                render_comm_matrix_svg_meta(
+                    meta,
+                    &messages.comm_matrix(meta.num_processes()),
                     CommQuantity::Bytes,
                     720,
                 )

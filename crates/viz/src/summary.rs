@@ -11,7 +11,7 @@ use crate::color::{Color, ColorScale, FunctionPalette};
 use crate::text::{push_fixed, xml_escape};
 use perfvar_analysis::profile::ProfileTable;
 use perfvar_analysis::Analysis;
-use perfvar_trace::{ProcessId, Trace};
+use perfvar_trace::{ProcessId, Trace, TraceMeta};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -53,8 +53,17 @@ pub struct Histogram {
 /// Builds the function summary: exclusive time per function, descending,
 /// top `max_bars` entries (the classic Vampir "Function Summary" panel).
 pub fn function_summary(trace: &Trace, profiles: &ProfileTable, max_bars: usize) -> BarChart {
+    function_summary_meta(&TraceMeta::of(trace), profiles, max_bars)
+}
+
+/// [`function_summary`] from trace metadata alone.
+pub fn function_summary_meta(
+    meta: &TraceMeta,
+    profiles: &ProfileTable,
+    max_bars: usize,
+) -> BarChart {
     let palette = FunctionPalette;
-    let registry = trace.registry();
+    let registry = &meta.registry;
     let mut entries: Vec<(perfvar_trace::FunctionId, u64)> = profiles
         .iter()
         .filter(|(_, p)| p.count > 0)
@@ -71,7 +80,7 @@ pub fn function_summary(trace: &Trace, profiles: &ProfileTable, max_bars: usize)
         })
         .collect();
     BarChart {
-        title: format!("Function summary — {}", trace.name),
+        title: format!("Function summary — {}", meta.name),
         unit: "ticks (exclusive)".to_string(),
         bars,
     }
@@ -81,9 +90,14 @@ pub fn function_summary(trace: &Trace, profiles: &ProfileTable, max_bars: usize)
 /// process, coloured on the heat scale (so the overloaded rank is red
 /// here too).
 pub fn process_load_chart(trace: &Trace, analysis: &Analysis) -> BarChart {
+    process_load_chart_meta(&TraceMeta::of(trace), analysis)
+}
+
+/// [`process_load_chart`] from trace metadata alone.
+pub fn process_load_chart_meta(meta: &TraceMeta, analysis: &Analysis) -> BarChart {
     let totals = analysis.sos().process_totals();
     let scale = ColorScale::from_values(totals.iter().map(|d| d.0 as f64));
-    let registry = trace.registry();
+    let registry = &meta.registry;
     let bars = totals
         .iter()
         .enumerate()
@@ -94,7 +108,7 @@ pub fn process_load_chart(trace: &Trace, analysis: &Analysis) -> BarChart {
         })
         .collect();
     BarChart {
-        title: format!("Per-process SOS-time — {}", trace.name),
+        title: format!("Per-process SOS-time — {}", meta.name),
         unit: "ticks (total SOS)".to_string(),
         bars,
     }
