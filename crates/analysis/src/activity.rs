@@ -41,13 +41,13 @@ use std::path::Path;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BucketGrid {
     /// Start of the first bucket.
-    pub begin: Timestamp,
+    begin: Timestamp,
     /// End of the time axis.
-    pub end: Timestamp,
+    end: Timestamp,
     /// Number of buckets (at least one).
-    pub buckets: usize,
-    /// Ticks per bucket (at least one).
-    pub width: u64,
+    buckets: usize,
+    /// Ticks per bucket (at least one), derived from the three above.
+    width: u64,
 }
 
 impl BucketGrid {
