@@ -201,11 +201,6 @@ impl<S: ReplayVisitor> RankFold<S> {
         }
     }
 
-    /// Replays the rank's next records.
-    pub(crate) fn step(&mut self, records: &[EventRecord]) {
-        self.machine.feed(records, &mut self.sink);
-    }
-
     /// Ends the replay and hands the sink, its replay stats and how the
     /// rank was read to `close`.
     pub(crate) fn close<T>(
@@ -219,9 +214,9 @@ impl<S: ReplayVisitor> RankFold<S> {
 }
 
 impl<S: ReplayVisitor> RecordFold for RankFold<S> {
-    #[inline]
+    /// Replays the rank's next records.
     fn step(&mut self, records: &[EventRecord]) {
-        RankFold::step(self, records);
+        self.machine.feed(records, &mut self.sink);
     }
 }
 

@@ -44,7 +44,7 @@
 
 use crate::driver::{
     close_combined, complete, speculation_target, CombinedPass, CombinedSink, Predictor, RankFold,
-    RankRead, PREDICT_PREFIX_EVENTS,
+    RankRead, RecordFold, PREDICT_PREFIX_EVENTS,
 };
 use crate::outofcore::{cursor_options, OutOfCoreAnalysis, PathAnalysisError, RecoveryMode};
 use crate::profile::ProfileTable;
