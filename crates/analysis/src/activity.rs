@@ -21,12 +21,12 @@
 //!
 //! [`Activity::of_trace`] runs the fold over an in-memory trace and
 //! [`activity_of_path`] over a trace file without loading it; both give
-//! the same [`Activity`]. [`OutOfCoreAnalysis::activity`] folds the file
-//! an analysis was computed from, on that analysis's time axis.
+//! the same [`Activity`]. [`fold_on_axis`] folds a file on the time axis
+//! an earlier pass over it found (an analysis's or a fold's `meta`).
 
 use crate::driver::{PvtFile, RankRead, RankSource, RecordFold};
 use crate::messages::{Endpoint, RankEndpoints};
-use crate::outofcore::{cursor_options, OutOfCoreAnalysis};
+use crate::outofcore::cursor_options;
 use crate::report::AnalysisConfig;
 use crate::telemetry::{Stage, Telemetry};
 use perfvar_trace::format::cursor::ArchiveCursor;
@@ -393,12 +393,12 @@ pub fn activity_of_path(
 }
 
 /// [`activity_of_path`] with `buckets` timeline buckets over the time
-/// axis of `meta`, which an earlier pass over the same file found. A
-/// file whose name, clock, definitions, event count or time extent no
-/// longer match `meta` changed between the passes, and fails with
-/// [`TraceError::Corrupt`].
-fn fold_on_axis(
-    path: &Path,
+/// axis of `meta`, which an earlier pass over the same file found: the
+/// analysis's, or a fold's without a timeline. A file whose name, clock,
+/// definitions, event count or time extent no longer match `meta`
+/// changed between the passes, and fails with [`TraceError::Corrupt`].
+pub fn fold_on_axis(
+    path: impl AsRef<Path>,
     config: &AnalysisConfig,
     meta: &TraceMeta,
     buckets: usize,
@@ -411,39 +411,6 @@ fn fold_on_axis(
         return Err(TraceError::Corrupt(changed.into()));
     }
     Ok(activity)
-}
-
-impl Activity {
-    /// Folds the file at `path` this fold read again, with `buckets`
-    /// timeline buckets over the time axis it found: the second pass of
-    /// a timeline that no earlier pass has the axis for. Fails with
-    /// [`TraceError::Corrupt`] if the file changed in between.
-    pub fn with_timeline(
-        &self,
-        path: impl AsRef<Path>,
-        config: &AnalysisConfig,
-        buckets: usize,
-        telemetry: &Telemetry,
-    ) -> Result<Activity, TraceError> {
-        fold_on_axis(path.as_ref(), config, &self.meta, buckets, telemetry)
-    }
-}
-
-impl OutOfCoreAnalysis {
-    /// Runs the chart fold over the file at `path` this (strict)
-    /// analysis was computed from, with `buckets` timeline buckets over
-    /// the analysis's time axis ([`activity_of_path`]). Fails with
-    /// [`TraceError::Corrupt`] if the file changed since the analysis
-    /// read it.
-    pub fn activity(
-        &self,
-        path: impl AsRef<Path>,
-        config: &AnalysisConfig,
-        buckets: usize,
-        telemetry: &Telemetry,
-    ) -> Result<Activity, TraceError> {
-        fold_on_axis(path.as_ref(), config, &self.meta, buckets, telemetry)
-    }
 }
 
 #[cfg(test)]
@@ -528,15 +495,12 @@ mod tests {
             let path = tmp(name);
             write_trace_file(&messaging(6), &path).unwrap();
             let analysis = analyze_path_with(&path, &config, RecoveryMode::Strict).unwrap();
-            assert!(analysis
-                .activity(&path, &config, 960, &Telemetry::noop())
-                .is_ok());
+            let fold = || fold_on_axis(&path, &config, &analysis.meta, 960, &Telemetry::noop());
+            assert!(fold().is_ok());
             // Same definitions, more events: the fold decodes cleanly
             // but no longer describes the analysed trace.
             write_trace_file(&messaging(8), &path).unwrap();
-            let error = analysis
-                .activity(&path, &config, 960, &Telemetry::noop())
-                .unwrap_err();
+            let error = fold().unwrap_err();
             assert!(error.to_string().contains("changed"), "{name}: {error}");
         }
     }

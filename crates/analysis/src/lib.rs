@@ -72,7 +72,7 @@ pub mod waitstates;
 
 /// Convenient glob-import of the analysis pipeline.
 pub mod prelude {
-    pub use crate::activity::{activity_of_path, Activity, BucketGrid, BucketRun};
+    pub use crate::activity::{activity_of_path, fold_on_axis, Activity, BucketGrid, BucketRun};
     pub use crate::callpath::{CallPathId, CallTree};
     pub use crate::clustering::{Cluster, ClusterConfig, ProcessClustering};
     pub use crate::compare::{
@@ -111,7 +111,7 @@ pub mod prelude {
     pub use crate::waitstates::{ProcessWaitStates, WaitStateAnalysis};
 }
 
-pub use activity::{activity_of_path, Activity, BucketGrid};
+pub use activity::{activity_of_path, fold_on_axis, Activity, BucketGrid};
 pub use callpath::CallTree;
 pub use clustering::ProcessClustering;
 pub use compare::{

@@ -1827,15 +1827,18 @@ fn rank_scale_benchmark(report: &mut Report) -> serde_json::Value {
 /// message matching included. Checks that every rep renders the same
 /// bytes. The REPORT-RENDER row in BENCH_pipeline.json.
 fn report_render_benchmark(report: &mut Report) -> serde_json::Value {
-    use perfvar_analysis::activity::Activity;
+    use perfvar_analysis::activity::{Activity, BucketGrid};
     use perfvar_analysis::messages::MessageAnalysis;
-    use perfvar_trace::TraceMeta;
     use perfvar_viz::html::HtmlReport;
     use perfvar_viz::report::ReportCharts;
 
     let trace = fig5_trace();
     let analysis = analyze(&trace, &AnalysisConfig::default()).unwrap();
-    let grid = TimelineOptions::default().grid(&TraceMeta::of(&trace));
+    let grid = BucketGrid::new(
+        trace.begin(),
+        trace.end(),
+        TimelineOptions::default().buckets,
+    );
     let render = || {
         let activity = Activity::of_trace(&trace, Some(grid), 1);
         let messages = MessageAnalysis::match_endpoints(&activity.endpoints);

@@ -5,9 +5,9 @@ use crate::workload_args::{generate_trace, WORKLOAD_NAMES};
 use perfvar_analysis::live::LiveAnalysis;
 use perfvar_analysis::messages::MessageAnalysis;
 use perfvar_analysis::{
-    activity_of_path, analyze_observed, analyze_path_observed, diagnose_meta, Analysis,
-    AnalysisConfig, AnalysisOptions, DiagnoseOptions, OutOfCoreAnalysis, PathAnalysisError,
-    PipelineStats, RunComparison, Telemetry, Verdict,
+    activity_of_path, analyze_observed, analyze_path_observed, diagnose_meta, fold_on_axis,
+    Analysis, AnalysisConfig, AnalysisOptions, DiagnoseOptions, OutOfCoreAnalysis,
+    PathAnalysisError, PipelineStats, RunComparison, Telemetry, Verdict,
 };
 use perfvar_trace::format::live::LiveArchiveWriter;
 use perfvar_trace::format::{read_trace_file, write_trace_file, Format};
@@ -32,7 +32,7 @@ USAGE:
   perfvar generate <workload> --out <trace.pvt> [--ranks N] [--iterations N]
                    [--seed S] [--work W]
                    [--live [--flush-every N] [--delay-ms MS]]
-  perfvar info     <trace> [--threads N] [--stats]
+  perfvar info     <trace> [--stats]
   perfvar watch    <archive.pvta> [--interval MS] [--width N] [--top N]
                    [--function NAME] [--multiplier K] [--no-color]
   perfvar analyze  <trace> [--function NAME] [--refine N] [--multiplier K]
@@ -274,14 +274,13 @@ pub fn watch(argv: Vec<String>) -> Result<(), String> {
 /// timeline buckets.
 pub fn info(argv: Vec<String>) -> Result<(), String> {
     const SPEC: ArgSpec = ArgSpec {
-        valued: &["threads"],
+        valued: &[],
         flags: &["stats"],
     };
     let args = SPEC.parse(argv).map_err(|e| e.to_string())?;
     let path = args.positional(0).ok_or("missing trace path")?;
-    let config = options_of(&args)?.config();
     let telemetry = telemetry_of(&args, false);
-    let activity = activity_of_path(path, &config, None, &telemetry)
+    let activity = activity_of_path(path, &AnalysisConfig::default(), None, &telemetry)
         .map_err(|e| format!("cannot read trace {path}: {e}"))?;
     let meta = &activity.meta;
     let counts = activity.counts;
@@ -655,7 +654,7 @@ pub fn render(argv: Vec<String>) -> Result<(), String> {
             // The first fold finds the time axis the buckets divide.
             let opts = TimelineOptions::default();
             let axis = activity_of_path(path, &config, None, &telemetry).map_err(read_error)?;
-            let activity = (axis.with_timeline(path, &config, opts.buckets, &telemetry))
+            let activity = fold_on_axis(path, &config, &axis.meta, opts.buckets, &telemetry)
                 .map_err(read_error)?;
             let messages = MessageAnalysis::match_endpoints(&activity.endpoints);
             function_timeline_of(&activity, &opts, Some(&messages))
@@ -717,13 +716,8 @@ pub fn report(argv: Vec<String>) -> Result<(), String> {
     let telemetry = telemetry_of(&args, false);
     let config = options_of(&args)?.config();
     let result = analysis_of_path(path, &args, &telemetry)?;
-    let mut activity = result
-        .activity(
-            path,
-            &config,
-            TimelineOptions::default().buckets,
-            &telemetry,
-        )
+    let buckets = TimelineOptions::default().buckets;
+    let mut activity = fold_on_axis(path, &config, &result.meta, buckets, &telemetry)
         .map_err(|e| format!("cannot read trace {path}: {e}"))?;
     let OutOfCoreAnalysis { analysis, meta, .. } = result;
     let messages = MessageAnalysis::match_endpoints(&std::mem::take(&mut activity.endpoints));

@@ -115,20 +115,12 @@ impl Default for TimelineOptions {
     }
 }
 
-impl TimelineOptions {
-    /// The time buckets of the function timeline over `meta`'s time
-    /// axis: what the chart fold ([`Activity`]) folds the rows over.
-    pub fn grid(&self, meta: &TraceMeta) -> BucketGrid {
-        BucketGrid::new(meta.begin, meta.end, self.buckets)
-    }
-}
-
 /// Builds the master-timeline chart (Figs. 4(a), 5(a), 6(a)): every
 /// process row shows the dominant activity per time bucket, coloured by
 /// the [`FunctionPalette`]. The chart fold and the message matcher run
 /// over the in-memory streams; [`function_timeline_of`] is the chart.
 pub fn function_timeline(trace: &Trace, opts: &TimelineOptions) -> TimelineChart {
-    let grid = opts.grid(&TraceMeta::of(trace));
+    let grid = BucketGrid::new(trace.begin(), trace.end(), opts.buckets);
     let activity = Activity::of_trace(trace, Some(grid), 1);
     let messages = opts
         .include_messages
@@ -136,25 +128,22 @@ pub fn function_timeline(trace: &Trace, opts: &TimelineOptions) -> TimelineChart
     function_timeline_of(&activity, opts, messages.as_ref())
 }
 
-/// The master timeline from the chart fold of a trace: the rows, legend
-/// and axis come from `activity` (folded over [`TimelineOptions::grid`]
-/// of its own time axis), the arrows from `messages`. No arrows without
-/// a match or with [`TimelineOptions::include_messages`] off.
+/// The master timeline from the chart fold of a trace: the rows, legend,
+/// axis and buckets come from `activity`, the arrows from `messages`. No
+/// arrows without a match or with [`TimelineOptions::include_messages`]
+/// off; [`TimelineOptions::buckets`] is not read, the fold's grid is.
 ///
 /// # Panics
-/// Panics if `activity` was folded without the options' bucket grid.
+/// Panics if `activity` was folded without a bucket grid.
 pub fn function_timeline_of(
     activity: &Activity,
     opts: &TimelineOptions,
     messages: Option<&MessageAnalysis>,
 ) -> TimelineChart {
     let meta = &activity.meta;
-    let grid = opts.grid(meta);
-    assert_eq!(
-        activity.grid,
-        Some(grid),
-        "the activity must be folded over the timeline's buckets"
-    );
+    let grid = activity
+        .grid
+        .expect("the activity is folded with a timeline");
     let palette = FunctionPalette;
     let registry = &meta.registry;
     let color_of = |f: FunctionId| palette.function_color(f.index(), registry.function_role(f));
@@ -830,7 +819,7 @@ mod tests {
 
     /// The fold-built timeline at `threads` workers.
     fn folded_timeline(trace: &Trace, opts: &TimelineOptions, threads: usize) -> TimelineChart {
-        let grid = opts.grid(&TraceMeta::of(trace));
+        let grid = BucketGrid::new(trace.begin(), trace.end(), opts.buckets);
         let activity = Activity::of_trace(trace, Some(grid), threads);
         let messages = MessageAnalysis::match_endpoints(&activity.endpoints);
         function_timeline_of(&activity, opts, Some(&messages))
@@ -857,14 +846,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "folded over the timeline's buckets")]
-    fn timeline_of_an_activity_without_its_grid_panics() {
-        let (trace, _) = outlier_setup();
-        let activity = Activity::of_trace(&trace, None, 1);
-        function_timeline_of(&activity, &TimelineOptions::default(), None);
     }
 
     proptest::proptest! {

@@ -60,10 +60,10 @@ pub struct ReportCharts {
 
 impl ReportCharts {
     /// Builds and renders every report chart of `analysis` and the chart
-    /// fold of the same trace (`activity`, folded over the default
-    /// [`TimelineOptions::grid`]). `messages` — the fold's endpoints,
-    /// matched — draw both the timeline arrows and the communication
-    /// matrix.
+    /// fold of the same trace (`activity`, folded with a timeline of
+    /// [`TimelineOptions::default`]'s buckets). `messages` — the fold's
+    /// endpoints, matched — draw both the timeline arrows and the
+    /// communication matrix.
     pub fn render(
         activity: &Activity,
         analysis: &Analysis,
